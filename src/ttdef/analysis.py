@@ -36,24 +36,6 @@ HALT_DEAD = "halt_dead"
 # ---------------------------------------------------------------------------
 # the node-level walk engine
 
-def _rhs_chain(rhs):
-    """Monadic rule right-hand side as (emitted labels, tip, ground leaf).
-
-    tip is (attr, pos) for an occurrence leaf, else None with the rank-0
-    output label in leaf."""
-    labels = []
-    t = rhs
-    while t.children:
-        if len(t.children) != 1:
-            raise NotApplicable("nonmonadic")
-        labels.append(t.label)
-        t = t.children[0]
-    tip = occ_pattern_info(t.label)
-    if tip is None:
-        return labels, None, t.label
-    return labels, tip, None
-
-
 @dataclass
 class LocalResult:
     """Outcome of walking one node with children summarized by tail maps.
@@ -82,19 +64,11 @@ def local_run(att, sigma, taus, chi, start, boundary=None):
     subtree mode), otherwise a map from inherited attribute to a
     synthesized re-entry attribute, HALT_OK or HALT_DEAD."""
     attr, pos = start
+    table = att.rule_table
     emit = 0
     visits = []
     trace = []
     seen = set()
-
-    def apply_rule(rule):
-        nonlocal emit
-        labels, tip, leaf = _rhs_chain(rule.rhs)
-        emit += len(labels)
-        trace.extend(("emit", lab) for lab in labels)
-        if tip is None:
-            trace.append(("leaf", leaf))
-        return tip
 
     def done(kind, a=None):
         return LocalResult(kind, attr=a, emit=emit,
@@ -104,44 +78,43 @@ def local_run(att, sigma, taus, chi, start, boundary=None):
         if (attr, pos) in seen:
             return done("dead")
         seen.add((attr, pos))
-        if att.is_syn(attr):
-            if pos == 0:
-                rules = att.rules_for(sigma, attr, 0)
-                if not rules:
-                    return done("dead")
-                tip = apply_rule(rules[0])
-                if tip is None:
-                    return done("ground")
-                attr, pos = tip
-            elif pos == boundary:
+        syn = att.is_syn(attr)
+        if syn == (pos == 0):
+            # a rule of this node: a(pi) for synthesized a, b(pi i) for
+            # inherited b
+            key = (sigma, attr, pos)
+            if key not in table:
+                return done("dead")
+            chain = table[key]
+            if chain is None:
+                raise NotApplicable("nonmonadic")
+            labels, tip, leaf = chain
+            emit += len(labels)
+            trace.extend(("emit", lab) for lab in labels)
+            if tip is None:
+                trace.append(("leaf", leaf))
+                return done("ground")
+            attr, pos = tip
+        elif syn:
+            if pos == boundary:
                 return done("enter", attr)
-            else:
-                out = taus[pos - 1].get(attr)
-                if out is None:
-                    return done("dead")
-                visits.append((pos, attr))
-                trace.append(("dive", pos, attr))
-                if out[0] == "ground":
-                    return done("ground")
-                attr = out[1]
+            out = taus[pos - 1].get(attr)
+            if out is None:
+                return done("dead")
+            visits.append((pos, attr))
+            trace.append(("dive", pos, attr))
+            if out[0] == "ground":
+                return done("ground")
+            attr = out[1]
         else:
-            if pos == 0:
-                if chi is None:
-                    return done("up", attr)
-                ans = chi.get(attr, HALT_DEAD)
-                if ans == HALT_DEAD:
-                    return done("dead")
-                if ans == HALT_OK:
-                    return done("halt_ok")
-                attr = ans
-            else:
-                rules = att.rules_for(sigma, attr, pos)
-                if not rules:
-                    return done("dead")
-                tip = apply_rule(rules[0])
-                if tip is None:
-                    return done("ground")
-                attr, pos = tip
+            if chi is None:
+                return done("up", attr)
+            ans = chi.get(attr, HALT_DEAD)
+            if ans == HALT_DEAD:
+                return done("dead")
+            if ans == HALT_OK:
+                return done("halt_ok")
+            attr = ans
 
 
 # ---------------------------------------------------------------------------

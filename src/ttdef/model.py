@@ -14,6 +14,7 @@ never end in ')', so a label ending in ')' is always an occurrence.
 
 import re
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import (AlphabetMismatch, ArityMismatch,
                      DuplicateLhsInDeterministic, RootMarkerSynRule,
@@ -145,6 +146,25 @@ def mangle_literal(t):
     return "lit<%s>" % t.render()
 
 
+def rhs_chain(rhs):
+    """Monadic rule right-hand side as (emitted labels, tip, leaf), or None
+    when some node of it has several children.
+
+    tip is (attr, pos) for an occurrence leaf, else None with the rank-0
+    output label in leaf."""
+    labels = []
+    t = rhs
+    while t.children:
+        if len(t.children) != 1:
+            return None
+        labels.append(t.label)
+        t = t.children[0]
+    tip = occ_pattern_info(t.label)
+    if tip is None:
+        return tuple(labels), None, t.label
+    return tuple(labels), tip, None
+
+
 # ---------------------------------------------------------------------------
 # declarations
 
@@ -193,7 +213,10 @@ class AttSpec:
     def attributes(self):
         return self.syn + self.inh
 
-    @property
+    # The rules never change after construction, so the properties derived
+    # from them below are computed once per spec.
+
+    @cached_property
     def deterministic(self):
         seen = set()
         for sym, rules in self.rules.items():
@@ -204,10 +227,28 @@ class AttSpec:
                 seen.add(key)
         return True
 
-    @property
+    @cached_property
     def max_rhs_size(self):
         sizes = [r.rhs.size for rules in self.rules.values() for r in rules]
         return max(sizes) if sizes else 0
+
+    @cached_property
+    def rule_table(self):
+        """(symbol, attr, pos) -> rhs_chain of the first rule with that
+        left-hand side; None where that right-hand side is not a chain."""
+        table = {}
+        for sym, rules in self.rules.items():
+            for r in rules:
+                table.setdefault((sym, r.attr, r.pos), rhs_chain(r.rhs))
+        return table
+
+    @cached_property
+    def walks_on_table(self):
+        """True when every run is one walk that rule_table describes:
+        deterministic rules, monadic output, every right-hand side a
+        chain."""
+        return (self.deterministic and check_monadic(self).verdict
+                and None not in self.rule_table.values())
 
     def __post_init__(self):
         self._syn_set = frozenset(self.syn)

@@ -153,19 +153,31 @@ def _answer_to_json(answer):
             "budget": dict(answer.budget)}
 
 
-def report_to_json(report):
-    """JSON form of a report.  The hash field covers everything except the
-    timings, so reruns of the same decision compare equal byte for byte
-    once timings are dropped."""
-    core = {
+def _report_core(report, path):
+    answer = report.answer
+    if isinstance(answer, Yes):
+        answer = Yes(spec_path=path(answer.spec_path))
+    elif isinstance(answer, No):
+        answer = No(reason=answer.reason,
+                    witness_path=path(answer.witness_path))
+    return {
         "schema": SCHEMA,
         "name": report.name,
-        "answer": _answer_to_json(report.answer),
+        "answer": _answer_to_json(answer),
         "stages": [{"name": s.name, "verdict": s.verdict,
-                    "artifact": s.artifact} for s in report.stages],
+                    "artifact": s.artifact and path(s.artifact)}
+                   for s in report.stages],
         "config": asdict(report.config),
     }
-    canonical = json.dumps(core, sort_keys=True, separators=(",", ":"))
+
+
+def report_to_json(report):
+    """JSON form of a report.  The hash field covers everything except the
+    timings and the artifact directory: artifact names are content hashes,
+    so the same decision written anywhere hashes the same."""
+    hashed = _report_core(report, lambda p: Path(p).name)
+    canonical = json.dumps(hashed, sort_keys=True, separators=(",", ":"))
+    core = _report_core(report, str)
     core["hash"] = hashlib.sha256(canonical.encode("utf-8")).hexdigest()
     core["timings"] = {s.name: round(s.seconds, 6) for s in report.stages}
     return core

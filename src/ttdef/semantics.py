@@ -9,6 +9,20 @@ inherited occurrence at eps is simply stuck there and becomes a tip.
 Deterministic monadic-output derivations have a single active occurrence
 per form; revisiting a consumed occurrence certifies a cycle, which
 evaluate reports as NoOutput and nf as Diverges.
+
+Two engines run atts.  When the att is deterministic with monadic output
+(AttSpec.walks_on_table), evaluate without a trace and enumerate_outputs
+walk the spec's rule table, compiled once per spec: the form is then a
+chain of emitted labels above one occurrence, so the walk keeps the
+occurrence as (attr, node) and the labels as a list, and builds the
+output tree once at the end.  Occurrence labels are parsed only when the
+table is built.  Every other run rewrites string sentential forms:
+traces (they record each form), non-monadic outputs (a form holds
+several occurrences), nondeterministic enumeration (it searches a set of
+forms), and nf (its start form is arbitrary and it runs over the bare
+tree).  _run_att and _enumerate_att are also the reference the compiled
+walk is tested against; both engines give the same outcomes, budgets
+included.
 """
 
 from dataclasses import dataclass
@@ -187,6 +201,83 @@ def _run_att(a, s, budget, want_trace):
                 naddr if a.is_syn(attr) else naddr[:-1])))
 
 
+# ---------------------------------------------------------------------------
+# the compiled walk: deterministic atts with monadic output
+
+def _flatten(s):
+    """Nodes of #(s) as integers, 0 the root marker and 1 the root of s:
+    (labels, (parent, child index) per node, child nodes per node)."""
+    labels, up, kids = [ROOT], [None], [[None]]
+    stack = [(s, 0, 1)]
+    while stack:
+        t, parent, i = stack.pop()
+        n = len(labels)
+        labels.append(t.label)
+        up.append((parent, i))
+        kids[parent][i - 1] = n
+        kids.append([None] * len(t.children))
+        stack.extend((c, n, j) for j, c in enumerate(t.children, start=1))
+    return labels, up, kids
+
+
+def _walk_table(a, s, max_steps, max_enumeration=None):
+    """Run a over #(s) on its rule table, one (attr, node) at a time.
+
+    The only occurrence of the form is kept as (attr, base, pos): attr at
+    node base when pos is 0, attr at child pos of base otherwise, so a
+    rule applies at (label of base, attr, pos) and instantiates at base.
+    Returns (kind, output tree or None), kind one of "output", "stuck",
+    "silent" and "productive" (an occurrence came back, with no output
+    in between or with some), "steps", and "enumeration" (more forms than
+    max_enumeration; checked only when it is given)."""
+    table = a.rule_table
+    syn, inh = frozenset(a.syn), frozenset(a.inh)
+    labels, up, kids = _flatten(s)
+
+    def locate(attr, base, j):
+        """The occurrence attr(base.j), with base.0 = base; None if stuck."""
+        if attr in syn:
+            if j == 0:
+                return None if base == 0 else (attr, base, 0)
+            row = kids[base]
+            return (attr, row[j - 1], 0) if j <= len(row) else None
+        if attr in inh:
+            if j:
+                return attr, base, j
+            return None if base == 0 else (attr,) + up[base]
+        return None
+
+    out = []
+    occ = locate(a.init, 0, 1)
+    seen = {occ: 0}    # occurrence -> output length when it was reached
+    steps = 0
+    while True:
+        if occ is None:
+            return "stuck", None
+        attr, base, pos = occ
+        chain = table.get((labels[base], attr, pos))
+        if chain is None:
+            return "stuck", None
+        steps += 1
+        if steps > max_steps:
+            return "steps", None
+        emitted, tip, leaf = chain
+        out.extend(emitted)
+        if tip is not None:
+            occ = locate(tip[0], base, tip[1])
+            if occ in seen:
+                return ("silent" if seen[occ] == len(out) else "productive",
+                        None)
+        if max_enumeration is not None and steps >= max_enumeration:
+            return "enumeration", None
+        if tip is None:
+            tree = Tree(leaf)
+            for label in reversed(out):
+                tree = Tree(label, (tree,))
+            return "output", tree
+        seen[occ] = len(out)
+
+
 def nf(a, s, start, budget=None):
     """Normal form of the start form under the derivation over the bare
     tree s (no root marker); Diverges on a detected cycle."""
@@ -351,6 +442,12 @@ def evaluate(d, s, budget=None, want_trace=False):
     enumerate_outputs."""
     budget = budget or StepBudget()
     if isinstance(d, AttSpec):
+        if not want_trace and d.walks_on_table:
+            kind, tree = _walk_table(d, s, budget.max_steps)
+            if kind == "output":
+                _check_lsi(d, s, tree)
+                return Output(tree)
+            return BudgetExhausted() if kind == "steps" else NoOutput()
         outcome, trace = _run_att(d, s, budget, want_trace)
         return (outcome, DerivationTrace(trace)) if want_trace else outcome
     if isinstance(d, TdttSpec):
@@ -423,22 +520,32 @@ def enumerate_outputs(d, s, budget=None):
         ok = not isinstance(got, Reject) and _accepts(d, got[0])
         return ({got[1]} if ok else set()), True
     if isinstance(d, AttSpec):
-        sym_at = _symbol_lookup(s, rooted=True)
-
-        def successors(form):
-            # Rewriting the first occurrence only is complete: rule choice
-            # at one occurrence commutes with choice at any other.
-            occs = occurrences(form)
-            if not occs:
-                return None
-            faddr, attr, naddr = occs[0]
-            return [form.replace_at(faddr, repl)
-                    for _, repl in _expansions(d, sym_at, attr, naddr)]
-        start = Tree(occ_node(d.init, (1,)))
-        return _search(start, successors, budget)
+        if d.walks_on_table:
+            kind, tree = _walk_table(d, s, budget.max_steps,
+                                     budget.max_enumeration)
+            if kind == "output":
+                return {tree}, True
+            return set(), kind in ("stuck", "silent")
+        return _enumerate_att(d, s, budget)
     if isinstance(d, TdttSpec):
         return _enumerate_tdtt(d, s, budget)
     raise TypeError("cannot enumerate %r" % type(d).__name__)
+
+
+def _enumerate_att(a, s, budget):
+    sym_at = _symbol_lookup(s, rooted=True)
+
+    def successors(form):
+        # Rewriting the first occurrence only is complete: rule choice
+        # at one occurrence commutes with choice at any other.
+        occs = occurrences(form)
+        if not occs:
+            return None
+        faddr, attr, naddr = occs[0]
+        return [form.replace_at(faddr, repl)
+                for _, repl in _expansions(a, sym_at, attr, naddr)]
+    start = Tree(occ_node(a.init, (1,)))
+    return _search(start, successors, budget)
 
 
 def _enumerate_tdtt(t, s, budget):

@@ -94,6 +94,22 @@ def test_att_roundtrip():
         assert parse_spec(render_spec(spec)) == spec
 
 
+def test_built_spec_with_duplicate_lhs_is_not_deterministic():
+    """The properties computed once per spec still see every rule of a
+    spec built without the parser."""
+    a1 = fixtures.a1()
+    rules = dict(a1.rules)
+    rules["e"] += (AttRule("a", 0, Tree("e")),)
+    a = AttSpec(name="A1_dup", input=a1.input, output=a1.output, syn=a1.syn,
+                inh=a1.inh, init=a1.init, rules=rules)
+    assert a1.deterministic and a1.walks_on_table
+    assert not a.deterministic
+    assert not a.walks_on_table
+    # the rule table keeps the first rule of each left-hand side
+    assert a.rule_table["e", "a", 0] == (("g",), ("b", 0), None)
+    assert a.max_rhs_size == 2
+
+
 def test_duplicate_identical_rule_collapses():
     a = parse_spec(fixtures.A1_TEXT + "rule e: a(pi) -> g(b(pi))\n")
     assert a == fixtures.a1()
