@@ -20,6 +20,15 @@ On top of these the module decides is-dependencies, circularity, the family
 of visiting pair sets, boundedness of output variation per visiting pair set
 (with replayable pump witnesses when unbounded), the overall output-height
 cap kappa, and the single path property.
+
+Circularity, the single path verdict and kappa are computed once per spec
+and cached on it (AttSpec.circularity and AttSpec.walk_analysis): the
+pipeline asks for circularity in several stages, and single_path and kappa
+come from one pass over the same shapes and configurations.  Only these
+small results are cached.  The shapes and configuration systems die with
+the pass; kept on the spec they would stay alive through associate and
+build_two_way, which raises the traced peak of one look-around fixture
+decision from 13 to 21 MB.
 """
 
 import itertools
@@ -44,14 +53,11 @@ class LocalResult:
     "ground"/"halt_ok" (run finished), "dead" (stuck or cycling),
     "enter" (reached the boundary child; attr is the entering attribute).
     emit counts rank-1 symbols emitted by this node's own rules; child
-    contributions are represented by visits, in order, as (child, attr).
-    trace interleaves ("emit", label), ("dive", child, attr) and a final
-    ("leaf", label) for exact output reconstruction."""
+    contributions are represented by visits, in order, as (child, attr)."""
     kind: str
     attr: str = None
     emit: int = 0
     visits: tuple = ()
-    trace: tuple = ()
 
 
 def local_run(att, sigma, taus, chi, start, boundary=None):
@@ -67,12 +73,10 @@ def local_run(att, sigma, taus, chi, start, boundary=None):
     table = att.rule_table
     emit = 0
     visits = []
-    trace = []
     seen = set()
 
     def done(kind, a=None):
-        return LocalResult(kind, attr=a, emit=emit,
-                           visits=tuple(visits), trace=tuple(trace))
+        return LocalResult(kind, attr=a, emit=emit, visits=tuple(visits))
 
     while True:
         if (attr, pos) in seen:
@@ -88,11 +92,9 @@ def local_run(att, sigma, taus, chi, start, boundary=None):
             chain = table[key]
             if chain is None:
                 raise NotApplicable("nonmonadic")
-            labels, tip, leaf = chain
+            labels, tip, _ = chain
             emit += len(labels)
-            trace.extend(("emit", lab) for lab in labels)
             if tip is None:
-                trace.append(("leaf", leaf))
                 return done("ground")
             attr, pos = tip
         elif syn:
@@ -102,7 +104,6 @@ def local_run(att, sigma, taus, chi, start, boundary=None):
             if out is None:
                 return done("dead")
             visits.append((pos, attr))
-            trace.append(("dive", pos, attr))
             if out[0] == "ground":
                 return done("ground")
             attr = out[1]
@@ -222,7 +223,12 @@ def _cycle_in(edges, nodes):
 
 def is_circular(a):
     """Whether some symbol and combination of realizable child
-    is-dependencies lets the walk revisit an attribute occurrence."""
+    is-dependencies lets the walk revisit an attribute occurrence, as
+    (flag, CircularityWitness or None).  Computed once per spec."""
+    return a.circularity
+
+
+def _circularity(a):
     isds = sorted(all_isds(a), key=lambda s: sorted(s))
     symbols = [(sym, k) for sym, k in a.input.items()] + [(ROOT, 1)]
     for sym, k in symbols:
@@ -395,6 +401,7 @@ class TopDown:
         self.configs = []
         self.psi = {}         # config -> frozenset of visiting pairs
         self.expansions = {}  # config -> [(prod, {child index: config})]
+        self.emit = {}        # (config, id(prod)) -> the node's own output
         self.parent = {}      # config -> (config, prod, child index)
         self.has_unvisited = False
         queue = []
@@ -429,6 +436,7 @@ class TopDown:
             res = local_run(self.att, prod.sigma, taus, chi, (cfg.entry, 0))
             if res.kind not in ("ground", "halt_ok"):
                 continue
+            self.emit[(cfg, id(prod))] = res.emit
             first_entry = {}
             for i, a in res.visits:
                 first_entry.setdefault(i, a)
@@ -495,21 +503,10 @@ class _Growth:
         self.att = att
         self.shapes = shapes
         self.sys = TopDown(att, shapes, _allok_configs(att, shapes))
-        self._weights()
         self._positives()
         self._edges()
         self._unbounded()
         self._values()
-
-    def _weights(self):
-        self.w0 = {}
-        for cfg, exps in self.sys.expansions.items():
-            chi = cfg.chi_map()
-            for prod, _ in exps:
-                taus = [self.shapes.tau[c] for c in prod.child_keys]
-                res = local_run(self.att, prod.sigma, taus, chi,
-                                (cfg.entry, 0))
-                self.w0[(cfg, id(prod))] = res.emit
 
     def _positives(self):
         self.pos = {}
@@ -521,7 +518,7 @@ class _Growth:
                     continue
                 for prod, children in exps:
                     tree = None
-                    if self.w0[(cfg, id(prod))] > 0:
+                    if self.sys.emit[(cfg, id(prod))] > 0:
                         tree = self._fill(prod, {})
                     else:
                         for i, child in children.items():
@@ -549,7 +546,7 @@ class _Growth:
             for prod, children in exps:
                 for i, child in children.items():
                     why = None
-                    if self.w0[(cfg, id(prod))] > 0:
+                    if self.sys.emit[(cfg, id(prod))] > 0:
                         why = "emits"
                     else:
                         for j, other in children.items():
@@ -634,7 +631,7 @@ class _Growth:
                     continue
                 best = self.value.get(cfg)
                 for prod, children in exps:
-                    total = self.w0[(cfg, id(prod))]
+                    total = self.sys.emit[(cfg, id(prod))]
                     ok = True
                     for child in children.values():
                         if child not in self.value:
@@ -839,33 +836,26 @@ def variation(a, psi):
 # ---------------------------------------------------------------------------
 # visiting pair sets, kappa, single path
 
-def visiting_pair_sets(a):
-    """The family of visiting pair sets realized at some node of some input
-    in the domain."""
-    _require_walkable(a)
-    shapes = Shapes(a)
-    sys = TopDown(a, shapes, _root_configs(a, shapes))
+def _family(sys):
     family = {sys.psi[cfg] for cfg in sys.configs}
     if sys.has_unvisited:
         family.add(frozenset())
     return family
 
 
-def kappa(a):
-    """Largest height cap among bounded-variation visiting pair sets."""
+def visiting_pair_sets(a):
+    """The family of visiting pair sets realized at some node of some input
+    in the domain."""
     _require_walkable(a)
     shapes = Shapes(a)
-    sys = TopDown(a, shapes, _root_configs(a, shapes))
-    growth = _Growth(a, shapes)
-    family = {sys.psi[cfg] for cfg in sys.configs}
-    if sys.has_unvisited:
-        family.add(frozenset())
-    best = 0
-    for psi in family:
-        verdict = _variation_core(a, growth, psi)
-        if verdict.bounded:
-            best = max(best, verdict.kappa_psi)
-    return best
+    return _family(TopDown(a, shapes, _root_configs(a, shapes)))
+
+
+def kappa(a):
+    """Largest height cap among bounded-variation visiting pair sets.
+    Computed once per spec, together with single_path."""
+    _require_walkable(a)
+    return a.walk_analysis[1]
 
 
 @dataclass
@@ -876,23 +866,26 @@ class SinglePathVerdict:
 
 def single_path(a):
     """Whether, on every input, the nodes with unbounded variation all lie
-    on one root-to-leaf path."""
+    on one root-to-leaf path.  Computed once per spec, together with
+    kappa."""
     _require_walkable(a)
+    return a.walk_analysis[0]
+
+
+def _single_path_and_kappa(a):
+    """Decide the variation of every visiting pair set of a walkable att
+    over one set of shapes and configurations, and return the single path
+    verdict and kappa."""
     shapes = Shapes(a)
     sys = TopDown(a, shapes, _root_configs(a, shapes))
     growth = _Growth(a, shapes)
-    verdicts = {}
+    verdicts = {psi: _variation_core(a, growth, psi) for psi in _family(sys)}
+    cap = max((v.kappa_psi for v in verdicts.values() if v.bounded),
+              default=0)
 
-    def psi_unbounded(cfg):
-        psi = sys.psi[cfg]
-        if psi not in verdicts:
-            verdicts[psi] = _variation_core(a, growth, psi)
-        return not verdicts[psi].bounded
-
-    flagged = {}   # config -> None (own psi unbounded) or (prod, i, child)
-    for cfg in sys.configs:
-        if psi_unbounded(cfg):
-            flagged[cfg] = None
+    # config -> None (own psi unbounded) or (prod, i, child)
+    flagged = {cfg: None for cfg in sys.configs
+               if not verdicts[sys.psi[cfg]].bounded}
     changed = True
     while changed:
         changed = False
@@ -913,8 +906,8 @@ def single_path(a):
             if len(bad) >= 2:
                 s, v1, v2 = _reconstruct(shapes, sys, flagged, cfg, prod,
                                          children, bad[0], bad[1])
-                return SinglePathVerdict(False, (s, v1, v2))
-    return SinglePathVerdict(True)
+                return SinglePathVerdict(False, (s, v1, v2)), cap
+    return SinglePathVerdict(True), cap
 
 
 def _reconstruct(shapes, sys, flagged, cfg, prod, children, i1, i2):

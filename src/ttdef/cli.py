@@ -20,7 +20,7 @@ from .errors import SpecSyntaxError, TtdefError
 from .functionality import (FunctionalityBudget, FunctionalUpTo, NotFunctional,
                             ProductiveCycle, is_functional)
 from .model import AttSpec, PairedSpec, RelabelingSpec, TdttSpec, check_monadic, \
-    parse_all, render_spec
+    input_alphabet, parse_all, render_spec
 from .pipeline import (ArtifactSink, BudgetConfig, DEFAULT_OUTDIR, No, Unknown,
                        Yes, decide_dtR, parse_config, report_to_json)
 from .semantics import StepBudget, enumerate_outputs
@@ -90,10 +90,6 @@ def _kind_of(d):
     return type(d).__name__
 
 
-def _input_alphabet(d):
-    return d.input_alphabet if isinstance(d, PairedSpec) else d.input
-
-
 def _resolve_config(args):
     path = getattr(args, "config", None) or os.environ.get("TTDEF_CONFIG")
     if path:
@@ -135,7 +131,7 @@ def _cmd_validate(args):
 
 def _cmd_eval(args):
     d = _subject(_load_decls(args.file), args.spec)
-    s = parse_tree(args.tree, alphabet=_input_alphabet(d))
+    s = parse_tree(args.tree, alphabet=input_alphabet(d))
     budget = StepBudget(max_steps=args.max_steps) if args.max_steps else None
     outputs, exhaustive = enumerate_outputs(d, s, budget)
     rendered = sorted(t.render() for t in outputs)

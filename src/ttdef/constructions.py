@@ -17,21 +17,11 @@ from .analysis import _require_walkable, is_circular, kappa
 from .errors import AlphabetMismatch, NotApplicable, NotTrimmable, SpecSyntaxError
 from .model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
                     RelabelingSpec, TdttRule, TdttSpec, call_info, call_label,
-                    is_occurrence, mangle_literal, mangle_parts, occ_node,
-                    occ_node_info, occ_pattern, occ_pattern_info,
+                    fresh_name, is_occurrence, mangle_literal, mangle_parts,
+                    occ_node, occ_node_info, occ_pattern, occ_pattern_info,
                     split_mangled_parts)
 from .semantics import Reject, evaluate, nf, run_relabeling
 from .trees import RankedAlphabet, Tree, trees_up_to_height
-
-
-def _fresh(base, taken):
-    name = base
-    n = 1
-    while name in taken:
-        n += 1
-        name = "%s%d" % (base, n)
-    taken.add(name)
-    return name
 
 
 # ---------------------------------------------------------------------------
@@ -61,7 +51,7 @@ def normalize_ground_rhs(a):
     if not grounds:
         return a
     taken = set(a.attributes) | set(a.output) | set(a.input)
-    names = {xi: _fresh(mangle_literal(xi), taken) for xi in grounds}
+    names = {xi: fresh_name(mangle_literal(xi), taken) for xi in grounds}
     rules = {}
     for sym, old in a.rules.items():
         bucket = []
@@ -496,14 +486,14 @@ def normalize_domain_into_range(u, a):
     alpha2 = RankedAlphabet([(sym2[i], len(r.child_states))
                              for i, r in enumerate(aut.rules)])
     taken = set(a.attributes) | set(a.output)
-    t0 = _fresh("walk0", taken)
-    tv = _fresh("walk", taken)
-    tb = _fresh("back", taken)
-    tc = _fresh("check", taken)
+    t0 = fresh_name("walk0", taken)
+    tv = fresh_name("walk", taken)
+    tb = fresh_name("back", taken)
+    tc = fresh_name("check", taken)
     chk = {}
     for idx, r in enumerate(aut.rules):
         for j in range(1, len(r.child_states) + 1):
-            chk[(idx, j)] = _fresh("chk<%d,%d>" % (idx, j), taken)
+            chk[(idx, j)] = fresh_name("chk<%d,%d>" % (idx, j), taken)
     rules2 = {ROOT: tuple(a.rules_at(ROOT))
               + (AttRule(tb, 1, Tree(occ_pattern(a.init, 1))),)}
     for idx, r in enumerate(aut.rules):

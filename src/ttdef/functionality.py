@@ -22,8 +22,9 @@ from dataclasses import dataclass
 from .errors import (AlphabetMismatch, DuplicateLhsInDeterministic,
                      NotApplicable, SpecSyntaxError)
 from .model import (ROOT, AttRule, AttSpec, PairedSpec, check_monadic,
-                    is_occurrence, mangle_parts, occ_node, occ_pattern,
-                    occ_pattern_info, split_mangled_parts)
+                    fresh_name, input_alphabet, is_occurrence, mangle_parts,
+                    occ_node, occ_pattern, occ_pattern_info,
+                    split_mangled_parts)
 from .semantics import (StepBudget, _expansions, _symbol_lookup, derive_step,
                         enumerate_outputs, instantiate, occurrences)
 from .trees import Tree, canonical_key, trees_up_to_height
@@ -91,15 +92,6 @@ class Witness:
     out2: object
 
 
-def _fresh(base, taken):
-    name, n = base, 1
-    while name in taken:
-        n += 1
-        name = "%s%d" % (base, n)
-    taken.add(name)
-    return name
-
-
 # ---------------------------------------------------------------------------
 # root-rule normalization
 
@@ -123,7 +115,7 @@ def normalize_root_rules(a):
     if not multi:
         return a
     taken = set(a.attributes) | set(a.input) | set(a.output)
-    names = {b: _fresh(mangle_parts("a", (b,)), taken) for b in multi}
+    names = {b: fresh_name(mangle_parts("a", (b,)), taken) for b in multi}
     new_root = tuple(r for r in root if r.attr not in multi) + tuple(
         AttRule(b, 1, Tree(occ_pattern(names[b], 1))) for b in multi)
     rules = {ROOT: new_root}
@@ -542,10 +534,6 @@ def _annotated_equivalence(c1, c2, depth, inputs=None):
     return Equal(depth)
 
 
-def _input_alphabet(d):
-    return d.input_alphabet if isinstance(d, PairedSpec) else d.input
-
-
 def _smallest_difference(mine, theirs):
     extra = sorted(mine - theirs, key=canonical_key)
     if extra:
@@ -565,7 +553,7 @@ def bounded_equivalence(d1, d2, depth):
     if isinstance(d1, AnnotatedCopy) and isinstance(d2, AnnotatedCopy) \
             and d1.att == d2.att:
         return _annotated_equivalence(d1, d2, depth)
-    in1, in2 = _input_alphabet(d1), _input_alphabet(d2)
+    in1, in2 = input_alphabet(d1), input_alphabet(d2)
     if in1 != in2:
         raise AlphabetMismatch("cannot compare %r and %r over different "
                                "input alphabets" % (d1.name, d2.name))

@@ -146,6 +146,17 @@ def mangle_literal(t):
     return "lit<%s>" % t.render()
 
 
+def fresh_name(base, taken):
+    """The first of base, base2, base3, ... not in taken; it is added to
+    taken."""
+    name, n = base, 1
+    while name in taken:
+        n += 1
+        name = "%s%d" % (base, n)
+    taken.add(name)
+    return name
+
+
 def rhs_chain(rhs):
     """Monadic rule right-hand side as (emitted labels, tip, leaf), or None
     when some node of it has several children.
@@ -241,6 +252,20 @@ class AttSpec:
             for r in rules:
                 table.setdefault((sym, r.attr, r.pos), rhs_chain(r.rhs))
         return table
+
+    @cached_property
+    def circularity(self):
+        """What analysis.is_circular answers: (flag, witness or None)."""
+        from . import analysis   # analysis imports this module
+        return analysis._circularity(self)
+
+    @cached_property
+    def walk_analysis(self):
+        """(SinglePathVerdict, kappa) from one pass of the walk analysis,
+        for analysis.single_path and analysis.kappa, which check first that
+        the spec is walkable."""
+        from . import analysis
+        return analysis._single_path_and_kappa(self)
 
     @cached_property
     def walks_on_table(self):
@@ -411,12 +436,16 @@ class PairedSpec:
 
     @property
     def input_alphabet(self):
-        f = self.first
-        return f.input_alphabet if isinstance(f, PairedSpec) else f.input
+        return input_alphabet(self.first)
 
     @property
     def output_alphabet(self):
         return self.second.output
+
+
+def input_alphabet(d):
+    """The input alphabet of a spec or of a pair of specs."""
+    return d.input_alphabet if isinstance(d, PairedSpec) else d.input
 
 
 def _check_pair(kind, name, first, second):

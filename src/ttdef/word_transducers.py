@@ -17,8 +17,8 @@ from .errors import (NoSuchNode, NotApplicable, NotFunctionalInput,
                      SpecSyntaxError)
 from .model import (ROOT, AttRule, AttSpec, RelabelingRule, RelabelingSpec,
                     TdttRule, TdttSpec, call_info, call_label, check_monadic,
-                    mangle_child, mangle_parts, occ_pattern, occ_pattern_info,
-                    split_mangled_child)
+                    fresh_name, mangle_child, mangle_parts, occ_pattern,
+                    occ_pattern_info, split_mangled_child)
 from .semantics import (BudgetExhausted, Output, Reject, StepBudget,
                         enumerate_outputs, evaluate, run_relabeling)
 from .trees import HOLE, RankedAlphabet, Tree, format_address
@@ -283,14 +283,6 @@ class TwoWayWord:
     fillers: dict = None
 
 
-def _fresh_name(base, taken):
-    name, n = base, 1
-    while name in taken:
-        n += 1
-        name = "%s%d" % (base, n)
-    return name
-
-
 def _child_refs(rule):
     refs = set()
     if rule.pos:
@@ -333,12 +325,8 @@ def build_two_way(h):
     bbar = _trimmed(range_automaton(h.relabeling))
     words = build_correspondence_automaton(bbar)
     taken = set(a.attributes)
-    dn = _fresh_name("dn", taken)
-    taken.add(dn)
-    up = {}
-    for l in bbar.states:
-        up[l] = _fresh_name(mangle_parts("up", (l,)), taken)
-        taken.add(up[l])
+    dn = fresh_name("dn", taken)
+    up = {l: fresh_name(mangle_parts("up", (l,)), taken) for l in bbar.states}
     rules = {}
     for sym, k in h.relabeling.output.items():
         if k == 0:

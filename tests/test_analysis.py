@@ -1,13 +1,19 @@
 import pytest
+from hypothesis import assume, given, settings
 
+from ttdef import analysis
 from ttdef.analysis import (all_isds, compute_isd, is_circular, kappa,
                             single_path, variation, visiting_pair_sets)
+from ttdef.constructions import normalize_domain_into_range, normalize_ground_rhs
 from ttdef.errors import NotApplicable, UnknownAttribute
-from ttdef.model import occ_node, occ_node_info, occ_pattern_info, parse_spec
+from ttdef.model import (PairedSpec, occ_node, occ_node_info, occ_pattern_info,
+                         parse_spec)
+from ttdef.pipeline import decide_dtR
 from ttdef.semantics import NoOutput, Output, evaluate, nf
 from ttdef.trees import RankedAlphabet, Tree, parse_tree, trees_up_to_height
 
 import fixtures
+from test_walk_table import atts
 
 FE = RankedAlphabet({"f": 2, "e": 0})
 FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
@@ -294,3 +300,66 @@ rule e: a(pi) -> x
 
 def _prefix(u, v):
     return len(u) <= len(v) and v[:len(u)] == u
+
+
+# ---------------------------------------------------------------------------
+# single_path and kappa from one cached pass, against the separate routes
+
+def lookaround_att():
+    """The att the pipeline analyses for A2 behind the leftmost-e
+    look-around."""
+    fused = normalize_domain_into_range(fixtures.leftmost_e_lookaround(),
+                                        fixtures.a2())
+    return normalize_ground_rhs(fused.second)
+
+
+def check_one_pass(a):
+    """kappa is the largest cap of a bounded visiting pair set, as variation
+    finds it over its own shapes; single_path agrees with a fresh pass;
+    both are computed once per spec."""
+    caps = [variation(a, psi) for psi in visiting_pair_sets(a)]
+    assert kappa(a) == max((v.kappa_psi for v in caps if v.bounded),
+                           default=0)
+    assert single_path(a) == analysis._single_path_and_kappa(a)[0]
+    assert single_path(a) is single_path(a)
+    assert is_circular(a) is is_circular(a)
+
+
+@pytest.mark.parametrize("make", [fixtures.a1, fixtures.a2, fixtures.rev,
+                                  lookaround_att])
+def test_one_pass_matches_separate_routes(make):
+    check_one_pass(make())
+
+
+@settings(max_examples=300, deadline=None)
+@given(atts())
+def test_one_pass_matches_separate_routes_on_random_atts(a):
+    assume(not is_circular(a)[0])
+    check_one_pass(a)
+
+
+def test_one_decision_analyses_each_att_once(tmp_path, monkeypatch):
+    """The look-around decision builds the growth system once and checks
+    circularity once for each att it analyses: the plain A2 and the A2
+    with the domain check folded in."""
+    growths = []
+    circular = []
+
+    class Counted(analysis._Growth):
+        def __init__(self, *args):
+            growths.append(args[0].name)
+            super().__init__(*args)
+
+    def counted(a, real=analysis._circularity):
+        circular.append(a)
+        return real(a)
+
+    monkeypatch.setattr(analysis, "_Growth", Counted)
+    monkeypatch.setattr(analysis, "_circularity", counted)
+    pair = PairedSpec("attU", "LME", fixtures.leftmost_e_lookaround(),
+                      fixtures.a2())
+    decide_dtR(pair, {"equivalence_depth": 4, "verify_word_length": 2},
+               outdir=tmp_path)
+    assert growths == ["A2_checked"]
+    assert [a.name for a in circular] == ["A2", "A2_checked"]
+    assert circular[0] is not circular[1]

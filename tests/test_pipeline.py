@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from ttdef.model import PairedSpec
 from ttdef.pipeline import decide_dtR, report_to_json
 
 import fixtures
@@ -29,10 +30,10 @@ def stages_of(report):
             for s in report.stages]
 
 
-def check_pinned(report, outdir, kind, stages, digest):
+def check_pinned(report, outdir, kind, stages, digest, prefix=PREFIX):
     got = report_to_json(report)
     assert got["answer"]["kind"] == kind
-    assert stages_of(report) == PREFIX + stages
+    assert stages_of(report) == prefix + stages
     for s in report.stages:
         if s.artifact:
             assert Path(s.artifact).parent == Path(outdir)
@@ -91,6 +92,43 @@ def test_a2_is_yes(a2_twice):
          "reloaded candidate equal on all inputs up to depth 4", None),
     ], "35233026b926bcdd1821aec24fccab0e0f9e1a0c7decc5a041ac41cede75f62b")
     assert Path(report.answer.spec_path).name == "dtr-29392332c3fc.att"
+
+
+def test_lookaround_pair_is_unknown_at_bounded_equivalence(tmp_path):
+    """A2 behind the leftmost-e look-around, as the benchmark's
+    lookaround-lme workload runs it.  The composed candidate disagrees
+    with the pair, so the answer is Unknown (ROADMAP item 3)."""
+    pair = PairedSpec("attU", "LME", fixtures.leftmost_e_lookaround(),
+                      fixtures.a2())
+    report = decide_dtR(pair, {"equivalence_depth": 4,
+                               "verify_word_length": 2}, outdir=tmp_path)
+    check_pinned(report, tmp_path, "unknown", [
+        ("validate", "att with look-around", None),
+        ("check_monadic", "monadic output", None),
+        ("is_circular", "noncircular", None),
+        ("normalize_domain_into_range",
+         "domain check folded into 'A2_checked' over 6 annotated symbols",
+         "ranged-9c75b5ab109f.att"),
+        ("restrict", "candidate will be synthesized over the annotated "
+         "alphabet; no separate restriction step needed", None),
+        ("normalize_ground_rhs", "no ground right-hand sides", None),
+        ("single_path", "yes", None),
+        ("associate", "word-shaped att behind a relabeling, kappa = 1",
+         "associated-dcc1c4a13aa0.att"),
+        ("build_two_way", "two-way word machine 'A2_checked_assoc_walk'",
+         "two-way-f1b797b86a5f.att"),
+        ("one_way_definability",
+         "definable; matched every accepted word up to length 2", None),
+        ("back_convert",
+         "tree-level transducer 'A2_checked_assoc_walk_1way_trees'", None),
+        ("uniformize", "deterministic candidate 'LME_dtr_det'", None),
+        ("compose", "look-around composed in: 'lme_ranged_LME_dtr_det'",
+         "dtr-2a468979e191.att"),
+        ("bounded_equivalence",
+         "candidate disagrees with the att on f(f(e,d),d)", None),
+    ], "eba61b107015573f9bd8560ecd3aacc2294baeaf727624e605a7fc89097a7971",
+        prefix=[])
+    assert report.answer.stage == "bounded_equivalence"
 
 
 def test_report_hash_ignores_the_artifact_directory(a2_twice):

@@ -202,21 +202,16 @@ def reference_local_run(att, sigma, taus, chi, start, boundary=None):
     attr, pos = start
     emit = 0
     visits = []
-    trace = []
     seen = set()
 
     def apply_rule(rule):
         nonlocal emit
-        labels, tip, leaf = reference_chain(rule.rhs)
+        labels, tip, _ = reference_chain(rule.rhs)
         emit += len(labels)
-        trace.extend(("emit", lab) for lab in labels)
-        if tip is None:
-            trace.append(("leaf", leaf))
         return tip
 
     def done(kind, a=None):
-        return LocalResult(kind, attr=a, emit=emit,
-                           visits=tuple(visits), trace=tuple(trace))
+        return LocalResult(kind, attr=a, emit=emit, visits=tuple(visits))
 
     while True:
         if (attr, pos) in seen:
@@ -238,7 +233,6 @@ def reference_local_run(att, sigma, taus, chi, start, boundary=None):
                 if out is None:
                     return done("dead")
                 visits.append((pos, attr))
-                trace.append(("dive", pos, attr))
                 if out[0] == "ground":
                     return done("ground")
                 attr = out[1]
