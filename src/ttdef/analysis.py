@@ -21,10 +21,11 @@ of visiting pair sets, boundedness of output variation per visiting pair set
 (with replayable pump witnesses when unbounded), the overall output-height
 cap kappa, and the single path property.
 
-Circularity, the single path verdict and kappa are computed once per spec
-and cached on it (AttSpec.circularity and AttSpec.walk_analysis): the
-pipeline asks for circularity in several stages, and single_path and kappa
-come from one pass over the same shapes and configurations.  Only these
+Circularity, the single path verdict, kappa and the variation verdict of
+each visiting pair set are computed once per spec and cached on it
+(AttSpec.circularity and AttSpec.walk_analysis): the pipeline asks for
+circularity in several stages, and single_path, kappa and variations come
+from one pass over the same shapes and configurations.  Only these
 small results are cached.  The shapes and configuration systems die with
 the pass; kept on the spec they would stay alive through associate and
 build_two_way, which raises the traced peak of one look-around fixture
@@ -36,7 +37,8 @@ from dataclasses import dataclass
 
 from .errors import NotApplicable, UnknownAttribute
 from .model import ROOT, check_monadic, occ_pattern_info
-from .trees import HOLE, Tree, canonical_key, fill_holes
+from .trees import (HOLE, Tree, explore_bottom_up, fill_holes,
+                    settle_representatives)
 
 HALT_OK = "halt_ok"
 HALT_DEAD = "halt_dead"
@@ -171,16 +173,14 @@ def all_isds(a):
     """Every is-dependency realized by some input tree, as a set of
     frozensets of (inherited, synthesized) pairs."""
     thetas = {}
-    changed = True
-    while changed:
-        changed = False
-        for sym, k in a.input.items():
-            for combo in itertools.product(list(thetas.values()), repeat=k):
-                theta = _theta_step(a, sym, list(combo))
-                key = _theta_key(theta)
-                if key not in thetas:
-                    thetas[key] = theta
-                    changed = True
+
+    def step(sym, combo):
+        theta = _theta_step(a, sym, [thetas[c] for c in combo])
+        key = _theta_key(theta)
+        thetas.setdefault(key, theta)
+        return key
+
+    explore_bottom_up(a.input, step)
     return {frozenset((b, syn) for syn, bs in theta.items() for b in bs)
             for theta in thetas.values()}
 
@@ -258,7 +258,7 @@ def _circularity(a):
 # deterministic layer: shapes (tail maps with representatives)
 
 def _require_walkable(att):
-    if not check_monadic(att).verdict:
+    if not check_monadic(att):
         raise NotApplicable("nonmonadic")
     if not att.deterministic:
         raise NotApplicable("nondeterministic")
@@ -308,34 +308,20 @@ class Shapes:
         return tau
 
     def _build(self):
-        done = set()
-        changed = True
-        while changed:
-            changed = False
-            keys = list(self.tau)
-            for sym, k in self.att.input.items():
-                for combo in itertools.product(keys, repeat=k):
-                    if (sym, combo) in done:
-                        continue
-                    done.add((sym, combo))
-                    tau = self._step(sym, combo)
-                    key = _tau_key(tau)
-                    prod = Prod(sym, combo, key)
-                    self.prods.append(prod)
-                    self.by_out.setdefault(key, []).append(prod)
-                    if key not in self.tau:
-                        self.tau[key] = tau
-                        self.rep[key] = Tree(sym, [self.rep[c] for c in combo])
-                        changed = True
-        # settle representatives to the (size, render) minimum
-        changed = True
-        while changed:
-            changed = False
-            for p in self.prods:
-                cand = Tree(p.sigma, [self.rep[c] for c in p.child_keys])
-                if canonical_key(cand) < canonical_key(self.rep[p.out_key]):
-                    self.rep[p.out_key] = cand
-                    changed = True
+        def step(sym, combo):
+            tau = self._step(sym, combo)
+            key = _tau_key(tau)
+            prod = Prod(sym, combo, key)
+            self.prods.append(prod)
+            self.by_out.setdefault(key, []).append(prod)
+            if key not in self.tau:
+                self.tau[key] = tau
+                self.rep[key] = Tree(sym, [self.rep[c] for c in combo])
+            return key
+
+        explore_bottom_up(self.att.input, step)
+        settle_representatives(
+            [(p.sigma, p.child_keys, p.out_key) for p in self.prods], self.rep)
 
     def walk(self, prod, attr):
         """Memoized node walk for entry attr over prod, bare-subtree mode."""
@@ -858,6 +844,14 @@ def kappa(a):
     return a.walk_analysis[1]
 
 
+def variations(a):
+    """The VariationVerdict of every visiting pair set, keyed by the set.
+    Computed once per spec, together with single_path; variation and
+    visiting_pair_sets reach the same verdicts on their own."""
+    _require_walkable(a)
+    return a.walk_analysis[2]
+
+
 @dataclass
 class SinglePathVerdict:
     yes: bool
@@ -875,7 +869,7 @@ def single_path(a):
 def _single_path_and_kappa(a):
     """Decide the variation of every visiting pair set of a walkable att
     over one set of shapes and configurations, and return the single path
-    verdict and kappa."""
+    verdict, kappa and the verdict per visiting pair set."""
     shapes = Shapes(a)
     sys = TopDown(a, shapes, _root_configs(a, shapes))
     growth = _Growth(a, shapes)
@@ -906,8 +900,8 @@ def _single_path_and_kappa(a):
             if len(bad) >= 2:
                 s, v1, v2 = _reconstruct(shapes, sys, flagged, cfg, prod,
                                          children, bad[0], bad[1])
-                return SinglePathVerdict(False, (s, v1, v2)), cap
-    return SinglePathVerdict(True), cap
+                return SinglePathVerdict(False, (s, v1, v2)), cap, verdicts
+    return SinglePathVerdict(True), cap, verdicts
 
 
 def _reconstruct(shapes, sys, flagged, cfg, prod, children, i1, i2):

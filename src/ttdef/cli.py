@@ -14,11 +14,11 @@ from dataclasses import replace
 from functools import reduce
 from pathlib import Path
 
-from .analysis import is_circular, kappa, single_path, variation, visiting_pair_sets
+from .analysis import is_circular, kappa, single_path, variations
 from .constructions import associate, compose_dtR, normalize_ground_rhs
 from .errors import SpecSyntaxError, TtdefError
 from .functionality import (FunctionalityBudget, FunctionalUpTo, NotFunctional,
-                            ProductiveCycle, is_functional)
+                            is_functional)
 from .model import AttSpec, PairedSpec, RelabelingSpec, TdttSpec, check_monadic, \
     input_alphabet, parse_all, render_spec
 from .pipeline import (ArtifactSink, BudgetConfig, DEFAULT_OUTDIR, No, Unknown,
@@ -26,7 +26,7 @@ from .pipeline import (ArtifactSink, BudgetConfig, DEFAULT_OUTDIR, No, Unknown,
 from .semantics import StepBudget, enumerate_outputs
 from .trees import format_address, parse_tree
 from .word_transducers import (Definable, DefinabilityBudget, NotDefinable,
-                               PumpCertificate, build_two_way,
+                               build_two_way, certificate_from_json,
                                certificate_to_json, one_way_definability,
                                replay_certificate)
 
@@ -153,7 +153,7 @@ def _fmt_psi(psi):
 
 def _cmd_analyze(args):
     a = _plain_att(_subject(_load_decls(args.file), args.spec), "analyze")
-    monadic = check_monadic(a).verdict
+    monadic = check_monadic(a)
     circular, _ = is_circular(a)
     obj = {"schema": SCHEMA, "att": a.name, "monadic": monadic,
            "circular": circular}
@@ -174,8 +174,9 @@ def _cmd_analyze(args):
                          % (tree.render(), format_address(u),
                             format_address(v)))
         rows = []
-        for psi in sorted(visiting_pair_sets(a), key=sorted):
-            verdict = variation(a, psi)
+        verdicts = variations(a)
+        for psi in sorted(verdicts, key=sorted):
+            verdict = verdicts[psi]
             rows.append({"pairs": [list(p) for p in sorted(psi)],
                          "bounded": verdict.bounded,
                          "kappa": verdict.kappa_psi if verdict.bounded else None})
@@ -218,22 +219,6 @@ def _cmd_to_two_way(args):
     return 0
 
 
-def _certificate_from_json(obj):
-    if "certificate" in obj:
-        obj = obj["certificate"]
-    try:
-        return PumpCertificate(
-            kind=obj["kind"],
-            prefix=tuple(obj["prefix"]),
-            loop=tuple(obj["loop"]),
-            suffixes=tuple(tuple(v) for v in obj["suffixes"]),
-            counts=tuple(obj["counts"]),
-            outputs=tuple(tuple(tuple(o) for o in row)
-                          for row in obj["outputs"]))
-    except (KeyError, TypeError) as e:
-        raise SpecSyntaxError("not a pump certificate: %s" % e)
-
-
 def _cmd_definable(args):
     a = _plain_att(_subject(_load_decls(args.file), args.spec), "definable")
     sp = single_path(normalize_ground_rhs(a))
@@ -243,7 +228,13 @@ def _cmd_definable(args):
             "route does not apply" % a.name)
     tw = _to_two_way(a)
     if args.replay:
-        cert = _certificate_from_json(json.loads(Path(args.replay).read_text()))
+        try:
+            obj = json.loads(Path(args.replay).read_text())
+        except (OSError, ValueError) as e:
+            raise SpecSyntaxError("cannot read %s: %s" % (args.replay, e))
+        if isinstance(obj, dict) and "certificate" in obj:
+            obj = obj["certificate"]
+        cert = certificate_from_json(obj)
         ok = replay_certificate(tw, cert)
         _emit(args, {"schema": SCHEMA, "replayed": ok},
               "certificate %s" % ("replays" if ok else "does NOT replay"))

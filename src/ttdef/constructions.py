@@ -4,13 +4,11 @@ Every function here rewrites one machine into another with the same
 translation, checked in the tests by bounded enumeration: rooting ground
 right-hand sides, splitting an att into a precomputing relabeling plus a
 reduced att, rewriting a look-around pair so the att stage on its own
-rejects trees the look-around could not have produced, retargeting a
-transducer to an annotated copy of its input alphabet, composing two
+rejects trees the look-around could not have produced, composing two
 top-down transducers with look-ahead, and extracting a deterministic
 transducer from a functional nondeterministic one.
 """
 
-import itertools
 from dataclasses import dataclass
 
 from .analysis import _require_walkable, is_circular, kappa
@@ -18,10 +16,10 @@ from .errors import AlphabetMismatch, NotApplicable, NotTrimmable, SpecSyntaxErr
 from .model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
                     RelabelingSpec, TdttRule, TdttSpec, call_info, call_label,
                     fresh_name, is_occurrence, mangle_literal, mangle_parts,
-                    occ_node, occ_node_info, occ_pattern, occ_pattern_info,
-                    split_mangled_parts)
+                    occ_node, occ_node_info, occ_pattern, occ_pattern_info)
 from .semantics import Reject, evaluate, nf, run_relabeling
-from .trees import RankedAlphabet, Tree, trees_up_to_height
+from .trees import (RankedAlphabet, Tree, explore_bottom_up,
+                    settle_representatives, trees_up_to_height)
 
 
 # ---------------------------------------------------------------------------
@@ -196,39 +194,25 @@ def associate(a):
     _require_walkable(a)
     cap = kappa(a)
     names = {}      # frozenset of pairs -> state name
-    order = []      # state names in discovery order
     reps = {}       # state name -> representative tree
     tables = {}     # state name -> dict attribute -> finished form
     out_rule = {}   # (symbol, child state names) -> (state name, out symbol)
-    changed = True
-    while changed:
-        changed = False
-        pool = list(order)
-        for sym, k in a.input.items():
-            for combo in itertools.product(pool, repeat=k):
-                if (sym, combo) in out_rule:
-                    continue
-                rep = Tree(sym, [reps[c] for c in combo])
-                pairs = _finished_pairs(a, rep, cap)
-                if pairs not in names:
-                    name = "r%d" % len(names)
-                    names[pairs] = name
-                    order.append(name)
-                    reps[name] = rep
-                    tables[name] = dict(pairs)
-                    changed = True
-                res = names[pairs]
-                out = sym if k == 0 else mangle_parts(sym, combo)
-                out_rule[(sym, combo)] = (res, out)
-    settling = True
-    while settling:
-        settling = False
-        for (sym, combo), (res, _) in out_rule.items():
-            cand = Tree(sym, [reps[c] for c in combo])
-            old = reps[res]
-            if (cand.size, cand.render()) < (old.size, old.render()):
-                reps[res] = cand
-                settling = True
+
+    def step(sym, combo):
+        rep = Tree(sym, [reps[c] for c in combo])
+        pairs = _finished_pairs(a, rep, cap)
+        if pairs not in names:
+            name = "r%d" % len(names)
+            names[pairs] = name
+            reps[name] = rep
+            tables[name] = dict(pairs)
+        out = sym if not combo else mangle_parts(sym, combo)
+        out_rule[(sym, combo)] = (names[pairs], out)
+        return names[pairs]
+
+    order = explore_bottom_up(a.input, step)
+    settle_representatives([(sym, combo, res) for (sym, combo), (res, _)
+                            in out_rule.items()], reps)
 
     alpha2 = [(sym, 0) for sym, k in a.input.items() if k == 0]
     rules2 = {sym: tuple(a.rules_at(sym)) for sym, _ in alpha2}
@@ -320,41 +304,34 @@ def _range_automaton(u):
         by_out.setdefault(out, []).append((r.state, r.symbol, qs))
     alpha = top.output
     names = {}      # frozenset of pairs -> name
-    order = []
     sets = {}       # name -> frozenset
-    trans = {}      # (symbol, child names) -> name or None
-    changed = True
-    while changed:
-        changed = False
-        pool = list(order)
-        for sym, k in alpha.items():
-            for combo in itertools.product(pool, repeat=k):
-                if (sym, combo) in trans:
+    trans = {}      # (symbol, child names) -> name
+
+    def step(sym, combo):
+        k = len(combo)
+        pairs = set()
+        for q, mid, qs in by_out.get(sym, ()):
+            for br in rel.rules:
+                if br.out_symbol != mid or len(br.child_states) != k:
                     continue
-                pairs = set()
-                for q, mid, qs in by_out.get(sym, ()):
-                    for br in rel.rules:
-                        if br.out_symbol != mid or len(br.child_states) != k:
-                            continue
-                        if all((br.child_states[i], qs[i]) in sets[combo[i]]
-                               for i in range(k)):
-                            pairs.add((br.state, q))
-                if not pairs:
-                    trans[(sym, combo)] = None
-                    continue
-                fs = frozenset(pairs)
-                if fs not in names:
-                    name = "p%d" % len(names)
-                    names[fs] = name
-                    order.append(name)
-                    sets[name] = fs
-                    changed = True
-                trans[(sym, combo)] = names[fs]
+                if all((br.child_states[i], qs[i]) in sets[combo[i]]
+                       for i in range(k)):
+                    pairs.add((br.state, q))
+        if not pairs:
+            return None
+        fs = frozenset(pairs)
+        if fs not in names:
+            names[fs] = "p%d" % len(names)
+            sets[names[fs]] = fs
+        trans[(sym, combo)] = names[fs]
+        return names[fs]
+
+    order = explore_bottom_up(alpha, step)
     final = tuple(name for name in order
                   if any(p in rel.final and q == top.init
                          for p, q in sets[name]))
     rules = tuple(RelabelingRule(sym, combo, res, sym)
-                  for (sym, combo), res in trans.items() if res is not None)
+                  for (sym, combo), res in trans.items())
     return RelabelingSpec(name=u.name + "_range", input=alpha, output=alpha,
                           final=final, rules=rules)
 
@@ -382,50 +359,40 @@ def _fuse_lookaround(u, annot):
     qindex = {q: i for i, q in enumerate(qtop)}
     tops = _relabel_by_out(top)
     states = {}     # (bottom state, phi table) -> name
-    order = []
     anns = {}       # (source symbol, mid symbol, child phi tables) -> name
     rrules = []
-    seen = set()
-    changed = True
-    while changed:
-        changed = False
-        pool = list(order)
-        for sym, k in rel.input.items():
-            for combo in itertools.product(pool, repeat=k):
-                if (sym, combo) in seen:
-                    continue
-                seen.add((sym, combo))
-                rr = rel.rule_for(sym, tuple(p for p, _ in combo))
-                if rr is None:
-                    continue
-                mid = rr.out_symbol
-                phis = tuple(phi for _, phi in combo)
-                phi = []
-                for q in qtop:
-                    got = tops.get((q, mid))
-                    if got is None:
-                        phi.append(None)
-                        continue
-                    out, qs = got
-                    bs = []
-                    for i, qc in enumerate(qs):
-                        bs.append(phis[i][qindex[qc]])
-                    if any(b is None for b in bs):
-                        phi.append(None)
-                        continue
-                    ar = annot.rule_for(out, tuple(bs))
-                    phi.append(None if ar is None else ar.state)
-                key = (rr.state, tuple(phi))
-                if key not in states:
-                    states[key] = "l%d" % len(states)
-                    order.append(key)
-                    changed = True
-                akey = (sym, mid, phis)
-                if akey not in anns:
-                    anns[akey] = mangle_parts(sym, ("w%d" % len(anns),))
-                rrules.append(RelabelingRule(
-                    sym, tuple(states[c] for c in combo), states[key],
-                    anns[akey]))
+
+    def step(sym, combo):
+        rr = rel.rule_for(sym, tuple(p for p, _ in combo))
+        if rr is None:
+            return None
+        mid = rr.out_symbol
+        phis = tuple(phi for _, phi in combo)
+        phi = []
+        for q in qtop:
+            got = tops.get((q, mid))
+            if got is None:
+                phi.append(None)
+                continue
+            out, qs = got
+            bs = []
+            for i, qc in enumerate(qs):
+                bs.append(phis[i][qindex[qc]])
+            if any(b is None for b in bs):
+                phi.append(None)
+                continue
+            ar = annot.rule_for(out, tuple(bs))
+            phi.append(None if ar is None else ar.state)
+        key = (rr.state, tuple(phi))
+        states.setdefault(key, "l%d" % len(states))
+        akey = (sym, mid, phis)
+        if akey not in anns:
+            anns[akey] = mangle_parts(sym, ("w%d" % len(anns),))
+        rrules.append(RelabelingRule(
+            sym, tuple(states[c] for c in combo), states[key], anns[akey]))
+        return key
+
+    order = explore_bottom_up(rel.input, step)
     ann_alpha = RankedAlphabet([(name, rel.input.rank(sym))
                                 for (sym, _, _), name in anns.items()])
     trules = []
@@ -534,39 +501,6 @@ def normalize_domain_into_range(u, a):
 
 
 # ---------------------------------------------------------------------------
-# retargeting a transducer to an annotated input alphabet
-
-def restrict_dtR_to_relabeled(t, u):
-    """The transducer t reading u's annotated output symbols as if they
-    were their base symbols (the name up to the last annotation group).
-
-    Only the look-ahead stage is rebuilt; the top stage is untouched.
-    When u's output alphabet is annotation-free and equal to t's input,
-    t is returned as is."""
-    alpha = u.second.output
-    rel = t.first
-    plain = True
-    bases = {}
-    for name, k in alpha.items():
-        parts = split_mangled_parts(name)
-        base = name if parts is None else parts[0]
-        if base != name:
-            plain = False
-        if base not in rel.input or rel.input.rank(base) != k:
-            raise AlphabetMismatch(
-                "annotated symbol %r has no base symbol of rank %d" % (name, k))
-        bases[name] = base
-    if plain and alpha == rel.input:
-        return t
-    rules = tuple(RelabelingRule(name, r.child_states, r.state, r.out_symbol)
-                  for name, base in bases.items()
-                  for r in rel.rules if r.symbol == base)
-    lifted = RelabelingSpec(name=rel.name + "_h", input=alpha,
-                            output=rel.output, final=rel.final, rules=rules)
-    return PairedSpec(t.kind, t.name + "_h", lifted, t.second)
-
-
-# ---------------------------------------------------------------------------
 # composition of two transducers with look-ahead
 
 class _Dead(Exception):
@@ -619,42 +553,32 @@ def compose_dtR(t1, t2):
     qt1 = list(d1.states)
     q1index = {q: i for i, q in enumerate(qt1)}
     states = {}     # (r1 state, lambda table) -> name
-    order = []
     anns = {}       # (source symbol, mid symbol, child tables) -> name
     ann_info = []   # (name, source symbol, mid symbol, child tables)
     rrules = []
-    seen = set()
-    changed = True
-    while changed:
-        changed = False
-        pool = list(order)
-        for sym, k in r1.input.items():
-            for combo in itertools.product(pool, repeat=k):
-                if (sym, combo) in seen:
-                    continue
-                seen.add((sym, combo))
-                rr = r1.rule_for(sym, tuple(p for p, _ in combo))
-                if rr is None:
-                    continue
-                mid = rr.out_symbol
-                lams = tuple(lam for _, lam in combo)
-                lam = []
-                for q in qt1:
-                    rules = d1.rules_for(q, mid)
-                    lam.append(None if not rules else
-                               _rhs_state(rules[0].rhs, lams, q1index, r2))
-                key = (rr.state, tuple(lam))
-                if key not in states:
-                    states[key] = "m%d" % len(states)
-                    order.append(key)
-                    changed = True
-                akey = (sym, mid, lams)
-                if akey not in anns:
-                    anns[akey] = mangle_parts(sym, ("k%d" % len(anns),))
-                    ann_info.append((anns[akey], sym, mid, lams))
-                rrules.append(RelabelingRule(
-                    sym, tuple(states[c] for c in combo), states[key],
-                    anns[akey]))
+
+    def step(sym, combo):
+        rr = r1.rule_for(sym, tuple(p for p, _ in combo))
+        if rr is None:
+            return None
+        mid = rr.out_symbol
+        lams = tuple(lam for _, lam in combo)
+        lam = []
+        for q in qt1:
+            rules = d1.rules_for(q, mid)
+            lam.append(None if not rules else
+                       _rhs_state(rules[0].rhs, lams, q1index, r2))
+        key = (rr.state, tuple(lam))
+        states.setdefault(key, "m%d" % len(states))
+        akey = (sym, mid, lams)
+        if akey not in anns:
+            anns[akey] = mangle_parts(sym, ("k%d" % len(anns),))
+            ann_info.append((anns[akey], sym, mid, lams))
+        rrules.append(RelabelingRule(
+            sym, tuple(states[c] for c in combo), states[key], anns[akey]))
+        return key
+
+    order = explore_bottom_up(r1.input, step)
     ann_alpha = RankedAlphabet([(name, r1.input.rank(sym))
                                 for name, sym, _, _ in ann_info])
 
@@ -756,37 +680,27 @@ def uniformize(n):
         return frozenset(out)
 
     states = {}     # (rel state, done set) -> name
-    order = []
     anns = {}       # (mid symbol, child done sets) -> name
     ann_info = []
     rrules = []
-    seen = set()
-    changed = True
-    while changed:
-        changed = False
-        pool = list(order)
-        for sym, k in rel.input.items():
-            for combo in itertools.product(pool, repeat=k):
-                if (sym, combo) in seen:
-                    continue
-                seen.add((sym, combo))
-                rr = rel.rule_for(sym, tuple(p for p, _ in combo))
-                if rr is None:
-                    continue
-                mid = rr.out_symbol
-                ds = tuple(d for _, d in combo)
-                key = (rr.state, derive(mid, ds))
-                if key not in states:
-                    states[key] = "n%d" % len(states)
-                    order.append(key)
-                    changed = True
-                akey = (mid, ds)
-                if akey not in anns:
-                    anns[akey] = mangle_parts(mid, ("u%d" % len(anns),))
-                    ann_info.append((anns[akey], mid, ds))
-                rrules.append(RelabelingRule(
-                    sym, tuple(states[c] for c in combo), states[key],
-                    anns[akey]))
+
+    def step(sym, combo):
+        rr = rel.rule_for(sym, tuple(p for p, _ in combo))
+        if rr is None:
+            return None
+        mid = rr.out_symbol
+        ds = tuple(d for _, d in combo)
+        key = (rr.state, derive(mid, ds))
+        states.setdefault(key, "n%d" % len(states))
+        akey = (mid, ds)
+        if akey not in anns:
+            anns[akey] = mangle_parts(mid, ("u%d" % len(anns),))
+            ann_info.append((anns[akey], mid, ds))
+        rrules.append(RelabelingRule(
+            sym, tuple(states[c] for c in combo), states[key], anns[akey]))
+        return key
+
+    order = explore_bottom_up(rel.input, step)
     ann_alpha = RankedAlphabet([(name, td.input.rank(mid))
                                 for name, mid, _ in ann_info])
     trules = []

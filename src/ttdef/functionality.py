@@ -26,7 +26,7 @@ from .model import (ROOT, AttRule, AttSpec, PairedSpec, check_monadic,
                     occ_node, occ_pattern, occ_pattern_info,
                     split_mangled_parts)
 from .semantics import (StepBudget, _expansions, _symbol_lookup, derive_step,
-                        enumerate_outputs, instantiate, occurrences)
+                        enumerate_outputs, occurrences)
 from .trees import Tree, canonical_key, trees_up_to_height
 
 
@@ -598,7 +598,7 @@ def is_functional(a, budget=None):
     budget = FunctionalityBudget.coerce(budget)
     if isinstance(a, PairedSpec):
         return _pair_functional(a, budget)
-    if not check_monadic(a).verdict:
+    if not check_monadic(a):
         raise NotApplicable("output of %r is not monadic; the functionality "
                             "check needs word output" % a.name)
     cyc = detect_productive_cycle(a, budget)
@@ -624,7 +624,7 @@ def _pair_functional(a, budget):
         raise NotApplicable("is_functional expects an att or an att with "
                             "look-around, not %r" % a.kind)
     att = a.second
-    if not check_monadic(att).verdict:
+    if not check_monadic(att):
         raise NotApplicable("output of %r is not monadic; the functionality "
                             "check needs word output" % att.name)
     back = {}

@@ -13,7 +13,7 @@ never end in ')', so a label ending in ')' is always an occurrence.
 """
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 from .errors import (AlphabetMismatch, ArityMismatch,
@@ -21,7 +21,7 @@ from .errors import (AlphabetMismatch, ArityMismatch,
                      SpecSyntaxError, TtdefError, UnknownAttribute,
                      UnknownSymbol)
 from .trees import RankedAlphabet, Tree, parse_tree_tokens, tokenize, \
-    format_address, parse_address
+    format_address
 
 ROOT = "#"
 
@@ -261,9 +261,10 @@ class AttSpec:
 
     @cached_property
     def walk_analysis(self):
-        """(SinglePathVerdict, kappa) from one pass of the walk analysis,
-        for analysis.single_path and analysis.kappa, which check first that
-        the spec is walkable."""
+        """(SinglePathVerdict, kappa, {visiting pair set: VariationVerdict})
+        from one pass of the walk analysis, for analysis.single_path,
+        analysis.kappa and analysis.variations, which check first that the
+        spec is walkable."""
         from . import analysis
         return analysis._single_path_and_kappa(self)
 
@@ -272,7 +273,7 @@ class AttSpec:
         """True when every run is one walk that rule_table describes:
         deterministic rules, monadic output, every right-hand side a
         chain."""
-        return (self.deterministic and check_monadic(self).verdict
+        return (self.deterministic and check_monadic(self)
                 and None not in self.rule_table.values())
 
     def __post_init__(self):
@@ -280,16 +281,9 @@ class AttSpec:
         self._inh_set = frozenset(self.inh)
 
 
-@dataclass
-class MonadicityCertificate:
-    att: AttSpec
-    verdict: bool
-
-
 def check_monadic(a):
-    """True certificate iff every output symbol of the att has rank <= 1."""
-    ok = all(k <= 1 for _, k in a.output.items())
-    return MonadicityCertificate(att=a, verdict=ok)
+    """Whether every output symbol of the att has rank <= 1."""
+    return all(k <= 1 for _, k in a.output.items())
 
 
 @dataclass(frozen=True)

@@ -13,14 +13,14 @@ import hashlib
 import json
 import time
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 from .analysis import is_circular, single_path
 from .constructions import (associate, compose_dtR, normalize_domain_into_range,
                             normalize_ground_rhs, uniformize)
 from .errors import NotApplicable, SpecSyntaxError, TtdefError
-from .functionality import (FunctionalityBudget, FunctionalUpTo, NotFunctional,
+from .functionality import (FunctionalityBudget, NotFunctional,
                             ProductiveCycle, bounded_equivalence, Equal,
                             is_functional)
 from .model import AttSpec, PairedSpec, check_monadic, parse_all, render_spec
@@ -265,7 +265,7 @@ def decide_dtR(a, cfg=None, outdir=None):
         st.verdict = ("att with look-around" if look is not None else "att")
 
     with _staged(stages, "check_monadic") as st:
-        if not check_monadic(att).verdict:
+        if not check_monadic(att):
             raise NotApplicable(
                 "output of %r is not monadic; the word-transducer route "
                 "needs word output" % att.name)

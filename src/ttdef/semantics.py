@@ -175,7 +175,7 @@ def _run_att(a, s, budget, want_trace):
     sym_at = _symbol_lookup(s, rooted=True)
     form = Tree(occ_node(a.init, (1,)))
     trace = [TraceEntry(form, None, None, None)] if want_trace else None
-    track_cycles = check_monadic(a).verdict
+    track_cycles = check_monadic(a)
     consumed = set()
     steps = 0
     while True:
@@ -286,7 +286,7 @@ def nf(a, s, start, budget=None):
         raise DuplicateLhsInDeterministic(
             "att %r is nondeterministic; nf is undefined" % a.name)
     sym_at = _symbol_lookup(s, rooted=False)
-    track_cycles = check_monadic(a).verdict
+    track_cycles = check_monadic(a)
     consumed = set()
     form = start
     steps = 0

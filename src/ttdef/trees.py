@@ -4,6 +4,8 @@ Node addresses are tuples of 1-based child indices; the empty tuple is the
 root and renders as "eps", other addresses render dotted ("2.1").
 """
 
+import itertools
+
 from .errors import ArityMismatch, NoSuchNode, SpecSyntaxError, UnknownSymbol
 
 # Hole symbol of prefix trees (rank 0). Kept inside the symbol charset so
@@ -55,6 +57,61 @@ class RankedAlphabet:
 
     def __repr__(self):
         return "RankedAlphabet(%r)" % (self._ranks,)
+
+
+def explore_bottom_up(alphabet, step):
+    """States reachable bottom-up, in the order they were found.
+
+    step(symbol, child_states) is called once for each symbol of the
+    ranked alphabet and each tuple of known states of its rank, and
+    returns the state reached, or None for no state.  Rounds run until
+    one finds nothing new; a round visits, symbol by symbol and in
+    itertools.product order, the tuples over the states known when it
+    began that contain a state found in the round before (the first
+    round visits the nullary symbols).  Callers name their states in
+    this order, so it is part of every artifact built on it."""
+    found = []
+    known = set()
+
+    def visit(sym, combo):
+        state = step(sym, combo)
+        if state is not None and state not in known:
+            known.add(state)
+            found.append(state)
+
+    for sym, k in alphabet.items():
+        if k == 0:
+            visit(sym, ())
+    start = 0
+    while start < len(found):
+        pool = list(found)
+        for sym, k in alphabet.items():
+            if k == 0:
+                continue
+            # pool[start:] was found in the round before; a head without
+            # one of those states needs one in the last place
+            for head in itertools.product(range(len(pool)), repeat=k - 1):
+                lo = 0 if head and max(head) >= start else start
+                states = tuple(pool[i] for i in head)
+                for last in pool[lo:]:
+                    visit(sym, states + (last,))
+        start = len(pool)
+    return found
+
+
+def settle_representatives(productions, reps):
+    """Make reps[state] the canonical_key-smallest tree among those the
+    productions build from the children's representatives, repeating
+    until nothing changes.  productions is a list of (symbol, child
+    states, state)."""
+    changed = True
+    while changed:
+        changed = False
+        for sym, combo, state in productions:
+            cand = Tree(sym, [reps[c] for c in combo])
+            if canonical_key(cand) < canonical_key(reps[state]):
+                reps[state] = cand
+                changed = True
 
 
 class Tree:

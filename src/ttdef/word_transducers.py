@@ -319,7 +319,7 @@ def build_two_way(h):
     domain stays inside the correspondence language.
     """
     a = normalize_ground_rhs(h.att)
-    if not check_monadic(a).verdict:
+    if not check_monadic(a):
         raise NotApplicable("output of %r is not monadic; a word machine "
                             "needs word output" % a.name)
     bbar = _trimmed(range_automaton(h.relabeling))

@@ -3,7 +3,8 @@
 `analyze` and `associate` reach every walk analysis: circularity, single
 path, the visiting pair sets with their variation, kappa and the
 associated pair.  These tests pin what they print with --json and the
-exit code and message of a refusal.
+exit code and message of a refusal.  The pump certificate `decide`
+writes replays through `definable --replay`.
 """
 
 import json
@@ -11,6 +12,7 @@ from pathlib import Path
 
 import pytest
 
+from ttdef import analysis
 from ttdef.cli import main
 from ttdef.model import render_spec
 
@@ -67,6 +69,23 @@ def test_analyze_json(name, tmp_path, capsys):
     assert got == dict(ANALYZE[name], schema=1, att=att.name, monadic=True)
 
 
+def test_analyze_reads_the_one_walk_analysis(tmp_path, capsys, monkeypatch):
+    """Every variation row comes from the pass single_path and kappa
+    share: one growth system for A2's seven visiting pair sets."""
+    growths = []
+
+    class Counted(analysis._Growth):
+        def __init__(self, *args):
+            growths.append(args[0].name)
+            super().__init__(*args)
+
+    monkeypatch.setattr(analysis, "_Growth", Counted)
+    got = run_json(capsys, ["analyze", "--json",
+                            spec_file(tmp_path, fixtures.a2())])
+    assert len(got["visiting_pair_sets"]) == 7
+    assert growths == ["A2"]
+
+
 @pytest.mark.parametrize("name, kappa, basename", [
     ("a1", 0, "associated-cbdfcd32638f.att"),
     ("a2", 1, "associated-5656e545cf70.att"),
@@ -99,3 +118,38 @@ def test_a_circular_spec_is_refused(command, tmp_path, capsys):
     assert captured.err.startswith("ttdef: error: ")
     assert "circular" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.fixture
+def rev_certificate(tmp_path, capsys):
+    """The REV spec file and the pump certificate `decide` writes for it."""
+    spec = spec_file(tmp_path, fixtures.rev())
+    report = run_json(capsys, ["decide", "--json", "--out",
+                               str(tmp_path / "out"), spec])
+    assert report["answer"]["reason"] == "not-definable"
+    return spec, Path(report["answer"]["witness"])
+
+
+def test_the_decided_pump_certificate_replays(rev_certificate, capsys):
+    spec, cert = rev_certificate
+    got = run_json(capsys, ["definable", "--json", "--replay", str(cert),
+                            spec])
+    assert got == {"schema": 1, "replayed": True}
+
+
+def without_loop(text):
+    data = json.loads(text)
+    del data["certificate"]["loop"]
+    return json.dumps(data)
+
+
+@pytest.mark.parametrize("damage", [without_loop, lambda text: text[:-2],
+                                    lambda text: "[3]"],
+                         ids=["no-loop", "cut-short", "not-an-object"])
+def test_a_damaged_certificate_is_refused(damage, rev_certificate, capsys):
+    spec, cert = rev_certificate
+    cert.write_text(damage(cert.read_text()))
+    assert main(["definable", "--json", "--replay", str(cert), spec]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("ttdef: error: ")

@@ -4,8 +4,7 @@ import pytest
 
 from ttdef.constructions import (associate, compose_dtR,
                                  normalize_domain_into_range,
-                                 normalize_ground_rhs,
-                                 restrict_dtR_to_relabeled, string_like_check,
+                                 normalize_ground_rhs, string_like_check,
                                  uniformize)
 from ttdef.errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from ttdef.model import (ROOT, AttRule, PairedSpec, TdttRule, TdttSpec,
@@ -250,34 +249,6 @@ def test_range_normalization_rejects_bad_inputs():
 
 
 # ---------------------------------------------------------------------------
-# re-basing a dt^R onto annotated input
-
-def test_restrict_is_identity_without_annotations():
-    t = fixtures.mirror_dtR(FED)
-    assert restrict_dtR_to_relabeled(t, fixtures.identity_lookaround(FED)) is t
-
-
-def test_restrict_follows_annotations(ranged_id):
-    mirror = fixtures.mirror_dtR(FED)
-    u = ranged_id.first
-    lifted = restrict_dtR_to_relabeled(mirror, u)
-    assert dict(lifted.first.input.items()) == {"e_<p0>": 0, "d_<p0>": 0,
-                                                "f_<p0,p0,p0>": 2}
-    for s in trees_up_to_height(FED, 3):
-        annotated = evaluate(u, s)
-        assert isinstance(annotated, Output)
-        x = evaluate(mirror, s)
-        y = evaluate(lifted, annotated.tree)
-        assert same_outcome(x, y), s.render()
-
-
-def test_restrict_rejects_foreign_symbols(ranged_id):
-    t = fixtures.identity_dtR(fixtures.rev().input)
-    with pytest.raises(AlphabetMismatch):
-        restrict_dtR_to_relabeled(t, ranged_id.first)
-
-
-# ---------------------------------------------------------------------------
 # composition of dt^R machines
 
 def test_compose_mirror_is_involution():
@@ -404,7 +375,6 @@ def test_constructed_machines_round_trip(assoc2, ranged_id):
         normalize_ground_rhs(parse_spec(GROUND_TEXT)),
         assoc2.pair,
         ranged_id,
-        restrict_dtR_to_relabeled(mirror, ranged_id.first),
         compose_dtR(mirror, mirror),
         uniformize(nondet_pair()),
     ]

@@ -254,10 +254,10 @@ def test_missing_lines_diagnosed():
 
 
 def test_check_monadic():
-    assert check_monadic(fixtures.a1()).verdict
-    assert check_monadic(fixtures.a2()).verdict
+    assert check_monadic(fixtures.a1())
+    assert check_monadic(fixtures.a2())
     wide = fixtures.A1_TEXT.replace("output g:1 e:0", "output g:1 h:2 e:0")
-    assert not check_monadic(parse_spec(wide)).verdict
+    assert not check_monadic(parse_spec(wide))
 
 
 def test_occurrence_labels():

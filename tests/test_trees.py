@@ -1,10 +1,13 @@
+import itertools
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttdef.errors import ArityMismatch, NoSuchNode, SpecSyntaxError, UnknownSymbol
 from ttdef.trees import (
-    HOLE, RankedAlphabet, Tree, canonical_key, check_tree, fill_holes,
-    format_address, hole_addresses, is_prefix_of, iter_trees_by_size, leaf,
+    HOLE, RankedAlphabet, Tree, canonical_key, check_tree, explore_bottom_up,
+    fill_holes, format_address, hole_addresses, is_prefix_of, iter_trees_by_size, leaf,
     parse_address, parse_tree, tokenize, trees_up_to_height,
 )
 
@@ -218,3 +221,79 @@ def test_alphabet_rejects_root_marker_and_conflicts():
     with pytest.raises(ArityMismatch):
         RankedAlphabet([("f", 2), ("f", 1)])
     assert RankedAlphabet([("f", 2), ("f", 2)]).rank("f") == 2
+
+
+# ---------------------------------------------------------------------------
+# reachable states bottom-up
+
+def rescan_reference(alphabet, step):
+    """The rescanning worklist explore_bottom_up replaced, verbatim: each
+    round goes over every tuple of the states known when it began and
+    skips those already seen."""
+    states = {}
+    order = []
+    seen = set()
+    changed = True
+    while changed:
+        changed = False
+        pool = list(order)
+        for sym, k in alphabet.items():
+            for combo in itertools.product(pool, repeat=k):
+                if (sym, combo) in seen:
+                    continue
+                seen.add((sym, combo))
+                key = step(sym, combo)
+                if key is None:
+                    continue
+                if key not in states:
+                    states[key] = len(states)
+                    order.append(key)
+                    changed = True
+    return order
+
+
+def table_step(seed, n_states, none_share):
+    """A fixed table from (symbol, child states) to a state below n_states
+    or None, drawn from seed, and the list of calls made on it."""
+    calls = []
+
+    def step(sym, combo):
+        calls.append((sym, combo))
+        rng = random.Random(repr((seed, sym, combo)))
+        return None if rng.random() < none_share else rng.randrange(n_states)
+    return step, calls
+
+
+ranked_alphabets = st.lists(st.integers(0, 3), min_size=1, max_size=4).map(
+    lambda ranks: RankedAlphabet([("s%d" % i, k) for i, k in enumerate(ranks)]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(ranked_alphabets, st.integers(0, 2 ** 32), st.integers(1, 6),
+       st.sampled_from([0.0, 0.3, 0.6]))
+def test_explore_bottom_up_matches_the_rescan(alpha, seed, n_states,
+                                              none_share):
+    step, calls = table_step(seed, n_states, none_share)
+    ref_step, ref_calls = table_step(seed, n_states, none_share)
+    assert explore_bottom_up(alpha, step) == rescan_reference(alpha, ref_step)
+    assert calls == ref_calls
+
+
+def test_explore_bottom_up_counts_tree_heights():
+    """States are heights of trees over f/2, g/1, e/0 capped at 3; None
+    (height past the cap) is not a state."""
+    alpha = RankedAlphabet([("f", 2), ("g", 1), ("e", 0)])
+    calls = []
+
+    def step(sym, combo):
+        calls.append((sym, combo))
+        height = 1 + max(combo, default=0)
+        return height if height <= 3 else None
+
+    assert explore_bottom_up(alpha, step) == [1, 2, 3]
+    # round two only pairs up height 2, round three only height 3
+    assert calls == [("e", ()),
+                     ("f", (1, 1)), ("g", (1,)),
+                     ("f", (1, 2)), ("f", (2, 1)), ("f", (2, 2)), ("g", (2,)),
+                     ("f", (1, 3)), ("f", (2, 3)), ("f", (3, 1)),
+                     ("f", (3, 2)), ("f", (3, 3)), ("g", (3,))]
