@@ -157,12 +157,13 @@ def fresh_name(base, taken):
     return name
 
 
-def rhs_chain(rhs):
+def rhs_chain(rhs, tip_info=occ_pattern_info):
     """Monadic rule right-hand side as (emitted labels, tip, leaf), or None
     when some node of it has several children.
 
-    tip is (attr, pos) for an occurrence leaf, else None with the rank-0
-    output label in leaf."""
+    tip is what tip_info reads off the last leaf, (attr, pos) for an att
+    occurrence or (state, child) for a top-down call, else None with the
+    rank-0 output label in leaf."""
     labels = []
     t = rhs
     while t.children:
@@ -170,7 +171,7 @@ def rhs_chain(rhs):
             return None
         labels.append(t.label)
         t = t.children[0]
-    tip = occ_pattern_info(t.label)
+    tip = tip_info(t.label)
     if tip is None:
         return tuple(labels), None, t.label
     return tuple(labels), tip, None
@@ -388,7 +389,9 @@ class TdttSpec:
                     out.append(q)
         return tuple(out)
 
-    @property
+    # As for AttSpec, the properties below are computed once per spec.
+
+    @cached_property
     def deterministic(self):
         seen = set()
         for r in self.rules:
@@ -396,6 +399,22 @@ class TdttSpec:
                 return False
             seen.add((r.state, r.symbol))
         return True
+
+    @cached_property
+    def rule_table(self):
+        """(state, symbol) -> rhs_chain of the first rule with that
+        left-hand side, its tip a call (state, child); None where that
+        right-hand side is not a chain."""
+        table = {}
+        for r in self.rules:
+            table.setdefault((r.state, r.symbol), rhs_chain(r.rhs, call_info))
+        return table
+
+    @cached_property
+    def walks_on_table(self):
+        """True when every run is one root-to-leaf walk that rule_table
+        describes: deterministic rules, every right-hand side a chain."""
+        return self.deterministic and None not in self.rule_table.values()
 
     @property
     def relabeling(self):

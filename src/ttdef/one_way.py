@@ -1,0 +1,450 @@
+"""One-way word transducers folded from samples, and pump certificates.
+
+The oracle in word_transducers evaluates a two-way machine on every
+accepted word up to a length.  synthesize folds those outputs into a
+deterministic one-way machine, restrict_to_language cuts it down to the
+correspondence language, and verify checks it against the outputs and
+the language.  When no candidate fits, pump_search looks for a pump
+certificate: a loop whose pumped outputs no one-way machine produces.
+"""
+
+from dataclasses import dataclass
+
+from .errors import NotApplicable
+from .model import TdttRule, TdttSpec, call_info, call_label
+from .semantics import _chain_tree
+
+
+@dataclass(frozen=True)
+class PumpCertificate:
+    """Replayable refutation of one-way realizability.
+
+    A one-way machine on u a^n v emits a fixed prefix p, then a loop
+    output x per iteration, then a suffix part that depends on v alone,
+    so the outputs must take the shape p x^n s_v with p and x shared
+    across suffixes.  kind "affine" exhibits one suffix whose sampled
+    outputs admit no such split at all; kind "shared_prefix" exhibits
+    two suffixes whose outputs grow while their common prefix stays
+    fixed, leaving no room for a shared p x^n.
+    """
+    kind: str
+    prefix: tuple
+    loop: tuple
+    suffixes: tuple
+    counts: tuple
+    outputs: tuple
+
+
+def _lcp(a, b):
+    n = 0
+    for x, y in zip(a, b):
+        if x != y:
+            break
+        n += 1
+    return a[:n]
+
+
+def _onward_prefixes(sample):
+    """For each proper prefix of a sampled word, the longest output
+    prefix shared by everything below it, clamped so that every word's
+    final rule keeps at least its last output letter."""
+    lcp = {}
+    clamp = {}
+    for w, o in sample.items():
+        for j in range(len(w)):
+            p = w[:j]
+            lcp[p] = o if p not in lcp else _lcp(lcp[p], o)
+            clamp[p] = min(clamp.get(p, len(o) - 1), len(o) - 1)
+    return {p: v[:clamp[p]] for p, v in lcp.items()}
+
+
+_REJECT = object()
+_ABSENT = object()
+
+
+def synthesize(sample, enc, out_alpha, name, bound):
+    """Deterministic one-way machine folded from the sample.
+
+    sample maps words to output tuples, or to None for words the
+    machine must reject.  Prefix-tree nodes merge into the first
+    earlier state they never contradict: output chunks must agree per
+    shared letter, and an output can never meet a rejection.  Edges no
+    defined word crosses carry no output evidence; they are left out of
+    the machine, which rejects by omission.  Returns (machine, None) or
+    (None, reason) when the fold needs more than bound states.
+    """
+    if not sample:
+        return TdttSpec(name=name, input=enc, output=out_alpha, init="s0",
+                        rules=()), None
+    positives = {w: o for w, o in sample.items() if o is not None}
+    out = _onward_prefixes(positives)
+    prefixes = {w[:j] for w in sample for j in range(len(w))}
+    prefixes = sorted(prefixes, key=lambda p: (len(p), p))
+    index = {p: i for i, p in enumerate(prefixes)}
+    edges = [dict() for _ in prefixes]
+    terms = [dict() for _ in prefixes]
+    for p, i in index.items():
+        if p:
+            chunk = out[p][len(out[p[:-1]]):] if p in out else None
+            edges[index[p[:-1]]][p[-1]] = (chunk, i)
+    for w, o in sample.items():
+        p = w[:-1]
+        terms[index[p]][w[-1]] = _REJECT if o is None else o[len(out[p]):]
+    leader = list(range(len(prefixes)))
+
+    def find(n):
+        while leader[n] != n:
+            n = leader[n]
+        return n
+
+    def fold(a, b):
+        log = []
+        stack = [(a, b)]
+        ok = True
+        while stack and ok:
+            x, y = find(stack[-1][0]), find(stack.pop()[1])
+            if x == y:
+                continue
+            log.append(("leader", y, None))
+            leader[y] = x
+            for leaf, chunk in terms[y].items():
+                have = terms[x].get(leaf, _ABSENT)
+                if have is _ABSENT:
+                    log.append(("term", x, leaf))
+                    terms[x][leaf] = chunk
+                elif have != chunk:
+                    ok = False
+                    break
+            if not ok:
+                break
+            for letter, (chunk, child) in edges[y].items():
+                have = edges[x].get(letter)
+                if have is None:
+                    log.append(("edge", x, letter))
+                    edges[x][letter] = (chunk, child)
+                    continue
+                if have[0] is None and chunk is not None:
+                    log.append(("edgeval", x, letter, have))
+                    edges[x][letter] = (chunk, have[1])
+                elif chunk is not None and have[0] != chunk:
+                    ok = False
+                    break
+                stack.append((have[1], child))
+        if ok:
+            return True
+        for entry in reversed(log):
+            if entry[0] == "leader":
+                leader[entry[1]] = entry[1]
+            elif entry[0] == "term":
+                del terms[entry[1]][entry[2]]
+            elif entry[0] == "edgeval":
+                edges[entry[1]][entry[2]] = entry[3]
+            else:
+                del edges[entry[1]][entry[2]]
+        return False
+
+    reps = []
+    for n in range(len(prefixes)):
+        if find(n) != n:
+            continue
+        for r in reps:
+            if fold(r, n):
+                break
+        else:
+            reps.append(n)
+            if len(reps) > bound:
+                return None, "the fold needs more than %d states" % bound
+    state_name = {r: "s%d" % k for k, r in enumerate(reps)}
+    rules = []
+    for r in reps:
+        for letter in sorted(edges[r]):
+            chunk, child = edges[r][letter]
+            if chunk is None:
+                continue
+            rhs = _chain_tree(chunk, call_label(state_name[find(child)], 1))
+            rules.append(TdttRule(state_name[r], letter, rhs))
+        for leaf in sorted(terms[r]):
+            chunk = terms[r][leaf]
+            if chunk is _REJECT:
+                continue
+            rules.append(TdttRule(state_name[r], leaf,
+                                  _chain_tree(chunk[:-1], chunk[-1])))
+    return TdttSpec(name=name, input=enc, output=out_alpha,
+                    init=state_name[find(0)], rules=tuple(rules)), None
+
+
+def restrict_to_language(cand, aut):
+    """Product of the candidate with the word language: a leaf rule
+    survives only where the automaton accepts, and states that cannot
+    reach an accepting leaf are dropped, so the machine rejects by
+    omission everywhere outside the language."""
+    table, leaf_table = _one_way_tables(cand)
+    up = {}
+    leafst = {}
+    for r in aut.rules:
+        if r.child_states:
+            up[(r.symbol, r.child_states[0])] = r.state
+        else:
+            leafst[r.symbol] = r.state
+    states = aut.states
+    moves = {}
+    ends = {}
+    for (q, letter), (chunk, q2) in table.items():
+        moves.setdefault(q, []).append((letter, chunk, q2))
+    for (q, leaf), chunk in leaf_table.items():
+        ends.setdefault(q, []).append((leaf, chunk))
+    start = (cand.init, frozenset(aut.final))
+    order = [start]
+    seen = {start}
+    arrows = []
+    accepts = {}
+    pos = 0
+    while pos < len(order):
+        q, down = order[pos]
+        pos += 1
+        accepts[(q, down)] = [(leaf, chunk) for leaf, chunk in
+                              sorted(ends.get(q, ()))
+                              if leafst.get(leaf) in down]
+        for letter, chunk, q2 in sorted(moves.get(q, ())):
+            down2 = frozenset(l for l in states if up.get((letter, l)) in down)
+            key = (q2, down2)
+            if key not in seen:
+                seen.add(key)
+                order.append(key)
+            arrows.append(((q, down), letter, chunk, key))
+    alive = {node for node, acc in accepts.items() if acc}
+    changed = True
+    while changed:
+        changed = False
+        for src, _, _, dst in arrows:
+            if dst in alive and src not in alive:
+                alive.add(src)
+                changed = True
+    if start not in alive:
+        return TdttSpec(name=cand.name, input=cand.input, output=cand.output,
+                        init="t0", rules=())
+    name_of = {}
+    for node in order:
+        if node in alive:
+            name_of[node] = "t%d" % len(name_of)
+    rules = []
+    for node in order:
+        if node not in alive:
+            continue
+        for leaf, chunk in accepts[node]:
+            rules.append(TdttRule(name_of[node], leaf,
+                                  _chain_tree(chunk[:-1], chunk[-1])))
+    for src, letter, chunk, dst in arrows:
+        if src in alive and dst in alive:
+            rhs = _chain_tree(chunk, call_label(name_of[dst], 1))
+            rules.append(TdttRule(name_of[src], letter, rhs))
+    return TdttSpec(name=cand.name, input=cand.input, output=cand.output,
+                    init=name_of[start], rules=tuple(rules))
+
+
+def _one_way_tables(t):
+    """Rule tables (state, letter) -> (chunk, next state) and
+    (state, leaf) -> chunk of a deterministic one-way machine."""
+    table = {}
+    leaf_table = {}
+    for r in t.rules:
+        labels = []
+        node = r.rhs
+        call = None
+        while True:
+            info = call_info(node.label)
+            if info is not None and not node.children:
+                call = info
+                break
+            labels.append(node.label)
+            if not node.children:
+                break
+            if len(node.children) != 1:
+                raise NotApplicable("rule for %s/%s is not word shaped"
+                                    % (r.state, r.symbol))
+            node = node.children[0]
+        key = (r.state, r.symbol)
+        if key in table or key in leaf_table:
+            raise NotApplicable("one-way machine has two rules for %s/%s"
+                                % key)
+        if call is None:
+            leaf_table[key] = tuple(labels)
+        else:
+            if call[1] != 1:
+                raise NotApplicable("call into child %d on a word" % call[1])
+            table[key] = (tuple(labels), call[0])
+    return table, leaf_table
+
+
+def _run_one_way(table, leaf_table, init, word):
+    q = init
+    out = []
+    for letter in word[:-1]:
+        got = table.get((q, letter))
+        if got is None:
+            return None
+        chunk, q = got
+        out.extend(chunk)
+    got = leaf_table.get((q, word[-1]))
+    if got is None:
+        return None
+    out.extend(got)
+    return tuple(out)
+
+
+def _dom_within(cand, aut, table, leaf_table):
+    """A word the candidate accepts outside the automaton's language, or
+    None.  Exact for all lengths: the search runs the candidate forward
+    against the sets of automaton states that still climb to a final."""
+    up = {}
+    leafst = {}
+    for r in aut.rules:
+        if r.child_states:
+            up[(r.symbol, r.child_states[0])] = r.state
+        else:
+            leafst[r.symbol] = r.state
+    states = aut.states
+    moves = {}
+    ends = {}
+    for (q, letter), (_, q2) in table.items():
+        moves.setdefault(q, []).append((letter, q2))
+    for q, leaf in leaf_table:
+        ends.setdefault(q, []).append(leaf)
+    start = (cand.init, frozenset(aut.final))
+    seen = {start}
+    stack = [(start, ())]
+    while stack:
+        (q, down), path = stack.pop()
+        for leaf in sorted(ends.get(q, ())):
+            if leafst.get(leaf) not in down:
+                return path + (leaf,)
+        for letter, q2 in sorted(moves.get(q, ())):
+            down2 = frozenset(l for l in states if up.get((letter, l)) in down)
+            key = (q2, down2)
+            if key not in seen:
+                seen.add(key)
+                stack.append((key, path + (letter,)))
+    return None
+
+
+def verify(cand, cache, aut):
+    """None when the candidate matches the cached machine behavior on
+    every accepted word and never accepts outside the correspondence
+    language; otherwise a failure report."""
+    try:
+        table, leaf_table = _one_way_tables(cand)
+    except NotApplicable as err:
+        return {"reason": str(err)}
+    stray = _dom_within(cand, aut, table, leaf_table)
+    if stray is not None:
+        return {"reason": "candidate accepts a word outside the "
+                          "correspondence language", "word": list(stray)}
+    for w in sorted(cache):
+        want = cache[w]
+        got = _run_one_way(table, leaf_table, cand.init, w)
+        if got != want:
+            return {"reason": "candidate disagrees with the machine",
+                    "word": list(w),
+                    "machine": None if want is None else list(want),
+                    "candidate": None if got is None else list(got)}
+    return None
+
+
+def _affine_ok(outs, counts=(1, 2, 3, 4)):
+    """Can the outputs for the pump counts be written p x^n s?"""
+    base = outs[0]
+    n0 = counts[0]
+    span = counts[1] - n0
+    d, r = divmod(len(outs[1]) - len(base), span)
+    if r or d < 0:
+        return False
+    for m in range(1, len(outs)):
+        if len(outs[m]) - len(base) != d * (counts[m] - n0):
+            return False
+    if d == 0:
+        return all(o == base for o in outs)
+    for j in range(len(base) - d * n0 + 1):
+        p, x, s = base[:j], base[j:j + d], base[j + d * n0:]
+        if base != p + x * n0 + s:
+            continue
+        if all(outs[m] == p + x * counts[m] + s for m in range(1, len(outs))):
+            return True
+    return False
+
+
+def _inserts_block(o1, o2):
+    """Can o2 be read as o1 with one block spliced in at some position?"""
+    d = len(o2) - len(o1)
+    if d < 0:
+        return False
+    if d == 0:
+        return o1 == o2
+    return any(o2 == o1[:j] + o2[j:j + d] + o1[j:] for j in range(len(o1) + 1))
+
+
+def affine_family_ok(outs, counts=(1, 2, 3, 4)):
+    """Affine alignment, also accepting loops a one-way machine traverses
+    with period two (emitting per pair of letters).  Periods above two
+    can still slip through at desk scale; the verdict stays a
+    certificate about these sampled outputs."""
+    if _affine_ok(outs, counts):
+        return True
+    if len(outs) < 4:
+        return False
+    d1 = len(outs[2]) - len(outs[0])
+    d2 = len(outs[3]) - len(outs[1])
+    return d1 == d2 and _inserts_block(outs[0], outs[2]) \
+        and _inserts_block(outs[1], outs[3])
+
+
+def drifts_apart(row1, row2):
+    """True when both output families grow with the pump count while
+    their common prefix stays fixed; no shared p x^n can front both."""
+    lcps = [len(_lcp(a, b)) for a, b in zip(row1, row2)]
+    if len(set(lcps)) != 1:
+        return False
+    for row in (row1, row2):
+        slack = [len(o) - lcps[0] for o in row]
+        if any(b <= a for a, b in zip(slack, slack[1:])):
+            return False
+    return True
+
+
+def pump_search(cache, budget):
+    """A pump certificate refuting one-way realizability from the cached
+    outputs, or None.  Deterministic: loops, prefixes and suffixes are
+    scanned in sorted order."""
+    counts = budget.pump_counts
+    defined = {w: o for w, o in cache.items() if o is not None}
+    if not defined:
+        return None
+    letters = sorted({c for w in cache for c in w[:-1]})
+    suffixes = sorted({w[-j:] for w in defined
+                       for j in range(1, min(len(w), budget.pump_suffix_length) + 1)})
+    examined = 0
+    for u in [()] + [(c,) for c in letters]:
+        for a in letters:
+            loop = (a,)
+            rows = {}
+            for v in suffixes:
+                examined += 1
+                if examined > budget.max_pump_candidates:
+                    return None
+                outs = [defined.get(u + loop * n + v) for n in counts]
+                if any(o is None for o in outs):
+                    continue
+                if not affine_family_ok(tuple(outs), counts):
+                    return PumpCertificate("affine", u, loop, (v,), counts,
+                                           (tuple(outs),))
+                rows[v] = tuple(outs)
+            vs = sorted(rows)
+            for i in range(len(vs)):
+                for j in range(i + 1, len(vs)):
+                    examined += 1
+                    if examined > budget.max_pump_candidates:
+                        return None
+                    if drifts_apart(rows[vs[i]], rows[vs[j]]):
+                        return PumpCertificate("shared_prefix", u, loop,
+                                               (vs[i], vs[j]), counts,
+                                               (rows[vs[i]], rows[vs[j]]))
+    return None

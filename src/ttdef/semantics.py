@@ -10,19 +10,23 @@ Deterministic monadic-output derivations have a single active occurrence
 per form; revisiting a consumed occurrence certifies a cycle, which
 evaluate reports as NoOutput and nf as Diverges.
 
-Two engines run atts.  When the att is deterministic with monadic output
-(AttSpec.walks_on_table), evaluate without a trace and enumerate_outputs
-walk the spec's rule table, compiled once per spec: the form is then a
-chain of emitted labels above one occurrence, so the walk keeps the
-occurrence as (attr, node) and the labels as a list, and builds the
-output tree once at the end.  Occurrence labels are parsed only when the
-table is built.  Every other run rewrites string sentential forms:
-traces (they record each form), non-monadic outputs (a form holds
-several occurrences), nondeterministic enumeration (it searches a set of
-forms), and nf (its start form is arbitrary and it runs over the bare
-tree).  _run_att and _enumerate_att are also the reference the compiled
-walk is tested against; both engines give the same outcomes, budgets
-included.
+Two engines run atts and top-down transducers.  When the att is
+deterministic with monadic output (AttSpec.walks_on_table), evaluate
+without a trace and enumerate_outputs walk the spec's rule table,
+compiled once per spec: the form is then a chain of emitted labels above
+one occurrence, so the walk keeps the occurrence as (attr, node) and the
+labels as a list, and builds the output tree once at the end.
+Occurrence labels are parsed only when the table is built.  A
+deterministic top-down transducer whose right-hand sides are chains
+(TdttSpec.walks_on_table) walks its own table the same way, root to
+leaf, keeping its one call as (state, input node).  Every other run
+rewrites string sentential forms: traces (they record each form),
+non-monadic outputs (a form holds several occurrences or calls),
+nondeterministic enumeration (it searches a set of forms), and nf (its
+start form is arbitrary and it runs over the bare tree).  _run_att,
+_enumerate_att, _rewrite_tdtt and _search_tdtt are also the reference
+the compiled walks are tested against; both engines give the same
+outcomes, budgets included.
 """
 
 from dataclasses import dataclass
@@ -87,11 +91,13 @@ class DerivationTrace:
 LSI_VIOLATIONS = []
 
 
-def _check_lsi(a, s, out):
-    bound = a.max_rhs_size * len(a.attributes) * s.size
-    if out.size > bound:
-        LSI_VIOLATIONS.append({"att": a.name, "input": s.render(),
-                               "output_size": out.size, "bound": bound})
+def _check_lsi(a, input_size, output_size, render_input):
+    """Record an output larger than the linear bound; render_input()
+    gives the input's text, asked for only then."""
+    bound = a.max_rhs_size * len(a.attributes) * input_size
+    if output_size > bound:
+        LSI_VIOLATIONS.append({"att": a.name, "input": render_input(),
+                               "output_size": output_size, "bound": bound})
 
 
 def occurrences(form):
@@ -181,7 +187,7 @@ def _run_att(a, s, budget, want_trace):
     while True:
         occs = occurrences(form)
         if not occs:
-            _check_lsi(a, s, form)
+            _check_lsi(a, s.size, form.size, s.render)
             return Output(form), trace
         expanded = [(o, _expansions(a, sym_at, o[1], o[2])) for o in occs]
         if any(not exps for _, exps in expanded):
@@ -271,11 +277,47 @@ def _walk_table(a, s, max_steps, max_enumeration=None):
         if max_enumeration is not None and steps >= max_enumeration:
             return "enumeration", None
         if tip is None:
-            tree = Tree(leaf)
-            for label in reversed(out):
-                tree = Tree(label, (tree,))
-            return "output", tree
+            return "output", _chain_tree(out, leaf)
         seen[occ] = len(out)
+
+
+def _chain_tree(labels, leaf):
+    """The monadic tree labels[0](labels[1](... leaf))."""
+    tree = Tree(leaf)
+    for label in reversed(labels):
+        tree = Tree(label, (tree,))
+    return tree
+
+
+def _walk_tdtt(t, s, max_steps, max_enumeration=None):
+    """Run the top-down transducer t over s on its rule table, root to
+    leaf: its one state call is kept as (state, input node) and the
+    emitted labels as a list.  Returns (kind, output tree or None), kind
+    one of "output", "stuck" (no rule, or a call into a child s lacks),
+    "steps" and "enumeration", with the budgets of _search: a rule
+    applied past max_steps, or the max_enumeration-th form (checked only
+    when it is given)."""
+    table = t.rule_table
+    state, node = t.init, s
+    out = []
+    steps = 0
+    while True:
+        chain = table.get((state, node.label))
+        if chain is None:
+            return "stuck", None
+        steps += 1
+        if steps > max_steps:
+            return "steps", None
+        if max_enumeration is not None and steps >= max_enumeration:
+            return "enumeration", None
+        emitted, tip, leaf = chain
+        out.extend(emitted)
+        if tip is None:
+            return "output", _chain_tree(out, leaf)
+        state, i = tip
+        if not 1 <= i <= len(node.children):
+            return "stuck", None
+        node = node.children[i - 1]
 
 
 def nf(a, s, start, budget=None):
@@ -389,26 +431,33 @@ def run_tdtt(t, s, budget=None, want_trace=False):
         else:
             result = NoOutput() if exhaustive else BudgetExhausted()
         return (result, None) if want_trace else result
+    if not want_trace and t.walks_on_table:
+        kind, tree = _walk_tdtt(t, s, budget.max_steps)
+        if kind == "output":
+            return Output(tree)
+        return BudgetExhausted() if kind == "steps" else NoOutput()
+    result, trace = _rewrite_tdtt(t, s, budget, want_trace)
+    return (result, trace) if want_trace else result
+
+
+def _rewrite_tdtt(t, s, budget, want_trace):
+    """The deterministic run on string forms: (outcome, trace or None)."""
     form = Tree(occ_node(t.init, ()))
     trace = [TraceEntry(form, None, None, None)] if want_trace else None
     steps = 0
     while True:
         faddr, grounded = _tdtt_successors(t, s, form)
         if faddr is None:
-            result = Output(form)
-            break
+            return Output(form), trace
         if not grounded:
-            result = NoOutput()
-            break
+            return NoOutput(), trace
         steps += 1
         if steps > budget.max_steps:
-            result = BudgetExhausted()
-            break
+            return BudgetExhausted(), trace
         rule, replacement = grounded[0]
         form = form.replace_at(faddr, replacement)
         if want_trace:
             trace.append(TraceEntry(form, rule, None, rule.symbol))
-    return (result, trace) if want_trace else result
 
 
 def _apply_lookaround(u, s):
@@ -445,7 +494,7 @@ def evaluate(d, s, budget=None, want_trace=False):
         if not want_trace and d.walks_on_table:
             kind, tree = _walk_table(d, s, budget.max_steps)
             if kind == "output":
-                _check_lsi(d, s, tree)
+                _check_lsi(d, s.size, tree.size, s.render)
                 return Output(tree)
             return BudgetExhausted() if kind == "steps" else NoOutput()
         outcome, trace = _run_att(d, s, budget, want_trace)
@@ -549,6 +598,16 @@ def _enumerate_att(a, s, budget):
 
 
 def _enumerate_tdtt(t, s, budget):
+    if t.walks_on_table:
+        kind, tree = _walk_tdtt(t, s, budget.max_steps,
+                                budget.max_enumeration)
+        if kind == "output":
+            return {tree}, True
+        return set(), kind == "stuck"
+    return _search_tdtt(t, s, budget)
+
+
+def _search_tdtt(t, s, budget):
     def successors(form):
         faddr, grounded = _tdtt_successors(t, s, form)
         if faddr is None:

@@ -6,10 +6,12 @@ letter sym@i says "this node is sym, continue in child i", and a rank-0
 letter ends the word.  On these words a reduced att behaves like a
 two-way transducer.  This module builds that machine, decides at desk
 scale whether an equivalent one-way (single left-to-right pass) machine
-exists, and converts a one-way machine back into a top-down tree
-transducer over the original alphabet.
+exists, with the fold and the pump certificates of one_way, and converts
+a one-way machine back into a top-down tree transducer over the original
+alphabet.
 """
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .constructions import normalize_ground_rhs
@@ -19,8 +21,11 @@ from .model import (ROOT, AttRule, AttSpec, RelabelingRule, RelabelingSpec,
                     TdttRule, TdttSpec, call_info, call_label, check_monadic,
                     fresh_name, mangle_child, mangle_parts, occ_pattern,
                     occ_pattern_info, split_mangled_child)
+from .one_way import (PumpCertificate, affine_family_ok, drifts_apart,
+                      pump_search, restrict_to_language, synthesize, verify)
 from .semantics import (BudgetExhausted, Output, Reject, StepBudget,
-                        enumerate_outputs, evaluate, run_relabeling)
+                        _chain_tree, _check_lsi, enumerate_outputs, evaluate,
+                        run_relabeling)
 from .trees import HOLE, RankedAlphabet, Tree, format_address
 
 
@@ -127,10 +132,7 @@ def word_of(t):
 
 
 def tree_of(word):
-    t = Tree(word[-1])
-    for lab in reversed(word[:-1]):
-        t = Tree(lab, [t])
-    return t
+    return _chain_tree(word[:-1], word[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -237,28 +239,27 @@ def accepted_counts(aut, max_length):
 
 def accepted_words(aut, max_length):
     """(word, root state) for every accepted word up to the length bound,
-    shortest first, lexicographic within a length."""
-    up = {}
+    shortest first, lexicographic within a length.  A level is built
+    only once every word of the level before it has been taken."""
+    moves = {}
     for r in aut.rules:
         if len(r.child_states) == 1:
-            up[(r.symbol, r.child_states[0])] = r.state
-    letters = sorted({c for c, _ in up})
+            moves.setdefault(r.symbol, {})[r.child_states[0]] = r.state
+    moves = sorted(moves.items())
+    final = frozenset(aut.final)
     level = sorted(((r.symbol,), r.state)
                    for r in aut.rules if not r.child_states)
-    length = 1
-    while length <= max_length and level:
+    for length in range(1, max_length + 1):
+        if length > 1:
+            # words are unique per level (the automaton is deterministic)
+            # and the level is sorted, so letter by letter stays sorted
+            level = [((c,) + w, up[state]) for c, up in moves
+                     for w, state in level if state in up]
+        if not level:
+            return
         for w, state in level:
-            if state in aut.final:
+            if state in final:
                 yield w, state
-        nxt = []
-        for c in letters:
-            for w, state in level:
-                state2 = up.get((c, state))
-                if state2 is not None:
-                    nxt.append(((c,) + w, state2))
-        nxt.sort()
-        level = nxt
-        length += 1
 
 
 # ---------------------------------------------------------------------------
@@ -326,7 +327,8 @@ def build_two_way(h):
     words = build_correspondence_automaton(bbar)
     taken = set(a.attributes)
     dn = fresh_name("dn", taken)
-    up = {l: fresh_name(mangle_parts("up", (l,)), taken) for l in bbar.states}
+    states = bbar.states
+    up = {l: fresh_name(mangle_parts("up", (l,)), taken) for l in states}
     rules = {}
     for sym, k in h.relabeling.output.items():
         if k == 0:
@@ -342,7 +344,7 @@ def build_two_way(h):
             bucket = [_shift(r, i) for r in a.rules_at(sym)
                       if _child_refs(r) <= {i}]
             bucket.append(AttRule(dn, 0, Tree(occ_pattern(dn, 1))))
-            for l in bbar.states:
+            for l in states:
                 wr = words.rule_for(letter, (l,))
                 if wr is not None:
                     bucket.append(AttRule(up[l], 1,
@@ -354,7 +356,7 @@ def build_two_way(h):
     rules[ROOT] = tuple(root)
     att = AttSpec(name=h.name + "_walk", input=words.input, output=a.output,
                   syn=a.syn + (dn,),
-                  inh=a.inh + tuple(up[l] for l in bbar.states),
+                  inh=a.inh + tuple(up[l] for l in states),
                   init=dn, rules=rules)
     fillers = {}
     for state, rep in h.representatives.items():
@@ -443,26 +445,6 @@ class Unknown:
     report: dict
 
 
-@dataclass(frozen=True)
-class PumpCertificate:
-    """Replayable refutation of one-way realizability.
-
-    A one-way machine on u a^n v emits a fixed prefix p, then a loop
-    output x per iteration, then a suffix part that depends on v alone,
-    so the outputs must take the shape p x^n s_v with p and x shared
-    across suffixes.  kind "affine" exhibits one suffix whose sampled
-    outputs admit no such split at all; kind "shared_prefix" exhibits
-    two suffixes whose outputs grow while their common prefix stays
-    fixed, leaving no room for a shared p x^n.
-    """
-    kind: str
-    prefix: tuple
-    loop: tuple
-    suffixes: tuple
-    counts: tuple
-    outputs: tuple
-
-
 _EXHAUSTED = object()
 
 
@@ -483,440 +465,147 @@ def _eval_word(tw, word, budget=None):
     return None if exhaustive else _EXHAUSTED
 
 
-def _lcp(a, b):
-    n = 0
-    for x, y in zip(a, b):
-        if x != y:
-            break
-        n += 1
-    return a[:n]
+class _SuffixSummaries:
+    """Crossing behaviour of a machine that walks on its rule table, on
+    the suffixes of its words (Shepherdson 1959).
 
+    A walk enters the suffix that starts at some letter only as a
+    synthesized attribute of that letter, and leaves it only as an
+    inherited attribute of that letter, whose rule sits at the letter
+    above.  The summary of a suffix maps each synthesized attribute to
+    (chunk, end, name): the labels its walk emits inside the suffix, and
+    how the walk ends there: "up" into the inherited attribute name,
+    "leaf" with the output leaf name, "stuck", or "cycle".  The summary
+    of c.w is one walk per attribute at the letter c over the summary of
+    w, and the root marker reads the summary of the whole word, so a word
+    costs the walks at its first letter and at the root marker instead
+    of a walk over all of it.
 
-def _chain(labels, tail):
-    t = tail
-    for lab in reversed(labels):
-        t = Tree(lab, [t])
-    return t
-
-
-def _onward_prefixes(sample):
-    """For each proper prefix of a sampled word, the longest output
-    prefix shared by everything below it, clamped so that every word's
-    final rule keeps at least its last output letter."""
-    lcp = {}
-    clamp = {}
-    for w, o in sample.items():
-        for j in range(len(w)):
-            p = w[:j]
-            lcp[p] = o if p not in lcp else _lcp(lcp[p], o)
-            clamp[p] = min(clamp.get(p, len(o) - 1), len(o) - 1)
-    return {p: v[:clamp[p]] for p, v in lcp.items()}
-
-
-_REJECT = object()
-_ABSENT = object()
-
-
-def _synthesize(sample, enc, out_alpha, name, bound):
-    """Deterministic one-way machine folded from the sample.
-
-    sample maps words to output tuples, or to None for words the
-    machine must reject.  Prefix-tree nodes merge into the first
-    earlier state they never contradict: output chunks must agree per
-    shared letter, and an output can never meet a rejection.  Edges no
-    defined word crosses carry no output evidence; they are left out of
-    the machine, which rejects by omission.  Returns (machine, None) or
-    (None, reason) when the fold needs more than bound states.
+    A suffix no caller asked for, because the automaton does not accept
+    it, is summarized on demand.  Summaries of words shorter than
+    keep_below are kept for the life of the object; those of longer
+    words are not, since no word the caller asks for has them as a
+    suffix.  built counts the summaries made.
     """
-    if not sample:
-        return TdttSpec(name=name, input=enc, output=out_alpha, init="s0",
-                        rules=()), None
-    positives = {w: o for w, o in sample.items() if o is not None}
-    out = _onward_prefixes(positives)
-    prefixes = {w[:j] for w in sample for j in range(len(w))}
-    prefixes = sorted(prefixes, key=lambda p: (len(p), p))
-    index = {p: i for i, p in enumerate(prefixes)}
-    edges = [dict() for _ in prefixes]
-    terms = [dict() for _ in prefixes]
-    for p, i in index.items():
-        if p:
-            chunk = out[p][len(out[p[:-1]]):] if p in out else None
-            edges[index[p[:-1]]][p[-1]] = (chunk, i)
-    for w, o in sample.items():
-        p = w[:-1]
-        terms[index[p]][w[-1]] = _REJECT if o is None else o[len(out[p]):]
-    leader = list(range(len(prefixes)))
 
-    def find(n):
-        while leader[n] != n:
-            n = leader[n]
-        return n
+    def __init__(self, att, keep_below):
+        self.table = att.rule_table
+        self.syn = att.syn
+        self.syn_set = frozenset(att.syn)
+        self.inh_set = frozenset(att.inh)
+        self.init = att.init
+        self.keep_below = keep_below
+        self.kept = {}
+        self.built = 0
 
-    def fold(a, b):
-        log = []
-        stack = [(a, b)]
-        ok = True
-        while stack and ok:
-            x, y = find(stack[-1][0]), find(stack.pop()[1])
-            if x == y:
-                continue
-            log.append(("leader", y, None))
-            leader[y] = x
-            for leaf, chunk in terms[y].items():
-                have = terms[x].get(leaf, _ABSENT)
-                if have is _ABSENT:
-                    log.append(("term", x, leaf))
-                    terms[x][leaf] = chunk
-                elif have != chunk:
-                    ok = False
-                    break
-            if not ok:
+    def of(self, w):
+        """The summary of w, made from the longest suffix of w that has
+        one, letter by letter."""
+        got, i = None, len(w)
+        for k in range(len(w)):
+            got = self.kept.get(w[k:])
+            if got is not None:
+                i = k
                 break
-            for letter, (chunk, child) in edges[y].items():
-                have = edges[x].get(letter)
-                if have is None:
-                    log.append(("edge", x, letter))
-                    edges[x][letter] = (chunk, child)
-                    continue
-                if have[0] is None and chunk is not None:
-                    log.append(("edgeval", x, letter, have))
-                    edges[x][letter] = (chunk, have[1])
-                elif chunk is not None and have[0] != chunk:
-                    ok = False
-                    break
-                stack.append((have[1], child))
-        if ok:
-            return True
-        for entry in reversed(log):
-            if entry[0] == "leader":
-                leader[entry[1]] = entry[1]
-            elif entry[0] == "term":
-                del terms[entry[1]][entry[2]]
-            elif entry[0] == "edgeval":
-                edges[entry[1]][entry[2]] = entry[3]
-            else:
-                del edges[entry[1]][entry[2]]
-        return False
+        for j in range(i - 1, -1, -1):
+            got = {a: self._cross(w[j], got, (a, 0)) for a in self.syn}
+            self.built += 1
+            if len(w) - j < self.keep_below:
+                self.kept[w[j:]] = got
+        return got
 
-    reps = []
-    for n in range(len(prefixes)):
-        if find(n) != n:
-            continue
-        for r in reps:
-            if fold(r, n):
-                break
-        else:
-            reps.append(n)
-            if len(reps) > bound:
-                return None, "the fold needs more than %d states" % bound
-    state_name = {r: "s%d" % k for k, r in enumerate(reps)}
-    rules = []
-    for r in reps:
-        for letter in sorted(edges[r]):
-            chunk, child = edges[r][letter]
-            if chunk is None:
-                continue
-            rhs = _chain(chunk, Tree(call_label(state_name[find(child)], 1)))
-            rules.append(TdttRule(state_name[r], letter, rhs))
-        for leaf in sorted(terms[r]):
-            chunk = terms[r][leaf]
-            if chunk is _REJECT:
-                continue
-            rules.append(TdttRule(state_name[r], leaf,
-                                  _chain(chunk[:-1], Tree(chunk[-1]))))
-    return TdttSpec(name=name, input=enc, output=out_alpha,
-                    init=state_name[find(0)], rules=tuple(rules)), None
+    def output(self, w):
+        """Output labels of the machine on the word, None when undefined."""
+        chunk, end, name = self._cross(ROOT, self.of(w), (self.init, 1))
+        return chunk + (name,) if end == "leaf" else None
 
-
-def _restrict_to_language(cand, aut):
-    """Product of the candidate with the word language: a leaf rule
-    survives only where the automaton accepts, and states that cannot
-    reach an accepting leaf are dropped, so the machine rejects by
-    omission everywhere outside the language."""
-    table, leaf_table = _one_way_tables(cand)
-    up = {}
-    leafst = {}
-    for r in aut.rules:
-        if r.child_states:
-            up[(r.symbol, r.child_states[0])] = r.state
-        else:
-            leafst[r.symbol] = r.state
-    states = aut.states
-    moves = {}
-    ends = {}
-    for (q, letter), (chunk, q2) in table.items():
-        moves.setdefault(q, []).append((letter, chunk, q2))
-    for (q, leaf), chunk in leaf_table.items():
-        ends.setdefault(q, []).append((leaf, chunk))
-    start = (cand.init, frozenset(aut.final))
-    order = [start]
-    seen = {start}
-    arrows = []
-    accepts = {}
-    pos = 0
-    while pos < len(order):
-        q, down = order[pos]
-        pos += 1
-        accepts[(q, down)] = [(leaf, chunk) for leaf, chunk in
-                              sorted(ends.get(q, ()))
-                              if leafst.get(leaf) in down]
-        for letter, chunk, q2 in sorted(moves.get(q, ())):
-            down2 = frozenset(l for l in states if up.get((letter, l)) in down)
-            key = (q2, down2)
-            if key not in seen:
-                seen.add(key)
-                order.append(key)
-            arrows.append(((q, down), letter, chunk, key))
-    alive = {node for node, acc in accepts.items() if acc}
-    changed = True
-    while changed:
-        changed = False
-        for src, _, _, dst in arrows:
-            if dst in alive and src not in alive:
-                alive.add(src)
-                changed = True
-    if start not in alive:
-        return TdttSpec(name=cand.name, input=cand.input, output=cand.output,
-                        init="t0", rules=())
-    name_of = {}
-    for node in order:
-        if node in alive:
-            name_of[node] = "t%d" % len(name_of)
-    rules = []
-    for node in order:
-        if node not in alive:
-            continue
-        for leaf, chunk in accepts[node]:
-            rules.append(TdttRule(name_of[node], leaf,
-                                  _chain(chunk[:-1], Tree(chunk[-1]))))
-    for src, letter, chunk, dst in arrows:
-        if src in alive and dst in alive:
-            rules.append(TdttRule(name_of[src], letter,
-                                  _chain(chunk, Tree(call_label(name_of[dst], 1)))))
-    return TdttSpec(name=cand.name, input=cand.input, output=cand.output,
-                    init=name_of[start], rules=tuple(rules))
-
-
-def _one_way_tables(t):
-    """Rule tables (state, letter) -> (chunk, next state) and
-    (state, leaf) -> chunk of a deterministic one-way machine."""
-    table = {}
-    leaf_table = {}
-    for r in t.rules:
-        labels = []
-        node = r.rhs
-        call = None
+    def _cross(self, label, below, tip):
+        """(chunk, end, name) of the walk from tip at a node labelled
+        label: ROOT for the root marker, which has no parent, else a
+        letter, below the summary of the suffix under it or None at the
+        last letter.  tip is an (attr, pos) as rule_table gives it, read
+        at this node; (a, 0) enters a synthesized a."""
+        root = label == ROOT
+        out = []
+        seen = set()
         while True:
-            info = call_info(node.label)
-            if info is not None and not node.children:
-                call = info
-                break
-            labels.append(node.label)
-            if not node.children:
-                break
-            if len(node.children) != 1:
-                raise NotApplicable("rule for %s/%s is not word shaped"
-                                    % (r.state, r.symbol))
-            node = node.children[0]
-        key = (r.state, r.symbol)
-        if key in table or key in leaf_table:
-            raise NotApplicable("one-way machine has two rules for %s/%s"
-                                % key)
-        if call is None:
-            leaf_table[key] = tuple(labels)
-        else:
-            if call[1] != 1:
-                raise NotApplicable("call into child %d on a word" % call[1])
-            table[key] = (tuple(labels), call[0])
-    return table, leaf_table
+            attr, pos = tip
+            occ = None      # the occurrence the walk goes on at, if any
+            if attr in self.syn_set:
+                if pos == 0 and not root:
+                    occ = tip
+                elif pos == 1 and below is not None:
+                    chunk, end, name = below[attr]
+                    out.extend(chunk)
+                    if end != "up":
+                        return tuple(out), end, name
+                    occ = (name, 1)
+            elif attr in self.inh_set:
+                if pos:
+                    occ = tip
+                elif not root:
+                    return tuple(out), "up", attr
+            if occ is None:
+                return tuple(out), "stuck", None
+            if occ in seen:
+                return tuple(out), "cycle", None
+            seen.add(occ)
+            chain = self.table.get((label,) + occ)
+            if chain is None:
+                return tuple(out), "stuck", None
+            emitted, tip, leaf = chain
+            out.extend(emitted)
+            if tip is None:
+                return tuple(out), "leaf", leaf
 
 
-def _run_one_way(table, leaf_table, init, word):
-    q = init
-    out = []
-    for letter in word[:-1]:
-        got = table.get((q, letter))
-        if got is None:
-            return None
-        chunk, q = got
-        out.extend(chunk)
-    got = leaf_table.get((q, word[-1]))
-    if got is None:
-        return None
-    out.extend(got)
-    return tuple(out)
+def _word_cache(tw, length, budget):
+    """({word: output labels} over every accepted word up to the length,
+    with None where the machine is undefined and _EXHAUSTED where the
+    step budget ran out; the number of suffix summaries built).
 
-
-def _dom_within(cand, aut, table, leaf_table):
-    """A word the candidate accepts outside the automaton's language, or
-    None.  Exact for all lengths: the search runs the candidate forward
-    against the sets of automaton states that still climb to a final."""
-    up = {}
-    leafst = {}
-    for r in aut.rules:
-        if r.child_states:
-            up[(r.symbol, r.child_states[0])] = r.state
-        else:
-            leafst[r.symbol] = r.state
-    states = aut.states
-    moves = {}
-    ends = {}
-    for (q, letter), (_, q2) in table.items():
-        moves.setdefault(q, []).append((letter, q2))
-    for q, leaf in leaf_table:
-        ends.setdefault(q, []).append(leaf)
-    start = (cand.init, frozenset(aut.final))
-    seen = {start}
-    stack = [(start, ())]
-    while stack:
-        (q, down), path = stack.pop()
-        for leaf in sorted(ends.get(q, ())):
-            if leafst.get(leaf) not in down:
-                return path + (leaf,)
-        for letter, q2 in sorted(moves.get(q, ())):
-            down2 = frozenset(l for l in states if up.get((letter, l)) in down)
-            key = (q2, down2)
-            if key not in seen:
-                seen.add(key)
-                stack.append((key, path + (letter,)))
-    return None
-
-
-def _verify(cand, cache, aut):
-    """None when the candidate matches the cached machine behavior on
-    every accepted word and never accepts outside the correspondence
-    language; otherwise a failure report."""
-    try:
-        table, leaf_table = _one_way_tables(cand)
-    except NotApplicable as err:
-        return {"reason": str(err)}
-    stray = _dom_within(cand, aut, table, leaf_table)
-    if stray is not None:
-        return {"reason": "candidate accepts a word outside the "
-                          "correspondence language", "word": list(stray)}
-    for w in sorted(cache):
-        want = cache[w]
-        got = _run_one_way(table, leaf_table, cand.init, w)
-        if got != want:
-            return {"reason": "candidate disagrees with the machine",
-                    "word": list(w),
-                    "machine": None if want is None else list(want),
-                    "candidate": None if got is None else list(got)}
-    return None
-
-
-def _affine_ok(outs, counts=(1, 2, 3, 4)):
-    """Can the outputs for the pump counts be written p x^n s?"""
-    base = outs[0]
-    n0 = counts[0]
-    span = counts[1] - n0
-    d, r = divmod(len(outs[1]) - len(base), span)
-    if r or d < 0:
-        return False
-    for m in range(1, len(outs)):
-        if len(outs[m]) - len(base) != d * (counts[m] - n0):
-            return False
-    if d == 0:
-        return all(o == base for o in outs)
-    for j in range(len(base) - d * n0 + 1):
-        p, x, s = base[:j], base[j:j + d], base[j + d * n0:]
-        if base != p + x * n0 + s:
+    When the machine walks on its rule table, a word of length n is
+    composed from suffix summaries if max_steps is at least width *
+    (n + 1), width the number of rules of the symbol that has the most:
+    a walk applies each rule at most once per node, at the n letters and
+    the root marker, so it cannot run out of steps, and the summaries
+    give what evaluate gives.  For a machine whose letters have rank one
+    and whose rules are those validation admits, width is at most the
+    number of attributes.  Other words and machines are evaluated one by
+    one, as _eval_word does."""
+    att = tw.att
+    covered = 0     # the longest words composed from summaries
+    if att.walks_on_table:
+        widths = Counter(sym for sym, _, _ in att.rule_table)
+        width = max(widths.values(), default=0)
+        covered = budget.max_steps // width - 1 if width else length
+    summaries = _SuffixSummaries(att, length)
+    cache = {}
+    for w, _ in accepted_words(tw.correspondence, length):
+        if len(w) > covered:
+            cache[w] = _eval_word(tw, w, budget)
             continue
-        if all(outs[m] == p + x * counts[m] + s for m in range(1, len(outs))):
-            return True
-    return False
-
-
-def _inserts_block(o1, o2):
-    """Can o2 be read as o1 with one block spliced in at some position?"""
-    d = len(o2) - len(o1)
-    if d < 0:
-        return False
-    if d == 0:
-        return o1 == o2
-    return any(o2 == o1[:j] + o2[j:j + d] + o1[j:] for j in range(len(o1) + 1))
-
-
-def _affine_family_ok(outs, counts=(1, 2, 3, 4)):
-    """Affine alignment, also accepting loops a one-way machine traverses
-    with period two (emitting per pair of letters).  Periods above two
-    can still slip through at desk scale; the verdict stays a
-    certificate about these sampled outputs."""
-    if _affine_ok(outs, counts):
-        return True
-    if len(outs) < 4:
-        return False
-    d1 = len(outs[2]) - len(outs[0])
-    d2 = len(outs[3]) - len(outs[1])
-    return d1 == d2 and _inserts_block(outs[0], outs[2]) \
-        and _inserts_block(outs[1], outs[3])
-
-
-def _drifts_apart(row1, row2):
-    """True when both output families grow with the pump count while
-    their common prefix stays fixed; no shared p x^n can front both."""
-    lcps = [len(_lcp(a, b)) for a, b in zip(row1, row2)]
-    if len(set(lcps)) != 1:
-        return False
-    for row in (row1, row2):
-        slack = [len(o) - lcps[0] for o in row]
-        if any(b <= a for a, b in zip(slack, slack[1:])):
-            return False
-    return True
-
-
-def _pump_search(cache, budget):
-    """A pump certificate refuting one-way realizability from the cached
-    outputs, or None.  Deterministic: loops, prefixes and suffixes are
-    scanned in sorted order."""
-    counts = budget.pump_counts
-    defined = {w: o for w, o in cache.items() if o is not None}
-    if not defined:
-        return None
-    letters = sorted({c for w in cache for c in w[:-1]})
-    suffixes = sorted({w[-j:] for w in defined
-                       for j in range(1, min(len(w), budget.pump_suffix_length) + 1)})
-    examined = 0
-    for u in [()] + [(c,) for c in letters]:
-        for a in letters:
-            loop = (a,)
-            rows = {}
-            for v in suffixes:
-                examined += 1
-                if examined > budget.max_pump_candidates:
-                    return None
-                outs = [defined.get(u + loop * n + v) for n in counts]
-                if any(o is None for o in outs):
-                    continue
-                if not _affine_family_ok(tuple(outs), counts):
-                    return PumpCertificate("affine", u, loop, (v,), counts,
-                                           (tuple(outs),))
-                rows[v] = tuple(outs)
-            vs = sorted(rows)
-            for i in range(len(vs)):
-                for j in range(i + 1, len(vs)):
-                    examined += 1
-                    if examined > budget.max_pump_candidates:
-                        return None
-                    if _drifts_apart(rows[vs[i]], rows[vs[j]]):
-                        return PumpCertificate("shared_prefix", u, loop,
-                                               (vs[i], vs[j]), counts,
-                                               (rows[vs[i]], rows[vs[j]]))
-    return None
+        got = summaries.output(w)
+        if got is not None:
+            _check_lsi(att, len(w), len(got), lambda: tree_of(w).render())
+        cache[w] = got
+    return cache, summaries.built
 
 
 def one_way_definability(tw, budget=None):
     """Decide at desk scale whether the two-way machine has a one-way
     equivalent.
 
-    All accepted words up to a length the word budget affords are
-    evaluated once.  A candidate folded from the defined words must then
-    match that cache exactly and must never accept outside the
-    correspondence language (checked against the automaton, all
-    lengths); success is Definable with the exhausted length.  Failing
-    that, a replayable pump certificate gives NotDefinable.  Everything
-    else is Unknown with a report.  The result is a pure function of the
-    machine and the budget.
+    All accepted words up to a length the word budget affords, and at
+    most verify_length, are evaluated once (_word_cache).  A candidate
+    folded from the defined words must then match that cache exactly and
+    must never accept outside the correspondence language (checked
+    against the automaton, all lengths); success is Definable with
+    verify_length, or Unknown naming the length reached when the word
+    budget stopped short of it.  Failing that, a replayable pump
+    certificate gives NotDefinable.  Everything else is Unknown with a
+    report.  The result is a pure function of the machine and the
+    budget.
     """
     budget = DefinabilityBudget.coerce(budget)
     report = {"budget": asdict(budget)}
@@ -937,40 +626,42 @@ def one_way_definability(tw, budget=None):
     if cache_length == 0:
         report["reason"] = "word budget too small for any length"
         return Unknown(report)
-    step_budget = StepBudget(max_steps=budget.max_steps)
-    cache = {}
-    exhausted = 0
-    for w, _ in accepted_words(aut, cache_length):
-        got = _eval_word(tw, w, step_budget)
-        if got is _EXHAUSTED:
-            exhausted += 1
-            got = None
-        cache[w] = got
+    cache, summaries = _word_cache(tw, cache_length,
+                                   StepBudget(max_steps=budget.max_steps))
+    exhausted = [w for w, o in cache.items() if o is _EXHAUSTED]
+    for w in exhausted:
+        cache[w] = None
     report["words"] = len(cache)
+    report["summaries"] = summaries
     report["cache_length"] = cache_length
     if exhausted:
-        report["budget_exhausted_words"] = exhausted
+        report["budget_exhausted_words"] = len(exhausted)
     failures = []
     sample_lengths = sorted({min(budget.sample_length, cache_length),
                              cache_length})
     for length in sample_lengths:
         sample = {w: o for w, o in cache.items() if len(w) <= length}
-        cand, why = _synthesize(sample, aut.input, tw.att.output,
+        cand, why = synthesize(sample, aut.input, tw.att.output,
                                 tw.name + "_1way", budget.state_bound)
         if cand is None:
             failures.append({"sample_length": length, "reason": why})
             continue
-        cand = _restrict_to_language(cand, aut)
-        failure = _verify(cand, cache, aut)
+        cand = restrict_to_language(cand, aut)
+        failure = verify(cand, cache, aut)
         if failure is None:
             if exhausted:
                 report["reason"] = "evaluation budget ran out on some words"
+                return Unknown(report)
+            if cache_length < budget.verify_length:
+                report["reason"] = ("word budget reached length %d of the "
+                                    "requested %d" % (cache_length,
+                                                      budget.verify_length))
                 return Unknown(report)
             return Definable(cand, cache_length, report)
         failure["sample_length"] = length
         failures.append(failure)
     report["synthesis"] = failures
-    cert = _pump_search(cache, budget)
+    cert = pump_search(cache, budget)
     if cert is not None:
         return NotDefinable(cert)
     report["reason"] = "no candidate verified and no pump refutation found"
@@ -993,9 +684,9 @@ def replay_certificate(tw, cert):
     if tuple(rows) != tuple(cert.outputs):
         return False
     if cert.kind == "affine":
-        return not _affine_family_ok(rows[0], tuple(cert.counts))
+        return not affine_family_ok(rows[0], tuple(cert.counts))
     if cert.kind == "shared_prefix":
-        return len(rows) == 2 and _drifts_apart(rows[0], rows[1])
+        return len(rows) == 2 and drifts_apart(rows[0], rows[1])
     return False
 
 

@@ -2,12 +2,15 @@
 
 evaluate and enumerate_outputs run deterministic atts with monadic output
 on the spec's rule table; _run_att and _enumerate_att rewrite sentential
-forms and stay the reference.  local_run reads the same table and is
-checked against its rules_for form, kept here as the reference.
+forms and stay the reference.  Top-down transducers whose right-hand
+sides are chains walk their own table in run_tdtt and _enumerate_tdtt,
+against _rewrite_tdtt and _search_tdtt.  local_run reads the att table
+and is checked against its rules_for form, kept here as the reference.
 """
 
 import itertools
 import random
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -15,12 +18,17 @@ from hypothesis import given, settings, strategies as st
 from ttdef.analysis import HALT_DEAD, HALT_OK, LocalResult, local_run
 from ttdef.constructions import associate
 from ttdef.errors import NotApplicable
-from ttdef.model import (ROOT, AttRule, AttSpec, occ_pattern,
-                         occ_pattern_info, parse_spec)
+from ttdef.functionality import Equal, bounded_equivalence
+from ttdef.model import (ROOT, AttRule, AttSpec, TdttRule, TdttSpec,
+                         call_label, occ_pattern, occ_pattern_info,
+                         parse_all, parse_spec)
+from ttdef.pipeline import decide_dtR
 from ttdef import semantics
-from ttdef.semantics import (LSI_VIOLATIONS, NoOutput, StepBudget,
-                             _enumerate_att, _run_att, _walk_table,
-                             enumerate_outputs, evaluate)
+from ttdef.semantics import (LSI_VIOLATIONS, NoOutput, Output, Reject,
+                             StepBudget, _enumerate_att, _rewrite_tdtt,
+                             _run_att, _search_tdtt, _walk_table,
+                             enumerate_outputs, evaluate, run_relabeling,
+                             run_tdtt)
 from ttdef.trees import RankedAlphabet, Tree, trees_up_to_height
 from ttdef.word_transducers import accepted_words, build_two_way, tree_of
 
@@ -150,9 +158,10 @@ def test_compiled_walk_matches_derivation_off_spec():
 def test_compiled_outputs_get_the_size_check(monkeypatch):
     checked = []
     monkeypatch.setattr(semantics, "_check_lsi",
-                        lambda a, s, out: checked.append(out))
-    got = evaluate(fixtures.a2(), Tree("f", [Tree("e"), Tree("d")]))
-    assert checked == [got.tree]
+                        lambda a, n, size, render: checked.append((n, size)))
+    s = Tree("f", [Tree("e"), Tree("d")])
+    got = evaluate(fixtures.a2(), s)
+    assert checked == [(s.size, got.tree.size)]
 
 
 @pytest.mark.parametrize("make", [fixtures.a2, fixtures.rev])
@@ -179,6 +188,97 @@ def test_walks_off_the_table_keep_the_derivation():
     assert not wide.walks_on_table
     got = evaluate(wide, Tree("f", [Tree("e")]))
     assert got.tree.render() == "m(e,e)"
+
+
+# ---------------------------------------------------------------------------
+# top-down transducers on their table
+
+def same_tdtt_as_reference(t, s, budget):
+    assert t.walks_on_table
+    assert run_tdtt(t, s, budget) == _rewrite_tdtt(t, s, budget, False)[0], \
+        s.render()
+    assert enumerate_outputs(t, s, budget) == _search_tdtt(t, s, budget), \
+        s.render()
+
+
+@st.composite
+def tdtts(draw):
+    """Deterministic top-down transducers over IN whose right-hand sides
+    are chains.  Rules go missing at random, and calls may name a child
+    the symbol does not have (x0, x2 under g, any under e)."""
+    states = tuple("q%d" % i for i in range(draw(st.integers(1, 3))))
+    tips = [Tree("c")] + [Tree(call_label(q, i)) for q in states
+                          for i in range(3)]
+    rules = []
+    for q in states:
+        for sym in IN.symbols():
+            if draw(st.integers(0, 4)):
+                t = draw(st.sampled_from(tips))
+                for label in draw(st.sampled_from([(), ("h",), ("k", "h")])):
+                    t = Tree(label, [t])
+                rules.append(TdttRule(q, sym, t))
+    return TdttSpec(name="T", input=IN, output=OUT,
+                    init=draw(st.sampled_from(states)), rules=tuple(rules))
+
+
+@settings(max_examples=200, deadline=None)
+@given(tdtts(), trees(4), budgets)
+def test_table_walk_matches_rewriting_on_random_tdtts(t, s, budget):
+    same_tdtt_as_reference(t, s, budget)
+
+
+@pytest.fixture(scope="module")
+def a2_dtr(tmp_path_factory):
+    """A2's dtR as the pipeline writes it, reloaded from disk."""
+    outdir = tmp_path_factory.mktemp("a2")
+    report = decide_dtR(fixtures.a2(), {"equivalence_depth": 4,
+                                        "verify_word_length": 5},
+                        outdir=outdir)
+    path = Path(report.answer.spec_path)
+    return parse_all(path.read_text())[-1]
+
+
+def test_table_walk_matches_rewriting_on_the_a2_dtr(a2_dtr):
+    t = a2_dtr.second
+    budgets = [StepBudget(max_steps=m, max_enumeration=e)
+               for m in range(1, 7) for e in range(1, 7)] + [StepBudget()]
+    kinds = set()
+    for s in trees_up_to_height(a2_dtr.input_alphabet, 3):
+        got = run_relabeling(a2_dtr.first, s)
+        assert not isinstance(got, Reject)
+        for budget in budgets:
+            same_tdtt_as_reference(t, got[1], budget)
+            kinds.add(type(run_tdtt(t, got[1], budget)).__name__)
+        assert run_tdtt(a2_dtr, s) == evaluate(a2_dtr, s)
+    assert kinds == {"Output", "BudgetExhausted"}
+
+
+def test_bounded_equivalence_walks_the_dtr_on_its_table(a2_dtr, monkeypatch):
+    calls = []
+    rewrite = semantics._tdtt_successors
+    monkeypatch.setattr(semantics, "_tdtt_successors",
+                        lambda *args: calls.append(args) or rewrite(*args))
+    assert bounded_equivalence(fixtures.a2(), a2_dtr, 4) == Equal(4)
+    assert calls == []
+
+
+def test_tdtts_off_the_table_keep_the_rewriting():
+    """A right-hand side with two calls, and a state with two rules for
+    one symbol, leave string forms in charge."""
+    pair = TdttSpec(name="P", input=IN, output=RankedAlphabet({"m": 2, "c": 0}),
+                    init="q", rules=(
+                        TdttRule("q", "g", Tree("m", [Tree(call_label("q", 1)),
+                                                      Tree(call_label("q", 1))])),
+                        TdttRule("q", "e", Tree("c"))))
+    assert pair.deterministic and not pair.walks_on_table
+    assert run_tdtt(pair, Tree("g", [Tree("e")])) == \
+        Output(Tree("m", [Tree("c"), Tree("c")]))
+    both = TdttSpec(name="B", input=IN, output=OUT, init="q", rules=(
+        TdttRule("q", "e", Tree("c")),
+        TdttRule("q", "e", Tree("h", [Tree("c")]))))
+    assert not both.deterministic and not both.walks_on_table
+    assert enumerate_outputs(both, Tree("e")) == (
+        {Tree("c"), Tree("h", [Tree("c")])}, True)
 
 
 # ---------------------------------------------------------------------------

@@ -1,0 +1,357 @@
+"""The oracle's word cache, composed from suffix summaries, against the
+walk from scratch it replaces.
+
+_word_cache summarizes how each suffix of a word crosses its first
+letter and reads the word's output off the summary at the root marker;
+_eval_word walks every word on its own and stays the reference.  Words
+the step budget does not cover, and machines that do not walk on their
+rule table, take the reference route inside _word_cache too.
+"""
+
+import functools
+from pathlib import Path
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from ttdef import word_transducers
+from ttdef.constructions import (associate, normalize_domain_into_range,
+                                 normalize_ground_rhs)
+from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
+                         RelabelingSpec, occ_pattern, parse_spec)
+from ttdef.semantics import LSI_VIOLATIONS, StepBudget
+from ttdef.trees import RankedAlphabet, Tree
+from ttdef.word_transducers import (Definable, DefinabilityBudget,
+                                    NotDefinable, TwoWayWord, Unknown,
+                                    _eval_word, _word_cache, accepted_words,
+                                    build_two_way, one_way_definability)
+
+import fixtures
+
+LETTERS = RankedAlphabet({"g": 1, "h": 1, "e": 0, "d": 0})
+OUT = RankedAlphabet({"u": 1, "v": 1, "c": 0})
+STATES = ("p0", "p1", "p2")
+SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
+
+
+def caches_agree(tw, length, budget):
+    """The summary-built cache equals the word-by-word one, and both
+    routes record the same linear-size-increase violations.  Returns
+    the number of summaries built."""
+    mark = len(LSI_VIOLATIONS)
+    try:
+        got, built = _word_cache(tw, length, budget)
+        got_lsi = LSI_VIOLATIONS[mark:]
+        del LSI_VIOLATIONS[mark:]
+        want = {w: _eval_word(tw, w, budget)
+                for w, _ in accepted_words(tw.correspondence, length)}
+        assert got == want
+        assert list(got) == list(want)
+        assert LSI_VIOLATIONS[mark:] == got_lsi
+    finally:
+        del LSI_VIOLATIONS[mark:]
+    return built
+
+
+# ---------------------------------------------------------------------------
+# random word machines
+
+@st.composite
+def rhs_at(draw, tips, quiet):
+    t = Tree(draw(st.sampled_from(tips)))
+    if not quiet:
+        for label in draw(st.sampled_from([(), ("u",), ("v", "u")])):
+            t = Tree(label, [t])
+    return t
+
+
+@st.composite
+def automata(draw):
+    """Word automata over LETTERS with missing moves and, often,
+    non-final states."""
+    moves = []
+    for sym, k in LETTERS.items():
+        for child in ([()] if k == 0 else [(p,) for p in STATES]):
+            if draw(st.integers(0, 7)):
+                moves.append(RelabelingRule(sym, child,
+                                            draw(st.sampled_from(STATES)), sym))
+    final = tuple(draw(st.lists(st.sampled_from(STATES), min_size=1,
+                                unique=True)))
+    return RelabelingSpec("W_corr", LETTERS, LETTERS, final, tuple(moves))
+
+
+@st.composite
+def word_machines(draw):
+    """Deterministic word atts with a correspondence automaton whose
+    non-final states leave suffixes the cache never asks for.
+
+    Rules go missing at random, so walks stick; cycles through the root
+    marker and between letters come up often, silent in quiet machines,
+    which emit only their output leaf.  A wide machine also reads
+    synthesized occurrences at the node itself or past its one child,
+    and inherited ones at child 2, and has synthesized rules at the root
+    marker, which validation refuses: its walks visit more occurrences
+    per node than it has attributes."""
+    syn = tuple("a%d" % i for i in range(draw(st.integers(1, 3))))
+    inh = tuple("b%d" % i for i in range(draw(st.integers(0, 3))))
+    wide = draw(st.booleans())
+    quiet = draw(st.booleans())
+    spots = (0, 1, 2) if wide else None
+    tips = ["c"]
+    tips += [occ_pattern(a, j) for a in syn for j in spots or (1,)]
+    tips += [occ_pattern(b, j) for b in inh for j in spots or (0,)]
+    rules = {}
+    for sym, k in list(LETTERS.items()) + [(ROOT, 1)]:
+        lhs = [(b, j) for b in inh for j in ((1, 2) if wide else range(1, k + 1))]
+        if sym != ROOT or wide:
+            lhs = [(a, 0) for a in syn] + lhs
+        rules[sym] = tuple(AttRule(attr, pos, draw(rhs_at(tips, quiet)))
+                           for attr, pos in lhs if draw(st.integers(0, 7)))
+    att = AttSpec(name="W", input=LETTERS, output=OUT, syn=syn, inh=inh,
+                  init=draw(st.sampled_from(syn)), rules=rules)
+    return TwoWayWord("W", att, draw(automata()))
+
+
+# max_steps from 1 upward: short budgets leave the longer words to the
+# reference route, and some of those run out of steps
+budgets = st.builds(StepBudget, max_steps=st.integers(1, 40)) | st.just(
+    StepBudget(max_steps=10000))
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_machines(), st.integers(1, 5), budgets)
+def test_summaries_match_the_walk_on_random_machines(tw, length, budget):
+    assert tw.att.walks_on_table
+    caches_agree(tw, length, budget)
+
+
+@pytest.fixture(scope="module")
+def a2_walk():
+    return build_two_way(associate(fixtures.a2()))
+
+
+def test_both_routes_run_inside_one_cache(a2_walk):
+    """A2's two-way machine has at most 9 rules per letter, so 27 steps
+    cover words of length 2 and leave length 3 to the reference route."""
+    tw = a2_walk
+    counts = [len(w) for w, _ in accepted_words(tw.correspondence, 3)]
+    built = caches_agree(tw, 3, StepBudget(max_steps=27))
+    assert built == counts.count(1) + counts.count(2)
+    assert caches_agree(tw, 3, StepBudget(max_steps=1)) == 0
+
+
+def test_a_wide_machine_outgrows_the_size_bound_on_both_routes():
+    """On the word e this machine applies five rules, one more than its
+    attributes times its nodes (the root marker and e), so 4 steps run
+    out; up to 5 steps the word is left to the reference route, which
+    the widest symbol's 3 rules times 2 nodes decide.  Its output of
+    size 6 breaks the linear bound 2 * 2 * 1, on both routes alike."""
+    def chain(tip):
+        return Tree("u", [Tree(tip)])
+    a = AttSpec(name="WIDE", input=RankedAlphabet({"e": 0}), output=OUT,
+                syn=("a",), inh=("b",), init="a", rules={
+                    "e": (AttRule("a", 0, chain(occ_pattern("b", 1))),
+                          AttRule("b", 1, chain(occ_pattern("b", 2))),
+                          AttRule("b", 2, chain(occ_pattern("b", 0)))),
+                    ROOT: (AttRule("b", 1, chain(occ_pattern("b", 2))),
+                           AttRule("b", 2, chain("c")))})
+    corr = RelabelingSpec("e_only", a.input, a.input, ("ok",),
+                          (RelabelingRule("e", (), "ok", "e"),))
+    tw = TwoWayWord("wide_w", a, corr)
+    seen = {}
+    for steps in range(1, 9):
+        built = caches_agree(tw, 1, StepBudget(max_steps=steps))
+        seen[steps] = (built, _eval_word(tw, ("e",), StepBudget(steps)))
+    assert [built for built, _ in seen.values()] == [0] * 5 + [1] * 3
+    assert seen[4][1] is word_transducers._EXHAUSTED
+    assert seen[5][1] == ("u",) * 5 + ("c",)
+    mark = len(LSI_VIOLATIONS)
+    try:
+        _word_cache(tw, 1, StepBudget())
+        assert LSI_VIOLATIONS[mark:] == [{"att": "WIDE", "input": "e",
+                                          "output_size": 6, "bound": 4}]
+    finally:
+        del LSI_VIOLATIONS[mark:]
+
+
+def test_the_root_marker_has_no_synthesized_occurrence():
+    """b climbs to the root marker and asks for a there; the marker has
+    no node of its own for it, so both routes stick, rule or no rule."""
+    a = AttSpec(name="OFF", input=RankedAlphabet({"g": 1, "e": 0}),
+                output=OUT, syn=("a",), inh=("b",), init="a", rules={
+                    "g": (AttRule("a", 0, Tree(occ_pattern("a", 1))),
+                          AttRule("b", 1, Tree(occ_pattern("b", 0)))),
+                    "e": (AttRule("a", 0, Tree(occ_pattern("b", 0))),),
+                    ROOT: (AttRule("b", 1, Tree("u", [Tree(occ_pattern("a", 0))])),
+                           AttRule("a", 0, Tree("c")))})
+    corr = RelabelingSpec("all", a.input, a.input, ("ok",), (
+        RelabelingRule("e", (), "ok", "e"),
+        RelabelingRule("g", ("ok",), "ok", "g")))
+    tw = TwoWayWord("off_w", a, corr)
+    assert caches_agree(tw, 3, StepBudget()) == 3
+    assert _word_cache(tw, 3, StepBudget())[0] == {
+        ("e",): None, ("g", "e"): None, ("g", "g", "e"): None}
+
+
+def test_non_final_suffixes_are_summarized_on_demand():
+    """Only words of odd length are accepted, so every other suffix is
+    one the cache never lists."""
+    idw = parse_spec(IDW_TEXT)
+    moves = (RelabelingRule("e", (), "odd", "e"),
+             RelabelingRule("g", ("odd",), "even", "g"),
+             RelabelingRule("g", ("even",), "odd", "g"))
+    corr = RelabelingSpec("parity", idw.input, idw.input, ("odd",), moves)
+    tw = TwoWayWord("odd_w", idw, corr)
+    assert caches_agree(tw, 7, StepBudget()) == 7
+    got = one_way_definability(tw, DefinabilityBudget(verify_length=7))
+    assert isinstance(got, Definable)
+    assert (got.report["words"], got.report["summaries"]) == (4, 7)
+
+
+def test_a_long_run_of_unaccepted_suffixes():
+    """Only g^1500 e is accepted, so its first summary is made from 1501
+    suffixes nobody asked for."""
+    idw = parse_spec(IDW_TEXT)
+    n = 1500
+    moves = [RelabelingRule("e", (), "c0", "e")]
+    moves += [RelabelingRule("g", ("c%d" % k,), "c%d" % (k + 1), "g")
+              for k in range(n)]
+    corr = RelabelingSpec("far", idw.input, idw.input, ("c%d" % n,),
+                          tuple(moves))
+    tw = TwoWayWord("far_w", idw, corr)
+    word = ("g",) * n + ("e",)
+    assert caches_agree(tw, n + 1, StepBudget()) == n + 1
+    assert _word_cache(tw, n + 1, StepBudget())[0] == {word: word}
+
+
+def test_machines_off_the_table_take_the_reference_route():
+    """Two rules for a at e, both ending in output e."""
+    nd = parse_spec(IDW_TEXT.replace("syn a\n", "syn a\ninh b\n") + """\
+rule e: a(pi) -> b(pi)
+rule g: b(pi 1) -> b(pi)
+rule #: b(pi 1) -> e
+""")
+    corr = RelabelingSpec("all", nd.input, nd.input, ("ok",), (
+        RelabelingRule("e", (), "ok", "e"),
+        RelabelingRule("g", ("ok",), "ok", "g")))
+    tw = TwoWayWord("nd_w", nd, corr)
+    assert not tw.att.walks_on_table
+    assert caches_agree(tw, 4, StepBudget()) == 0
+    assert _eval_word(tw, ("g", "g", "e")) == ("g", "g", "e")
+
+
+IDW_TEXT = """\
+att IDW
+input g:1 e:0
+output g:1 e:0
+syn a
+init a
+rule g: a(pi) -> g(a(pi 1))
+rule e: a(pi) -> e
+"""
+
+
+# ---------------------------------------------------------------------------
+# the benchmark's machines at its word lengths
+
+@functools.cache
+def bench_two_way(name):
+    spec = parse_spec((SPECS / ("%s.att" % name)).read_text())
+    if isinstance(spec, PairedSpec):
+        spec = normalize_domain_into_range(spec.first, spec.second).second
+    return build_two_way(associate(normalize_ground_rhs(spec)))
+
+
+@pytest.mark.parametrize("name, length", [
+    ("a2", 5), ("lme", 2), ("rev", 10), ("copy", 10), ("half", 10),
+    ("idw", 10)])
+def test_summaries_match_the_walk_on_the_bench_machines(name, length):
+    tw = bench_two_way(name)
+    words = sum(1 for _ in accepted_words(tw.correspondence, length))
+    assert caches_agree(tw, length, StepBudget(max_steps=10000)) >= words
+
+
+# ---------------------------------------------------------------------------
+# work counts and the horizon
+
+def test_the_a2_oracle_walks_no_cache_word_from_scratch(a2_walk,
+                                                       monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def run(*args, **kwargs):
+            calls.append(fn.__name__)
+            return fn(*args, **kwargs)
+        return run
+    for name in ("evaluate", "enumerate_outputs"):
+        monkeypatch.setattr(word_transducers, name,
+                            counted(getattr(word_transducers, name)))
+    got = one_way_definability(a2_walk, DefinabilityBudget(verify_length=5))
+    assert isinstance(got, Definable) and got.verified_length == 5
+    assert calls == []
+    assert (got.report["words"], got.report["summaries"]) == (9362, 9362)
+
+
+def test_a_short_word_budget_is_unknown(a2_walk):
+    """200 words reach length 3; the candidate the fold finds there
+    matches the cache, but 5 was asked for."""
+    got = one_way_definability(
+        a2_walk, DefinabilityBudget(verify_length=5, max_words=200))
+    assert isinstance(got, Unknown)
+    assert got.report["cache_length"] == 3
+    assert got.report["reason"] == \
+        "word budget reached length 3 of the requested 5"
+
+
+def test_a_pump_refutation_at_a_short_length_stands():
+    """Reversal looks one-way on the words up to length 4, and is
+    refuted by a pump certificate from the words up to length 7."""
+    tw = build_two_way(associate(fixtures.rev()))
+    short = one_way_definability(tw, DefinabilityBudget(max_words=20))
+    assert isinstance(short, Unknown)
+    assert short.report["reason"] == \
+        "word budget reached length 4 of the requested 10"
+    got = one_way_definability(tw, DefinabilityBudget(max_words=130))
+    assert isinstance(got, NotDefinable)
+
+
+# ---------------------------------------------------------------------------
+# accepted_words against the loop it replaced
+
+def reference_accepted_words(aut, max_length):
+    up = {}
+    for r in aut.rules:
+        if len(r.child_states) == 1:
+            up[(r.symbol, r.child_states[0])] = r.state
+    letters = sorted({c for c, _ in up})
+    level = sorted(((r.symbol,), r.state)
+                   for r in aut.rules if not r.child_states)
+    length = 1
+    while length <= max_length and level:
+        for w, state in level:
+            if state in aut.final:
+                yield w, state
+        nxt = []
+        for c in letters:
+            for w, state in level:
+                state2 = up.get((c, state))
+                if state2 is not None:
+                    nxt.append(((c,) + w, state2))
+        nxt.sort()
+        level = nxt
+        length += 1
+
+
+@pytest.mark.parametrize("name, length", [("a2", 5), ("lme", 2),
+                                          ("rev", 10)])
+def test_accepted_words_keeps_its_order(name, length):
+    aut = bench_two_way(name).correspondence
+    assert list(accepted_words(aut, length)) == \
+        list(reference_accepted_words(aut, length))
+
+
+@settings(max_examples=100, deadline=None)
+@given(automata(), st.integers(0, 6))
+def test_accepted_words_keeps_its_order_on_random_automata(aut, length):
+    assert list(accepted_words(aut, length)) == \
+        list(reference_accepted_words(aut, length))

@@ -77,7 +77,8 @@ def tw2(assoc2):
 
 @pytest.fixture(scope="module")
 def verdict2(tw2):
-    return one_way_definability(tw2, DefinabilityBudget(max_words=12000))
+    return one_way_definability(
+        tw2, DefinabilityBudget(verify_length=5, max_words=12000))
 
 
 @pytest.fixture(scope="module")
@@ -347,7 +348,8 @@ def test_oracle_finds_a_one_way_equivalent(verdict2):
     cand = verdict2.transducer
     assert cand.deterministic
     assert len(cand.states) <= 16
-    assert set(verdict2.report) == {"budget", "words", "cache_length"}
+    assert set(verdict2.report) == {"budget", "words", "summaries",
+                                    "cache_length"}
     assert verdict2.report["cache_length"] == 5
 
 
@@ -367,7 +369,8 @@ def test_oracle_candidate_rejects_stray_words(tw2, verdict2):
 
 
 def test_oracle_is_a_pure_function_of_machine_and_budget(tw2, verdict2):
-    again = one_way_definability(tw2, DefinabilityBudget(max_words=12000))
+    again = one_way_definability(
+        tw2, DefinabilityBudget(verify_length=5, max_words=12000))
     assert isinstance(again, Definable)
     assert again.verified_length == verdict2.verified_length
     assert again.transducer == verdict2.transducer
