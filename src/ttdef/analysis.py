@@ -35,7 +35,7 @@ decision from 13 to 21 MB.
 import itertools
 from dataclasses import dataclass
 
-from .errors import NotApplicable, UnknownAttribute
+from .errors import NotApplicable
 from .model import ROOT, check_monadic, occ_pattern_info
 from .trees import (HOLE, Tree, explore_bottom_up, fill_holes,
                     settle_representatives)
@@ -156,17 +156,6 @@ def _theta_step(att, sigma, child_thetas):
 
 def _theta_key(theta):
     return tuple(sorted((a, tuple(sorted(bs))) for a, bs in theta.items() if bs))
-
-
-def compute_isd(a, s):
-    """All pairs (b, a') such that, from a'(eps) on the bare tree s, some
-    derivation reaches a form containing b(eps)."""
-    def theta_of(t):
-        children = [theta_of(c) for c in t.children]
-        return _theta_step(a, t.label, children)
-
-    theta = theta_of(s)
-    return frozenset((b, syn) for syn, bs in theta.items() for b in bs)
 
 
 def all_isds(a):
@@ -746,17 +735,6 @@ class VariationVerdict:
     witness: PumpWitness = None
 
 
-def _check_psi(att, psi):
-    pairs = []
-    for b, a in psi:
-        if not att.is_inh(b):
-            raise UnknownAttribute("not an inherited attribute: %r" % (b,))
-        if not att.is_syn(a):
-            raise UnknownAttribute("not a synthesized attribute: %r" % (a,))
-        pairs.append((b, a))
-    return frozenset(pairs)
-
-
 def _variation_core(att, growth, psi):
     shapes = growth.shapes
     entries = {a for _, a in psi}
@@ -808,17 +786,6 @@ def _bare_nf_size(att, shapes, t, entry):
     return lens[entry] + 1
 
 
-def variation(a, psi):
-    """Boundedness of the output chunks attributable to one visiting pair
-    set, with the exact height cap when bounded and a pump witness when
-    not."""
-    _require_walkable(a)
-    psi = _check_psi(a, psi)
-    shapes = Shapes(a)
-    growth = _Growth(a, shapes)
-    return _variation_core(a, growth, psi)
-
-
 # ---------------------------------------------------------------------------
 # visiting pair sets, kappa, single path
 
@@ -827,14 +794,6 @@ def _family(sys):
     if sys.has_unvisited:
         family.add(frozenset())
     return family
-
-
-def visiting_pair_sets(a):
-    """The family of visiting pair sets realized at some node of some input
-    in the domain."""
-    _require_walkable(a)
-    shapes = Shapes(a)
-    return _family(TopDown(a, shapes, _root_configs(a, shapes)))
 
 
 def kappa(a):
@@ -846,8 +805,7 @@ def kappa(a):
 
 def variations(a):
     """The VariationVerdict of every visiting pair set, keyed by the set.
-    Computed once per spec, together with single_path; variation and
-    visiting_pair_sets reach the same verdicts on their own."""
+    Computed once per spec, together with single_path."""
     _require_walkable(a)
     return a.walk_analysis[2]
 

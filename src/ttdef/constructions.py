@@ -17,9 +17,9 @@ from .model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
                     RelabelingSpec, TdttRule, TdttSpec, call_info, call_label,
                     fresh_name, is_occurrence, mangle_literal, mangle_parts,
                     occ_node, occ_node_info, occ_pattern, occ_pattern_info)
-from .semantics import Reject, evaluate, nf, run_relabeling
+from .semantics import nf
 from .trees import (RankedAlphabet, Tree, explore_bottom_up,
-                    settle_representatives, trees_up_to_height)
+                    settle_representatives)
 
 
 # ---------------------------------------------------------------------------
@@ -240,45 +240,6 @@ def associate(a):
                           states={name: PrecomputeState(fs)
                                   for fs, name in names.items()},
                           representatives=reps, kappa=cap)
-
-
-# ---------------------------------------------------------------------------
-# string-likeness of a relabeling + att pair
-
-def _off_path(nodes):
-    seq = sorted(nodes, key=lambda v: (len(v), v))
-    for i, u in enumerate(seq):
-        for v in seq[i + 1:]:
-            if v[:len(u)] != u:
-                return u, v
-    return None
-
-
-def string_like_check(h, depth):
-    """Whether the reduced att only processes nodes of one root-to-leaf
-    path, simulated on every input of height at most depth.
-
-    Returns (ok, violations); a violation is (input tree, address,
-    address) with two processed addresses that are prefix-incomparable.
-    """
-    violations = []
-    for s in trees_up_to_height(h.relabeling.input, depth):
-        got = run_relabeling(h.relabeling, s)
-        if isinstance(got, Reject) or got[0] not in h.relabeling.final:
-            continue
-        _, trace = evaluate(h.att, got[1], want_trace=True)
-        nodes = set()
-        for entry in trace.entries:
-            for _, node in entry.form.addresses():
-                if node.children or not is_occurrence(node.label):
-                    continue
-                info = occ_node_info(node.label)
-                if info is not None and info[1][:1] == (1,):
-                    nodes.add(info[1][1:])
-        bad = _off_path(nodes)
-        if bad is not None:
-            violations.append((s, bad[0], bad[1]))
-    return not violations, violations
 
 
 # ---------------------------------------------------------------------------

@@ -334,13 +334,6 @@ class AnnotatedAlphabet:
         return [tuple(sorted(i for i in combo if i is not None))
                 for combo in itertools.product(*[[None] + g for g in groups])]
 
-    def count_for(self, symbol):
-        """Number of valid picks at the symbol for one copy."""
-        n = 1
-        for g in _choice_groups(self.att.rules_at(symbol)):
-            n *= 1 + len(g)
-        return n
-
     def name_of(self, symbol, picks1, picks2):
         return mangle_parts(mangle_parts(symbol, (_render_picks(picks1),)),
                             (_render_picks(picks2),))

@@ -2,9 +2,10 @@
 
 One line-oriented format covers every machine kind, keyed by a header line
 (att / dt / relabeling / pair). A file may hold several declarations; pair
-lines reference earlier declarations in the same text by name. parse_spec
-returns the last declaration, parse_all returns all of them, and
-render_spec inverts parse_spec on every validated declaration.
+lines reference earlier declarations in the same text by name. parse_all
+returns all of them, fully validated, and raises a subclass of TtdefError
+with a byte offset on every malformed input; render_spec inverts it on
+every validated declaration, which comes last in the rendered text.
 
 Attribute occurrences inside rule right-hand sides and sentential forms are
 stored as ordinary tree leaves whose label carries the position, e.g.
@@ -492,13 +493,6 @@ def _line_tokens(text):
         off += len(ln) + 1
 
 
-def line_of_offset(text, offset):
-    """1-based line number containing a byte offset (for diagnostics)."""
-    if offset is None:
-        return None
-    return text.count("\n", 0, min(offset, len(text))) + 1
-
-
 _BODY_KEYS = ("input", "output", "syn", "inh", "init", "final", "rule")
 
 
@@ -546,13 +540,6 @@ def parse_all(text):
     if not decls:
         raise SpecSyntaxError("no declarations found", 0)
     return decls
-
-
-def parse_spec(text):
-    """Parse the text and return its last declaration (pairs see earlier
-    declarations by name). Raises a subclass of TtdefError with a byte
-    offset on every malformed input."""
-    return parse_all(text)[-1]
 
 
 def _expect(toks, pos, kind, what):
@@ -690,6 +677,10 @@ def _validate_att_rhs(spec_name, rhs, syn, inh, output, k, off):
                     % (label, output.rank(label), len(node.children)), off)
 
 
+# names of top-down variables, reserved wherever a dt may have to name them
+_XVAR = re.compile(r"x([0-9]+)\Z")
+
+
 def _build_att(name, off, body):
     b = _Body(name, off, body, ("input", "output", "syn", "inh", "init", "rule"))
     alpha_in = _parse_alphabet(b.require("input"), off)
@@ -701,8 +692,9 @@ def _build_att(name, off, body):
         raise SpecSyntaxError("'init' takes exactly one attribute name", init_toks[0][2])
     init = init_toks[1][1]
 
-    if "pi" in alpha_out:
-        raise SpecSyntaxError("output symbol name 'pi' is reserved", off)
+    for s in alpha_out:
+        if s == "pi" or _XVAR.fullmatch(s):
+            raise SpecSyntaxError("output symbol name %r is reserved" % s, off)
     for attr in syn + inh:
         if attr in alpha_out:
             raise SpecSyntaxError(
@@ -765,9 +757,6 @@ def _build_att(name, off, body):
     return AttSpec(name=name, input=alpha_in, output=alpha_out, syn=syn,
                    inh=inh, init=init,
                    rules={s: tuple(rs) for s, rs in rules.items()})
-
-
-_XVAR = re.compile(r"x([0-9]+)\Z")
 
 
 def _to_calls(t):
@@ -939,7 +928,7 @@ def _render_decl(spec):
 
 def render_spec(spec):
     """Serialize a declaration (for pairs: its stages first, then the pair
-    line) such that parse_spec(render_spec(x)) == x."""
+    line) such that parse_all(render_spec(x))[-1] == x."""
     chunks = []
     seen = {}
 

@@ -173,12 +173,14 @@ def synthesize(sample, enc, out_alpha, name, bound):
                     init=state_name[find(0)], rules=tuple(rules)), None
 
 
-def restrict_to_language(cand, aut):
-    """Product of the candidate with the word language: a leaf rule
-    survives only where the automaton accepts, and states that cannot
-    reach an accepting leaf are dropped, so the machine rejects by
-    omission everywhere outside the language."""
-    table, leaf_table = _one_way_tables(cand)
+def _language_product(init, table, aut):
+    """Breadth-first search of a one-way machine against the word
+    language, over pairs (machine state, set of automaton states that
+    still climb to a final): a letter moves the machine by its table
+    and the set to the states that climb into it.  Starts from (init,
+    final states).  Returns the leaf states of the automaton, each pair
+    in the order found with the shortest word that reaches it, and the
+    arrows (pair, letter, pair) in the same order."""
     up = {}
     leafst = {}
     for r in aut.rules:
@@ -186,57 +188,62 @@ def restrict_to_language(cand, aut):
             up[(r.symbol, r.child_states[0])] = r.state
         else:
             leafst[r.symbol] = r.state
-    states = aut.states
     moves = {}
+    for (q, letter), (_, q2) in table.items():
+        moves.setdefault(q, []).append((letter, q2))
+    order = [(init, frozenset(aut.final))]
+    paths = {order[0]: ()}
+    arrows = []
+    for q, down in order:
+        for letter, q2 in sorted(moves.get(q, ())):
+            key = (q2, frozenset(l for l in aut.states
+                                 if up.get((letter, l)) in down))
+            if key not in paths:
+                paths[key] = paths[(q, down)] + (letter,)
+                order.append(key)
+            arrows.append(((q, down), letter, key))
+    return leafst, paths, arrows
+
+
+def restrict_to_language(cand, aut):
+    """Product of the candidate with the word language: a leaf rule
+    survives only where the automaton accepts, and states that cannot
+    reach an accepting leaf are dropped, so the machine rejects by
+    omission everywhere outside the language."""
+    table, leaf_table = _one_way_tables(cand)
+    leafst, paths, arrows = _language_product(cand.init, table, aut)
     ends = {}
-    for (q, letter), (chunk, q2) in table.items():
-        moves.setdefault(q, []).append((letter, chunk, q2))
     for (q, leaf), chunk in leaf_table.items():
         ends.setdefault(q, []).append((leaf, chunk))
-    start = (cand.init, frozenset(aut.final))
-    order = [start]
-    seen = {start}
-    arrows = []
-    accepts = {}
-    pos = 0
-    while pos < len(order):
-        q, down = order[pos]
-        pos += 1
-        accepts[(q, down)] = [(leaf, chunk) for leaf, chunk in
-                              sorted(ends.get(q, ()))
-                              if leafst.get(leaf) in down]
-        for letter, chunk, q2 in sorted(moves.get(q, ())):
-            down2 = frozenset(l for l in states if up.get((letter, l)) in down)
-            key = (q2, down2)
-            if key not in seen:
-                seen.add(key)
-                order.append(key)
-            arrows.append(((q, down), letter, chunk, key))
+    accepts = {(q, down): [(leaf, chunk) for leaf, chunk in
+                           sorted(ends.get(q, ()))
+                           if leafst.get(leaf) in down]
+               for q, down in paths}
     alive = {node for node, acc in accepts.items() if acc}
     changed = True
     while changed:
         changed = False
-        for src, _, _, dst in arrows:
+        for src, _, dst in arrows:
             if dst in alive and src not in alive:
                 alive.add(src)
                 changed = True
+    start = (cand.init, frozenset(aut.final))
     if start not in alive:
         return TdttSpec(name=cand.name, input=cand.input, output=cand.output,
                         init="t0", rules=())
     name_of = {}
-    for node in order:
+    for node in paths:
         if node in alive:
             name_of[node] = "t%d" % len(name_of)
     rules = []
-    for node in order:
-        if node not in alive:
-            continue
+    for node in name_of:
         for leaf, chunk in accepts[node]:
             rules.append(TdttRule(name_of[node], leaf,
                                   _chain_tree(chunk[:-1], chunk[-1])))
-    for src, letter, chunk, dst in arrows:
+    for src, letter, dst in arrows:
         if src in alive and dst in alive:
-            rhs = _chain_tree(chunk, call_label(name_of[dst], 1))
+            rhs = _chain_tree(table[(src[0], letter)][0],
+                              call_label(name_of[dst], 1))
             rules.append(TdttRule(name_of[src], letter, rhs))
     return TdttSpec(name=cand.name, input=cand.input, output=cand.output,
                     init=name_of[start], rules=tuple(rules))
@@ -293,37 +300,14 @@ def _run_one_way(table, leaf_table, init, word):
 
 
 def _dom_within(cand, aut, table, leaf_table):
-    """A word the candidate accepts outside the automaton's language, or
-    None.  Exact for all lengths: the search runs the candidate forward
-    against the sets of automaton states that still climb to a final."""
-    up = {}
-    leafst = {}
-    for r in aut.rules:
-        if r.child_states:
-            up[(r.symbol, r.child_states[0])] = r.state
-        else:
-            leafst[r.symbol] = r.state
-    states = aut.states
-    moves = {}
-    ends = {}
-    for (q, letter), (_, q2) in table.items():
-        moves.setdefault(q, []).append((letter, q2))
-    for q, leaf in leaf_table:
-        ends.setdefault(q, []).append(leaf)
-    start = (cand.init, frozenset(aut.final))
-    seen = {start}
-    stack = [(start, ())]
-    while stack:
-        (q, down), path = stack.pop()
-        for leaf in sorted(ends.get(q, ())):
+    """A shortest word the candidate accepts outside the automaton's
+    language, or None.  Exact for all lengths: the product search covers
+    every pair the candidate and the language can reach together."""
+    leafst, paths, _ = _language_product(cand.init, table, aut)
+    for (q, down), path in paths.items():
+        for leaf in sorted(l for p, l in leaf_table if p == q):
             if leafst.get(leaf) not in down:
                 return path + (leaf,)
-        for letter, q2 in sorted(moves.get(q, ())):
-            down2 = frozenset(l for l in states if up.get((letter, l)) in down)
-            key = (q2, down2)
-            if key not in seen:
-                seen.add(key)
-                stack.append((key, path + (letter,)))
     return None
 
 

@@ -307,9 +307,6 @@ def decide_dtR(a, cfg=None, outdir=None):
             st.artifact = sink.write_spec("ranged", render_spec(fused))
             st.verdict = ("domain check folded into %r over %d annotated "
                           "symbols" % (att.name, len(att.input.items())))
-        with _staged(stages, "restrict") as st:
-            st.verdict = ("candidate will be synthesized over the annotated "
-                          "alphabet; no separate restriction step needed")
 
     with _staged(stages, "normalize_ground_rhs") as st:
         grounded = normalize_ground_rhs(att)

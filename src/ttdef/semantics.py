@@ -11,30 +11,32 @@ per form; revisiting a consumed occurrence certifies a cycle, which
 evaluate reports as NoOutput and nf as Diverges.
 
 Two engines run atts and top-down transducers.  When the att is
-deterministic with monadic output (AttSpec.walks_on_table), evaluate
-without a trace and enumerate_outputs walk the spec's rule table,
-compiled once per spec: the form is then a chain of emitted labels above
-one occurrence, so the walk keeps the occurrence as (attr, node) and the
-labels as a list, and builds the output tree once at the end.
-Occurrence labels are parsed only when the table is built.  A
-deterministic top-down transducer whose right-hand sides are chains
-(TdttSpec.walks_on_table) walks its own table the same way, root to
-leaf, keeping its one call as (state, input node).  Every other run
-rewrites string sentential forms: traces (they record each form),
-non-monadic outputs (a form holds several occurrences or calls),
-nondeterministic enumeration (it searches a set of forms), and nf (its
-start form is arbitrary and it runs over the bare tree).  _run_att,
-_enumerate_att, _rewrite_tdtt and _search_tdtt are also the reference
-the compiled walks are tested against; both engines give the same
-outcomes, budgets included.
+deterministic with monadic output (AttSpec.walks_on_table), evaluate,
+enumerate_outputs and nf walk the spec's rule table, compiled once per
+spec: the form is then a chain of emitted labels above one occurrence,
+so the walk keeps the occurrence as (attr, node) and the labels as a
+list, and builds the output tree once at the end.  nf is defined only
+there: it walks the bare tree under a top node without rules, from a
+given start occurrence.  Occurrence labels are parsed only when the
+table is built.  A deterministic top-down transducer whose right-hand
+sides are chains (TdttSpec.walks_on_table) walks its own table the same
+way, root to leaf, keeping its one call as (state, input node).  Every
+other run rewrites string sentential forms: non-monadic outputs (a form
+holds several occurrences or calls) and nondeterministic enumeration (it
+searches a set of forms).  derive_step gives one rewriting step, for
+certificates that replay a derivation.  _run_att, _enumerate_att,
+_rewrite_tdtt and _search_tdtt are also the reference the compiled walks
+are tested against; both engines give the same outcomes, budgets
+included.
 """
 
 from dataclasses import dataclass
 
-from .errors import DuplicateLhsInDeterministic, NotFunctionalInput
+from .errors import (DuplicateLhsInDeterministic, NotApplicable,
+                     NotFunctionalInput)
 from .model import (ROOT, AttSpec, PairedSpec, RelabelingSpec, TdttSpec,
                     call_info, check_monadic, is_occurrence, occ_node,
-                    occ_node_info, occ_pattern_info)
+                    occ_node_info, occ_pattern_info, rhs_chain)
 from .trees import Tree
 
 
@@ -71,19 +73,6 @@ class Diverges:
 @dataclass(frozen=True)
 class Reject:
     pass
-
-
-@dataclass(frozen=True)
-class TraceEntry:
-    form: Tree
-    rule: object   # rule that produced this form; None for the initial form
-    node: tuple
-    symbol: str
-
-
-@dataclass
-class DerivationTrace:
-    entries: list
 
 
 # Linear-size-increase violations observed by evaluate, collected so the
@@ -174,13 +163,12 @@ def derive_step(a, s, form):
     return out
 
 
-def _run_att(a, s, budget, want_trace):
+def _run_att(a, s, budget):
     if not a.deterministic:
         raise DuplicateLhsInDeterministic(
             "att %r is nondeterministic; use enumerate_outputs" % a.name)
     sym_at = _symbol_lookup(s, rooted=True)
     form = Tree(occ_node(a.init, (1,)))
-    trace = [TraceEntry(form, None, None, None)] if want_trace else None
     track_cycles = check_monadic(a)
     consumed = set()
     steps = 0
@@ -188,32 +176,29 @@ def _run_att(a, s, budget, want_trace):
         occs = occurrences(form)
         if not occs:
             _check_lsi(a, s.size, form.size, s.render)
-            return Output(form), trace
+            return Output(form)
         expanded = [(o, _expansions(a, sym_at, o[1], o[2])) for o in occs]
         if any(not exps for _, exps in expanded):
-            return NoOutput(), trace  # a stuck occurrence never recovers
+            return NoOutput()  # a stuck occurrence never recovers
         (faddr, attr, naddr), exps = expanded[0]
-        rule, replacement = exps[0]
+        _, replacement = exps[0]
         if track_cycles:
             if (attr, naddr) in consumed:
-                return NoOutput(), trace
+                return NoOutput()
             consumed.add((attr, naddr))
         steps += 1
         if steps > budget.max_steps:
-            return BudgetExhausted(), trace
+            return BudgetExhausted()
         form = form.replace_at(faddr, replacement)
-        if want_trace:
-            trace.append(TraceEntry(form, rule, naddr, sym_at(
-                naddr if a.is_syn(attr) else naddr[:-1])))
 
 
 # ---------------------------------------------------------------------------
 # the compiled walk: deterministic atts with monadic output
 
-def _flatten(s):
-    """Nodes of #(s) as integers, 0 the root marker and 1 the root of s:
+def _flatten(s, top):
+    """Nodes of top(s) as integers, 0 the top node and 1 the root of s:
     (labels, (parent, child index) per node, child nodes per node)."""
-    labels, up, kids = [ROOT], [None], [[None]]
+    labels, up, kids = [top], [None], [[None]]
     stack = [(s, 0, 1)]
     while stack:
         t, parent, i = stack.pop()
@@ -226,19 +211,23 @@ def _flatten(s):
     return labels, up, kids
 
 
-def _walk_table(a, s, max_steps, max_enumeration=None):
-    """Run a over #(s) on its rule table, one (attr, node) at a time.
+def _walk_table(a, s, max_steps, max_enumeration=None, start=None):
+    """Run a on its rule table, one (attr, node) at a time: over #(s) from
+    a.init at the root of s, or, given start as (attr, address in s), over
+    the bare tree s from that occurrence, under a top node without rules.
 
     The only occurrence of the form is kept as (attr, base, pos): attr at
     node base when pos is 0, attr at child pos of base otherwise, so a
     rule applies at (label of base, attr, pos) and instantiates at base.
-    Returns (kind, output tree or None), kind one of "output", "stuck",
-    "silent" and "productive" (an occurrence came back, with no output
-    in between or with some), "steps", and "enumeration" (more forms than
+    Returns (kind, labels, end) with the labels emitted so far, kind one of
+    "output" (end the rank-0 leaf), "stuck" (end the occurrence label
+    attr(address in s) of the occurrence with no rule to apply), "silent"
+    and "productive" (an occurrence came back, with no output in between
+    or with some), "steps", and "enumeration" (more forms than
     max_enumeration; checked only when it is given)."""
     table = a.rule_table
     syn, inh = frozenset(a.syn), frozenset(a.inh)
-    labels, up, kids = _flatten(s)
+    labels, up, kids = _flatten(s, ROOT if start is None else None)
 
     def locate(attr, base, j):
         """The occurrence attr(base.j), with base.0 = base; None if stuck."""
@@ -253,31 +242,45 @@ def _walk_table(a, s, max_steps, max_enumeration=None):
             return None if base == 0 else (attr,) + up[base]
         return None
 
+    def address(base, j):
+        """The address in s of base.j, with base.0 = base."""
+        path = [j] if j else []
+        while base:
+            base, i = up[base]
+            path.append(i)
+        return tuple(reversed(path[:-1]))
+
+    if start is None:
+        at = (a.init, 0, 1)
+    else:
+        node = 1
+        for i in start[1]:
+            node = kids[node][i - 1]
+        at = (start[0], node, 0)
     out = []
-    occ = locate(a.init, 0, 1)
+    occ = locate(*at)
     seen = {occ: 0}    # occurrence -> output length when it was reached
     steps = 0
     while True:
-        if occ is None:
-            return "stuck", None
-        attr, base, pos = occ
-        chain = table.get((labels[base], attr, pos))
+        chain = None if occ is None else \
+            table.get((labels[occ[1]], occ[0], occ[2]))
         if chain is None:
-            return "stuck", None
+            return "stuck", out, occ_node(at[0], address(at[1], at[2]))
         steps += 1
         if steps > max_steps:
-            return "steps", None
+            return "steps", out, None
         emitted, tip, leaf = chain
         out.extend(emitted)
         if tip is not None:
-            occ = locate(tip[0], base, tip[1])
+            at = (tip[0], occ[1], tip[1])
+            occ = locate(*at)
             if occ in seen:
                 return ("silent" if seen[occ] == len(out) else "productive",
-                        None)
+                        out, None)
         if max_enumeration is not None and steps >= max_enumeration:
-            return "enumeration", None
+            return "enumeration", out, None
         if tip is None:
-            return "output", _chain_tree(out, leaf)
+            return "output", out, leaf
         seen[occ] = len(out)
 
 
@@ -322,35 +325,25 @@ def _walk_tdtt(t, s, max_steps, max_enumeration=None):
 
 def nf(a, s, start, budget=None):
     """Normal form of the start form under the derivation over the bare
-    tree s (no root marker); Diverges on a detected cycle."""
+    tree s (no root marker), walked on a's rule table.  start is a chain
+    whose tip, if it is an occurrence, sits at a node of s.  An occurrence
+    with no rule to apply, the inherited one at the root of s included,
+    stays as the tip of the normal form; Diverges on a detected cycle or
+    past budget.max_steps."""
     budget = budget or StepBudget()
-    if not a.deterministic:
-        raise DuplicateLhsInDeterministic(
-            "att %r is nondeterministic; nf is undefined" % a.name)
-    sym_at = _symbol_lookup(s, rooted=False)
-    track_cycles = check_monadic(a)
-    consumed = set()
-    form = start
-    steps = 0
-    while True:
-        progressed = False
-        for faddr, attr, naddr in occurrences(form):
-            exps = _expansions(a, sym_at, attr, naddr)
-            if not exps:
-                continue  # stuck occurrences stay as tips of the normal form
-            _, replacement = exps[0]
-            if track_cycles:
-                if (attr, naddr) in consumed:
-                    return Diverges()
-                consumed.add((attr, naddr))
-            steps += 1
-            if steps > budget.max_steps:
-                return Diverges()
-            form = form.replace_at(faddr, replacement)
-            progressed = True
-            break
-        if not progressed:
-            return form
+    if not a.walks_on_table:
+        raise NotApplicable("att %r is not deterministic with monadic "
+                            "output; nf is undefined" % a.name)
+    chain = rhs_chain(start, occ_node_info)
+    if chain is None:
+        raise NotApplicable("the start form of nf branches")
+    prefix, tip, _ = chain
+    if tip is None:
+        return start
+    kind, labels, end = _walk_table(a, s, budget.max_steps, start=tip)
+    if kind in ("output", "stuck"):
+        return _chain_tree(prefix + tuple(labels), end)
+    return Diverges()
 
 
 def run_relabeling(b, s):
@@ -407,7 +400,7 @@ def _ground_calls(rhs, v):
     return build(rhs)
 
 
-def run_tdtt(t, s, budget=None, want_trace=False):
+def run_tdtt(t, s, budget=None):
     """Top-down rewriting; for a dt^R pair the relabeling runs first. A
     nondeterministic machine is tolerated only while its answer on s is
     unambiguous."""
@@ -418,7 +411,7 @@ def run_tdtt(t, s, budget=None, want_trace=False):
                 "run_tdtt expects a dt or a dtR pair, got %r" % t.kind)
         got = run_relabeling(t.first, s)
         if isinstance(got, Reject) or not _accepts(t.first, got[0]):
-            return (NoOutput(), None) if want_trace else NoOutput()
+            return NoOutput()
         t, s = t.second, got[1]
     if not t.deterministic:
         outs, exhaustive = _enumerate_tdtt(t, s, budget)
@@ -427,37 +420,31 @@ def run_tdtt(t, s, budget=None, want_trace=False):
                 "nondeterministic transducer %r has %d outputs on %s"
                 % (t.name, len(outs), s.render()))
         if outs:
-            result = Output(next(iter(outs)))
-        else:
-            result = NoOutput() if exhaustive else BudgetExhausted()
-        return (result, None) if want_trace else result
-    if not want_trace and t.walks_on_table:
+            return Output(next(iter(outs)))
+        return NoOutput() if exhaustive else BudgetExhausted()
+    if t.walks_on_table:
         kind, tree = _walk_tdtt(t, s, budget.max_steps)
         if kind == "output":
             return Output(tree)
         return BudgetExhausted() if kind == "steps" else NoOutput()
-    result, trace = _rewrite_tdtt(t, s, budget, want_trace)
-    return (result, trace) if want_trace else result
+    return _rewrite_tdtt(t, s, budget)
 
 
-def _rewrite_tdtt(t, s, budget, want_trace):
-    """The deterministic run on string forms: (outcome, trace or None)."""
+def _rewrite_tdtt(t, s, budget):
+    """The deterministic run on string forms."""
     form = Tree(occ_node(t.init, ()))
-    trace = [TraceEntry(form, None, None, None)] if want_trace else None
     steps = 0
     while True:
         faddr, grounded = _tdtt_successors(t, s, form)
         if faddr is None:
-            return Output(form), trace
+            return Output(form)
         if not grounded:
-            return NoOutput(), trace
+            return NoOutput()
         steps += 1
         if steps > budget.max_steps:
-            return BudgetExhausted(), trace
-        rule, replacement = grounded[0]
+            return BudgetExhausted()
+        _, replacement = grounded[0]
         form = form.replace_at(faddr, replacement)
-        if want_trace:
-            trace.append(TraceEntry(form, rule, None, rule.symbol))
 
 
 def _apply_lookaround(u, s):
@@ -485,47 +472,37 @@ def _pre_stage(d, s):
     return None
 
 
-def evaluate(d, s, budget=None, want_trace=False):
+def evaluate(d, s, budget=None):
     """Outcome of the deterministic machine d on s: Output, NoOutput, or
     BudgetExhausted. Nondeterministic machines belong to
     enumerate_outputs."""
     budget = budget or StepBudget()
     if isinstance(d, AttSpec):
-        if not want_trace and d.walks_on_table:
-            kind, tree = _walk_table(d, s, budget.max_steps)
+        if d.walks_on_table:
+            kind, labels, leaf = _walk_table(d, s, budget.max_steps)
             if kind == "output":
+                tree = _chain_tree(labels, leaf)
                 _check_lsi(d, s.size, tree.size, s.render)
                 return Output(tree)
             return BudgetExhausted() if kind == "steps" else NoOutput()
-        outcome, trace = _run_att(d, s, budget, want_trace)
-        return (outcome, DerivationTrace(trace)) if want_trace else outcome
+        return _run_att(d, s, budget)
     if isinstance(d, TdttSpec):
-        got = run_tdtt(d, s, budget, want_trace)
-        if want_trace:
-            outcome, trace = got
-            return outcome, DerivationTrace(trace or [])
-        return got
+        return run_tdtt(d, s, budget)
     if isinstance(d, RelabelingSpec):
         got = run_relabeling(d, s)
         ok = not isinstance(got, Reject) and _accepts(d, got[0])
-        outcome = Output(got[1]) if ok else NoOutput()
-        return (outcome, DerivationTrace([])) if want_trace else outcome
+        return Output(got[1]) if ok else NoOutput()
     if isinstance(d, PairedSpec):
         if d.kind == "dtR":
-            got = run_tdtt(d, s, budget, want_trace)
-            if want_trace:
-                outcome, trace = got
-                return outcome, DerivationTrace(trace or [])
-            return got
+            return run_tdtt(d, s, budget)
         if d.kind == "lookaround":
             relabeled = _apply_lookaround(d, s)
-            outcome = NoOutput() if relabeled is None else Output(relabeled)
-            return (outcome, DerivationTrace([])) if want_trace else outcome
+            return NoOutput() if relabeled is None else Output(relabeled)
         staged = _pre_stage(d, s)
         if staged is None:
-            return (NoOutput(), DerivationTrace([])) if want_trace else NoOutput()
+            return NoOutput()
         consumer, relabeled = staged
-        return evaluate(consumer, relabeled, budget, want_trace)
+        return evaluate(consumer, relabeled, budget)
     raise TypeError("cannot evaluate %r" % type(d).__name__)
 
 
@@ -570,10 +547,10 @@ def enumerate_outputs(d, s, budget=None):
         return ({got[1]} if ok else set()), True
     if isinstance(d, AttSpec):
         if d.walks_on_table:
-            kind, tree = _walk_table(d, s, budget.max_steps,
-                                     budget.max_enumeration)
+            kind, labels, leaf = _walk_table(d, s, budget.max_steps,
+                                             budget.max_enumeration)
             if kind == "output":
-                return {tree}, True
+                return {_chain_tree(labels, leaf)}, True
             return set(), kind in ("stuck", "silent")
         return _enumerate_att(d, s, budget)
     if isinstance(d, TdttSpec):

@@ -227,19 +227,6 @@ def format_address(addr):
     return "eps" if not addr else ".".join(str(i) for i in addr)
 
 
-def parse_address(text):
-    text = text.strip()
-    if text == "eps":
-        return ()
-    try:
-        addr = tuple(int(p) for p in text.split("."))
-    except ValueError:
-        raise SpecSyntaxError("bad node address %r" % text)
-    if any(i < 1 for i in addr):
-        raise SpecSyntaxError("node address components are 1-based: %r" % text)
-    return addr
-
-
 _PUNCT = {"(": "lpar", ")": "rpar", ":": "colon", ";": "semi", "=": "eq", ",": "comma"}
 
 
@@ -380,32 +367,6 @@ def _parse_term(toks, pos, text, alphabet, allow_hole):
             raise SpecSyntaxError("expected ',' or ')'", toks[pos][2])
 
 
-def check_tree(t, alphabet, allow_hole=False):
-    for _, sub in t.addresses():
-        if sub.label == HOLE and allow_hole:
-            if sub.children:
-                raise ArityMismatch("hole symbol takes no children")
-            continue
-        if sub.label not in alphabet:
-            raise UnknownSymbol("unknown symbol %r" % sub.label)
-        if alphabet.rank(sub.label) != len(sub.children):
-            raise ArityMismatch("symbol %r has rank %d, got %d children"
-                                % (sub.label, alphabet.rank(sub.label), len(sub.children)))
-
-
-def is_prefix_of(p, t):
-    """True iff replacing every hole leaf of p by some tree yields t."""
-    stack = [(p, t)]
-    while stack:
-        a, b = stack.pop()
-        if a.label == HOLE and not a.children:
-            continue
-        if a.label != b.label or len(a.children) != len(b.children):
-            return False
-        stack.extend(zip(a.children, b.children))
-    return True
-
-
 def hole_addresses(p):
     return [addr for addr, sub in p.addresses() if sub.label == HOLE and not sub.children]
 
@@ -452,48 +413,4 @@ def _tuples(pool, k):
         return
     for first in pool:
         for rest in _tuples(pool, k - 1):
-            yield (first,) + rest
-
-
-def iter_trees_by_size(alphabet, max_size=None):
-    """Yield all trees over the alphabet in canonical (size, text) order."""
-    by_size = {}
-    branching = any(k > 0 for _, k in alphabet.items())
-    size = 1
-    while max_size is None or size <= max_size:
-        batch = []
-        if size == 1:
-            batch = [Tree(s) for s in alphabet.symbols(rank=0)]
-        else:
-            for sym, k in alphabet.items():
-                if k == 0:
-                    continue
-                for split in _compositions(size - 1, k):
-                    for kids in _pick(by_size, split):
-                        batch.append(Tree(sym, kids))
-        if size > 1 and not branching:
-            return
-        if not batch and not any(by_size.values()):
-            return
-        by_size[size] = batch
-        for t in sorted(batch, key=canonical_key):
-            yield t
-        size += 1
-
-
-def _compositions(total, parts):
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(1, total - parts + 2):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
-
-
-def _pick(by_size, split):
-    if not split:
-        yield ()
-        return
-    for first in by_size.get(split[0], ()):
-        for rest in _pick(by_size, split[1:]):
             yield (first,) + rest

@@ -23,10 +23,9 @@ from .model import (ROOT, AttRule, AttSpec, RelabelingRule, RelabelingSpec,
                     occ_pattern_info, split_mangled_child)
 from .one_way import (PumpCertificate, affine_family_ok, drifts_apart,
                       pump_search, restrict_to_language, synthesize, verify)
-from .semantics import (BudgetExhausted, Output, Reject, StepBudget,
-                        _chain_tree, _check_lsi, enumerate_outputs, evaluate,
-                        run_relabeling)
-from .trees import HOLE, RankedAlphabet, Tree, format_address
+from .semantics import (BudgetExhausted, Output, StepBudget, _chain_tree,
+                        _check_lsi, enumerate_outputs, evaluate)
+from .trees import RankedAlphabet, Tree, format_address
 
 
 # ---------------------------------------------------------------------------
@@ -95,27 +94,6 @@ def encode_prefix(s, path):
     for lab in reversed(labels):
         word = Tree(lab, [word])
     return word
-
-
-def decode_prefix(stilde, base):
-    """Prefix tree the word encodes: the retained child per letter, hole
-    leaves everywhere else."""
-    word = word_of(stilde)
-    if word[-1] not in base or base.rank(word[-1]) != 0:
-        raise SpecSyntaxError("word ends in %r, which is not a leaf symbol"
-                              % word[-1])
-    t = Tree(word[-1])
-    for letter in reversed(word[:-1]):
-        info = split_mangled_child(letter)
-        if info is None:
-            raise SpecSyntaxError(
-                "letter %r does not name a symbol and child" % letter)
-        sym, i = info
-        k = base.rank(sym)
-        if not 1 <= i <= k:
-            raise NoSuchNode("symbol %r has no child %d" % (sym, i))
-        t = Tree(sym, [t if j == i else Tree(HOLE) for j in range(1, k + 1)])
-    return t
 
 
 def word_of(t):
@@ -209,13 +187,6 @@ def build_correspondence_automaton(range_aut):
                           output=enc, final=aut.final, rules=tuple(rules))
 
 
-def corresponds(stilde, range_aut):
-    """Does the word encode a prefix of some tree the automaton accepts?"""
-    words = build_correspondence_automaton(range_aut)
-    got = run_relabeling(words, stilde)
-    return not isinstance(got, Reject) and got[0] in words.final
-
-
 def accepted_counts(aut, max_length):
     """counts[k] = number of accepted words of length k, for k <= max_length."""
     up = {}
@@ -271,17 +242,11 @@ class TwoWayWord:
 
     correspondence runs leaf to root over the same letters and accepts
     the words encoding prefixes of relabeled trees; the machine is
-    undefined outside that language.  base is the relabeled tree
-    alphabet, fillers maps each automaton state to one relabeled tree in
-    it (used to complete decoded prefixes).  Hand-built machines may
-    leave base, range_aut and fillers unset.
+    undefined outside that language.
     """
     name: str
     att: AttSpec
     correspondence: RelabelingSpec
-    base: RankedAlphabet = None
-    range_aut: RelabelingSpec = None
-    fillers: dict = None
 
 
 def _child_refs(rule):
@@ -358,49 +323,7 @@ def build_two_way(h):
                   syn=a.syn + (dn,),
                   inh=a.inh + tuple(up[l] for l in states),
                   init=dn, rules=rules)
-    fillers = {}
-    for state, rep in h.representatives.items():
-        got = run_relabeling(h.relabeling, rep)
-        if not isinstance(got, Reject):
-            fillers[state] = got[1]
-    return TwoWayWord(name=h.name + "_walk", att=att, correspondence=words,
-                      base=h.relabeling.output, range_aut=bbar, fillers=fillers)
-
-
-def some_corresponding(tw, stilde):
-    """One accepted tree whose encoding along some path is the word, with
-    off-path branches taken from the stored fillers; None when the word
-    corresponds to nothing."""
-    if tw.range_aut is None or tw.fillers is None:
-        raise NotApplicable("machine %r carries no range automaton" % tw.name)
-    word = word_of(stilde)
-    lr = tw.range_aut.rule_for(word[-1], ())
-    if lr is None:
-        return None
-    t = Tree(word[-1])
-    state = lr.state
-    by_symbol = {}
-    for r in tw.range_aut.rules:
-        by_symbol.setdefault(r.symbol, []).append(r)
-    for letter in reversed(word[:-1]):
-        info = split_mangled_child(letter)
-        if info is None:
-            raise SpecSyntaxError(
-                "letter %r does not name a symbol and child" % letter)
-        sym, i = info
-        pick = None
-        for r in sorted(by_symbol.get(sym, ()), key=lambda r: r.child_states):
-            if len(r.child_states) >= i and r.child_states[i - 1] == state \
-                    and all(c in tw.fillers for j, c in enumerate(r.child_states)
-                            if j != i - 1):
-                pick = r
-                break
-        if pick is None:
-            return None
-        t = Tree(sym, [t if j == i - 1 else tw.fillers[c]
-                       for j, c in enumerate(pick.child_states)])
-        state = pick.state
-    return t if state in tw.range_aut.final else None
+    return TwoWayWord(name=h.name + "_walk", att=att, correspondence=words)
 
 
 # ---------------------------------------------------------------------------

@@ -8,11 +8,19 @@ N1: A1 with a second (nondeterministic) rule at e.
 C0: circular but produces no output along the cycle.
 P0: circular and grows output along the cycle (empty domain).
 REV: monadic att emitting the reverse of its input word.
+X0_TEXT: an att whose output symbol x0 is named like a dt variable.
 """
 
 from ttdef.model import (PairedSpec, RelabelingRule, RelabelingSpec, TdttRule,
-                         TdttSpec, call_label, parse_spec)
+                         TdttSpec, call_label, parse_all)
 from ttdef.trees import Tree
+
+
+def parse_spec(text):
+    """The last declaration of the text; pairs see earlier declarations
+    by name."""
+    return parse_all(text)[-1]
+
 
 A1_TEXT = """\
 att A1
@@ -91,6 +99,16 @@ rule h: a(pi) -> a(pi 1)
 rule h: b(pi 1) -> h(b(pi))
 rule e: a(pi) -> b(pi)
 rule #: b(pi 1) -> e
+"""
+
+X0_TEXT = """\
+att X
+input g:1 e:0
+output x0:1 e:0
+syn a
+init a
+rule g: a(pi) -> x0(a(pi 1))
+rule e: a(pi) -> e
 """
 
 

@@ -2,18 +2,20 @@ import pytest
 from hypothesis import assume, given, settings
 
 from ttdef import analysis
-from ttdef.analysis import (all_isds, compute_isd, is_circular, kappa,
-                            single_path, variation, visiting_pair_sets)
+from ttdef.analysis import (Shapes, TopDown, _Growth, _family,
+                            _require_walkable, _root_configs, _theta_step,
+                            _variation_core, all_isds, is_circular, kappa,
+                            single_path)
 from ttdef.constructions import normalize_domain_into_range, normalize_ground_rhs
 from ttdef.errors import NotApplicable, UnknownAttribute
-from ttdef.model import (PairedSpec, occ_node, occ_node_info, occ_pattern_info,
-                         parse_spec)
+from ttdef.model import PairedSpec, occ_node, occ_node_info, occ_pattern_info
 from ttdef.pipeline import decide_dtR
 from ttdef.semantics import NoOutput, Output, evaluate, nf
 from ttdef.trees import RankedAlphabet, Tree, parse_tree, trees_up_to_height
 
 import fixtures
-from test_walk_table import atts
+from fixtures import parse_spec
+from test_walk_table import atts, derivation_forms
 
 FE = RankedAlphabet({"f": 2, "e": 0})
 FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
@@ -28,7 +30,45 @@ def T(text):
 
 
 # ---------------------------------------------------------------------------
+# variation and visiting pair sets each on their own, the reference for
+# the one pass that analysis.variations, kappa and single_path share
+
+def variation(a, psi):
+    """Boundedness of the output chunks attributable to one visiting pair
+    set, with the exact height cap when bounded and a pump witness when
+    not."""
+    _require_walkable(a)
+    for b, a_ in psi:
+        if not a.is_inh(b):
+            raise UnknownAttribute("not an inherited attribute: %r" % (b,))
+        if not a.is_syn(a_):
+            raise UnknownAttribute("not a synthesized attribute: %r" % (a_,))
+    shapes = Shapes(a)
+    return _variation_core(a, _Growth(a, shapes), frozenset(psi))
+
+
+def visiting_pair_sets(a):
+    """The family of visiting pair sets realized at some node of some input
+    in the domain."""
+    _require_walkable(a)
+    shapes = Shapes(a)
+    return _family(TopDown(a, shapes, _root_configs(a, shapes)))
+
+
+# ---------------------------------------------------------------------------
 # brute-force oracles, driven purely by the derivation semantics
+
+def compute_isd(a, s):
+    """All pairs (b, a') such that, from a'(eps) on the bare tree s, some
+    derivation reaches a form containing b(eps): the theta maps that
+    all_isds closes over, composed along s."""
+    def theta_of(t):
+        children = [theta_of(c) for c in t.children]
+        return _theta_step(a, t.label, children)
+
+    theta = theta_of(s)
+    return frozenset((b, syn) for syn, bs in theta.items() for b in bs)
+
 
 def brute_isd(att, s):
     """Pairs (b, a): from a(eps) on bare s some derivation branch reaches a
@@ -61,12 +101,12 @@ def brute_isd(att, s):
 
 
 def observed_psi(att, s):
-    """Visiting pair set per node of s, read off a full traced run."""
-    outcome, trace = evaluate(att, s, want_trace=True)
-    assert isinstance(outcome, Output)
+    """Visiting pair set per node of s, read off every form of a full
+    run."""
+    assert isinstance(evaluate(att, s), Output)
     processed = {}
-    for entry in trace.entries:
-        for _, sub in entry.form.addresses():
+    for form in derivation_forms(att, s):
+        for _, sub in form.addresses():
             info = occ_node_info(sub.label)
             if info is not None:
                 attr, addr = info

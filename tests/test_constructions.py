@@ -4,15 +4,18 @@ import pytest
 
 from ttdef.constructions import (associate, compose_dtR,
                                  normalize_domain_into_range,
-                                 normalize_ground_rhs, string_like_check,
-                                 uniformize)
+                                 normalize_ground_rhs, uniformize)
 from ttdef.errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from ttdef.model import (ROOT, AttRule, PairedSpec, TdttRule, TdttSpec,
-                         call_label, occ_pattern, parse_spec, render_spec)
-from ttdef.semantics import NoOutput, Output, enumerate_outputs, evaluate
+                         call_label, is_occurrence, occ_node_info, occ_pattern,
+                         render_spec)
+from ttdef.semantics import (NoOutput, Output, Reject, enumerate_outputs,
+                             evaluate, run_relabeling)
 from ttdef.trees import RankedAlphabet, Tree, parse_tree, trees_up_to_height
 
 import fixtures
+from fixtures import parse_spec
+from test_walk_table import derivation_forms
 
 FE = RankedAlphabet({"f": 2, "e": 0})
 FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
@@ -169,6 +172,41 @@ def test_associate_a1_degenerate():
 
 # ---------------------------------------------------------------------------
 # string-likeness of a precomputing pair
+
+def _off_path(nodes):
+    seq = sorted(nodes, key=lambda v: (len(v), v))
+    for i, u in enumerate(seq):
+        for v in seq[i + 1:]:
+            if v[:len(u)] != u:
+                return u, v
+    return None
+
+
+def string_like_check(h, depth):
+    """Whether the reduced att only processes nodes of one root-to-leaf
+    path, simulated on every input of height at most depth.
+
+    Returns (ok, violations); a violation is (input tree, address,
+    address) with two processed addresses that are prefix-incomparable.
+    """
+    violations = []
+    for s in trees_up_to_height(h.relabeling.input, depth):
+        got = run_relabeling(h.relabeling, s)
+        if isinstance(got, Reject) or got[0] not in h.relabeling.final:
+            continue
+        nodes = set()
+        for form in derivation_forms(h.att, got[1]):
+            for _, node in form.addresses():
+                if node.children or not is_occurrence(node.label):
+                    continue
+                info = occ_node_info(node.label)
+                if info is not None and info[1][:1] == (1,):
+                    nodes.add(info[1][1:])
+        bad = _off_path(nodes)
+        if bad is not None:
+            violations.append((s, bad[0], bad[1]))
+    return not violations, violations
+
 
 def test_string_like_a2(assoc2):
     assert string_like_check(assoc2, 4) == (True, [])

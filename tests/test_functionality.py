@@ -13,12 +13,13 @@ from ttdef.functionality import (AnnotatedAlphabet, Equal, FunctionalUpTo,
                                  bounded_equivalence, build_annotated_pair,
                                  detect_productive_cycle, is_functional,
                                  normalize_root_rules, replay_cycle)
-from ttdef.model import ROOT, PairedSpec, parse_spec
+from ttdef.model import ROOT, PairedSpec
 from ttdef.semantics import (Output, StepBudget, derive_step,
                              enumerate_outputs, evaluate)
 from ttdef.trees import parse_tree, trees_up_to_height
 
 import fixtures
+from fixtures import parse_spec
 
 # root rules give the inherited b two choices, both ground
 SPLIT_TEXT = """\
@@ -192,9 +193,9 @@ def test_cycle_positives_are_circular():
 
 def test_annotated_choice_counts():
     alphabet = AnnotatedAlphabet(fixtures.a1())
-    assert len(alphabet.choices("f")) == alphabet.count_for("f") == 8
-    assert len(alphabet.choices("e")) == alphabet.count_for("e") == 2
-    assert sum(alphabet.count_for(sym) ** 2
+    assert len(alphabet.choices("f")) == 8
+    assert len(alphabet.choices("e")) == 2
+    assert sum(len(alphabet.choices(sym)) ** 2
                for sym, _ in alphabet.att.input.items()) == 68
 
 
@@ -212,7 +213,6 @@ def test_annotated_choices_never_share_a_lhs():
 def test_annotated_symbols_without_rules():
     alphabet = AnnotatedAlphabet(lifted_a1())
     assert alphabet.choices("d") == [()]
-    assert alphabet.count_for("d") == 1
 
 
 def test_annotated_name_round_trip():

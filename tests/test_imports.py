@@ -1,8 +1,11 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and every top-level function and class of the package is read by the
+package or the benchmark.
 
-No linter runs on this package, so this scan stands in for the
-unused-import check: an import nothing reads is either dead code or a
-sign that a caller was rewired and the old dependency left behind.
+No linter runs on this package, so these scans stand in for the
+unused-import and dead-code checks: an import nothing reads is either
+dead code or a sign that a caller was rewired and the old dependency
+left behind, and a function only tests call belongs with the tests.
 """
 
 import ast
@@ -11,6 +14,14 @@ from pathlib import Path
 import pytest
 
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ttdef"
+BENCH = PACKAGE.parent.parent / "bench"
+
+# Top-level names no caller reads yet, each with the ROADMAP item that
+# will call it.
+UNREAD_ALLOWED = {
+    "encode_prefix": "item 1(c), words from counterexample trees",
+    "replay_cycle": "item 5, `ttdef replay` of a productive cycle",
+}
 
 
 def unused_imports(source):
@@ -41,3 +52,50 @@ def test_the_scan_sees_an_unused_import():
               "from dataclasses import field as f\n"
               "def g():\n    import sys\n    return loads(os.sep)\n")
     assert unused_imports(source) == [(2, "dumps"), (3, "f"), (5, "sys")]
+
+
+def unread_definitions(package, readers):
+    """(module, name) of every top-level function and class of the
+    package sources that no code reads: neither the package outside the
+    definition itself nor the reader sources.  A name counts as read
+    where it is loaded or taken as an attribute, so module.name is a
+    read too.  package and readers map file names to source text."""
+    defined = []
+    read = set()
+    sources = [(name, text, True) for name, text in package.items()]
+    sources += [(name, text, False) for name, text in readers.items()]
+    for module, source, own in sources:
+        for stmt in ast.parse(source).body:
+            names = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+            if own and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                defined.append((module, stmt.name))
+                names.discard(stmt.name)
+            read |= names
+    return sorted((module, name) for module, name in defined
+                  if name not in read)
+
+
+def test_every_definition_is_read():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    readers = {p.name: p.read_text() for p in sorted(BENCH.glob("*.py"))}
+    unread = unread_definitions(package, readers)
+    assert sorted(name for _, name in unread) == sorted(UNREAD_ALLOWED)
+
+
+def test_the_scan_sees_an_unused_function():
+    package = {"m.py": "def used():\n    return 1\n"
+                       "def unused():\n    return unused()\n"
+                       "class Kept:\n    pass\n",
+               "n.py": "from .m import Kept, used\nx = used() and Kept\n"}
+    readers = {"b.py": "import m\nm.used\n"}
+    assert unread_definitions(package, readers) == [("m.py", "unused")]
+    package["n.py"] = "from .m import Kept\nx = Kept\n"
+    assert unread_definitions(package, readers) == [("m.py", "unused")]
+    del readers["b.py"]
+    assert unread_definitions(package, readers) == [("m.py", "unused"),
+                                                    ("m.py", "used")]

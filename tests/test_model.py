@@ -5,14 +5,14 @@ from ttdef.errors import (AlphabetMismatch, ArityMismatch,
                           SpecSyntaxError, UnknownAttribute, UnknownSymbol)
 from ttdef.model import (AttRule, AttSpec, PairedSpec, RelabelingSpec,
                          TdttSpec, call_info, call_label, check_monadic,
-                         is_occurrence, line_of_offset, mangle_child,
-                         mangle_literal, mangle_parts, occ_node,
-                         occ_node_info, occ_pattern, occ_pattern_info,
-                         parse_all, parse_spec, render_spec,
+                         is_occurrence, mangle_child, mangle_literal,
+                         mangle_parts, occ_node, occ_node_info, occ_pattern,
+                         occ_pattern_info, parse_all, render_spec,
                          split_mangled_child, split_mangled_parts)
 from ttdef.trees import Tree, parse_tree
 
 import fixtures
+from fixtures import parse_spec
 
 
 def test_a1_parses_as_expected():
@@ -70,7 +70,7 @@ def test_unknown_symbols_rejected_with_line_numbers():
     bad = fixtures.A1_TEXT + "rule q: a(pi) -> e\n"
     with pytest.raises(UnknownSymbol) as ei:
         parse_spec(bad)
-    assert line_of_offset(bad, ei.value.offset) == 12
+    assert bad.count("\n", 0, ei.value.offset) + 1 == 12
     with pytest.raises(UnknownSymbol):
         parse_spec(fixtures.A1_TEXT + "rule e: a(pi) -> h(b(pi))\n")
 
@@ -85,6 +85,15 @@ def test_attribute_output_collision_rejected():
     text = fixtures.A1_TEXT.replace("syn a", "syn g")
     with pytest.raises(SpecSyntaxError):
         parse_spec(text)
+
+
+@pytest.mark.parametrize("name", ["x0", "x12", "pi"])
+def test_reserved_output_names_rejected(name):
+    """A dt names its variables x1, x2, ...; the dtR built for an att
+    carries the att's output symbols, so they may not look like one."""
+    with pytest.raises(SpecSyntaxError, match="%r is reserved" % name):
+        parse_spec(fixtures.X0_TEXT.replace("x0", name))
+    parse_spec(fixtures.X0_TEXT.replace("x0", "x0y"))
 
 
 def test_att_roundtrip():

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from ttdef.cli import main
 from ttdef.model import PairedSpec
 from ttdef.pipeline import decide_dtR, report_to_json
 
@@ -109,8 +110,6 @@ def test_lookaround_pair_is_unknown_at_bounded_equivalence(tmp_path):
         ("normalize_domain_into_range",
          "domain check folded into 'A2_checked' over 6 annotated symbols",
          "ranged-9c75b5ab109f.att"),
-        ("restrict", "candidate will be synthesized over the annotated "
-         "alphabet; no separate restriction step needed", None),
         ("normalize_ground_rhs", "no ground right-hand sides", None),
         ("single_path", "yes", None),
         ("associate", "word-shaped att behind a relabeling, kappa = 1",
@@ -126,7 +125,7 @@ def test_lookaround_pair_is_unknown_at_bounded_equivalence(tmp_path):
          "dtr-2a468979e191.att"),
         ("bounded_equivalence",
          "candidate disagrees with the att on f(f(e,d),d)", None),
-    ], "eba61b107015573f9bd8560ecd3aacc2294baeaf727624e605a7fc89097a7971",
+    ], "c9d14243e9712b749d89d24cf2560b3486fe60861be442a815fa11d0a757315c",
         prefix=[])
     assert report.answer.stage == "bounded_equivalence"
 
@@ -138,3 +137,15 @@ def test_report_hash_ignores_the_artifact_directory(a2_twice):
     # the report itself still points into its own directory
     assert Path(j1["answer"]["spec"]).parent == Path(dir1)
     assert Path(j2["answer"]["spec"]).parent == Path(dir2)
+
+
+def test_reserved_output_names_stop_before_any_artifact(tmp_path, capsys):
+    """An att whose output symbol is named like a dt variable is refused
+    when its text is parsed, not after the pipeline has written a dtR
+    that cannot be read back."""
+    spec = tmp_path / "x.att"
+    spec.write_text(fixtures.X0_TEXT)
+    assert main(["decide", "--out", str(tmp_path / "out"), str(spec)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("ttdef: error: output symbol name 'x0' is reserved")
+    assert not (tmp_path / "out").exists()

@@ -1,14 +1,16 @@
 import pytest
 
 from ttdef.errors import DuplicateLhsInDeterministic
-from ttdef.model import occ_node, parse_spec
-from ttdef.semantics import (LSI_VIOLATIONS, BudgetExhausted, DerivationTrace,
-                             Diverges, NoOutput, Output, Reject, StepBudget,
-                             derive_step, enumerate_outputs, evaluate, nf,
-                             run_relabeling, run_tdtt)
+from ttdef.model import occ_node
+from ttdef.semantics import (LSI_VIOLATIONS, BudgetExhausted, Diverges,
+                             NoOutput, Output, Reject, StepBudget, derive_step,
+                             enumerate_outputs, evaluate, nf, run_relabeling,
+                             run_tdtt)
 from ttdef.trees import RankedAlphabet, Tree, parse_tree, trees_up_to_height
 
 import fixtures
+from fixtures import parse_spec
+from test_walk_table import derivation_forms
 
 FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
 FE = RankedAlphabet({"f": 2, "e": 0})
@@ -130,16 +132,11 @@ def test_evaluate_rejects_nondeterministic():
 
 
 def test_trace_records_figure_style_steps():
-    outcome, trace = evaluate(fixtures.a1(), T("f(e,e)"), want_trace=True)
-    assert outcome == Output(g_tower(2))
-    assert isinstance(trace, DerivationTrace)
-    forms = [e.form for e in trace.entries]
+    assert evaluate(fixtures.a1(), T("f(e,e)")) == Output(g_tower(2))
+    forms = derivation_forms(fixtures.a1(), T("f(e,e)"))
     assert forms[0] == occ("a", 1)
     assert forms[1] == occ("a", 1, 1)
     assert forms[-1] == g_tower(2)
-    assert trace.entries[0].rule is None
-    assert all(e.rule is not None for e in trace.entries[1:])
-    assert trace.entries[1].symbol == "f"
     assert len(forms) == 7
 
 

@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from ttdef.errors import ArityMismatch, NoSuchNode, SpecSyntaxError, UnknownSymbol
 from ttdef.trees import (
-    HOLE, RankedAlphabet, Tree, canonical_key, check_tree, explore_bottom_up,
-    fill_holes, format_address, hole_addresses, is_prefix_of, iter_trees_by_size, leaf,
-    parse_address, parse_tree, tokenize, trees_up_to_height,
+    RankedAlphabet, Tree, canonical_key, explore_bottom_up, fill_holes,
+    format_address, hole_addresses, leaf, parse_tree, tokenize,
+    trees_up_to_height,
 )
 
 FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
@@ -59,12 +59,6 @@ def test_bad_addresses_raise():
 def test_address_formatting_roundtrip():
     assert format_address(()) == "eps"
     assert format_address((2, 1)) == "2.1"
-    assert parse_address("eps") == ()
-    assert parse_address("2.1") == (2, 1)
-    with pytest.raises(SpecSyntaxError):
-        parse_address("2.0")
-    with pytest.raises(SpecSyntaxError):
-        parse_address("x.y")
 
 
 def test_alphabet_checked_parse():
@@ -83,9 +77,6 @@ def test_holes_only_when_allowed():
     assert hole_addresses(p) == [(1,)]
     with pytest.raises(UnknownSymbol):
         T("f(_,e)", alphabet=FED)
-    check_tree(p, FED, allow_hole=True)
-    with pytest.raises(UnknownSymbol):
-        check_tree(p, FED)
 
 
 def test_syntax_errors_carry_offsets():
@@ -128,13 +119,6 @@ def test_fill_holes_preorder():
         fill_holes(p, [leaf("a")])
 
 
-def test_is_prefix_examples():
-    assert is_prefix_of(T("f(_,e)", allow_hole=True), T("f(f(e,e),e)"))
-    assert is_prefix_of(T("_", allow_hole=True), T("f(e,d)"))
-    assert not is_prefix_of(T("f(_,d)", allow_hole=True), T("f(f(e,e),e)"))
-    assert not is_prefix_of(T("g(_)", allow_hole=True), T("e"))
-
-
 @st.composite
 def fed_trees(draw, max_depth=4):
     if max_depth <= 1 or draw(st.booleans()):
@@ -156,31 +140,6 @@ def test_eq_agrees_with_render(a, b):
         assert hash(a) == hash(b)
 
 
-@st.composite
-def fed_prefixes(draw, max_depth=3):
-    choice = draw(st.integers(0, 3))
-    if choice == 0:
-        return leaf(HOLE)
-    if max_depth <= 1 or choice == 1:
-        return leaf(draw(st.sampled_from(["e", "d"])))
-    l = draw(fed_prefixes(max_depth=max_depth - 1))
-    r = draw(fed_prefixes(max_depth=max_depth - 1))
-    return Tree("f", (l, r))
-
-
-@settings(max_examples=200)
-@given(fed_prefixes(), fed_trees())
-def test_is_prefix_agrees_with_filling(p, t):
-    # p is a prefix of t iff the holes can be filled to reproduce t exactly.
-    def naive(a, b):
-        if a.label == HOLE:
-            return True
-        if a.label != b.label or len(a.children) != len(b.children):
-            return False
-        return all(naive(x, y) for x, y in zip(a.children, b.children))
-    assert is_prefix_of(p, t) == naive(p, t)
-
-
 def test_deep_chain_no_recursion_blowup():
     t = leaf("e")
     for _ in range(5000):
@@ -194,19 +153,6 @@ def test_deep_chain_no_recursion_blowup():
 def test_enumeration_counts_by_height():
     assert [len(trees_up_to_height(FED, h)) for h in (1, 2, 3, 4)] == [2, 6, 38, 1446]
     assert len(trees_up_to_height(FE, 4)) == 26
-
-
-def test_enumeration_by_size_matches_height_enumeration():
-    by_height = set(trees_up_to_height(FED, 3))
-    max_size = max(t.size for t in by_height)
-    by_size = [t for t in iter_trees_by_size(FED, max_size)]
-    assert sorted(by_size, key=canonical_key) == by_size
-    assert set(t for t in by_size if t.height <= 3) == by_height
-
-
-def test_iter_trees_by_size_handles_leaf_only_alphabet():
-    only = RankedAlphabet({"e": 0, "d": 0})
-    assert [t.render() for t in iter_trees_by_size(only)] == ["d", "e"]
 
 
 def test_canonical_key_orders_by_size_then_text():

@@ -1,38 +1,44 @@
 """The compiled walk against the string-form derivation it replaces.
 
-evaluate and enumerate_outputs run deterministic atts with monadic output
-on the spec's rule table; _run_att and _enumerate_att rewrite sentential
-forms and stay the reference.  Top-down transducers whose right-hand
-sides are chains walk their own table in run_tdtt and _enumerate_tdtt,
-against _rewrite_tdtt and _search_tdtt.  local_run reads the att table
+evaluate, enumerate_outputs and nf run deterministic atts with monadic
+output on the spec's rule table; _run_att and _enumerate_att rewrite
+sentential forms and stay the reference, and so does reference_nf, kept
+here.  derivation_forms rebuilds the forms of a derivation with
+derive_step for tests that inspect them.  Top-down transducers whose
+right-hand sides are chains walk their own table in run_tdtt and
+_enumerate_tdtt, against _rewrite_tdtt and _search_tdtt.  local_run reads the att table
 and is checked against its rules_for form, kept here as the reference.
 """
 
 import itertools
 import random
+from collections import Counter
 from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttdef.analysis import HALT_DEAD, HALT_OK, LocalResult, local_run
-from ttdef.constructions import associate
+from ttdef.constructions import (associate, normalize_domain_into_range,
+                                 normalize_ground_rhs)
 from ttdef.errors import NotApplicable
 from ttdef.functionality import Equal, bounded_equivalence
 from ttdef.model import (ROOT, AttRule, AttSpec, TdttRule, TdttSpec,
-                         call_label, occ_pattern, occ_pattern_info,
-                         parse_all, parse_spec)
+                         call_label, check_monadic, occ_node, occ_node_info,
+                         occ_pattern, occ_pattern_info, parse_all)
 from ttdef.pipeline import decide_dtR
 from ttdef import semantics
-from ttdef.semantics import (LSI_VIOLATIONS, NoOutput, Output, Reject,
-                             StepBudget, _enumerate_att, _rewrite_tdtt,
-                             _run_att, _search_tdtt, _walk_table,
-                             enumerate_outputs, evaluate, run_relabeling,
-                             run_tdtt)
+from ttdef.semantics import (LSI_VIOLATIONS, Diverges, NoOutput, Output,
+                             Reject, StepBudget, _enumerate_att, _expansions,
+                             _rewrite_tdtt, _run_att, _search_tdtt,
+                             _symbol_lookup, _walk_table, derive_step,
+                             enumerate_outputs, evaluate, nf, occurrences,
+                             run_relabeling, run_tdtt)
 from ttdef.trees import RankedAlphabet, Tree, trees_up_to_height
 from ttdef.word_transducers import accepted_words, build_two_way, tree_of
 
 import fixtures
+from fixtures import parse_spec
 
 IN = RankedAlphabet({"f": 2, "g": 1, "e": 0})
 OUT = RankedAlphabet({"h": 1, "k": 1, "c": 0})
@@ -51,7 +57,7 @@ def same_as_reference(a, s, budget):
         got = evaluate(a, s, budget)
         got_lsi = LSI_VIOLATIONS[mark:]
         del LSI_VIOLATIONS[mark:]
-        ref, _ = _run_att(a, s, budget, False)
+        ref = _run_att(a, s, budget)
         assert got == ref, s.render()
         assert LSI_VIOLATIONS[mark:] == got_lsi
     finally:
@@ -191,11 +197,139 @@ def test_walks_off_the_table_keep_the_derivation():
 
 
 # ---------------------------------------------------------------------------
+# nf on the table against nf on string forms
+
+def reference_nf(a, s, start, budget=None):
+    """Normal form of the start form under the derivation over the bare
+    tree s, on string forms: the first occurrence with a rule is
+    rewritten, stuck ones stay as tips, and a consumed occurrence met
+    again, or a step past the budget, gives Diverges."""
+    budget = budget or StepBudget()
+    sym_at = _symbol_lookup(s, rooted=False)
+    track_cycles = check_monadic(a)
+    consumed = set()
+    form = start
+    steps = 0
+    while True:
+        progressed = False
+        for faddr, attr, naddr in occurrences(form):
+            exps = _expansions(a, sym_at, attr, naddr)
+            if not exps:
+                continue  # stuck occurrences stay as tips of the normal form
+            _, replacement = exps[0]
+            if track_cycles:
+                if (attr, naddr) in consumed:
+                    return Diverges()
+                consumed.add((attr, naddr))
+            steps += 1
+            if steps > budget.max_steps:
+                return Diverges()
+            form = form.replace_at(faddr, replacement)
+            progressed = True
+            break
+        if not progressed:
+            return form
+
+
+def derivation_forms(a, s):
+    """The forms a deterministic att with monadic output derives over
+    #(s), one derive_step at a time: from the initial form until it is
+    ground or stuck, or its occurrence was expanded before."""
+    form = Tree(occ_node(a.init, (1,)))
+    forms, consumed = [form], set()
+    while True:
+        occs = {(attr, v) for _, attr, v in occurrences(form)}
+        succ = derive_step(a, s, form)
+        if not succ or occs & consumed:
+            return forms
+        consumed |= occs
+        form = succ[0]
+        forms.append(form)
+
+
+def nf_kind(form):
+    """What a normal form shows: "diverges", "ground", or where its tip
+    sticks, "stuck at the root" or "stuck below"."""
+    if form == Diverges():
+        return "diverges"
+    tip = form
+    while tip.children:
+        tip = tip.children[0]
+    info = occ_node_info(tip.label)
+    if info is None:
+        return "ground"
+    return "stuck at the root" if info[1] == () else "stuck below"
+
+
+def same_nf_as_reference(a, s, budget):
+    """nf against reference_nf from every attribute at every node of s,
+    and at the root of every subtree; the kinds of normal form met."""
+    kinds = set()
+    for v, sub in s.addresses():
+        for attr in a.attributes:
+            for tree, start in ((s, Tree(occ_node(attr, v))),
+                                (sub, Tree("h", [Tree(occ_node(attr, ()))]))):
+                got = nf(a, tree, start, budget)
+                assert got == reference_nf(a, tree, start, budget), \
+                    (tree.render(), start.render())
+                kinds.add(nf_kind(got))
+    return kinds
+
+
+@settings(max_examples=300, deadline=None)
+@given(atts(), trees(4), st.integers(1, 8) | st.just(60))
+def test_table_nf_matches_string_nf_on_random_atts(a, s, max_steps):
+    same_nf_as_reference(a, s, StepBudget(max_steps=max_steps))
+
+
+def test_table_nf_matches_string_nf_on_fixtures():
+    """Every kind of normal form, on the fixtures, on A1 with a leaf
+    symbol that has no rules and on A1 ending in a ground leaf rule;
+    budgets down to 1 step."""
+    stuck = parse_spec(fixtures.A1_TEXT.replace("input f:2 e:0",
+                                                "input f:2 e:0 d:0"))
+    ground = parse_spec(fixtures.A1_TEXT.replace("a(pi) -> g(b(pi))",
+                                                 "a(pi) -> e"))
+    kinds = set()
+    for a in (fixtures.a1(), fixtures.a2(), fixtures.rev(), fixtures.c0(),
+              fixtures.p0(), stuck, ground):
+        for s in trees_up_to_height(a.input, 3):
+            for max_steps in (1, 2, 3, 5, 8, 1_000_000):
+                kinds |= same_nf_as_reference(a, s,
+                                              StepBudget(max_steps=max_steps))
+    assert kinds == {"diverges", "ground", "stuck at the root", "stuck below"}
+    tower = Tree("g", [Tree("e")])
+    assert nf(fixtures.a1(), Tree("e"), tower) == tower
+
+
+def test_associate_walks_nf_on_the_table(monkeypatch):
+    """associate on the A2 behind the leftmost-e look-around, as the
+    pipeline hands it over, reads no string forms."""
+    att = normalize_ground_rhs(normalize_domain_into_range(
+        fixtures.leftmost_e_lookaround(), fixtures.a2()).second)
+    calls = Counter()
+
+    def counted(name, real):
+        def run(*args):
+            calls[name] += 1
+            return real(*args)
+        return run
+
+    for name in ("occurrences", "_expansions", "nf"):
+        monkeypatch.setattr(semantics, name,
+                            counted(name, getattr(semantics, name)))
+    monkeypatch.setattr("ttdef.constructions.nf", semantics.nf)
+    associate(att)
+    assert (calls["occurrences"], calls["_expansions"], calls["nf"]) == \
+        (0, 0, 5226)
+
+
+# ---------------------------------------------------------------------------
 # top-down transducers on their table
 
 def same_tdtt_as_reference(t, s, budget):
     assert t.walks_on_table
-    assert run_tdtt(t, s, budget) == _rewrite_tdtt(t, s, budget, False)[0], \
+    assert run_tdtt(t, s, budget) == _rewrite_tdtt(t, s, budget), \
         s.render()
     assert enumerate_outputs(t, s, budget) == _search_tdtt(t, s, budget), \
         s.render()

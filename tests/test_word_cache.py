@@ -18,7 +18,7 @@ from ttdef import word_transducers
 from ttdef.constructions import (associate, normalize_domain_into_range,
                                  normalize_ground_rhs)
 from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
-                         RelabelingSpec, occ_pattern, parse_spec)
+                         RelabelingSpec, occ_pattern)
 from ttdef.semantics import LSI_VIOLATIONS, StepBudget
 from ttdef.trees import RankedAlphabet, Tree
 from ttdef.word_transducers import (Definable, DefinabilityBudget,
@@ -27,6 +27,7 @@ from ttdef.word_transducers import (Definable, DefinabilityBudget,
                                     build_two_way, one_way_definability)
 
 import fixtures
+from fixtures import parse_spec
 
 LETTERS = RankedAlphabet({"g": 1, "h": 1, "e": 0, "d": 0})
 OUT = RankedAlphabet({"u": 1, "v": 1, "c": 0})

@@ -8,23 +8,23 @@ from ttdef.errors import (NoSuchNode, NotApplicable, NotFunctionalInput,
                           SpecSyntaxError)
 from ttdef.model import (ROOT, PairedSpec, RelabelingRule, RelabelingSpec,
                          TdttRule, TdttSpec, call_label, check_monadic,
-                         parse_spec, render_spec)
+                         render_spec)
+from ttdef.one_way import restrict_to_language, verify
 from ttdef.semantics import Output, Reject, evaluate, run_relabeling
-from ttdef.trees import (RankedAlphabet, Tree, fill_holes, hole_addresses,
-                         parse_tree, trees_up_to_height)
+from ttdef.trees import RankedAlphabet, Tree, parse_tree, trees_up_to_height
 from ttdef.word_transducers import (Definable, DefinabilityBudget,
                                     NotDefinable, TwoWayWord, Unknown,
                                     accepted_counts, accepted_words,
                                     back_convert, base_of_encoding,
                                     build_correspondence_automaton,
                                     build_two_way, certificate_from_json,
-                                    certificate_to_json, corresponds,
-                                    decode_prefix, encode_prefix,
+                                    certificate_to_json, encode_prefix,
                                     encoding_alphabet, one_way_definability,
                                     range_automaton, replay_certificate,
-                                    some_corresponding, tree_of, word_of)
+                                    tree_of, word_of)
 
 import fixtures
+from fixtures import parse_spec
 
 FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
 
@@ -127,23 +127,6 @@ def test_encode_prefix_needs_a_leaf_at_the_end():
         encode_prefix(parse_tree("f(f(e, e), d)"), (1,))
 
 
-def test_decode_prefix_holes_off_the_path():
-    word = tree_of(("f@2", "f@1", "f@1", "e"))
-    assert decode_prefix(word, FED) == parse_tree("f(_, f(f(e, _), _))")
-    with pytest.raises(SpecSyntaxError):
-        decode_prefix(tree_of(("f@1",)), FED)  # ends in a ranked letter
-    with pytest.raises(NoSuchNode):
-        decode_prefix(tree_of(("f@3", "e")), FED)
-
-
-def test_encode_decode_round_trip_on_small_trees():
-    for s in trees_up_to_height(FED, 3):
-        for addr, _ in s.leaves():
-            p = decode_prefix(encode_prefix(s, addr), FED)
-            filled = fill_holes(p, [s.subtree_at(h) for h in hole_addresses(p)])
-            assert filled == s
-
-
 def test_word_of_is_inverse_to_tree_of():
     w = ("f@2", "f@1", "e")
     assert word_of(tree_of(w)) == w
@@ -211,8 +194,8 @@ def test_correspondence_rejects_ambiguous_lifts():
 
 
 def test_corresponds_on_the_frozen_words(tw2):
-    assert corresponds(tree_of(INSIDE), tw2.range_aut)
-    assert not corresponds(tree_of(OUTSIDE), tw2.range_aut)
+    assert accepts(tw2.correspondence, INSIDE)
+    assert not accepts(tw2.correspondence, OUTSIDE)
 
 
 def test_every_image_path_corresponds(assoc2, tw2):
@@ -327,18 +310,6 @@ rule #: b(pi 1) -> e
         build_two_way(h)
 
 
-def test_some_corresponding_fills_the_dropped_children(tw2):
-    t = some_corresponding(tw2, tree_of(INSIDE))
-    assert t == Tree("f_<r0,r1>", [Tree("e"), Tree("d")])
-    got = run_relabeling(tw2.range_aut, t)
-    assert not isinstance(got, Reject) and got[0] in tw2.range_aut.final
-    assert word_of(encode_prefix(t, (2,))) == INSIDE
-    assert some_corresponding(tw2, tree_of(OUTSIDE)) is None
-    bare = TwoWayWord("bare", tw2.att, tw2.correspondence)
-    with pytest.raises(NotApplicable):
-        some_corresponding(bare, tree_of(INSIDE))
-
-
 # ---------------------------------------------------------------------------
 # one-way definability
 
@@ -366,6 +337,30 @@ def test_oracle_candidate_rejects_stray_words(tw2, verdict2):
     for w in full_universe(corr.input, 3):
         if not accepts(corr, w):
             assert not isinstance(evaluate(cand, tree_of(w)), Output), w
+
+
+def test_verify_names_a_shortest_stray_word():
+    """A candidate that accepts d after g, and after h h, outside a
+    language of words ending in e: verify names g d, and restricting
+    the candidate to the language leaves no stray."""
+    letters = RankedAlphabet({"g": 1, "h": 1, "e": 0, "d": 0})
+    words = RelabelingSpec("ends_in_e", letters, letters, ("p",), (
+        RelabelingRule("e", (), "p", "e"),
+        RelabelingRule("g", ("p",), "p", "g"),
+        RelabelingRule("h", ("p",), "p", "h")))
+    cand = parse_spec("""\
+dt C
+input g:1 h:1 e:0 d:0
+output c:0
+init s0
+rule s0 g: s0(g(x1)) -> s1(x1)
+rule s0 h: s0(h(x1)) -> s2(x1)
+rule s1 d: s1(d) -> c
+rule s2 h: s2(h(x1)) -> s3(x1)
+rule s3 d: s3(d) -> c
+""")
+    assert verify(cand, {}, words)["word"] == ["g", "d"]
+    assert verify(restrict_to_language(cand, words), {}, words) is None
 
 
 def test_oracle_is_a_pure_function_of_machine_and_budget(tw2, verdict2):
