@@ -116,22 +116,6 @@ def mangle_parts(sym, parts):
     return "%s_<%s>" % (sym, ",".join(parts))
 
 
-def split_mangled_parts(name):
-    if not name.endswith(">"):
-        return None
-    depth = 0
-    for i in range(len(name) - 1, -1, -1):
-        if name[i] == ">":
-            depth += 1
-        elif name[i] == "<":
-            depth -= 1
-            if depth == 0:
-                if i > 0 and name[i - 1] == "_":
-                    return name[:i - 1], name[i + 1:-1]
-                return None
-    return None
-
-
 def mangle_child(sym, i):
     """Monadic-encoding symbol name for "symbol, continue in child i"."""
     return "%s@%d" % (sym, i)

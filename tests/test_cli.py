@@ -3,8 +3,10 @@
 `analyze` and `associate` reach every walk analysis: circularity, single
 path, the visiting pair sets with their variation, kappa and the
 associated pair.  These tests pin what they print with --json and the
-exit code and message of a refusal.  The pump certificate `decide`
-writes replays through `definable --replay`.
+exit code and message of a refusal.  `functional` is pinned on one att
+per verdict: two outputs, a productive cycle, and functional with and
+without a silent cycle.  The pump certificate `decide` writes replays
+through `definable --replay`.
 """
 
 import json
@@ -118,6 +120,23 @@ def test_a_circular_spec_is_refused(command, tmp_path, capsys):
     assert captured.err.startswith("ttdef: error: ")
     assert "circular" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+FUNCTIONAL = {
+    "n1": {"verdict": "not-functional", "input": "e",
+           "outputs": ["e", "g(e)"]},
+    "p0": {"verdict": "productive-cycle", "input": "e",
+           "trace": ["a(1)", "g(b(1))", "g(a(1))", "g(g(b(1)))"]},
+    "a1": {"verdict": "functional", "depth": 4},
+    "c0": {"verdict": "functional", "depth": 4},
+}
+
+
+@pytest.mark.parametrize("name", sorted(FUNCTIONAL))
+def test_functional_json(name, tmp_path, capsys):
+    att = getattr(fixtures, name)()
+    got = run_json(capsys, ["functional", "--json", spec_file(tmp_path, att)])
+    assert got == dict(FUNCTIONAL[name], schema=1)
 
 
 @pytest.fixture

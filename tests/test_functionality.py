@@ -1,56 +1,33 @@
-"""Root-rule normalization, productive cycles, the annotated rule-choice
-pair, bounded equivalence, and the functionality verdict."""
+"""Productive cycles, bounded equivalence, and the functionality verdict.
+
+Functionality is checked as at most one output per input tree up to the
+depth.  Once no tree up to the depth has a productive cycle, every
+derivation search settles, so enumerating the outputs of each tree
+finds the first one with two; a cycle stands as the verdict unless a
+shallow probe on its tree finds two outputs.  The random tests check
+each verdict against a closure of derive_step, on the bare att and
+behind an identity look-around.
+"""
 
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from ttdef.analysis import is_circular
 from ttdef.errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
-from ttdef.functionality import (AnnotatedAlphabet, Equal, FunctionalUpTo,
-                                 FunctionalityBudget, NotFunctional,
-                                 ProductiveCycle, Witness,
-                                 bounded_equivalence, build_annotated_pair,
-                                 detect_productive_cycle, is_functional,
-                                 normalize_root_rules, replay_cycle)
-from ttdef.model import ROOT, PairedSpec
-from ttdef.semantics import (Output, StepBudget, derive_step,
-                             enumerate_outputs, evaluate)
-from ttdef.trees import parse_tree, trees_up_to_height
+from ttdef.functionality import (Equal, FunctionalUpTo, FunctionalityBudget,
+                                 NotFunctional, ProductiveCycle, Witness,
+                                 bounded_equivalence, detect_productive_cycle,
+                                 is_functional, replay_cycle)
+from ttdef.model import ROOT, AttRule, AttSpec, PairedSpec, occ_node
+from ttdef.semantics import (StepBudget, derive_step, enumerate_outputs,
+                             occurrences)
+from ttdef.trees import Tree, canonical_key, parse_tree, trees_up_to_height
 
 import fixtures
 from fixtures import parse_spec
-
-# root rules give the inherited b two choices, both ground
-SPLIT_TEXT = """\
-att split
-input e:0
-output g:1 e:0
-syn a
-inh b
-init a
-rule e: a(pi) -> b(pi)
-rule #: b(pi 1) -> e
-rule #: b(pi 1) -> g(e)
-"""
-
-# one root choice continues into the synthesized a, so pushing it down
-# has to inline a's own rules
-CONT_TEXT = """\
-att cont
-input f:1 e:0
-output g:1 e:0
-syn c a
-inh b
-init c
-rule f: c(pi) -> c(pi 1)
-rule f: b(pi 1) -> b(pi)
-rule f: a(pi) -> g(a(pi 1))
-rule e: c(pi) -> b(pi)
-rule e: a(pi) -> e
-rule #: b(pi 1) -> e
-rule #: b(pi 1) -> a(pi 1)
-"""
+from test_walk_table import IN, OUT, rhs_at
 
 # the productive cycle can also escape, so two outputs exist
 ESCAPE_TEXT = """\
@@ -78,68 +55,6 @@ rule e: a(pi) -> f(e, e)
 def lifted_a1():
     """A1 over A2's input alphabet; the extra symbol d has no rules."""
     return replace(fixtures.a1(), name="A1_fed", input=fixtures.a2().input)
-
-
-def translation(d, s):
-    outs, exhaustive = enumerate_outputs(d, s)
-    assert exhaustive
-    return {t.render() for t in outs}
-
-
-# ---------------------------------------------------------------------------
-# normalize_root_rules
-
-
-def test_normalize_splits_root_choices():
-    n = normalize_root_rules(parse_spec(SPLIT_TEXT))
-    assert n.name == "split_rootdet"
-    assert n.syn == ("a", "a_<b>")
-    assert [r.render(ROOT) for r in n.rules_at(ROOT)] == \
-        ["rule #: b(pi 1) -> a_<b>(pi 1)"]
-    assert [r.render("e") for r in n.rules_at("e")] == [
-        "rule e: a(pi) -> b(pi)",
-        "rule e: a_<b>(pi) -> e",
-        "rule e: a_<b>(pi) -> g(e)",
-    ]
-    assert n.deterministic is False  # the choice moved, it did not vanish
-
-
-def test_normalize_inlines_continuations():
-    n = normalize_root_rules(parse_spec(CONT_TEXT))
-    assert [r.render("f") for r in n.rules_at("f")] == [
-        "rule f: c(pi) -> c(pi 1)",
-        "rule f: b(pi 1) -> b(pi)",
-        "rule f: a(pi) -> g(a(pi 1))",
-        "rule f: a_<b>(pi) -> e",
-        "rule f: a_<b>(pi) -> g(a(pi 1))",
-    ]
-    # at e both root choices collapse to the same ground rule
-    assert [r.render("e") for r in n.rules_at("e")] == [
-        "rule e: c(pi) -> b(pi)",
-        "rule e: a(pi) -> e",
-        "rule e: a_<b>(pi) -> e",
-    ]
-
-
-@pytest.mark.parametrize("text", [SPLIT_TEXT, CONT_TEXT])
-def test_normalize_preserves_translation_sets(text):
-    a = parse_spec(text)
-    n = normalize_root_rules(a)
-    for s in trees_up_to_height(a.input, 3):
-        assert translation(a, s) == translation(n, s)
-
-
-def test_normalize_keeps_deterministic_roots_untouched():
-    a = fixtures.a1()
-    assert normalize_root_rules(a) is a
-    p = fixtures.p0()
-    assert normalize_root_rules(p) is p
-
-
-def test_normalize_keeps_circularity_status():
-    a = parse_spec(CONT_TEXT)
-    assert is_circular(a)[0] is False
-    assert is_circular(normalize_root_rules(a))[0] is False
 
 
 # ---------------------------------------------------------------------------
@@ -185,112 +100,6 @@ def test_cycle_positives_are_circular():
     # circularity alone is not enough
     assert is_circular(c0)[0] is True
     assert detect_productive_cycle(c0) is None
-
-
-# ---------------------------------------------------------------------------
-# the annotated pair
-
-
-def test_annotated_choice_counts():
-    alphabet = AnnotatedAlphabet(fixtures.a1())
-    assert len(alphabet.choices("f")) == 8
-    assert len(alphabet.choices("e")) == 2
-    assert sum(len(alphabet.choices(sym)) ** 2
-               for sym, _ in alphabet.att.input.items()) == 68
-
-
-def test_annotated_choices_never_share_a_lhs():
-    n1 = fixtures.n1()
-    alphabet = AnnotatedAlphabet(n1)
-    # the two e-rules of N1 share their left-hand side, so they are
-    # never picked together
-    assert alphabet.choices("e") == [(), (0,), (1,)]
-    for picks in alphabet.choices("f"):
-        rules = [n1.rules_at("f")[i] for i in picks]
-        assert len({(r.attr, r.pos) for r in rules}) == len(rules)
-
-
-def test_annotated_symbols_without_rules():
-    alphabet = AnnotatedAlphabet(lifted_a1())
-    assert alphabet.choices("d") == [()]
-
-
-def test_annotated_name_round_trip():
-    alphabet = AnnotatedAlphabet(fixtures.a1())
-    assert alphabet.name_of("f", (0, 2), (1,)) == "f_<0+2>_<1>"
-    assert alphabet.decode("f_<0+2>_<1>") == ("f", (0, 2), (1,))
-    for p1 in alphabet.choices("f"):
-        for p2 in alphabet.choices("f"):
-            assert alphabet.decode(alphabet.name_of("f", p1, p2)) == \
-                ("f", p1, p2)
-
-
-def test_annotated_decode_rejects_foreign_labels():
-    alphabet = AnnotatedAlphabet(fixtures.a1())
-    with pytest.raises(SpecSyntaxError):
-        alphabet.decode("f")
-    with pytest.raises(SpecSyntaxError):
-        alphabet.decode("f_<0>")  # only one annotation layer
-    with pytest.raises(SpecSyntaxError):
-        alphabet.decode("z_<->_<->")  # no such base symbol
-    with pytest.raises(SpecSyntaxError):
-        alphabet.decode("f_<a+b>_<->")
-
-
-def test_copies_follow_their_annotations():
-    c1, c2 = build_annotated_pair(fixtures.n1())
-    alphabet = c1.alphabet
-    stilde = alphabet.annotate(parse_tree("e"), {(1,): {1}}, {(1,): {0}})
-    assert stilde.label == "e_<1>_<0>"
-    assert c1.evaluate(stilde) == parse_tree("e")
-    assert c2.evaluate(stilde) == parse_tree("g(e)")
-    assert alphabet.project(stilde) == parse_tree("e")
-
-
-def test_copies_stick_without_allowed_rules():
-    c1, c2 = build_annotated_pair(fixtures.n1())
-    stilde = c1.alphabet.annotate(parse_tree("e"), {}, {})
-    assert c1.evaluate(stilde) is None
-    assert c2.evaluate(stilde) is None
-
-
-def test_copies_translate_like_the_source_when_everything_is_allowed():
-    a1 = fixtures.a1()
-    c1, c2 = build_annotated_pair(a1)
-
-    def full(att, s):
-        return {(1,) + addr: set(range(len(att.rules_at(node.label))))
-                for addr, node in s.addresses()}
-
-    for s in trees_up_to_height(a1.input, 3):
-        stilde = c1.alphabet.annotate(s, full(c1.att, s), full(c1.att, s))
-        got = evaluate(a1, s)
-        want = got.tree if isinstance(got, Output) else None
-        assert c1.evaluate(stilde) == want
-        assert c2.evaluate(stilde) == want
-
-
-def test_copies_reject_malformed_annotations():
-    n1 = fixtures.n1()
-    c1, _ = build_annotated_pair(n1)
-    out_of_range = c1.alphabet.annotate(parse_tree("e"), {(1,): {9}}, {})
-    with pytest.raises(SpecSyntaxError):
-        c1.evaluate(out_of_range)
-    shared_lhs = c1.alphabet.annotate(parse_tree("e"), {(1,): {0, 1}}, {})
-    with pytest.raises(SpecSyntaxError):
-        c1.evaluate(shared_lhs)
-
-
-def test_pair_witness_projects_to_two_source_outputs():
-    n1 = fixtures.n1()
-    c1, c2 = build_annotated_pair(n1)
-    got = bounded_equivalence(c1, c2, 2)
-    assert isinstance(got, Witness)
-    assert c1.evaluate(got.input) == got.out1
-    assert c2.evaluate(got.input) == got.out2
-    s = c1.alphabet.project(got.input)
-    outs, exhaustive = enumerate_outputs(n1, s)
-    assert exhaustive and {got.out1, got.out2} <= outs
 
 
 # ---------------------------------------------------------------------------
@@ -411,3 +220,110 @@ def test_budget_coercion():
     assert FunctionalityBudget.coerce(budget) is budget
     with pytest.raises(SpecSyntaxError):
         FunctionalityBudget.coerce("plenty")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: FunctionalityBudget(depth=0),
+    lambda: FunctionalityBudget(depth=-3),
+    lambda: FunctionalityBudget(depth=True),
+    lambda: FunctionalityBudget(depth=2.5),
+    lambda: FunctionalityBudget(max_steps=0),
+    lambda: FunctionalityBudget(max_steps=False),
+    lambda: FunctionalityBudget.coerce(True),
+    lambda: FunctionalityBudget.coerce(0),
+    lambda: is_functional(fixtures.a1(), -3),
+], ids=["depth-0", "depth-negative", "depth-bool", "depth-float",
+        "steps-0", "steps-bool", "coerce-bool", "coerce-0",
+        "is-functional-negative"])
+def test_budget_must_be_positive_integers(make):
+    with pytest.raises(SpecSyntaxError):
+        make()
+
+
+def test_functional_respects_the_step_budget():
+    """A2's walk on d, the first tree, takes four steps, so three cannot
+    finish it."""
+    with pytest.raises(NotApplicable, match="on d "):
+        is_functional(fixtures.a2(), FunctionalityBudget(depth=4,
+                                                         max_steps=3))
+
+
+# ---------------------------------------------------------------------------
+# random nondeterministic atts
+
+
+@st.composite
+def nondeterministic_atts(draw):
+    """Monadic atts over IN with zero to three rules per left-hand side,
+    root-marker rules included; each rule is quiet or emits at random.
+    Identical rules collapse, as they do when a spec is parsed."""
+    syn = tuple("a%d" % i for i in range(draw(st.integers(1, 2))))
+    inh = tuple("b%d" % i for i in range(draw(st.integers(0, 2))))
+    rules = {}
+    for sym, k in list(IN.items()) + [(ROOT, 1)]:
+        lhs = [(b, j) for b in inh for j in range(1, k + 1)]
+        if sym != ROOT:
+            lhs = [(a, 0) for a in syn] + lhs
+        rules[sym] = tuple(dict.fromkeys(
+            AttRule(attr, pos,
+                    draw(rhs_at(syn, inh, k, draw(st.booleans()))))
+            for attr, pos in lhs for _ in range(draw(st.integers(0, 3)))))
+    return AttSpec(name="R", input=IN, output=OUT, syn=syn, inh=inh,
+                   init=draw(st.sampled_from(syn)), rules=rules)
+
+
+def ground_forms(a, s):
+    """Every output of a over #(s): the ground forms in the closure of
+    derive_step from the initial form.  Finite when no productive cycle
+    exists on s."""
+    start = Tree(occ_node(a.init, (1,)))
+    seen, stack = {start}, [start]
+    while stack:
+        for nxt in derive_step(a, s, stack.pop()):
+            if nxt not in seen:
+                seen.add(nxt)
+                stack.append(nxt)
+    return {f for f in seen if not occurrences(f)}
+
+
+def check_verdict(subject, a, depth):
+    """The verdict on subject (a itself or a behind an identity
+    look-around, which shows each tree as itself) against ground_forms.
+    A cycle found first decides the verdict; otherwise it names the
+    first tree with two outputs, or there is none."""
+    verdict = is_functional(subject, depth)
+    cycle = detect_productive_cycle(a, depth)
+    if cycle is not None:
+        if isinstance(verdict, ProductiveCycle):
+            assert verdict == cycle and replay_cycle(a, verdict)
+            return verdict
+        assert verdict.input == cycle.input
+        probe = StepBudget(max_steps=400)
+        outs, _ = enumerate_outputs(subject, verdict.input, probe)
+        assert verdict.out1 != verdict.out2
+        assert {verdict.out1, verdict.out2} <= outs
+        return verdict
+    for s in trees_up_to_height(a.input, depth):
+        outs = ground_forms(a, s)
+        if len(outs) > 1:
+            out1, out2 = sorted(outs, key=canonical_key)[:2]
+            assert verdict == NotFunctional(s, out1, out2)
+            got, exhaustive = enumerate_outputs(subject, s)
+            assert exhaustive and {out1, out2} <= got
+            return verdict
+    assert verdict == FunctionalUpTo(depth)
+    return verdict
+
+
+@settings(max_examples=200, deadline=None)
+@given(nondeterministic_atts(), st.integers(2, 3))
+def test_verdicts_on_random_nondeterministic_atts(a, depth):
+    check_verdict(a, a, depth)
+
+
+@settings(max_examples=80, deadline=None)
+@given(nondeterministic_atts(), st.integers(2, 3))
+def test_verdicts_behind_an_identity_lookaround(a, depth):
+    pair = PairedSpec(kind="attU", name="r_u",
+                      first=fixtures.identity_lookaround(IN, "idr"), second=a)
+    assert check_verdict(pair, a, depth) == is_functional(a, depth)

@@ -8,7 +8,7 @@ from ttdef.model import (AttRule, AttSpec, PairedSpec, RelabelingSpec,
                          is_occurrence, mangle_child, mangle_literal,
                          mangle_parts, occ_node, occ_node_info, occ_pattern,
                          occ_pattern_info, parse_all, render_spec,
-                         split_mangled_child, split_mangled_parts)
+                         split_mangled_child)
 from ttdef.trees import Tree, parse_tree
 
 import fixtures
@@ -288,9 +288,6 @@ def test_occurrence_labels():
 
 def test_mangling_helpers():
     assert mangle_parts("f", ["r1", "r2"]) == "f_<r1,r2>"
-    assert split_mangled_parts("f_<r1,r2>") == ("f", "r1,r2")
-    assert split_mangled_parts("f_<<0,2>,<1>>") == ("f", "<0,2>,<1>")
-    assert split_mangled_parts("plain") is None
     assert mangle_child("f_<r1,r2>", 2) == "f_<r1,r2>@2"
     assert split_mangled_child("f_<r1,r2>@2") == ("f_<r1,r2>", 2)
     assert split_mangled_child("f") is None

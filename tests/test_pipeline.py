@@ -11,10 +11,12 @@ from pathlib import Path
 import pytest
 
 from ttdef.cli import main
+from ttdef.errors import NotApplicable
 from ttdef.model import PairedSpec
 from ttdef.pipeline import decide_dtR, report_to_json
 
 import fixtures
+from fixtures import parse_spec
 
 PREFIX = [
     ("validate", "att", None),
@@ -24,6 +26,12 @@ PREFIX = [
 ]
 
 A2_CFG = {"equivalence_depth": 4, "verify_word_length": 5}
+
+# A1 with a second a-rule at e that asks for the inherited c, which no
+# rule defines: that walk gets stuck, so S1 stays a function of A1's
+# outputs while no longer being deterministic
+S1_TEXT = (fixtures.A1_TEXT.replace("att A1", "att S1")
+           .replace("inh b\n", "inh b c\n") + "rule e: a(pi) -> c(pi)\n")
 
 
 def stages_of(report):
@@ -128,6 +136,26 @@ def test_lookaround_pair_is_unknown_at_bounded_equivalence(tmp_path):
     ], "c9d14243e9712b749d89d24cf2560b3486fe60861be442a815fa11d0a757315c",
         prefix=[])
     assert report.answer.stage == "bounded_equivalence"
+
+
+def test_a_nonfunctional_att_is_refused_at_the_functional_stage(tmp_path):
+    with pytest.raises(NotApplicable) as err:
+        decide_dtR(fixtures.n1(), outdir=tmp_path)
+    assert str(err.value) == (
+        "stage 'functional': 'A1' maps e to two different outputs; no "
+        "deterministic transducer computes it")
+
+
+def test_a_functional_nondeterministic_att_stops_at_determinize(tmp_path):
+    s1 = parse_spec(S1_TEXT)
+    assert not s1.deterministic
+    report = decide_dtR(s1, outdir=tmp_path)
+    check_pinned(report, tmp_path, "unknown", [
+        ("functional", "functional up to depth 4", None),
+        ("determinize", "not attempted", None),
+    ], "8b2368e31f26e20a91da6222f1c4577a266d5db23eefc143c1d8c1a22814cba2",
+        prefix=PREFIX[:3])
+    assert report.answer.stage == "determinize"
 
 
 def test_report_hash_ignores_the_artifact_directory(a2_twice):
