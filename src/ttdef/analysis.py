@@ -21,19 +21,31 @@ of visiting pair sets, boundedness of output variation per visiting pair set
 (with replayable pump witnesses when unbounded), the overall output-height
 cap kappa, and the single path property.
 
+Both summaries are read off node walks, and most node walks are shared.
+A walk at a node runs until it leaves the node for its parent; up to
+there it does not depend on chi, so it is split into chi-free segments
+(one local_run with chi None each), and a walk under a given chi chains
+them through chi's answers (stitch).  The segments from each synthesized
+attribute at the node are the ones that build the node's tail map, so
+each production keeps them from the shape build (Prod.runs).  A walk
+that stops at a child, which is how a child's chi is found, never reads
+that child's tail map: its segments are memoized without it (by symbol,
+child, the other children's shapes and start) and shared by every shape
+of the child and every configuration.
+
 Circularity, the single path verdict, kappa and the variation verdict of
 each visiting pair set are computed once per spec and cached on it
 (AttSpec.circularity and AttSpec.walk_analysis): the pipeline asks for
 circularity in several stages, and single_path, kappa and variations come
 from one pass over the same shapes and configurations.  Only these
-small results are cached.  The shapes and configuration systems die with
-the pass; kept on the spec they would stay alive through associate and
-build_two_way, which raises the traced peak of one look-around fixture
-decision from 13 to 21 MB.
+small results are cached.  The shapes, their segment memos and the
+configuration systems die with the pass; kept on the spec they would
+stay alive through associate and build_two_way, which raises the traced
+peak of one look-around fixture decision from 13 to 21 MB.
 """
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from .errors import NotApplicable
 from .model import ROOT, check_monadic, occ_pattern_info
@@ -118,6 +130,35 @@ def local_run(att, sigma, taus, chi, start, boundary=None):
             if ans == HALT_OK:
                 return done("halt_ok")
             attr = ans
+
+
+def _segment(res):
+    """A chi-free LocalResult as the (kind, attr, emit, visits) tuple the
+    memos keep."""
+    return res.kind, res.attr, res.emit, res.visits
+
+
+def stitch(segment, chi, start):
+    """What local_run with context answer chi returns from start, as a
+    (kind, attr, emit, visits) tuple, chained from chi-free segments:
+    segment(start) is the tuple of local_run from start with chi None and
+    the same taus and boundary, and each exit re-enters the node at (chi's
+    answer, 0).  A walk whose segments share an occurrence repeats the
+    exits of the first one from there on, so it re-enters some attribute
+    twice; that re-entry is dead, as local_run's revisit is."""
+    kind, attr, emit, visits = segment(start)
+    entered = set()
+    while kind == "up":
+        ans = chi.get(attr, HALT_DEAD)
+        if ans == HALT_DEAD or ans in entered:
+            return "dead", None, emit, visits
+        if ans == HALT_OK:
+            return "halt_ok", None, emit, visits
+        entered.add(ans)
+        kind, attr, more, seen = segment((ans, 0))
+        emit += more
+        visits += seen
+    return kind, attr, emit, visits
 
 
 # ---------------------------------------------------------------------------
@@ -221,17 +262,19 @@ def _circularity(a):
     isds = sorted(all_isds(a), key=lambda s: sorted(s))
     symbols = [(sym, k) for sym, k in a.input.items()] + [(ROOT, 1)]
     for sym, k in symbols:
+        rule_edges = {}
+        rule_nodes = set()
+        for rule in a.rules_at(sym):
+            src = (rule.attr, rule.pos)
+            rule_nodes.add(src)
+            for _, sub in rule.rhs.addresses():
+                tip = occ_pattern_info(sub.label)
+                if tip is not None:
+                    rule_edges.setdefault(src, []).append(tip)
+                    rule_nodes.add(tip)
         for combo in itertools.product(isds, repeat=k):
-            edges = {}
-            nodes = set()
-            for rule in a.rules_at(sym):
-                src = (rule.attr, rule.pos)
-                nodes.add(src)
-                for _, sub in rule.rhs.addresses():
-                    tip = occ_pattern_info(sub.label)
-                    if tip is not None:
-                        edges.setdefault(src, []).append(tip)
-                        nodes.add(tip)
+            edges = {src: list(tips) for src, tips in rule_edges.items()}
+            nodes = set(rule_nodes)
             for j in range(1, k + 1):
                 for b, syn in combo[j - 1]:
                     edges.setdefault((syn, j), []).append((b, j))
@@ -266,15 +309,17 @@ def _isd_of_tau(tau):
 
 @dataclass
 class Prod:
-    """One way to build a shape: sigma applied to child shapes."""
+    """One way to build a shape: sigma applied to child shapes.  runs maps
+    each synthesized attribute a to the chi-free segment from (a, 0)."""
     sigma: str
     child_keys: tuple
     out_key: tuple
+    runs: dict
 
 
 class Shapes:
     """All reachable tail maps, with smallest representative trees and the
-    productions connecting them."""
+    productions connecting them, and the memo of boundary segments."""
 
     def __init__(self, att):
         self.att = att
@@ -282,25 +327,20 @@ class Shapes:
         self.rep = {}        # key -> representative Tree
         self.prods = []
         self.by_out = {}     # key -> [Prod]
-        self._walks = {}     # (prod id, attr) -> LocalResult
+        self._bounded = {}   # (sigma, i, other child keys) -> {start: segment}
         self._build()
 
-    def _step(self, sym, child_keys):
+    def _runs(self, sym, child_keys):
         taus = [self.tau[k] for k in child_keys]
-        tau = {}
-        for a in self.att.syn:
-            res = local_run(self.att, sym, taus, None, (a, 0))
-            if res.kind == "up":
-                tau[a] = ("up", res.attr)
-            elif res.kind == "ground":
-                tau[a] = ("ground",)
-        return tau
+        return {a: _segment(local_run(self.att, sym, taus, None, (a, 0)))
+                for a in self.att.syn}
 
     def _build(self):
         def step(sym, combo):
-            tau = self._step(sym, combo)
+            runs = self._runs(sym, combo)
+            tau = _tau_of(runs)
             key = _tau_key(tau)
-            prod = Prod(sym, combo, key)
+            prod = Prod(sym, combo, key, runs)
             self.prods.append(prod)
             self.by_out.setdefault(key, []).append(prod)
             if key not in self.tau:
@@ -312,18 +352,39 @@ class Shapes:
         settle_representatives(
             [(p.sigma, p.child_keys, p.out_key) for p in self.prods], self.rep)
 
-    def walk(self, prod, attr):
-        """Memoized node walk for entry attr over prod, bare-subtree mode."""
-        k = (id(prod), attr)
-        if k not in self._walks:
-            taus = [self.tau[c] for c in prod.child_keys]
-            self._walks[k] = local_run(self.att, prod.sigma, taus, None,
-                                       (attr, 0))
-        return self._walks[k]
-
     def key_of(self, s):
         child_keys = tuple(self.key_of(c) for c in s.children)
-        return _tau_key(self._step(s.label, child_keys))
+        return _tau_key(_tau_of(self._runs(s.label, child_keys)))
+
+    def bounded(self, sigma, child_keys, i):
+        """The chi-free segments at a sigma-node that stop at child i, as a
+        function of their start.  They never read child i's shape, so
+        they are memoized without it and shared by every shape of that
+        child."""
+        others = child_keys[:i - 1] + child_keys[i:]
+        memo = self._bounded.setdefault((sigma, i, others), {})
+
+        def segment(start):
+            seg = memo.get(start)
+            if seg is None:
+                taus = [self.tau[k] for k in others]
+                taus.insert(i - 1, None)
+                seg = _segment(local_run(self.att, sigma, taus, None, start,
+                                         i))
+                memo[start] = seg
+            return seg
+        return segment
+
+
+def _tau_of(runs):
+    """Tail map of a production from its segments."""
+    tau = {}
+    for a, (kind, attr, _, _) in runs.items():
+        if kind == "up":
+            tau[a] = ("up", attr)
+        elif kind == "ground":
+            tau[a] = ("ground",)
+    return tau
 
 
 # ---------------------------------------------------------------------------
@@ -334,6 +395,16 @@ class Config:
     key: tuple        # subtree shape
     entry: str        # first synthesized attribute entering the node
     chi: tuple        # sorted (inherited attr, answer) pairs
+    # configurations key every table of the analysis: hash the nested
+    # tuples once, not on every lookup
+    _hash: int = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.key, self.entry, self.chi)))
+
+    def __hash__(self):
+        return self._hash
 
     def chi_map(self):
         return dict(self.chi)
@@ -379,6 +450,7 @@ class TopDown:
         self.emit = {}        # (config, id(prod)) -> the node's own output
         self.parent = {}      # config -> (config, prod, child index)
         self.has_unvisited = False
+        self._interned = {}   # config -> the one equal instance in use
         queue = []
         for cfg in roots:
             if self._admit(cfg):
@@ -407,51 +479,47 @@ class TopDown:
         out = []
         chi = cfg.chi_map()
         for prod in self.shapes.by_out.get(cfg.key, []):
-            taus = [self.shapes.tau[c] for c in prod.child_keys]
-            res = local_run(self.att, prod.sigma, taus, chi, (cfg.entry, 0))
-            if res.kind not in ("ground", "halt_ok"):
+            kind, _, emit, visits = stitch(
+                lambda start: prod.runs[start[0]], chi, (cfg.entry, 0))
+            if kind not in ("ground", "halt_ok"):
                 continue
-            self.emit[(cfg, id(prod))] = res.emit
+            self.emit[(cfg, id(prod))] = emit
             first_entry = {}
-            for i, a in res.visits:
+            for i, a in visits:
                 first_entry.setdefault(i, a)
             if len(first_entry) < len(prod.child_keys):
                 self.has_unvisited = True
             children = {}
             for i, a in first_entry.items():
-                chi_i = {}
-                for b in self.att.inh:
-                    r = local_run(self.att, prod.sigma, taus, chi, (b, i),
-                                  boundary=i)
-                    if r.kind == "enter":
-                        chi_i[b] = r.attr
-                    elif r.kind in ("ground", "halt_ok"):
-                        chi_i[b] = HALT_OK
-                    else:
-                        chi_i[b] = HALT_DEAD
-                children[i] = Config(prod.child_keys[i - 1], a,
-                                     tuple(sorted(chi_i.items())))
+                child = Config(prod.child_keys[i - 1], a, _child_chi(
+                    self.shapes, prod.sigma, prod.child_keys, i, chi))
+                children[i] = self._interned.setdefault(child, child)
             out.append((prod, children))
         return out
 
 
+def _child_chi(shapes, sigma, child_keys, i, chi):
+    """The context answer of child i of a sigma-node whose own context
+    answer is chi, as sorted (inherited attr, answer) pairs."""
+    segment = shapes.bounded(sigma, child_keys, i)
+    answers = []
+    for b in shapes.att.inh:
+        kind, attr, _, _ = stitch(segment, chi, (b, i))
+        if kind == "enter":
+            answers.append((b, attr))
+        elif kind in ("ground", "halt_ok"):
+            answers.append((b, HALT_OK))
+        else:
+            answers.append((b, HALT_DEAD))
+    return tuple(sorted(answers))
+
+
 def _root_configs(att, shapes):
     """Valid whole-input configurations: entry is the initial attribute and
-    chi reflects the root rules."""
-    roots = []
-    for key in sorted(shapes.tau):
-        tau = shapes.tau[key]
-        chi = {}
-        for b in att.inh:
-            res = local_run(att, ROOT, [tau], {}, (b, 1), boundary=1)
-            if res.kind == "enter":
-                chi[b] = res.attr
-            elif res.kind == "ground":
-                chi[b] = HALT_OK
-            else:
-                chi[b] = HALT_DEAD
-        roots.append(Config(key, att.init, tuple(sorted(chi.items()))))
-    return roots
+    chi reflects the root rules.  The root rules never read the shape
+    below them, so every shape gets the same chi."""
+    chi = _child_chi(shapes, ROOT, (None,), 1, {})
+    return [Config(key, att.init, chi) for key in sorted(shapes.tau)]
 
 
 def _allok_configs(att, shapes):

@@ -108,8 +108,11 @@ def detect_productive_cycle(a, budget=None):
     form grows; any reachable cycle through a positive edge is
     productive.  The trace is rebuilt by walking to the cycle and around
     it until an occurrence repeats with a bigger form."""
-    budget = FunctionalityBudget.coerce(budget)
-    att, shown = _inputs(a, budget)
+    return _productive_cycle(*_inputs(a, FunctionalityBudget.coerce(budget)))
+
+
+def _productive_cycle(att, shown):
+    """detect_productive_cycle over the (att, shown) pair _inputs gives."""
     for s in shown:
         trace = _cycle_on(att, s)
         if trace is not None:
@@ -305,7 +308,7 @@ def is_functional(a, budget=None):
     if not check_monadic(att):
         raise NotApplicable("output of %r is not monadic; the functionality "
                             "check needs word output" % att.name)
-    cyc = detect_productive_cycle(a, budget)
+    cyc = _productive_cycle(att, shown)
     if cyc is not None:
         # A shallow probe: with a productive cycle present, full
         # enumeration would chase ever-growing forms, so give up early.

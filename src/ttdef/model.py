@@ -324,11 +324,6 @@ class RelabelingSpec:
                 out.append(p)
         return tuple(out)
 
-    @property
-    def automaton(self):
-        return (self.input == self.output
-                and all(r.out_symbol == r.symbol for r in self.rules))
-
 
 @dataclass(frozen=True)
 class TdttRule:

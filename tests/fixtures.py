@@ -22,6 +22,14 @@ def parse_spec(text):
     return parse_all(text)[-1]
 
 
+def is_automaton(b):
+    """True when the relabeling b relabels nothing: input and output
+    alphabets agree and every rule keeps its symbol, so b is a bottom-up
+    tree automaton."""
+    return (b.input == b.output
+            and all(r.out_symbol == r.symbol for r in b.rules))
+
+
 A1_TEXT = """\
 att A1
 input f:2 e:0

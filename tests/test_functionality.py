@@ -14,6 +14,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from ttdef import functionality
 from ttdef.analysis import is_circular
 from ttdef.errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from ttdef.functionality import (Equal, FunctionalUpTo, FunctionalityBudget,
@@ -200,6 +201,27 @@ def test_functional_with_look_around_reports_cycles():
     # the cycle witness names the relabeled tree and replays against the
     # att side of the pair
     assert replay_cycle(p0, verdict)
+
+
+@pytest.mark.parametrize("make", [fixtures.a2, fixtures.n1, fixtures.p0])
+@pytest.mark.parametrize("paired", [False, True], ids=["att", "look-around"])
+def test_functional_lists_its_inputs_once(make, paired, monkeypatch):
+    """The productive-cycle pass and the enumeration read one list of
+    trees: on the look-around route each input is relabeled once."""
+    a = make()
+    if paired:
+        a = PairedSpec(kind="attU", name="u", second=a,
+                       first=fixtures.identity_lookaround(a.input, "id"))
+    calls = []
+    listed = functionality._inputs
+
+    def counted(*args):
+        calls.append(args)
+        return listed(*args)
+
+    monkeypatch.setattr(functionality, "_inputs", counted)
+    is_functional(a, 3)
+    assert len(calls) == 1
 
 
 def test_functional_rejects_other_pair_kinds():

@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and every top-level function and class of the package is read by the
-package or the benchmark.
+and every top-level function and class of the package, and every method
+and property of its classes, is read by the package or the benchmark.
 
 No linter runs on this package, so these scans stand in for the
 unused-import and dead-code checks: an import nothing reads is either
@@ -16,11 +16,13 @@ import pytest
 PACKAGE = Path(__file__).resolve().parent.parent / "src" / "ttdef"
 BENCH = PACKAGE.parent.parent / "bench"
 
-# Top-level names no caller reads yet, each with the ROADMAP item that
-# will call it.
+# Top-level names no caller reads, each with the ROADMAP item that will
+# call it or the reason it stays.
 UNREAD_ALLOWED = {
     "encode_prefix": "item 1(c), words from counterexample trees",
     "replay_cycle": "item 5, `ttdef replay` of a productive cycle",
+    "detect_productive_cycle": "the cycle check on its own; is_functional "
+                               "runs its helper on the trees it has listed",
 }
 
 
@@ -54,30 +56,55 @@ def test_the_scan_sees_an_unused_import():
     assert unused_imports(source) == [(2, "dumps"), (3, "f"), (5, "sys")]
 
 
+def _reads(node):
+    """Names node loads or takes as an attribute."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+    return names
+
+
+def _methods(cls):
+    """The methods and properties of a class statement; dunders are left
+    out, since Python calls them by protocol, not by name."""
+    return [stmt for stmt in cls.body
+            if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef))
+            and not (stmt.name.startswith("__") and stmt.name.endswith("__"))]
+
+
 def unread_definitions(package, readers):
     """(module, name) of every top-level function and class of the
-    package sources that no code reads: neither the package outside the
-    definition itself nor the reader sources.  A name counts as read
-    where it is loaded or taken as an attribute, so module.name is a
-    read too.  package and readers map file names to source text."""
+    package sources, and (module, "Class.name") of every method and
+    property of a package class, that no code reads: neither the package
+    outside the definition itself nor the reader sources.  A name counts
+    as read where it is loaded or taken as an attribute, so module.name
+    and obj.name are reads too.  package and readers map file names to
+    source text."""
     defined = []
     read = set()
     sources = [(name, text, True) for name, text in package.items()]
     sources += [(name, text, False) for name, text in readers.items()]
     for module, source, own in sources:
         for stmt in ast.parse(source).body:
-            names = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-            if own and isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                defined.append((module, stmt.name))
-                names.discard(stmt.name)
-            read |= names
+            if not own or not isinstance(stmt, (ast.FunctionDef,
+                                                ast.ClassDef)):
+                read |= _reads(stmt)
+                continue
+            defined.append((module, stmt.name))
+            methods = (_methods(stmt) if isinstance(stmt, ast.ClassDef)
+                       else [])
+            for method in methods:
+                defined.append((module, "%s.%s" % (stmt.name, method.name)))
+                read |= _reads(method) - {stmt.name, method.name}
+            rest = [sub for sub in ast.iter_child_nodes(stmt)
+                    if sub not in methods]
+            for sub in rest:
+                read |= _reads(sub) - {stmt.name}
     return sorted((module, name) for module, name in defined
-                  if name not in read)
+                  if name.rpartition(".")[2] not in read)
 
 
 def test_every_definition_is_read():
@@ -99,3 +126,23 @@ def test_the_scan_sees_an_unused_function():
     del readers["b.py"]
     assert unread_definitions(package, readers) == [("m.py", "unused"),
                                                     ("m.py", "used")]
+
+
+def test_the_scan_sees_an_unused_method():
+    package = {"m.py": "class Shape:\n"
+                       "    def __init__(self):\n        self.size = 1\n"
+                       "    def used(self):\n        return self.grow()\n"
+                       "    def grow(self):\n        return self.grow()\n"
+                       "    def unused(self):\n        return self.unused()\n"
+                       "    @property\n    def area(self):\n"
+                       "        return Shape().size\n"
+                       "s = Shape()\n"}
+    readers = {"b.py": "from m import s\ns.used()\n"}
+    assert unread_definitions(package, readers) == [("m.py", "Shape.area"),
+                                                    ("m.py", "Shape.unused")]
+    readers["b.py"] += "s.area\n"
+    assert unread_definitions(package, readers) == [("m.py", "Shape.unused")]
+    del readers["b.py"]
+    # grow stays read: used calls it, and only its own call is discounted
+    assert unread_definitions(package, readers) == [
+        ("m.py", "Shape.area"), ("m.py", "Shape.unused"), ("m.py", "Shape.used")]

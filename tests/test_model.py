@@ -178,7 +178,7 @@ def test_relabeling_parses_and_roundtrips():
     assert isinstance(b, RelabelingSpec)
     assert b.states == ("p", "q")
     assert b.final == ("p",)
-    assert not b.automaton
+    assert not fixtures.is_automaton(b)
     assert b.rule_for("f", ("p", "p")).out_symbol == "f_<p,p>"
     assert b.rule_for("f", ("q", "q")) is None
     assert parse_spec(render_spec(b)) == b
@@ -203,7 +203,7 @@ final p
 rule e -> p:e
 rule f(p,p) -> p:f
 """
-    assert parse_spec(text).automaton
+    assert fixtures.is_automaton(parse_spec(text))
 
 
 PAIR_TEXT = RELABEL_TEXT + """

@@ -8,6 +8,8 @@ derive_step for tests that inspect them.  Top-down transducers whose
 right-hand sides are chains walk their own table in run_tdtt and
 _enumerate_tdtt, against _rewrite_tdtt and _search_tdtt.  local_run reads the att table
 and is checked against its rules_for form, kept here as the reference.
+The walk analysis chains local_run's chi-free segments through context
+answers with stitch, checked against local_run with the answers.
 """
 
 import itertools
@@ -18,7 +20,9 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttdef.analysis import HALT_DEAD, HALT_OK, LocalResult, local_run
+from ttdef import analysis
+from ttdef.analysis import (HALT_DEAD, HALT_OK, LocalResult, _segment,
+                            local_run, single_path, stitch)
 from ttdef.constructions import (associate, normalize_domain_into_range,
                                  normalize_ground_rhs)
 from ttdef.errors import NotApplicable
@@ -543,3 +547,72 @@ def test_local_run_matches_rules_for_form(make):
                 raised += isinstance(got, str)
     # only a walk that applies the non-chain rule raises
     assert bool(raised) == (att.name == "NM")
+
+
+def stitch_outcome(att, sigma, taus, chi, start, boundary):
+    def segment(st):
+        return _segment(local_run(att, sigma, taus, None, st, boundary))
+    try:
+        return stitch(segment, chi, start)
+    except NotApplicable as e:
+        return "raised %s" % e
+
+
+@pytest.mark.parametrize("make", [
+    fixtures.a1, fixtures.a2, fixtures.rev, fixtures.c0,
+    lambda: associate(fixtures.a2()).att,
+    lambda: parse_spec(NONMONADIC_TEXT),
+])
+def test_stitched_segments_match_local_run(make):
+    """Every walk with a context answer, chained from chi-free segments,
+    ends as local_run's does; emit and visits agree unless it is dead,
+    where local_run stops at the first revisit.  A segment that stops at
+    a child never reads that child's tail map, which is what lets the
+    analysis share it across the child's shapes."""
+    att = make()
+    dead = 0
+    for sigma, k in att.input.items():
+        starts = [(attr, pos) for attr in att.attributes
+                  for pos in range(k + 1)]
+        for taus in itertools.product(tau_choices(att), repeat=k):
+            taus = list(taus)
+            for chi, start, boundary in itertools.product(
+                    chi_choices(att)[1:], starts,
+                    [None] + list(range(1, k + 1))):
+                want = outcome(local_run, att, sigma, taus, chi, start,
+                               boundary)
+                got = stitch_outcome(att, sigma, taus, chi, start, boundary)
+                if isinstance(want, str):
+                    assert got == want
+                    continue
+                assert got[:2] == (want.kind, want.attr)
+                if want.kind == "dead":
+                    dead += 1
+                else:
+                    assert got[2:] == (want.emit, want.visits)
+                if boundary is not None:
+                    blind = taus[:boundary - 1] + [None] + taus[boundary:]
+                    assert outcome(local_run, att, sigma, blind, None, start,
+                                   boundary) == outcome(
+                        local_run, att, sigma, taus, None, start, boundary)
+    assert dead
+
+
+def test_the_lookaround_analysis_shares_its_segments(monkeypatch):
+    """One single_path pass over the att the pipeline analyses for A2
+    behind the leftmost-e look-around walks few segments: each boundary
+    segment once, whatever the shape of the child it stops at, and each
+    production's own segments once, in the shape build.  Walking every
+    configuration afresh took 104 384 local_run calls."""
+    att = normalize_ground_rhs(normalize_domain_into_range(
+        fixtures.leftmost_e_lookaround(), fixtures.a2()).second)
+    calls = []
+    walk = analysis.local_run
+
+    def counted(*args):
+        calls.append(args[1])
+        return walk(*args)
+
+    monkeypatch.setattr(analysis, "local_run", counted)
+    assert single_path(att).yes
+    assert len(calls) <= 25000

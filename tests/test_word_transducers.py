@@ -140,7 +140,7 @@ def test_word_of_is_inverse_to_tree_of():
 def test_range_automaton_accepts_exactly_the_images(assoc2):
     aut = range_automaton(assoc2.relabeling)
     assert len(aut.rules) == 18
-    assert aut.automaton
+    assert fixtures.is_automaton(aut)
     assert aut.final == ("r0", "r1", "r2", "r3")
     for s in trees_up_to_height(FED, 3):
         state, image = run_relabeling(assoc2.relabeling, s)
@@ -164,7 +164,7 @@ def test_range_automaton_rejects_output_collisions():
 def test_correspondence_automaton_lifts_each_child(assoc2, tw2):
     corr = tw2.correspondence
     assert len(corr.rules) == 34
-    assert corr.automaton
+    assert fixtures.is_automaton(corr)
     assert corr.rule_for("e", ()).state == "r0"
     assert corr.rule_for("d", ()).state == "r1"
     assert corr.rule_for("f_<r0,r1>@1", ("r0",)).state == "r3"
