@@ -146,9 +146,9 @@ def rhs_chain(rhs, tip_info=occ_pattern_info):
     """Monadic rule right-hand side as (emitted labels, tip, leaf), or None
     when some node of it has several children.
 
-    tip is what tip_info reads off the last leaf, (attr, pos) for an att
-    occurrence or (state, child) for a top-down call, else None with the
-    rank-0 output label in leaf."""
+    tip is what tip_info reads off the last leaf, (attr, pos) for an
+    occurrence in a rule or (attr, address) for one in a form, else None
+    with the rank-0 output label in leaf."""
     labels = []
     t = rhs
     while t.children:
@@ -215,13 +215,13 @@ class AttSpec:
 
     @cached_property
     def deterministic(self):
-        seen = set()
+        """No two different rules share a left-hand side; a rule repeated
+        verbatim counts once."""
+        first = {}
         for sym, rules in self.rules.items():
             for r in rules:
-                key = (sym, r.attr, r.pos)
-                if key in seen:
+                if first.setdefault((sym, r.attr, r.pos), r) != r:
                     return False
-                seen.add(key)
         return True
 
     @cached_property
@@ -344,7 +344,8 @@ class TdttRule:
 class TdttSpec:
     """Top-down tree transducer. Possibly nondeterministic in memory (the
     back-conversion produces such machines); rendering keeps duplicates and
-    the deterministic property reports whether any left-hand side repeats."""
+    the deterministic property reports whether two different rules share a
+    left-hand side."""
     name: str
     input: RankedAlphabet
     output: RankedAlphabet
@@ -373,28 +374,32 @@ class TdttSpec:
 
     @cached_property
     def deterministic(self):
-        seen = set()
+        """No two different rules share a left-hand side; a rule repeated
+        verbatim counts once."""
+        first = {}
         for r in self.rules:
-            if (r.state, r.symbol) in seen:
+            if first.setdefault((r.state, r.symbol), r.rhs) != r.rhs:
                 return False
-            seen.add((r.state, r.symbol))
         return True
 
     @cached_property
     def rule_table(self):
-        """(state, symbol) -> rhs_chain of the first rule with that
-        left-hand side, its tip a call (state, child); None where that
-        right-hand side is not a chain."""
+        """(state, symbol) -> the right-hand side of the first rule with
+        that left-hand side, in preorder: (label, rank) for an output
+        node, (None, (state, child)) for a call.  Chains, relabelings and
+        branching or copying right-hand sides all take this one form, so
+        a deterministic run walks it whatever their shape."""
         table = {}
         for r in self.rules:
-            table.setdefault((r.state, r.symbol), rhs_chain(r.rhs, call_info))
+            if (r.state, r.symbol) in table:
+                continue
+            nodes = []
+            for _, node in r.rhs.addresses():
+                call = None if node.children else call_info(node.label)
+                nodes.append((node.label, len(node.children)) if call is None
+                             else (None, call))
+            table[r.state, r.symbol] = tuple(nodes)
         return table
-
-    @cached_property
-    def walks_on_table(self):
-        """True when every run is one root-to-leaf walk that rule_table
-        describes: deterministic rules, every right-hand side a chain."""
-        return self.deterministic and None not in self.rule_table.values()
 
     @property
     def relabeling(self):

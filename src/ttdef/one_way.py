@@ -10,8 +10,7 @@ certificate: a loop whose pumped outputs no one-way machine produces.
 
 from dataclasses import dataclass
 
-from .errors import NotApplicable
-from .model import TdttRule, TdttSpec, call_info, call_label
+from .model import TdttRule, TdttSpec, call_label
 from .semantics import _chain_tree
 
 
@@ -173,10 +172,37 @@ def synthesize(sample, enc, out_alpha, name, bound):
                     init=state_name[find(0)], rules=tuple(rules)), None
 
 
-def _language_product(init, table, aut):
+def _word_steps(cand):
+    """The rule table of a one-way machine read letter by letter:
+    (state, letter) -> (output chunk, next state), the next state None
+    for a rule that ends the word."""
+    steps = {}
+    for key, rhs in cand.rule_table.items():
+        label, last = rhs[-1]
+        chunk = tuple(l for l, _ in rhs[:-1])
+        steps[key] = (chunk, last[0]) if label is None \
+            else (chunk + (label,), None)
+    return steps
+
+
+def _not_word_shaped(cand):
+    """Why the candidate is no deterministic one-way machine, or None:
+    every right-hand side must be a chain that ends in an output leaf or
+    in a call into child 1."""
+    if not cand.deterministic:
+        return "one-way machine has two rules for one left-hand side"
+    for (q, letter), rhs in cand.rule_table.items():
+        label, last = rhs[-1]
+        ends = last == 0 if label is not None else last[1] == 1
+        if not ends or any(rank != 1 for _, rank in rhs[:-1]):
+            return "rule for %s/%s is not word shaped" % (q, letter)
+    return None
+
+
+def _language_product(init, steps, aut):
     """Breadth-first search of a one-way machine against the word
     language, over pairs (machine state, set of automaton states that
-    still climb to a final): a letter moves the machine by its table
+    still climb to a final): a letter moves the machine by its steps
     and the set to the states that climb into it.  Starts from (init,
     final states).  Returns the leaf states of the automaton, each pair
     in the order found with the shortest word that reaches it, and the
@@ -189,8 +215,9 @@ def _language_product(init, table, aut):
         else:
             leafst[r.symbol] = r.state
     moves = {}
-    for (q, letter), (_, q2) in table.items():
-        moves.setdefault(q, []).append((letter, q2))
+    for (q, letter), (_, q2) in steps.items():
+        if q2 is not None:
+            moves.setdefault(q, []).append((letter, q2))
     order = [(init, frozenset(aut.final))]
     paths = {order[0]: ()}
     arrows = []
@@ -210,11 +237,12 @@ def restrict_to_language(cand, aut):
     survives only where the automaton accepts, and states that cannot
     reach an accepting leaf are dropped, so the machine rejects by
     omission everywhere outside the language."""
-    table, leaf_table = _one_way_tables(cand)
-    leafst, paths, arrows = _language_product(cand.init, table, aut)
+    steps = _word_steps(cand)
+    leafst, paths, arrows = _language_product(cand.init, steps, aut)
     ends = {}
-    for (q, leaf), chunk in leaf_table.items():
-        ends.setdefault(q, []).append((leaf, chunk))
+    for (q, leaf), (chunk, q2) in steps.items():
+        if q2 is None:
+            ends.setdefault(q, []).append((leaf, chunk))
     accepts = {(q, down): [(leaf, chunk) for leaf, chunk in
                            sorted(ends.get(q, ()))
                            if leafst.get(leaf) in down]
@@ -242,70 +270,33 @@ def restrict_to_language(cand, aut):
                                   _chain_tree(chunk[:-1], chunk[-1])))
     for src, letter, dst in arrows:
         if src in alive and dst in alive:
-            rhs = _chain_tree(table[(src[0], letter)][0],
+            rhs = _chain_tree(steps[src[0], letter][0],
                               call_label(name_of[dst], 1))
             rules.append(TdttRule(name_of[src], letter, rhs))
     return TdttSpec(name=cand.name, input=cand.input, output=cand.output,
                     init=name_of[start], rules=tuple(rules))
 
 
-def _one_way_tables(t):
-    """Rule tables (state, letter) -> (chunk, next state) and
-    (state, leaf) -> chunk of a deterministic one-way machine."""
-    table = {}
-    leaf_table = {}
-    for r in t.rules:
-        labels = []
-        node = r.rhs
-        call = None
-        while True:
-            info = call_info(node.label)
-            if info is not None and not node.children:
-                call = info
-                break
-            labels.append(node.label)
-            if not node.children:
-                break
-            if len(node.children) != 1:
-                raise NotApplicable("rule for %s/%s is not word shaped"
-                                    % (r.state, r.symbol))
-            node = node.children[0]
-        key = (r.state, r.symbol)
-        if key in table or key in leaf_table:
-            raise NotApplicable("one-way machine has two rules for %s/%s"
-                                % key)
-        if call is None:
-            leaf_table[key] = tuple(labels)
-        else:
-            if call[1] != 1:
-                raise NotApplicable("call into child %d on a word" % call[1])
-            table[key] = (tuple(labels), call[0])
-    return table, leaf_table
-
-
-def _run_one_way(table, leaf_table, init, word):
+def _run_one_way(steps, init, word):
     q = init
     out = []
-    for letter in word[:-1]:
-        got = table.get((q, letter))
+    for letter in word:
+        got = steps.get((q, letter))
         if got is None:
             return None
         chunk, q = got
         out.extend(chunk)
-    got = leaf_table.get((q, word[-1]))
-    if got is None:
-        return None
-    out.extend(got)
-    return tuple(out)
+    return tuple(out) if q is None else None
 
 
-def _dom_within(cand, aut, table, leaf_table):
+def _dom_within(cand, aut, steps):
     """A shortest word the candidate accepts outside the automaton's
     language, or None.  Exact for all lengths: the product search covers
     every pair the candidate and the language can reach together."""
-    leafst, paths, _ = _language_product(cand.init, table, aut)
+    leafst, paths, _ = _language_product(cand.init, steps, aut)
     for (q, down), path in paths.items():
-        for leaf in sorted(l for p, l in leaf_table if p == q):
+        for leaf in sorted(l for (p, l), (_, q2) in steps.items()
+                           if p == q and q2 is None):
             if leafst.get(leaf) not in down:
                 return path + (leaf,)
     return None
@@ -315,17 +306,17 @@ def verify(cand, cache, aut):
     """None when the candidate matches the cached machine behavior on
     every accepted word and never accepts outside the correspondence
     language; otherwise a failure report."""
-    try:
-        table, leaf_table = _one_way_tables(cand)
-    except NotApplicable as err:
-        return {"reason": str(err)}
-    stray = _dom_within(cand, aut, table, leaf_table)
+    why = _not_word_shaped(cand)
+    if why is not None:
+        return {"reason": why}
+    steps = _word_steps(cand)
+    stray = _dom_within(cand, aut, steps)
     if stray is not None:
         return {"reason": "candidate accepts a word outside the "
                           "correspondence language", "word": list(stray)}
     for w in sorted(cache):
         want = cache[w]
-        got = _run_one_way(table, leaf_table, cand.init, w)
+        got = _run_one_way(steps, cand.init, w)
         if got != want:
             return {"reason": "candidate disagrees with the machine",
                     "word": list(w),

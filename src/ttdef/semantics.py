@@ -10,24 +10,29 @@ Deterministic monadic-output derivations have a single active occurrence
 per form; revisiting a consumed occurrence certifies a cycle, which
 evaluate reports as NoOutput and nf as Diverges.
 
-Two engines run atts and top-down transducers.  When the att is
-deterministic with monadic output (AttSpec.walks_on_table), evaluate,
-enumerate_outputs and nf walk the spec's rule table, compiled once per
-spec: the form is then a chain of emitted labels above one occurrence,
-so the walk keeps the occurrence as (attr, node) and the labels as a
-list, and builds the output tree once at the end.  nf is defined only
-there: it walks the bare tree under a top node without rules, from a
-given start occurrence.  Occurrence labels are parsed only when the
-table is built.  A deterministic top-down transducer whose right-hand
-sides are chains (TdttSpec.walks_on_table) walks its own table the same
-way, root to leaf, keeping its one call as (state, input node).  Every
-other run rewrites string sentential forms: non-monadic outputs (a form
-holds several occurrences or calls) and nondeterministic enumeration (it
-searches a set of forms).  derive_step gives one rewriting step, for
-certificates that replay a derivation.  _run_att, _enumerate_att,
-_rewrite_tdtt and _search_tdtt are also the reference the compiled walks
-are tested against; both engines give the same outcomes, budgets
-included.
+Compiled walks run every deterministic machine whose rule table covers
+it.  When the att is deterministic with monadic output
+(AttSpec.walks_on_table), evaluate, enumerate_outputs and nf walk the
+spec's rule table, compiled once per spec: the form is then a chain of
+emitted labels above one occurrence, so the walk keeps the occurrence as
+(attr, node) and the labels as a list, and builds the output tree once
+at the end.  nf is defined only there: it walks the bare tree under a
+top node without rules, from a given start occurrence.  Every
+deterministic top-down transducer walks its own table (TdttSpec.
+rule_table), whatever the shape of its right-hand sides: calls are
+expanded in preorder off a stack, and the output tree is built once at
+the end.  Labels are parsed only when a table is built.  A pair runs
+its first stage and then its second, each under the caller's budget;
+the top stage of a look-around is an ordinary top-down run.
+
+String sentential forms are left for atts that are not monadic or not
+deterministic (a form holds several occurrences, or enumeration
+searches a set of forms), for nondeterministic top-down transducers,
+and for derive_step, which gives one rewriting step for certificates
+that replay a derivation.  _run_att and _enumerate_att are also the
+reference the att walk is tested against, and _search_tdtt the
+reference for the top-down walk; both engines give the same outcomes,
+budgets included.
 """
 
 from dataclasses import dataclass
@@ -293,34 +298,43 @@ def _chain_tree(labels, leaf):
 
 
 def _walk_tdtt(t, s, max_steps, max_enumeration=None):
-    """Run the top-down transducer t over s on its rule table, root to
-    leaf: its one state call is kept as (state, input node) and the
-    emitted labels as a list.  Returns (kind, output tree or None), kind
-    one of "output", "stuck" (no rule, or a call into a child s lacks),
-    "steps" and "enumeration", with the budgets of _search: a rule
-    applied past max_steps, or the max_enumeration-th form (checked only
-    when it is given)."""
+    """Run the deterministic top-down transducer t over s on its rule
+    table, expanding calls in preorder as the string-form run rewrites
+    them.  A stack holds what is left of the output in preorder: output
+    nodes (label, rank) and calls (None, (state, input node)), the input
+    node None for a child s lacks.  Returns (kind, output tree or None),
+    kind one of "output", "stuck" (no rule, or a call into a child s
+    lacks), "steps" and "enumeration", with the budgets of _search: a
+    rule applied past max_steps, or the max_enumeration-th form (checked
+    only when it is given)."""
     table = t.rule_table
-    state, node = t.init, s
+    todo = [(None, (t.init, s))]
     out = []
     steps = 0
-    while True:
-        chain = table.get((state, node.label))
-        if chain is None:
+    while todo:
+        label, what = todo.pop()
+        if label is not None:
+            out.append((label, what))
+            continue
+        state, node = what
+        rhs = None if node is None else table.get((state, node.label))
+        if rhs is None:
             return "stuck", None
         steps += 1
         if steps > max_steps:
             return "steps", None
         if max_enumeration is not None and steps >= max_enumeration:
             return "enumeration", None
-        emitted, tip, leaf = chain
-        out.extend(emitted)
-        if tip is None:
-            return "output", _chain_tree(out, leaf)
-        state, i = tip
-        if not 1 <= i <= len(node.children):
-            return "stuck", None
-        node = node.children[i - 1]
+        kids = node.children
+        for label, what in reversed(rhs):
+            if label is None:
+                state, i = what
+                what = state, (kids[i - 1] if 1 <= i <= len(kids) else None)
+            todo.append((label, what))
+    built = []
+    for label, rank in reversed(out):
+        built.append(Tree(label, [built.pop() for _ in range(rank)]))
+    return "output", built[0]
 
 
 def nf(a, s, start, budget=None):
@@ -371,10 +385,6 @@ def run_relabeling(b, s):
     return Reject() if got is None else got
 
 
-def _accepts(b, state):
-    return state in b.final
-
-
 def _tdtt_successors(t, s, form):
     """First state-call leaf of the form with its grounded rewrites, or
     (None, None) when the form is ground."""
@@ -401,81 +411,29 @@ def _ground_calls(rhs, v):
 
 
 def run_tdtt(t, s, budget=None):
-    """Top-down rewriting; for a dt^R pair the relabeling runs first. A
-    nondeterministic machine is tolerated only while its answer on s is
-    unambiguous."""
+    """Top-down rewriting.  A nondeterministic machine is tolerated only
+    while its answer on s is unambiguous."""
     budget = budget or StepBudget()
-    if isinstance(t, PairedSpec):
-        if t.kind != "dtR":
-            raise DuplicateLhsInDeterministic(
-                "run_tdtt expects a dt or a dtR pair, got %r" % t.kind)
-        got = run_relabeling(t.first, s)
-        if isinstance(got, Reject) or not _accepts(t.first, got[0]):
-            return NoOutput()
-        t, s = t.second, got[1]
-    if not t.deterministic:
-        outs, exhaustive = _enumerate_tdtt(t, s, budget)
-        if len(outs) > 1:
-            raise NotFunctionalInput(
-                "nondeterministic transducer %r has %d outputs on %s"
-                % (t.name, len(outs), s.render()))
-        if outs:
-            return Output(next(iter(outs)))
-        return NoOutput() if exhaustive else BudgetExhausted()
-    if t.walks_on_table:
+    if t.deterministic:
         kind, tree = _walk_tdtt(t, s, budget.max_steps)
         if kind == "output":
             return Output(tree)
         return BudgetExhausted() if kind == "steps" else NoOutput()
-    return _rewrite_tdtt(t, s, budget)
-
-
-def _rewrite_tdtt(t, s, budget):
-    """The deterministic run on string forms."""
-    form = Tree(occ_node(t.init, ()))
-    steps = 0
-    while True:
-        faddr, grounded = _tdtt_successors(t, s, form)
-        if faddr is None:
-            return Output(form)
-        if not grounded:
-            return NoOutput()
-        steps += 1
-        if steps > budget.max_steps:
-            return BudgetExhausted()
-        _, replacement = grounded[0]
-        form = form.replace_at(faddr, replacement)
-
-
-def _apply_lookaround(u, s):
-    """Both relabeling phases of a lookaround pair; None when rejected."""
-    got = run_relabeling(u.first, s)
-    if isinstance(got, Reject) or not _accepts(u.first, got[0]):
-        return None
-    out = run_tdtt(u.second, got[1])
-    return out.tree if isinstance(out, Output) else None
-
-
-def _pre_stage(d, s):
-    """Run the relabeling stage of a paired spec. Returns (consumer,
-    relabeled input) or None when the stage rejects."""
-    if d.kind in ("attR", "dtR"):
-        got = run_relabeling(d.first, s)
-        if isinstance(got, Reject) or not _accepts(d.first, got[0]):
-            return None
-        return d.second, got[1]
-    if d.kind == "attU":
-        relabeled = _apply_lookaround(d.first, s)
-        if relabeled is None:
-            return None
-        return d.second, relabeled
-    return None
+    outs, exhaustive = _search_tdtt(t, s, budget)
+    if len(outs) > 1:
+        raise NotFunctionalInput(
+            "nondeterministic transducer %r has %d outputs on %s"
+            % (t.name, len(outs), s.render()))
+    if outs:
+        return Output(next(iter(outs)))
+    return NoOutput() if exhaustive else BudgetExhausted()
 
 
 def evaluate(d, s, budget=None):
     """Outcome of the deterministic machine d on s: Output, NoOutput, or
-    BudgetExhausted. Nondeterministic machines belong to
-    enumerate_outputs."""
+    BudgetExhausted.  A pair runs its first stage and then its second on
+    what the first gave, each under the budget.  Nondeterministic
+    machines belong to enumerate_outputs."""
     budget = budget or StepBudget()
     if isinstance(d, AttSpec):
         if d.walks_on_table:
@@ -490,19 +448,13 @@ def evaluate(d, s, budget=None):
         return run_tdtt(d, s, budget)
     if isinstance(d, RelabelingSpec):
         got = run_relabeling(d, s)
-        ok = not isinstance(got, Reject) and _accepts(d, got[0])
+        ok = not isinstance(got, Reject) and got[0] in d.final
         return Output(got[1]) if ok else NoOutput()
     if isinstance(d, PairedSpec):
-        if d.kind == "dtR":
-            return run_tdtt(d, s, budget)
-        if d.kind == "lookaround":
-            relabeled = _apply_lookaround(d, s)
-            return NoOutput() if relabeled is None else Output(relabeled)
-        staged = _pre_stage(d, s)
-        if staged is None:
-            return NoOutput()
-        consumer, relabeled = staged
-        return evaluate(consumer, relabeled, budget)
+        first = evaluate(d.first, s, budget)
+        if not isinstance(first, Output):
+            return first
+        return evaluate(d.second, first.tree, budget)
     raise TypeError("cannot evaluate %r" % type(d).__name__)
 
 
@@ -531,19 +483,21 @@ def _search(start, successors, budget):
 
 
 def enumerate_outputs(d, s, budget=None):
-    """(all ground outputs reachable within budget, exhaustive flag)."""
+    """(all ground outputs reachable within budget, exhaustive flag).  A
+    pair enumerates its second stage on each output of its first, each
+    under the budget."""
     budget = budget or StepBudget()
     if isinstance(d, PairedSpec):
-        if d.kind == "lookaround":
-            relabeled = _apply_lookaround(d, s)
-            return (set() if relabeled is None else {relabeled}), True
-        staged = _pre_stage(d, s)
-        if staged is None:
-            return set(), True
-        d, s = staged
+        firsts, exhaustive = enumerate_outputs(d.first, s, budget)
+        outs = set()
+        for first in firsts:
+            got, done = enumerate_outputs(d.second, first, budget)
+            outs |= got
+            exhaustive = exhaustive and done
+        return outs, exhaustive
     if isinstance(d, RelabelingSpec):
         got = run_relabeling(d, s)
-        ok = not isinstance(got, Reject) and _accepts(d, got[0])
+        ok = not isinstance(got, Reject) and got[0] in d.final
         return ({got[1]} if ok else set()), True
     if isinstance(d, AttSpec):
         if d.walks_on_table:
@@ -554,7 +508,13 @@ def enumerate_outputs(d, s, budget=None):
             return set(), kind in ("stuck", "silent")
         return _enumerate_att(d, s, budget)
     if isinstance(d, TdttSpec):
-        return _enumerate_tdtt(d, s, budget)
+        if d.deterministic:
+            kind, tree = _walk_tdtt(d, s, budget.max_steps,
+                                    budget.max_enumeration)
+            if kind == "output":
+                return {tree}, True
+            return set(), kind == "stuck"
+        return _search_tdtt(d, s, budget)
     raise TypeError("cannot enumerate %r" % type(d).__name__)
 
 
@@ -572,16 +532,6 @@ def _enumerate_att(a, s, budget):
                 for _, repl in _expansions(a, sym_at, attr, naddr)]
     start = Tree(occ_node(a.init, (1,)))
     return _search(start, successors, budget)
-
-
-def _enumerate_tdtt(t, s, budget):
-    if t.walks_on_table:
-        kind, tree = _walk_tdtt(t, s, budget.max_steps,
-                                budget.max_enumeration)
-        if kind == "output":
-            return {tree}, True
-        return set(), kind == "stuck"
-    return _search_tdtt(t, s, budget)
 
 
 def _search_tdtt(t, s, budget):

@@ -368,9 +368,11 @@ def test_uniformize_collapses_duplicate_rules():
                                   init="q",
                                   rules=mirror.second.rules
                                   + mirror.second.rules[-1:]))
-    assert not doubled.second.deterministic
+    # a rule repeated verbatim counts once
+    assert doubled.second.deterministic
     u = uniformize(doubled)
     assert u.second.deterministic
+    assert len(set(u.second.rules)) == len(u.second.rules)
     assert_equivalent(mirror, u, FED, 3)
 
 

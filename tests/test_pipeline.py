@@ -6,6 +6,7 @@ keeps all of them; a change to any of them is a change in what the
 pipeline decides or writes.
 """
 
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -67,6 +68,20 @@ def test_a1_is_no_by_single_path(tmp_path):
          "single-path-witness-becbed6a2c09.json"),
     ], "bfe9d7e56e73c66e64e90e023c7ada91531946db290b15d5ae68cead0699835a")
     assert report.answer.reason == "single-path-fails"
+
+
+def test_a_rule_repeated_verbatim_decides_like_one(tmp_path):
+    """A1 built in memory with its e rule twice walks on its table and
+    decides exactly like A1."""
+    a1 = fixtures.a1()
+    rules = dict(a1.rules)
+    rules["e"] += rules["e"]
+    doubled = replace(a1, rules=rules)
+    assert doubled.deterministic and doubled.walks_on_table
+    want = decide_dtR(a1, outdir=tmp_path / "a1")
+    got = decide_dtR(doubled, outdir=tmp_path / "doubled")
+    assert got.answer.reason == want.answer.reason == "single-path-fails"
+    assert stages_of(got) == stages_of(want)
 
 
 def test_rev_is_no_by_pump_certificate(tmp_path):

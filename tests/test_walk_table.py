@@ -4,10 +4,13 @@ evaluate, enumerate_outputs and nf run deterministic atts with monadic
 output on the spec's rule table; _run_att and _enumerate_att rewrite
 sentential forms and stay the reference, and so does reference_nf, kept
 here.  derivation_forms rebuilds the forms of a derivation with
-derive_step for tests that inspect them.  Top-down transducers whose
-right-hand sides are chains walk their own table in run_tdtt and
-_enumerate_tdtt, against _rewrite_tdtt and _search_tdtt.  local_run reads the att table
-and is checked against its rules_for form, kept here as the reference.
+derive_step for tests that inspect them.  Deterministic top-down
+transducers walk their own table in run_tdtt and enumerate_outputs,
+whatever the shape of their right-hand sides, against _rewrite_tdtt, the
+deterministic run on string forms kept here, and _search_tdtt.  Pairs
+run stage by stage, checked against the same references composed.
+local_run reads the att table and is checked against its rules_for
+form, kept here as the reference.
 The walk analysis chains local_run's chi-free segments through context
 answers with stitch, checked against local_run with the answers.
 """
@@ -27,17 +30,19 @@ from ttdef.constructions import (associate, normalize_domain_into_range,
                                  normalize_ground_rhs)
 from ttdef.errors import NotApplicable
 from ttdef.functionality import Equal, bounded_equivalence
-from ttdef.model import (ROOT, AttRule, AttSpec, TdttRule, TdttSpec,
-                         call_label, check_monadic, occ_node, occ_node_info,
-                         occ_pattern, occ_pattern_info, parse_all)
+from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec,
+                         RelabelingSpec, TdttRule, TdttSpec, call_label,
+                         check_monadic, occ_node, occ_node_info, occ_pattern,
+                         occ_pattern_info, parse_all)
 from ttdef.pipeline import decide_dtR
 from ttdef import semantics
-from ttdef.semantics import (LSI_VIOLATIONS, Diverges, NoOutput, Output,
-                             Reject, StepBudget, _enumerate_att, _expansions,
-                             _rewrite_tdtt, _run_att, _search_tdtt,
-                             _symbol_lookup, _walk_table, derive_step,
-                             enumerate_outputs, evaluate, nf, occurrences,
-                             run_relabeling, run_tdtt)
+from ttdef.semantics import (LSI_VIOLATIONS, BudgetExhausted, Diverges,
+                             NoOutput, Output, Reject, StepBudget,
+                             _enumerate_att, _expansions, _run_att,
+                             _search_tdtt, _symbol_lookup, _tdtt_successors,
+                             _walk_table, derive_step, enumerate_outputs,
+                             evaluate, nf, occurrences, run_relabeling,
+                             run_tdtt)
 from ttdef.trees import RankedAlphabet, Tree, trees_up_to_height
 from ttdef.word_transducers import accepted_words, build_two_way, tree_of
 
@@ -331,19 +336,59 @@ def test_associate_walks_nf_on_the_table(monkeypatch):
 # ---------------------------------------------------------------------------
 # top-down transducers on their table
 
+def _rewrite_tdtt(t, s, budget):
+    """The deterministic run on string forms: the first call in preorder
+    is rewritten by its first rule; stuck when it has none or names a
+    child s lacks."""
+    form = Tree(occ_node(t.init, ()))
+    steps = 0
+    while True:
+        faddr, grounded = _tdtt_successors(t, s, form)
+        if faddr is None:
+            return Output(form)
+        if not grounded:
+            return NoOutput()
+        steps += 1
+        if steps > budget.max_steps:
+            return BudgetExhausted()
+        _, replacement = grounded[0]
+        form = form.replace_at(faddr, replacement)
+
+
 def same_tdtt_as_reference(t, s, budget):
-    assert t.walks_on_table
+    assert t.deterministic
     assert run_tdtt(t, s, budget) == _rewrite_tdtt(t, s, budget), \
         s.render()
     assert enumerate_outputs(t, s, budget) == _search_tdtt(t, s, budget), \
         s.render()
 
 
+WIDE = RankedAlphabet({"h": 1, "k": 1, "m": 2, "c": 0})
+
+
+@st.composite
+def tdtt_rhs(draw, tips, depth):
+    """A chain of rank-1 labels over a tip, or, depth permitting, m over
+    two right-hand sides that branch or copy one."""
+    shape = draw(st.integers(0, 3)) if depth else 2
+    if shape == 0:
+        sub = draw(tdtt_rhs(tips, depth - 1))
+        return Tree("m", [sub, sub])
+    if shape == 1:
+        return Tree("m", [draw(tdtt_rhs(tips, depth - 1)),
+                          draw(tdtt_rhs(tips, depth - 1))])
+    t = draw(st.sampled_from(tips))
+    for label in draw(st.sampled_from([(), ("h",), ("k", "h")])):
+        t = Tree(label, [t])
+    return t
+
+
 @st.composite
 def tdtts(draw):
     """Deterministic top-down transducers over IN whose right-hand sides
-    are chains.  Rules go missing at random, and calls may name a child
-    the symbol does not have (x0, x2 under g, any under e)."""
+    are chains, or branch and copy under the rank-2 m.  Rules go missing
+    at random, and calls may name a child the symbol does not have (x0,
+    x2 under g, any under e)."""
     states = tuple("q%d" % i for i in range(draw(st.integers(1, 3))))
     tips = [Tree("c")] + [Tree(call_label(q, i)) for q in states
                           for i in range(3)]
@@ -351,18 +396,133 @@ def tdtts(draw):
     for q in states:
         for sym in IN.symbols():
             if draw(st.integers(0, 4)):
-                t = draw(st.sampled_from(tips))
-                for label in draw(st.sampled_from([(), ("h",), ("k", "h")])):
-                    t = Tree(label, [t])
-                rules.append(TdttRule(q, sym, t))
-    return TdttSpec(name="T", input=IN, output=OUT,
+                rules.append(TdttRule(q, sym, draw(tdtt_rhs(tips, 2))))
+    return TdttSpec(name="T", input=IN, output=WIDE,
                     init=draw(st.sampled_from(states)), rules=tuple(rules))
 
 
-@settings(max_examples=200, deadline=None)
+@settings(max_examples=300, deadline=None)
 @given(tdtts(), trees(4), budgets)
 def test_table_walk_matches_rewriting_on_random_tdtts(t, s, budget):
     same_tdtt_as_reference(t, s, budget)
+
+
+def test_table_walk_matches_rewriting_on_branching_tdtts():
+    """Every way a walk ends, on right-hand sides that branch, copy, call
+    into a child g lacks, and call a state with no rule for f."""
+    q1, q2 = Tree(call_label("q", 1)), Tree(call_label("q", 2))
+    t = TdttSpec(name="W", input=IN, output=WIDE, init="q", rules=(
+        TdttRule("q", "f", Tree("m", [Tree("h", [q2]),
+                                      Tree(call_label("p", 1))])),
+        TdttRule("q", "g", Tree("m", [q1, Tree("k", [q1])])),
+        TdttRule("q", "e", Tree("c")),
+        TdttRule("p", "g", Tree("m", [Tree("c"), q2])),
+        TdttRule("p", "e", Tree("c"))))
+    kinds = set()
+    for s in trees_up_to_height(IN, 3):
+        for budget in SMALL_BUDGETS:
+            same_tdtt_as_reference(t, s, budget)
+            kinds.add(semantics._walk_tdtt(t, s, budget.max_steps,
+                                           budget.max_enumeration)[0])
+    assert kinds == {"output", "stuck", "steps", "enumeration"}
+
+
+def reference_outputs(d, s, budget):
+    """enumerate_outputs composed from the references stage by stage:
+    run_relabeling, _search_tdtt and _enumerate_att."""
+    if isinstance(d, RelabelingSpec):
+        got = run_relabeling(d, s)
+        ok = not isinstance(got, Reject) and got[0] in d.final
+        return ({got[1]} if ok else set()), True
+    if isinstance(d, TdttSpec):
+        return _search_tdtt(d, s, budget)
+    if isinstance(d, AttSpec):
+        return _enumerate_att(d, s, budget)
+    firsts, exhaustive = reference_outputs(d.first, s, budget)
+    outs = set()
+    for first in firsts:
+        got, done = reference_outputs(d.second, first, budget)
+        outs |= got
+        exhaustive = exhaustive and done
+    return outs, exhaustive
+
+
+def reference_run(d, s, budget):
+    """evaluate composed from the references stage by stage:
+    run_relabeling, _rewrite_tdtt and _run_att."""
+    if isinstance(d, RelabelingSpec):
+        got = run_relabeling(d, s)
+        ok = not isinstance(got, Reject) and got[0] in d.final
+        return Output(got[1]) if ok else NoOutput()
+    if isinstance(d, TdttSpec):
+        return _rewrite_tdtt(d, s, budget)
+    if isinstance(d, AttSpec):
+        return _run_att(d, s, budget)
+    first = reference_run(d.first, s, budget)
+    if not isinstance(first, Output):
+        return first
+    return reference_run(d.second, first.tree, budget)
+
+
+PAIR_BUDGETS = [StepBudget(max_steps=m, max_enumeration=e)
+                for m, e in ((1, 1), (3, 8), (9, 4), (9, 30), (30, 9))]
+PAIR_BUDGETS.append(StepBudget())
+
+
+@pytest.mark.parametrize("make", [
+    fixtures.leftmost_e_lookaround,
+    lambda: fixtures.identity_lookaround(fixtures.a2().input),
+    lambda: PairedSpec("attU", "LME", fixtures.leftmost_e_lookaround(),
+                       fixtures.a2())],
+    ids=["leftmost_e", "identity", "attU"])
+def test_pairs_run_stage_by_stage(make):
+    d = make()
+    kinds = set()
+    for s in trees_up_to_height(d.input_alphabet, 4):
+        for budget in PAIR_BUDGETS:
+            got = evaluate(d, s, budget)
+            assert got == reference_run(d, s, budget), s.render()
+            assert enumerate_outputs(d, s, budget) == \
+                reference_outputs(d, s, budget), s.render()
+            kinds.add(type(got).__name__)
+    # the identity look-around accepts every tree
+    rejects = {"NoOutput"} if d.name != "ident_u" else set()
+    assert kinds == {"Output", "BudgetExhausted"} | rejects
+
+
+def test_the_budget_binds_the_top_stage_of_a_lookaround():
+    """The top stage of a look-around runs under the caller's budget,
+    alone or as the first stage of an att with look-around."""
+    lme = fixtures.leftmost_e_lookaround()
+    s = Tree("f", [Tree("f", [Tree("e"), Tree("d")]),
+                   Tree("f", [Tree("d"), Tree("e")])])
+    one = StepBudget(max_steps=1)
+    state, relabeled = run_relabeling(lme.first, s)
+    assert state in lme.first.final
+    assert run_tdtt(lme.second, relabeled, one) == BudgetExhausted()
+    assert evaluate(lme, s, one) == BudgetExhausted()
+    assert enumerate_outputs(lme, s, one) == (set(), False)
+    assert evaluate(lme, s) == Output(s)
+    att_u = PairedSpec("attU", "LME", lme, fixtures.a2())
+    assert evaluate(att_u, s, one) == BudgetExhausted()
+    assert enumerate_outputs(att_u, s, one) == (set(), False)
+
+
+def test_att_with_lookaround_enumerates_off_string_forms(monkeypatch):
+    """Enumerating A2 behind the leftmost-e look-around over its depth-4
+    inputs rewrites no string form."""
+    calls = []
+    rewrite = semantics._tdtt_successors
+    monkeypatch.setattr(semantics, "_tdtt_successors",
+                        lambda *args: calls.append(args) or rewrite(*args))
+    d = PairedSpec("attU", "LME", fixtures.leftmost_e_lookaround(),
+                   fixtures.a2())
+    outputs = 0
+    for s in trees_up_to_height(d.input_alphabet, 4):
+        got, exhaustive = enumerate_outputs(d, s)
+        assert exhaustive
+        outputs += len(got)
+    assert outputs and calls == []
 
 
 @pytest.fixture(scope="module")
@@ -387,7 +547,8 @@ def test_table_walk_matches_rewriting_on_the_a2_dtr(a2_dtr):
         for budget in budgets:
             same_tdtt_as_reference(t, got[1], budget)
             kinds.add(type(run_tdtt(t, got[1], budget)).__name__)
-        assert run_tdtt(a2_dtr, s) == evaluate(a2_dtr, s)
+            assert evaluate(a2_dtr, s, budget) == \
+                reference_run(a2_dtr, s, budget)
     assert kinds == {"Output", "BudgetExhausted"}
 
 
@@ -401,20 +562,20 @@ def test_bounded_equivalence_walks_the_dtr_on_its_table(a2_dtr, monkeypatch):
 
 
 def test_tdtts_off_the_table_keep_the_rewriting():
-    """A right-hand side with two calls, and a state with two rules for
-    one symbol, leave string forms in charge."""
+    """A state with two rules for one symbol leaves string forms in
+    charge; a right-hand side with two calls walks the table."""
     pair = TdttSpec(name="P", input=IN, output=RankedAlphabet({"m": 2, "c": 0}),
                     init="q", rules=(
                         TdttRule("q", "g", Tree("m", [Tree(call_label("q", 1)),
                                                       Tree(call_label("q", 1))])),
                         TdttRule("q", "e", Tree("c"))))
-    assert pair.deterministic and not pair.walks_on_table
+    assert pair.deterministic
     assert run_tdtt(pair, Tree("g", [Tree("e")])) == \
         Output(Tree("m", [Tree("c"), Tree("c")]))
     both = TdttSpec(name="B", input=IN, output=OUT, init="q", rules=(
         TdttRule("q", "e", Tree("c")),
         TdttRule("q", "e", Tree("h", [Tree("c")]))))
-    assert not both.deterministic and not both.walks_on_table
+    assert not both.deterministic
     assert enumerate_outputs(both, Tree("e")) == (
         {Tree("c"), Tree("h", [Tree("c")])}, True)
 

@@ -363,6 +363,27 @@ rule s3 d: s3(d) -> c
     assert verify(restrict_to_language(cand, words), {}, words) is None
 
 
+@pytest.mark.parametrize("rules, why", [
+    (["s0(g(x1)) -> k(s0(x1))", "s0(e) -> c"], None),
+    (["s0(g(x1)) -> m(s0(x1),c)", "s0(e) -> c"],
+     "rule for s0/g is not word shaped"),
+    (["s0(g(x1)) -> k(s0(x1))", "s0(e) -> m(c,c)"],
+     "rule for s0/e is not word shaped"),
+    (["s0(g(x1)) -> k(s0(x1))", "s0(g(x1)) -> s0(x1)", "s0(e) -> c"],
+     "one-way machine has two rules for one left-hand side")])
+def test_verify_refuses_what_is_no_one_way_machine(rules, why):
+    """A rule that branches, or a second rule for a left-hand side, makes
+    a candidate no one-way machine."""
+    letters = RankedAlphabet({"g": 1, "e": 0})
+    words = RelabelingSpec("all", letters, letters, ("p",), (
+        RelabelingRule("e", (), "p", "e"),
+        RelabelingRule("g", ("p",), "p", "g")))
+    cand = parse_spec("dt C\ninput g:1 e:0\noutput k:1 m:2 c:0\ninit s0\n"
+                      + "".join("rule s0 %s: %s\n" % (r[3], r) for r in rules))
+    got = verify(cand, {}, words)
+    assert (got and got["reason"]) == why
+
+
 def test_oracle_is_a_pure_function_of_machine_and_budget(tw2, verdict2):
     again = one_way_definability(
         tw2, DefinabilityBudget(verify_length=5, max_words=12000))
