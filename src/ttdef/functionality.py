@@ -19,7 +19,7 @@ from dataclasses import dataclass, fields
 from .errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from .model import PairedSpec, check_monadic, input_alphabet, occ_node
 from .semantics import (StepBudget, _expansions, _symbol_lookup, derive_step,
-                        enumerate_outputs, occurrences)
+                        enumerate_outputs, enumerate_shared, occurrences)
 from .trees import Tree, canonical_key, trees_up_to_height
 
 
@@ -82,6 +82,14 @@ class FunctionalUpTo:
 class Equal:
     """The compared machines agree on every input up to the depth."""
     depth: int
+
+
+@dataclass(frozen=True)
+class Unfinished:
+    """The step budget ran out on this input, the first in canonical
+    order whose outputs either machine could not all enumerate; the
+    machines agree on every input before it."""
+    input: Tree
 
 
 @dataclass(frozen=True)
@@ -238,23 +246,29 @@ def _smallest_difference(mine, theirs):
     return min(mine, key=canonical_key) if mine else None
 
 
-def bounded_equivalence(d1, d2, depth):
+def bounded_equivalence(d1, d2, depth, budget=None):
     """Equal when the two machines agree on every input tree up to the
-    depth, else the first differing input in canonical order.
+    depth, else the first differing input in canonical order, or
+    Unfinished on the first input where the budget stops either
+    enumeration.
 
     The machines are compared output set against output set over their
     common input alphabet; a side with no output at the differing input
-    is reported as None."""
+    is reported as None.  Each machine's outputs are enumerated as
+    enumerate_outputs does under the budget, but with work shared across
+    the trees (enumerate_shared): each distinct subtree is summarized,
+    relabeled or transduced once for the whole call."""
+    budget = budget or StepBudget()
     in1, in2 = input_alphabet(d1), input_alphabet(d2)
     if in1 != in2:
         raise AlphabetMismatch("cannot compare %r and %r over different "
                                "input alphabets" % (d1.name, d2.name))
+    run1, run2 = enumerate_shared(d1, budget), enumerate_shared(d2, budget)
     for s in trees_up_to_height(in1, depth):
-        got1, done1 = enumerate_outputs(d1, s)
-        got2, done2 = enumerate_outputs(d2, s)
+        got1, done1 = run1(s)
+        got2, done2 = run2(s)
         if not (done1 and done2):
-            raise NotApplicable("enumeration budget exhausted on %s"
-                                % s.render())
+            return Unfinished(s)
         if got1 != got2:
             return Witness(s, _smallest_difference(got1, got2),
                            _smallest_difference(got2, got1))

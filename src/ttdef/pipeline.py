@@ -21,9 +21,10 @@ from .constructions import (associate, compose_dtR, normalize_domain_into_range,
                             normalize_ground_rhs, uniformize)
 from .errors import NotApplicable, SpecSyntaxError, TtdefError
 from .functionality import (FunctionalityBudget, NotFunctional,
-                            ProductiveCycle, bounded_equivalence, Equal,
-                            is_functional)
+                            ProductiveCycle, Unfinished, bounded_equivalence,
+                            Equal, is_functional)
 from .model import AttSpec, PairedSpec, check_monadic, parse_all, render_spec
+from .semantics import StepBudget
 from .trees import format_address
 from .word_transducers import (Definable, DefinabilityBudget, NotDefinable,
                                build_two_way, back_convert,
@@ -402,8 +403,18 @@ def decide_dtR(a, cfg=None, outdir=None):
         decls = parse_all(Path(spec_path).read_text())
         reloaded = next(d for d in decls
                         if getattr(d, "name", None) == final.name)
-        eq = bounded_equivalence(a, reloaded, cfg.equivalence_depth)
-        if not isinstance(eq, Equal):
+        steps = StepBudget(max_steps=cfg.max_steps)
+        eq = bounded_equivalence(a, reloaded, cfg.equivalence_depth, steps)
+        if isinstance(eq, Unfinished):
+            st.verdict = "step budget ran out on %s" % eq.input.render()
+            answer = Unknown(
+                stage="bounded_equivalence",
+                reason="the step budget ran out on %s (max_steps = %d, "
+                       "max_enumeration = %d)"
+                       % (eq.input.render(), steps.max_steps,
+                          steps.max_enumeration),
+                budget=asdict(cfg))
+        elif not isinstance(eq, Equal):
             st.verdict = ("candidate disagrees with the att on %s"
                           % eq.input.render())
             answer = Unknown(

@@ -25,6 +25,17 @@ the end.  Labels are parsed only when a table is built.  A pair runs
 its first stage and then its second, each under the caller's budget;
 the top stage of a look-around is an ordinary top-down run.
 
+Over many trees, enumerate_shared evaluates each distinct subtree once
+for as long as its caller keeps it.  An att that walks its table keeps
+one crossing summary per subtree (Crossings, Shepherdson 1959): how the
+walk entering at each synthesized attribute ends inside the subtree and
+what it emits there, built from the children's summaries and read at the
+root marker; the oracle's word cache keeps the same summaries per suffix
+of a word.  A relabeling keeps its run per subtree, a deterministic
+top-down transducer its output and rule count per (state, subtree), and
+a pair composes its stages.  Wherever a budget could bind, the tree is
+run on its own as enumerate_outputs runs it.
+
 String sentential forms are left for atts that are not monadic or not
 deterministic (a form holds several occurrences, or enumeration
 searches a set of forms), for nondeterministic top-down transducers,
@@ -35,6 +46,7 @@ reference for the top-down walk; both engines give the same outcomes,
 budgets included.
 """
 
+from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (DuplicateLhsInDeterministic, NotApplicable,
@@ -360,28 +372,42 @@ def nf(a, s, start, budget=None):
     return Diverges()
 
 
+def _bottom_up(s, memo, step):
+    """memo[s], once memo[t] = step(t, [memo[c] for c in t.children]) is
+    filled in, children first, for every subtree t of s it lacks."""
+    stack = [s]
+    while stack:
+        t = stack[-1]
+        if t in memo:
+            stack.pop()
+            continue
+        todo = [c for c in t.children if c not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        memo[t] = step(t, [memo[c] for c in t.children])
+    return memo[s]
+
+
+def _relabel(b, s, memo):
+    """(root state, relabeled tree) of b's run on s, or None when some
+    node has no applicable rule; memo keeps that pair per subtree, so
+    relabeled trees share their relabeled subtrees."""
+    def step(t, below):
+        if any(r is None for r in below):
+            return None
+        rule = b.rule_for(t.label, tuple(p for p, _ in below))
+        return None if rule is None else \
+            (rule.state, Tree(rule.out_symbol, [u for _, u in below]))
+    return _bottom_up(s, memo, step)
+
+
 def run_relabeling(b, s):
     """Deterministic bottom-up run; (root state, relabeled tree) or Reject
     when some node has no applicable rule. Final states play no role here;
     acceptance is the pairing's concern."""
-    results = {}
-    stack = [(s, (), False)]
-    while stack:
-        t, addr, ready = stack.pop()
-        if not ready:
-            stack.append((t, addr, True))
-            for i, c in enumerate(t.children, start=1):
-                stack.append((c, addr + (i,), False))
-            continue
-        child_results = [results.pop(addr + (i,))
-                         for i in range(1, len(t.children) + 1)]
-        if any(r is None for r in child_results):
-            results[addr] = None
-            continue
-        rule = b.rule_for(t.label, tuple(p for p, _ in child_results))
-        results[addr] = None if rule is None else \
-            (rule.state, Tree(rule.out_symbol, [u for _, u in child_results]))
-    got = results[()]
+    got = _relabel(b, s, {})
     return Reject() if got is None else got
 
 
@@ -488,13 +514,8 @@ def enumerate_outputs(d, s, budget=None):
     under the budget."""
     budget = budget or StepBudget()
     if isinstance(d, PairedSpec):
-        firsts, exhaustive = enumerate_outputs(d.first, s, budget)
-        outs = set()
-        for first in firsts:
-            got, done = enumerate_outputs(d.second, first, budget)
-            outs |= got
-            exhaustive = exhaustive and done
-        return outs, exhaustive
+        return _then(lambda t: enumerate_outputs(d.first, t, budget),
+                     lambda t: enumerate_outputs(d.second, t, budget), s)
     if isinstance(d, RelabelingSpec):
         got = run_relabeling(d, s)
         ok = not isinstance(got, Reject) and got[0] in d.final
@@ -516,6 +537,18 @@ def enumerate_outputs(d, s, budget=None):
             return set(), kind == "stuck"
         return _search_tdtt(d, s, budget)
     raise TypeError("cannot enumerate %r" % type(d).__name__)
+
+
+def _then(first, second, s):
+    """(outputs, exhaustive) of a pair on s: second on each output of
+    first, both given as functions of a tree."""
+    firsts, exhaustive = first(s)
+    outs = set()
+    for t in firsts:
+        got, done = second(t)
+        outs |= got
+        exhaustive = exhaustive and done
+    return outs, exhaustive
 
 
 def _enumerate_att(a, s, budget):
@@ -542,3 +575,187 @@ def _search_tdtt(t, s, budget):
         return [form.replace_at(faddr, replacement) for _, replacement in grounded]
     start = Tree(occ_node(t.init, ()))
     return _search(start, successors, budget)
+
+
+# ---------------------------------------------------------------------------
+# work shared across trees
+
+class Crossings:
+    """Crossing behaviour of an att that walks its rule table, one node
+    at a time (Shepherdson 1959).
+
+    A walk enters the subtree at a node only as a synthesized attribute
+    of that node, and leaves it only as an inherited attribute of that
+    node, whose rule sits at the parent.  The summary of a subtree maps
+    each synthesized attribute to (chunk, end, name): the labels its walk
+    emits inside the subtree, and how the walk ends there: "up" into the
+    inherited attribute name, "leaf" with the output leaf name, "stuck",
+    or "silent" and "productive" (an occurrence came back, with no output
+    in between or with some).  The summary of a node is one walk per
+    attribute at its label over the summaries of its children, and the
+    root marker reads the summary of the whole tree.  A word is the
+    monadic case: a letter has one child, the last letter none.
+
+    width is the largest number of rules of one symbol.  A walk applies a
+    rule at most once per node, so over #(s) it takes at most width *
+    (size of s + 1) steps; within budgets above that it never runs out,
+    and its outcome is the one the summaries give."""
+
+    def __init__(self, att):
+        self.table = att.rule_table
+        self.syn = att.syn
+        self.syn_set = frozenset(att.syn)
+        self.inh_set = frozenset(att.inh)
+        self.init = att.init
+        self.width = max(Counter(sym for sym, _, _ in self.table).values(),
+                         default=0)
+
+    def summary(self, label, below):
+        """The summary of a node labelled label over its children's."""
+        return {a: self.cross(label, below, (a, 0)) for a in self.syn}
+
+    def at_root(self, below):
+        """(chunk, end, name) of the whole walk over #(s), given the
+        summary of s."""
+        return self.cross(ROOT, (below,), (self.init, 1))
+
+    def cross(self, label, below, tip):
+        """(chunk, end, name) of the walk from tip at a node labelled
+        label: ROOT for the root marker, which has no parent, else a
+        symbol, below the summaries of its children.  tip is an (attr,
+        pos) as rule_table gives it, read at this node; (a, 0) enters a
+        synthesized a."""
+        root = label == ROOT
+        out = []
+        seen = {}       # occurrence -> output length when it was reached
+        while True:
+            attr, pos = tip
+            occ = None      # the occurrence the walk goes on at, if any
+            if attr in self.syn_set:
+                if pos == 0:
+                    if not root:
+                        occ = tip
+                elif pos <= len(below):
+                    chunk, end, name = below[pos - 1][attr]
+                    out.extend(chunk)
+                    if end != "up":
+                        return tuple(out), end, name
+                    occ = (name, pos)
+            elif attr in self.inh_set:
+                if pos:
+                    occ = tip
+                elif not root:
+                    return tuple(out), "up", attr
+            if occ is None:
+                return tuple(out), "stuck", None
+            if occ in seen:
+                return (tuple(out),
+                        "silent" if seen[occ] == len(out) else "productive",
+                        None)
+            seen[occ] = len(out)
+            chain = self.table.get((label,) + occ)
+            if chain is None:
+                return tuple(out), "stuck", None
+            emitted, tip, leaf = chain
+            out.extend(emitted)
+            if tip is None:
+                return tuple(out), "leaf", leaf
+
+
+def _top_down(table, state, s, memo):
+    """(output tree, rules applied) of the run from state on s, on the
+    rule table of a deterministic top-down transducer.  A run that gets
+    stuck has the output None and counts the rules applied before, in the
+    preorder _walk_tdtt expands calls in.  memo keeps both per (state,
+    subtree), so an output shares the outputs of its calls."""
+    stack = [(state, s)]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
+            continue
+        rhs = table.get((key[0], key[1].label))
+        if rhs is None:
+            memo[key] = None, 0
+            stack.pop()
+            continue
+        kids = key[1].children
+        todo = [(q, kids[i - 1]) for _, (q, i) in _calls(rhs)
+                if 1 <= i <= len(kids) and (q, kids[i - 1]) not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        count, parts = 1, []
+        for _, (q, i) in _calls(rhs):
+            sub, n = memo[q, kids[i - 1]] if 1 <= i <= len(kids) else (None, 0)
+            count += n
+            if sub is None:
+                memo[key] = None, count
+                break
+            parts.append(sub)
+        else:
+            built = []
+            for label, what in reversed(rhs):
+                built.append(parts.pop() if label is None else
+                             Tree(label, [built.pop() for _ in range(what)]))
+            memo[key] = built[0], count
+    return memo[state, s]
+
+
+def _calls(rhs):
+    """The calls of a compiled top-down right-hand side, in preorder."""
+    return [node for node in rhs if node[0] is None]
+
+
+def enumerate_shared(d, budget=None):
+    """A function that gives, for each tree s it is called on, what
+    enumerate_outputs(d, s, budget) gives, sharing work across the trees
+    for as long as the function is kept:
+    - an att that walks its rule table keeps a Crossings summary per
+      distinct subtree, on a tree where width * (size + 1) is at most
+      max_steps and below max_enumeration;
+    - a relabeling keeps its run per subtree;
+    - a deterministic top-down transducer keeps its output and rule
+      count per (state, subtree), on a tree whose whole run applies at
+      most max_steps rules and fewer than max_enumeration;
+    - a pair runs its second stage on each output of its first.
+    Every other tree and machine is enumerated on its own.  Trees may
+    come in any order: the subtrees of a tree that are not kept yet are
+    done first, off an explicit stack."""
+    budget = budget or StepBudget()
+    if isinstance(d, PairedSpec):
+        first = enumerate_shared(d.first, budget)
+        second = enumerate_shared(d.second, budget)
+        return lambda s: _then(first, second, s)
+    memo = {}
+    if isinstance(d, RelabelingSpec):
+        def run(s):
+            got = _relabel(d, s, memo)
+            ok = got is not None and got[0] in d.final
+            return ({got[1]} if ok else set()), True
+        return run
+    if isinstance(d, AttSpec) and d.walks_on_table:
+        crossings = Crossings(d)
+
+        def summarize(t, below):
+            return crossings.summary(t.label, below)
+
+        def run(s):
+            bound = crossings.width * (s.size + 1)
+            if bound > budget.max_steps or bound >= budget.max_enumeration:
+                return enumerate_outputs(d, s, budget)
+            chunk, end, leaf = crossings.at_root(
+                _bottom_up(s, memo, summarize))
+            if end == "leaf":
+                return {_chain_tree(chunk, leaf)}, True
+            return set(), end != "productive"
+        return run
+    if isinstance(d, TdttSpec) and d.deterministic:
+        def run(s):
+            tree, count = _top_down(d.rule_table, d.init, s, memo)
+            if count > budget.max_steps or count >= budget.max_enumeration:
+                return enumerate_outputs(d, s, budget)
+            return ({tree} if tree is not None else set()), True
+        return run
+    return lambda s: enumerate_outputs(d, s, budget)

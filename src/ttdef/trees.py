@@ -388,29 +388,21 @@ def canonical_key(t):
 
 
 def trees_up_to_height(alphabet, h):
-    """All trees over the alphabet of height <= h, in canonical order."""
-    layer = [Tree(s) for s in alphabet.symbols(rank=0)]
-    seen = set(layer)
+    """All trees over the alphabet of height <= h, in canonical order.
+    Each tree's text is kept as the tree is built from its children, so
+    the sort by canonical_key's (size, text) renders no tree."""
+    text = {Tree(s): s for s in alphabet.symbols(rank=0)}
     for _ in range(1, h):
-        prev = list(seen)
-        new = []
+        prev = list(text)
+        new = False
         for sym, k in alphabet.items():
             if k == 0:
                 continue
-            for kids in _tuples(prev, k):
+            for kids in itertools.product(prev, repeat=k):
                 t = Tree(sym, kids)
-                if t.height <= h and t not in seen:
-                    seen.add(t)
-                    new.append(t)
+                if t.height <= h and t not in text:
+                    text[t] = "%s(%s)" % (sym, ",".join(text[c] for c in kids))
+                    new = True
         if not new:
             break
-    return sorted(seen, key=canonical_key)
-
-
-def _tuples(pool, k):
-    if k == 0:
-        yield ()
-        return
-    for first in pool:
-        for rest in _tuples(pool, k - 1):
-            yield (first,) + rest
+    return sorted(text, key=lambda t: (t.size, text[t]))

@@ -11,7 +11,6 @@ a one-way machine back into a top-down tree transducer over the original
 alphabet.
 """
 
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 
 from .constructions import normalize_ground_rhs
@@ -23,8 +22,8 @@ from .model import (ROOT, AttRule, AttSpec, RelabelingRule, RelabelingSpec,
                     occ_pattern_info, split_mangled_child)
 from .one_way import (PumpCertificate, affine_family_ok, drifts_apart,
                       pump_search, restrict_to_language, synthesize, verify)
-from .semantics import (BudgetExhausted, Output, StepBudget, _chain_tree,
-                        _check_lsi, enumerate_outputs, evaluate)
+from .semantics import (BudgetExhausted, Crossings, Output, StepBudget,
+                        _chain_tree, _check_lsi, enumerate_outputs, evaluate)
 from .trees import RankedAlphabet, Tree, format_address
 
 
@@ -388,21 +387,15 @@ def _eval_word(tw, word, budget=None):
     return None if exhaustive else _EXHAUSTED
 
 
-class _SuffixSummaries:
-    """Crossing behaviour of a machine that walks on its rule table, on
-    the suffixes of its words (Shepherdson 1959).
+class _SuffixSummaries(Crossings):
+    """Crossing summaries (semantics.Crossings) of the suffixes of a
+    machine's words, kept by suffix.
 
-    A walk enters the suffix that starts at some letter only as a
-    synthesized attribute of that letter, and leaves it only as an
-    inherited attribute of that letter, whose rule sits at the letter
-    above.  The summary of a suffix maps each synthesized attribute to
-    (chunk, end, name): the labels its walk emits inside the suffix, and
-    how the walk ends there: "up" into the inherited attribute name,
-    "leaf" with the output leaf name, "stuck", or "cycle".  The summary
-    of c.w is one walk per attribute at the letter c over the summary of
-    w, and the root marker reads the summary of the whole word, so a word
-    costs the walks at its first letter and at the root marker instead
-    of a walk over all of it.
+    A word is a tree whose letters have one child and whose last letter
+    has none, so the summary of c.w is one walk per attribute at the
+    letter c over the summary of w, and the root marker reads the
+    summary of the whole word: a word costs the walks at its first
+    letter and at the root marker instead of a walk over all of it.
 
     A suffix no caller asked for, because the automaton does not accept
     it, is summarized on demand.  Summaries of words shorter than
@@ -412,11 +405,7 @@ class _SuffixSummaries:
     """
 
     def __init__(self, att, keep_below):
-        self.table = att.rule_table
-        self.syn = att.syn
-        self.syn_set = frozenset(att.syn)
-        self.inh_set = frozenset(att.inh)
-        self.init = att.init
+        super().__init__(att)
         self.keep_below = keep_below
         self.kept = {}
         self.built = 0
@@ -431,7 +420,7 @@ class _SuffixSummaries:
                 i = k
                 break
         for j in range(i - 1, -1, -1):
-            got = {a: self._cross(w[j], got, (a, 0)) for a in self.syn}
+            got = self.summary(w[j], () if got is None else (got,))
             self.built += 1
             if len(w) - j < self.keep_below:
                 self.kept[w[j:]] = got
@@ -439,47 +428,8 @@ class _SuffixSummaries:
 
     def output(self, w):
         """Output labels of the machine on the word, None when undefined."""
-        chunk, end, name = self._cross(ROOT, self.of(w), (self.init, 1))
+        chunk, end, name = self.at_root(self.of(w))
         return chunk + (name,) if end == "leaf" else None
-
-    def _cross(self, label, below, tip):
-        """(chunk, end, name) of the walk from tip at a node labelled
-        label: ROOT for the root marker, which has no parent, else a
-        letter, below the summary of the suffix under it or None at the
-        last letter.  tip is an (attr, pos) as rule_table gives it, read
-        at this node; (a, 0) enters a synthesized a."""
-        root = label == ROOT
-        out = []
-        seen = set()
-        while True:
-            attr, pos = tip
-            occ = None      # the occurrence the walk goes on at, if any
-            if attr in self.syn_set:
-                if pos == 0 and not root:
-                    occ = tip
-                elif pos == 1 and below is not None:
-                    chunk, end, name = below[attr]
-                    out.extend(chunk)
-                    if end != "up":
-                        return tuple(out), end, name
-                    occ = (name, 1)
-            elif attr in self.inh_set:
-                if pos:
-                    occ = tip
-                elif not root:
-                    return tuple(out), "up", attr
-            if occ is None:
-                return tuple(out), "stuck", None
-            if occ in seen:
-                return tuple(out), "cycle", None
-            seen.add(occ)
-            chain = self.table.get((label,) + occ)
-            if chain is None:
-                return tuple(out), "stuck", None
-            emitted, tip, leaf = chain
-            out.extend(emitted)
-            if tip is None:
-                return tuple(out), "leaf", leaf
 
 
 def _word_cache(tw, length, budget):
@@ -489,20 +439,17 @@ def _word_cache(tw, length, budget):
 
     When the machine walks on its rule table, a word of length n is
     composed from suffix summaries if max_steps is at least width *
-    (n + 1), width the number of rules of the symbol that has the most:
-    a walk applies each rule at most once per node, at the n letters and
-    the root marker, so it cannot run out of steps, and the summaries
-    give what evaluate gives.  For a machine whose letters have rank one
+    (n + 1), the most steps its walk can take (Crossings.width), so
+    the summaries give what evaluate gives.  For a machine whose letters have rank one
     and whose rules are those validation admits, width is at most the
     number of attributes.  Other words and machines are evaluated one by
     one, as _eval_word does."""
     att = tw.att
+    summaries = _SuffixSummaries(att, length)
     covered = 0     # the longest words composed from summaries
     if att.walks_on_table:
-        widths = Counter(sym for sym, _, _ in att.rule_table)
-        width = max(widths.values(), default=0)
+        width = summaries.width
         covered = budget.max_steps // width - 1 if width else length
-    summaries = _SuffixSummaries(att, length)
     cache = {}
     for w, _ in accepted_words(tw.correspondence, length):
         if len(w) > covered:

@@ -118,6 +118,21 @@ def test_a2_is_yes(a2_twice):
     assert Path(report.answer.spec_path).name == "dtr-29392332c3fc.att"
 
 
+def test_a_step_budget_that_bites_is_unknown_at_bounded_equivalence(
+        tmp_path):
+    """max_steps binds the final check too: with 5 steps, A2's walk runs
+    out on f(d,d), the first tree past d and e, so the dtR is not
+    vouched for."""
+    report = decide_dtR(fixtures.a2(), dict(A2_CFG, max_steps=5),
+                        outdir=tmp_path)
+    assert report.answer.stage == "bounded_equivalence"
+    assert report.answer.reason == (
+        "the step budget ran out on f(d,d) (max_steps = 5, "
+        "max_enumeration = 10000)")
+    assert stages_of(report)[-1] == (
+        "bounded_equivalence", "step budget ran out on f(d,d)", None)
+
+
 def test_lookaround_pair_is_unknown_at_bounded_equivalence(tmp_path):
     """A2 behind the leftmost-e look-around, as the benchmark's
     lookaround-lme workload runs it.  The composed candidate disagrees

@@ -155,6 +155,21 @@ def test_enumeration_counts_by_height():
     assert len(trees_up_to_height(FE, 4)) == 26
 
 
+@pytest.mark.parametrize("alphabet", [FED, FE], ids=["FED", "FE"])
+def test_enumeration_is_canonical_without_rendering(alphabet, monkeypatch):
+    """Each tree's text is built with the tree, so the sort renders no
+    tree."""
+    rendered = []
+    render = Tree.render
+    monkeypatch.setattr(Tree, "render",
+                        lambda t: rendered.append(t) or render(t))
+    got = [trees_up_to_height(alphabet, h) for h in (1, 2, 3, 4)]
+    assert rendered == []
+    monkeypatch.undo()
+    for trees in got:
+        assert trees == sorted(trees, key=canonical_key)
+
+
 def test_canonical_key_orders_by_size_then_text():
     ts = [T("f(e,e)"), T("e"), T("d"), T("f(d,e)")]
     assert [t.render() for t in sorted(ts, key=canonical_key)] == [

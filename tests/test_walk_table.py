@@ -13,6 +13,8 @@ local_run reads the att table and is checked against its rules_for
 form, kept here as the reference.
 The walk analysis chains local_run's chi-free segments through context
 answers with stitch, checked against local_run with the answers.
+enumerate_shared, which shares work across the trees it is called on,
+is checked against enumerate_outputs on each tree.
 """
 
 import itertools
@@ -41,8 +43,8 @@ from ttdef.semantics import (LSI_VIOLATIONS, BudgetExhausted, Diverges,
                              _enumerate_att, _expansions, _run_att,
                              _search_tdtt, _symbol_lookup, _tdtt_successors,
                              _walk_table, derive_step, enumerate_outputs,
-                             evaluate, nf, occurrences, run_relabeling,
-                             run_tdtt)
+                             enumerate_shared, evaluate, nf, occurrences,
+                             run_relabeling, run_tdtt)
 from ttdef.trees import RankedAlphabet, Tree, trees_up_to_height
 from ttdef.word_transducers import accepted_words, build_two_way, tree_of
 
@@ -153,16 +155,21 @@ def test_compiled_walk_matches_derivation_on_fixtures():
                      "enumeration"}
 
 
-def test_compiled_walk_matches_derivation_off_spec():
+def off_spec():
     """A spec that validation refuses: a synthesized occurrence at the
     root marker, with a rule there to apply, and one past the children
-    of g.  Both walks stick on them."""
-    a = AttSpec(name="OFF", input=IN, output=OUT, syn=("a",), inh=("b",),
-                init="a", rules={
-                    "e": (AttRule("a", 0, Tree(occ_pattern("b", 0))),),
-                    "g": (AttRule("a", 0, Tree(occ_pattern("a", 2))),),
-                    ROOT: (AttRule("b", 1, Tree("h", [Tree(occ_pattern("a", 0))])),
-                           AttRule("a", 0, Tree("c")))})
+    of g."""
+    return AttSpec(name="OFF", input=IN, output=OUT, syn=("a",), inh=("b",),
+                   init="a", rules={
+                       "e": (AttRule("a", 0, Tree(occ_pattern("b", 0))),),
+                       "g": (AttRule("a", 0, Tree(occ_pattern("a", 2))),),
+                       ROOT: (AttRule("b", 1, Tree("h", [Tree(occ_pattern("a", 0))])),
+                              AttRule("a", 0, Tree("c")))})
+
+
+def test_compiled_walk_matches_derivation_off_spec():
+    """Both walks stick on the occurrences validation refuses."""
+    a = off_spec()
     assert a.walks_on_table
     for s in (Tree("e"), Tree("g", [Tree("e")])):
         for budget in SMALL_BUDGETS:
@@ -553,12 +560,107 @@ def test_table_walk_matches_rewriting_on_the_a2_dtr(a2_dtr):
 
 
 def test_bounded_equivalence_walks_the_dtr_on_its_table(a2_dtr, monkeypatch):
-    calls = []
-    rewrite = semantics._tdtt_successors
-    monkeypatch.setattr(semantics, "_tdtt_successors",
-                        lambda *args: calls.append(args) or rewrite(*args))
+    """Each distinct subtree is evaluated once: at most one att summary
+    per input tree, and no walk from scratch or string form on either
+    side."""
+    calls = Counter()
+
+    def count(owner, name):
+        fn = getattr(owner, name)
+
+        def counted(*args):
+            calls[name] += 1
+            return fn(*args)
+        monkeypatch.setattr(owner, name, counted)
+
+    for name in ("_tdtt_successors", "_walk_table", "_walk_tdtt"):
+        count(semantics, name)
+    count(semantics.Crossings, "summary")
     assert bounded_equivalence(fixtures.a2(), a2_dtr, 4) == Equal(4)
-    assert calls == []
+    # 1 446 input trees up to depth 4
+    assert 0 < calls["summary"] <= 1446
+    assert (calls["_tdtt_successors"], calls["_walk_table"],
+            calls["_walk_tdtt"]) == (0, 0, 0)
+
+
+# ---------------------------------------------------------------------------
+# work shared across trees against enumeration tree by tree
+
+SHARED_BUDGETS = SMALL_BUDGETS + [StepBudget()]
+
+
+def same_as_enumeration(d, trees, budget, monkeypatch=None):
+    """enumerate_shared gives what enumerate_outputs gives, tree by tree
+    in the order given.  Given monkeypatch, returns how many runs
+    enumerate_shared handed to enumerate_outputs."""
+    run = enumerate_shared(d, budget)
+    handed = []
+    walk = semantics.enumerate_outputs
+
+    def counted(*args):
+        handed.append(args[1])
+        return walk(*args)
+
+    for s in trees:
+        if monkeypatch is not None:
+            monkeypatch.setattr(semantics, "enumerate_outputs", counted)
+        got = run(s)
+        if monkeypatch is not None:
+            monkeypatch.undo()
+        assert got == enumerate_outputs(d, s, budget), s.render()
+    return len(handed)
+
+
+@settings(max_examples=150, deadline=None)
+@given(atts(), st.sampled_from(SHARED_BUDGETS))
+def test_shared_atts_match_enumeration_on_random_atts(a, budget):
+    same_as_enumeration(a, trees_up_to_height(IN, 4), budget)
+
+
+@settings(max_examples=150, deadline=None)
+@given(tdtts(), st.sampled_from(SHARED_BUDGETS))
+def test_shared_tdtts_match_enumeration_on_random_tdtts(t, budget):
+    same_as_enumeration(t, trees_up_to_height(IN, 4), budget)
+
+
+def test_shared_atts_match_enumeration_on_fixtures(monkeypatch):
+    """Every way a walk ends, and budgets on both sides of the size
+    bound: trees it covers are read off summaries, the others walked
+    alone, and the default budget covers them all."""
+    rev_stuck = parse_spec(fixtures.REV_TEXT.replace("rule #: b(pi 1) -> e\n",
+                                                     ""))
+    handed = runs = 0
+    for a in (fixtures.a1(), fixtures.a2(), fixtures.rev(), fixtures.c0(),
+              fixtures.p0(), rev_stuck, off_spec()):
+        trees = trees_up_to_height(a.input, 3)
+        for budget in SMALL_BUDGETS:
+            handed += same_as_enumeration(a, trees, budget, monkeypatch)
+            runs += len(trees)
+        assert same_as_enumeration(a, trees, StepBudget(), monkeypatch) == 0
+    assert 0 < handed < runs
+
+
+@pytest.mark.parametrize("make", [
+    lambda: fixtures.identity_lookaround(fixtures.a2().input),
+    fixtures.leftmost_e_lookaround,
+    lambda: PairedSpec("attU", "LME", fixtures.leftmost_e_lookaround(),
+                       fixtures.a2()),
+    None],
+    ids=["identity", "leftmost_e", "attU", "a2_dtr"])
+def test_shared_pairs_match_enumeration(make, a2_dtr, monkeypatch):
+    """Pairs stage by stage, on trees up to height 3 under every budget,
+    smallest first and largest first, and up to height 4 under the
+    default budget.  The small budgets hand some runs to
+    enumerate_outputs, the default budget none."""
+    d = a2_dtr if make is None else make()
+    trees = trees_up_to_height(d.input_alphabet, 3)
+    handed = 0
+    for budget in SMALL_BUDGETS:
+        handed += same_as_enumeration(d, trees, budget, monkeypatch)
+        handed += same_as_enumeration(d, trees[::-1], budget, monkeypatch)
+    assert handed
+    assert same_as_enumeration(d, trees_up_to_height(d.input_alphabet, 4),
+                               StepBudget(), monkeypatch) == 0
 
 
 def test_tdtts_off_the_table_keep_the_rewriting():
