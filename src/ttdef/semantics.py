@@ -12,29 +12,32 @@ evaluate reports as NoOutput and nf as Diverges.
 
 Compiled walks run every deterministic machine whose rule table covers
 it.  When the att is deterministic with monadic output
-(AttSpec.walks_on_table), evaluate, enumerate_outputs and nf walk the
-spec's rule table, compiled once per spec: the form is then a chain of
+(AttSpec.walks_on_table), evaluate and nf walk the spec's rule table,
+compiled once per spec (enumerate_outputs reads the same table through
+crossing summaries, below): the form is then a chain of
 emitted labels above one occurrence, so the walk keeps the occurrence as
 (attr, node) and the labels as a list, and builds the output tree once
 at the end.  nf is defined only there: it walks the bare tree under a
 top node without rules, from a given start occurrence.  Every
-deterministic top-down transducer walks its own table (TdttSpec.
-rule_table), whatever the shape of its right-hand sides: calls are
-expanded in preorder off a stack, and the output tree is built once at
-the end.  Labels are parsed only when a table is built.  A pair runs
-its first stage and then its second, each under the caller's budget;
-the top stage of a look-around is an ordinary top-down run.
+deterministic top-down transducer runs on its own table (TdttSpec.
+rule_table), whatever the shape of its right-hand sides: the output and
+the rule count of each (state, subtree) are found once, so a copying
+transducer does each call once, and the budgets are read off the count
+of the whole run.  Labels are parsed only when a table is built.  A pair
+runs its first stage and then its second, each under the caller's
+budget; the top stage of a look-around is an ordinary top-down run.
 
-Over many trees, enumerate_shared evaluates each distinct subtree once
-for as long as its caller keeps it.  An att that walks its table keeps
-one crossing summary per subtree (Crossings, Shepherdson 1959): how the
-walk entering at each synthesized attribute ends inside the subtree and
-what it emits there, built from the children's summaries and read at the
-root marker; the oracle's word cache keeps the same summaries per suffix
-of a word.  A relabeling keeps its run per subtree, a deterministic
-top-down transducer its output and rule count per (state, subtree), and
-a pair composes its stages.  Wherever a budget could bind, the tree is
-run on its own as enumerate_outputs runs it.
+enumerate_outputs is enumerate_shared on one tree; over many trees,
+enumerate_shared evaluates each distinct subtree once for as long as
+its caller keeps it.  An att that walks its table keeps one crossing
+summary per subtree (Crossings, Shepherdson 1959): how the walk entering
+at each synthesized attribute ends inside the subtree and what it emits
+there, built from the children's summaries and read at the root marker;
+the oracle's word cache keeps the same summaries per suffix of a word.
+A tree on which a budget could bind the att walk is walked on its own.
+A relabeling keeps its run per subtree, a deterministic top-down
+transducer its output and rule count per (state, subtree), and a pair
+composes its stages.
 
 String sentential forms are left for atts that are not monadic or not
 deterministic (a form holds several occurrences, or enumeration
@@ -309,44 +312,52 @@ def _chain_tree(labels, leaf):
     return tree
 
 
-def _walk_tdtt(t, s, max_steps, max_enumeration=None):
-    """Run the deterministic top-down transducer t over s on its rule
-    table, expanding calls in preorder as the string-form run rewrites
-    them.  A stack holds what is left of the output in preorder: output
-    nodes (label, rank) and calls (None, (state, input node)), the input
-    node None for a child s lacks.  Returns (kind, output tree or None),
-    kind one of "output", "stuck" (no rule, or a call into a child s
-    lacks), "steps" and "enumeration", with the budgets of _search: a
-    rule applied past max_steps, or the max_enumeration-th form (checked
-    only when it is given)."""
-    table = t.rule_table
-    todo = [(None, (t.init, s))]
-    out = []
-    steps = 0
-    while todo:
-        label, what = todo.pop()
-        if label is not None:
-            out.append((label, what))
+def _top_down(table, state, s, memo):
+    """(output tree, rules applied) of the run from state on s, on the
+    rule table of a deterministic top-down transducer.  A run that gets
+    stuck (no rule, or a call into a child s lacks) has the output None
+    and counts the rules applied before it, in the preorder the
+    string-form run rewrites calls in.  memo keeps both per (state,
+    subtree), so an output shares the outputs of its calls and a copying
+    transducer does each call once."""
+    stack = [(state, s)]
+    while stack:
+        key = stack[-1]
+        if key in memo:
+            stack.pop()
             continue
-        state, node = what
-        rhs = None if node is None else table.get((state, node.label))
+        rhs = table.get((key[0], key[1].label))
         if rhs is None:
-            return "stuck", None
-        steps += 1
-        if steps > max_steps:
-            return "steps", None
-        if max_enumeration is not None and steps >= max_enumeration:
-            return "enumeration", None
-        kids = node.children
-        for label, what in reversed(rhs):
-            if label is None:
-                state, i = what
-                what = state, (kids[i - 1] if 1 <= i <= len(kids) else None)
-            todo.append((label, what))
-    built = []
-    for label, rank in reversed(out):
-        built.append(Tree(label, [built.pop() for _ in range(rank)]))
-    return "output", built[0]
+            memo[key] = None, 0
+            stack.pop()
+            continue
+        kids = key[1].children
+        todo = [(q, kids[i - 1]) for _, (q, i) in _calls(rhs)
+                if 1 <= i <= len(kids) and (q, kids[i - 1]) not in memo]
+        if todo:
+            stack.extend(todo)
+            continue
+        stack.pop()
+        count, parts = 1, []
+        for _, (q, i) in _calls(rhs):
+            sub, n = memo[q, kids[i - 1]] if 1 <= i <= len(kids) else (None, 0)
+            count += n
+            if sub is None:
+                memo[key] = None, count
+                break
+            parts.append(sub)
+        else:
+            built = []
+            for label, what in reversed(rhs):
+                built.append(parts.pop() if label is None else
+                             Tree(label, [built.pop() for _ in range(what)]))
+            memo[key] = built[0], count
+    return memo[state, s]
+
+
+def _calls(rhs):
+    """The calls of a compiled top-down right-hand side, in preorder."""
+    return [node for node in rhs if node[0] is None]
 
 
 def nf(a, s, start, budget=None):
@@ -441,10 +452,10 @@ def run_tdtt(t, s, budget=None):
     while its answer on s is unambiguous."""
     budget = budget or StepBudget()
     if t.deterministic:
-        kind, tree = _walk_tdtt(t, s, budget.max_steps)
-        if kind == "output":
-            return Output(tree)
-        return BudgetExhausted() if kind == "steps" else NoOutput()
+        tree, count = _top_down(t.rule_table, t.init, s, {})
+        if count > budget.max_steps:
+            return BudgetExhausted()
+        return NoOutput() if tree is None else Output(tree)
     outs, exhaustive = _search_tdtt(t, s, budget)
     if len(outs) > 1:
         raise NotFunctionalInput(
@@ -509,46 +520,82 @@ def _search(start, successors, budget):
 
 
 def enumerate_outputs(d, s, budget=None):
-    """(all ground outputs reachable within budget, exhaustive flag).  A
-    pair enumerates its second stage on each output of its first, each
-    under the budget."""
+    """(all ground outputs reachable within budget, exhaustive flag):
+    enumerate_shared(d, budget) on the one tree s."""
+    return enumerate_shared(d, budget)(s)
+
+
+def enumerate_shared(d, budget=None):
+    """A function that gives, for each tree s it is called on, (all ground
+    outputs of d on s reachable within budget, exhaustive flag), sharing
+    work across the trees for as long as the function is kept:
+    - an att that walks its rule table keeps a Crossings summary per
+      distinct subtree, on a tree where width * (size + 1) is at most
+      max_steps and below max_enumeration, so no budget can bind; any
+      other tree is walked on its own (_walk_table);
+    - a relabeling keeps its run per subtree;
+    - a deterministic top-down transducer keeps its output and rule
+      count per (state, subtree); a run is cut short when the count of
+      the whole run is above max_steps or reaches max_enumeration, where
+      the rule-by-rule run would stop;
+    - a pair runs its second stage on each output of its first, each
+      under the budget.
+    Other atts and top-down transducers search string forms tree by
+    tree.  Trees may come in any order: the subtrees of a tree that are
+    not kept yet are done first, off an explicit stack."""
     budget = budget or StepBudget()
     if isinstance(d, PairedSpec):
-        return _then(lambda t: enumerate_outputs(d.first, t, budget),
-                     lambda t: enumerate_outputs(d.second, t, budget), s)
+        first = enumerate_shared(d.first, budget)
+        second = enumerate_shared(d.second, budget)
+
+        def run(s):
+            firsts, exhaustive = first(s)
+            outs = set()
+            for t in firsts:
+                got, done = second(t)
+                outs |= got
+                exhaustive = exhaustive and done
+            return outs, exhaustive
+        return run
+    memo = {}
     if isinstance(d, RelabelingSpec):
-        got = run_relabeling(d, s)
-        ok = not isinstance(got, Reject) and got[0] in d.final
-        return ({got[1]} if ok else set()), True
+        def run(s):
+            got = _relabel(d, s, memo)
+            ok = got is not None and got[0] in d.final
+            return ({got[1]} if ok else set()), True
+        return run
     if isinstance(d, AttSpec):
-        if d.walks_on_table:
-            kind, labels, leaf = _walk_table(d, s, budget.max_steps,
-                                             budget.max_enumeration)
-            if kind == "output":
-                return {_chain_tree(labels, leaf)}, True
-            return set(), kind in ("stuck", "silent")
-        return _enumerate_att(d, s, budget)
+        if not d.walks_on_table:
+            return lambda s: _enumerate_att(d, s, budget)
+        crossings = Crossings(d)
+
+        def summarize(t, below):
+            return crossings.summary(t.label, below)
+
+        def run(s):
+            bound = crossings.width * (s.size + 1)
+            if bound > budget.max_steps or bound >= budget.max_enumeration:
+                kind, chunk, leaf = _walk_table(d, s, budget.max_steps,
+                                                budget.max_enumeration)
+                end = "leaf" if kind == "output" else kind
+            else:
+                chunk, end, leaf = crossings.at_root(
+                    _bottom_up(s, memo, summarize))
+            if end == "leaf":
+                return {_chain_tree(chunk, leaf)}, True
+            return set(), end in ("stuck", "silent")
+        return run
     if isinstance(d, TdttSpec):
-        if d.deterministic:
-            kind, tree = _walk_tdtt(d, s, budget.max_steps,
-                                    budget.max_enumeration)
-            if kind == "output":
-                return {tree}, True
-            return set(), kind == "stuck"
-        return _search_tdtt(d, s, budget)
+        if not d.deterministic:
+            return lambda s: _search_tdtt(d, s, budget)
+
+        def run(s):
+            tree, count = _top_down(d.rule_table, d.init, s, memo)
+            if count > budget.max_steps or count >= budget.max_enumeration:
+                return set(), False
+            return ({tree} if tree is not None else set()), True
+        return run
     raise TypeError("cannot enumerate %r" % type(d).__name__)
-
-
-def _then(first, second, s):
-    """(outputs, exhaustive) of a pair on s: second on each output of
-    first, both given as functions of a tree."""
-    firsts, exhaustive = first(s)
-    outs = set()
-    for t in firsts:
-        got, done = second(t)
-        outs |= got
-        exhaustive = exhaustive and done
-    return outs, exhaustive
 
 
 def _enumerate_att(a, s, budget):
@@ -660,102 +707,3 @@ class Crossings:
             out.extend(emitted)
             if tip is None:
                 return tuple(out), "leaf", leaf
-
-
-def _top_down(table, state, s, memo):
-    """(output tree, rules applied) of the run from state on s, on the
-    rule table of a deterministic top-down transducer.  A run that gets
-    stuck has the output None and counts the rules applied before, in the
-    preorder _walk_tdtt expands calls in.  memo keeps both per (state,
-    subtree), so an output shares the outputs of its calls."""
-    stack = [(state, s)]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        rhs = table.get((key[0], key[1].label))
-        if rhs is None:
-            memo[key] = None, 0
-            stack.pop()
-            continue
-        kids = key[1].children
-        todo = [(q, kids[i - 1]) for _, (q, i) in _calls(rhs)
-                if 1 <= i <= len(kids) and (q, kids[i - 1]) not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        count, parts = 1, []
-        for _, (q, i) in _calls(rhs):
-            sub, n = memo[q, kids[i - 1]] if 1 <= i <= len(kids) else (None, 0)
-            count += n
-            if sub is None:
-                memo[key] = None, count
-                break
-            parts.append(sub)
-        else:
-            built = []
-            for label, what in reversed(rhs):
-                built.append(parts.pop() if label is None else
-                             Tree(label, [built.pop() for _ in range(what)]))
-            memo[key] = built[0], count
-    return memo[state, s]
-
-
-def _calls(rhs):
-    """The calls of a compiled top-down right-hand side, in preorder."""
-    return [node for node in rhs if node[0] is None]
-
-
-def enumerate_shared(d, budget=None):
-    """A function that gives, for each tree s it is called on, what
-    enumerate_outputs(d, s, budget) gives, sharing work across the trees
-    for as long as the function is kept:
-    - an att that walks its rule table keeps a Crossings summary per
-      distinct subtree, on a tree where width * (size + 1) is at most
-      max_steps and below max_enumeration;
-    - a relabeling keeps its run per subtree;
-    - a deterministic top-down transducer keeps its output and rule
-      count per (state, subtree), on a tree whose whole run applies at
-      most max_steps rules and fewer than max_enumeration;
-    - a pair runs its second stage on each output of its first.
-    Every other tree and machine is enumerated on its own.  Trees may
-    come in any order: the subtrees of a tree that are not kept yet are
-    done first, off an explicit stack."""
-    budget = budget or StepBudget()
-    if isinstance(d, PairedSpec):
-        first = enumerate_shared(d.first, budget)
-        second = enumerate_shared(d.second, budget)
-        return lambda s: _then(first, second, s)
-    memo = {}
-    if isinstance(d, RelabelingSpec):
-        def run(s):
-            got = _relabel(d, s, memo)
-            ok = got is not None and got[0] in d.final
-            return ({got[1]} if ok else set()), True
-        return run
-    if isinstance(d, AttSpec) and d.walks_on_table:
-        crossings = Crossings(d)
-
-        def summarize(t, below):
-            return crossings.summary(t.label, below)
-
-        def run(s):
-            bound = crossings.width * (s.size + 1)
-            if bound > budget.max_steps or bound >= budget.max_enumeration:
-                return enumerate_outputs(d, s, budget)
-            chunk, end, leaf = crossings.at_root(
-                _bottom_up(s, memo, summarize))
-            if end == "leaf":
-                return {_chain_tree(chunk, leaf)}, True
-            return set(), end != "productive"
-        return run
-    if isinstance(d, TdttSpec) and d.deterministic:
-        def run(s):
-            tree, count = _top_down(d.rule_table, d.init, s, memo)
-            if count > budget.max_steps or count >= budget.max_enumeration:
-                return enumerate_outputs(d, s, budget)
-            return ({tree} if tree is not None else set()), True
-        return run
-    return lambda s: enumerate_outputs(d, s, budget)

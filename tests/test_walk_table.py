@@ -5,7 +5,7 @@ output on the spec's rule table; _run_att and _enumerate_att rewrite
 sentential forms and stay the reference, and so does reference_nf, kept
 here.  derivation_forms rebuilds the forms of a derivation with
 derive_step for tests that inspect them.  Deterministic top-down
-transducers walk their own table in run_tdtt and enumerate_outputs,
+transducers run on their own table in run_tdtt and enumerate_outputs,
 whatever the shape of their right-hand sides, against _rewrite_tdtt, the
 deterministic run on string forms kept here, and _search_tdtt.  Pairs
 run stage by stage, checked against the same references composed.
@@ -14,7 +14,7 @@ form, kept here as the reference.
 The walk analysis chains local_run's chi-free segments through context
 answers with stitch, checked against local_run with the answers.
 enumerate_shared, which shares work across the trees it is called on,
-is checked against enumerate_outputs on each tree.
+is checked against the same references on each tree.
 """
 
 import itertools
@@ -429,14 +429,20 @@ def test_table_walk_matches_rewriting_on_branching_tdtts():
     for s in trees_up_to_height(IN, 3):
         for budget in SMALL_BUDGETS:
             same_tdtt_as_reference(t, s, budget)
-            kinds.add(semantics._walk_tdtt(t, s, budget.max_steps,
-                                           budget.max_enumeration)[0])
-    assert kinds == {"output", "stuck", "steps", "enumeration"}
+            got = run_tdtt(t, s, budget)
+            _, exhaustive = enumerate_outputs(t, s, budget)
+            # a run only max_enumeration cuts short still ends in run_tdtt
+            cut = not exhaustive and not isinstance(got, BudgetExhausted)
+            kinds.add("enumeration" if cut else type(got).__name__)
+    assert kinds == {"Output", "NoOutput", "BudgetExhausted", "enumeration"}
 
 
-def reference_outputs(d, s, budget):
+def reference_outputs(d, s, budget, walk=False):
     """enumerate_outputs composed from the references stage by stage:
-    run_relabeling, _search_tdtt and _enumerate_att."""
+    run_relabeling, _search_tdtt and _enumerate_att.  Given walk, an att
+    that walks its table is walked on s alone (_walk_table, which
+    same_as_reference checks against _enumerate_att): the search a
+    productive cycle sends to the default budget takes minutes."""
     if isinstance(d, RelabelingSpec):
         got = run_relabeling(d, s)
         ok = not isinstance(got, Reject) and got[0] in d.final
@@ -444,11 +450,20 @@ def reference_outputs(d, s, budget):
     if isinstance(d, TdttSpec):
         return _search_tdtt(d, s, budget)
     if isinstance(d, AttSpec):
-        return _enumerate_att(d, s, budget)
-    firsts, exhaustive = reference_outputs(d.first, s, budget)
+        if not (walk and d.walks_on_table):
+            return _enumerate_att(d, s, budget)
+        kind, labels, leaf = _walk_table(d, s, budget.max_steps,
+                                         budget.max_enumeration)
+        if kind == "output":
+            tree = Tree(leaf)
+            for label in reversed(labels):
+                tree = Tree(label, [tree])
+            return {tree}, True
+        return set(), kind in ("stuck", "silent")
+    firsts, exhaustive = reference_outputs(d.first, s, budget, walk)
     outs = set()
     for first in firsts:
-        got, done = reference_outputs(d.second, first, budget)
+        got, done = reference_outputs(d.second, first, budget, walk)
         outs |= got
         exhaustive = exhaustive and done
     return outs, exhaustive
@@ -573,14 +588,13 @@ def test_bounded_equivalence_walks_the_dtr_on_its_table(a2_dtr, monkeypatch):
             return fn(*args)
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("_tdtt_successors", "_walk_table", "_walk_tdtt"):
+    for name in ("_tdtt_successors", "_walk_table"):
         count(semantics, name)
     count(semantics.Crossings, "summary")
     assert bounded_equivalence(fixtures.a2(), a2_dtr, 4) == Equal(4)
     # 1 446 input trees up to depth 4
     assert 0 < calls["summary"] <= 1446
-    assert (calls["_tdtt_successors"], calls["_walk_table"],
-            calls["_walk_tdtt"]) == (0, 0, 0)
+    assert (calls["_tdtt_successors"], calls["_walk_table"]) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -589,26 +603,25 @@ def test_bounded_equivalence_walks_the_dtr_on_its_table(a2_dtr, monkeypatch):
 SHARED_BUDGETS = SMALL_BUDGETS + [StepBudget()]
 
 
-def same_as_enumeration(d, trees, budget, monkeypatch=None):
-    """enumerate_shared gives what enumerate_outputs gives, tree by tree
-    in the order given.  Given monkeypatch, returns how many runs
-    enumerate_shared handed to enumerate_outputs."""
+def same_as_enumeration(d, trees, budget):
+    """enumerate_shared, kept across the trees in the order given, gives
+    what the references give on each tree alone (reference_outputs, an
+    att walked alone).
+    Returns how many trees an att stage walked on its own (_walk_table)
+    and how many enumerations the budget cut short."""
+    alone = []
+    walk = semantics._walk_table
     run = enumerate_shared(d, budget)
-    handed = []
-    walk = semantics.enumerate_outputs
-
-    def counted(*args):
-        handed.append(args[1])
-        return walk(*args)
-
-    for s in trees:
-        if monkeypatch is not None:
-            monkeypatch.setattr(semantics, "enumerate_outputs", counted)
-        got = run(s)
-        if monkeypatch is not None:
-            monkeypatch.undo()
-        assert got == enumerate_outputs(d, s, budget), s.render()
-    return len(handed)
+    cut = 0
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(semantics, "_walk_table",
+                   lambda *args: alone.append(args) or walk(*args))
+        for s in trees:
+            got = run(s)
+            assert got == reference_outputs(d, s, budget, walk=True), \
+                s.render()
+            cut += not got[1]
+    return len(alone), cut
 
 
 @settings(max_examples=150, deadline=None)
@@ -623,21 +636,21 @@ def test_shared_tdtts_match_enumeration_on_random_tdtts(t, budget):
     same_as_enumeration(t, trees_up_to_height(IN, 4), budget)
 
 
-def test_shared_atts_match_enumeration_on_fixtures(monkeypatch):
+def test_shared_atts_match_enumeration_on_fixtures():
     """Every way a walk ends, and budgets on both sides of the size
     bound: trees it covers are read off summaries, the others walked
     alone, and the default budget covers them all."""
     rev_stuck = parse_spec(fixtures.REV_TEXT.replace("rule #: b(pi 1) -> e\n",
                                                      ""))
-    handed = runs = 0
+    alone = runs = 0
     for a in (fixtures.a1(), fixtures.a2(), fixtures.rev(), fixtures.c0(),
               fixtures.p0(), rev_stuck, off_spec()):
         trees = trees_up_to_height(a.input, 3)
         for budget in SMALL_BUDGETS:
-            handed += same_as_enumeration(a, trees, budget, monkeypatch)
+            alone += same_as_enumeration(a, trees, budget)[0]
             runs += len(trees)
-        assert same_as_enumeration(a, trees, StepBudget(), monkeypatch) == 0
-    assert 0 < handed < runs
+        assert same_as_enumeration(a, trees, StepBudget())[0] == 0
+    assert 0 < alone < runs
 
 
 @pytest.mark.parametrize("make", [
@@ -647,20 +660,21 @@ def test_shared_atts_match_enumeration_on_fixtures(monkeypatch):
                        fixtures.a2()),
     None],
     ids=["identity", "leftmost_e", "attU", "a2_dtr"])
-def test_shared_pairs_match_enumeration(make, a2_dtr, monkeypatch):
+def test_shared_pairs_match_enumeration(make, a2_dtr):
     """Pairs stage by stage, on trees up to height 3 under every budget,
     smallest first and largest first, and up to height 4 under the
-    default budget.  The small budgets hand some runs to
-    enumerate_outputs, the default budget none."""
+    default budget.  The small budgets cut some enumerations short, the
+    default budget none, and no att stage walks a tree on its own
+    there."""
     d = a2_dtr if make is None else make()
     trees = trees_up_to_height(d.input_alphabet, 3)
-    handed = 0
+    cut = 0
     for budget in SMALL_BUDGETS:
-        handed += same_as_enumeration(d, trees, budget, monkeypatch)
-        handed += same_as_enumeration(d, trees[::-1], budget, monkeypatch)
-    assert handed
+        cut += same_as_enumeration(d, trees, budget)[1]
+        cut += same_as_enumeration(d, trees[::-1], budget)[1]
+    assert cut
     assert same_as_enumeration(d, trees_up_to_height(d.input_alphabet, 4),
-                               StepBudget(), monkeypatch) == 0
+                               StepBudget()) == (0, 0)
 
 
 def test_tdtts_off_the_table_keep_the_rewriting():
