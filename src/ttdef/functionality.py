@@ -291,8 +291,9 @@ def _inputs(a, budget):
         raise NotApplicable("is_functional expects an att or an att with "
                             "look-around, not %r" % a.kind)
     shown = {}
+    relabel = enumerate_shared(a.first)
     for s in trees_up_to_height(a.input_alphabet, budget.depth):
-        got, _ = enumerate_outputs(a.first, s)
+        got, _ = relabel(s)
         for relabeled in got:
             shown.setdefault(relabeled, s)
     return a.second, shown

@@ -46,15 +46,19 @@ def _lcp(a, b):
 def _onward_prefixes(sample):
     """For each proper prefix of a sampled word, the longest output
     prefix shared by everything below it, clamped so that every word's
-    final rule keeps at least its last output letter."""
-    lcp = {}
-    clamp = {}
+    final rule keeps at least its last output letter.  Words and
+    prefixes merge into their parents one length at a time, each once."""
+    words = {}
     for w, o in sample.items():
-        for j in range(len(w)):
-            p = w[:j]
-            lcp[p] = o if p not in lcp else _lcp(lcp[p], o)
-            clamp[p] = min(clamp.get(p, len(o) - 1), len(o) - 1)
-    return {p: v[:clamp[p]] for p, v in lcp.items()}
+        words.setdefault(len(w), []).append((w, (o, len(o) - 1)))
+    out, up = {}, {}
+    for n in range(max(words, default=0), 0, -1):
+        level, up = up, {}
+        for p, (v, c) in words.get(n, []) + list(level.items()):
+            got = up.get(p[:-1], (v, c))
+            up[p[:-1]] = _lcp(got[0], v), min(got[1], c)
+        out.update((p, v[:c]) for p, (v, c) in up.items())
+    return out
 
 
 _REJECT = object()
@@ -78,7 +82,7 @@ def synthesize(sample, enc, out_alpha, name, bound):
     positives = {w: o for w, o in sample.items() if o is not None}
     out = _onward_prefixes(positives)
     prefixes = {w[:j] for w in sample for j in range(len(w))}
-    prefixes = sorted(prefixes, key=lambda p: (len(p), p))
+    prefixes = sorted(sorted(prefixes), key=len)
     index = {p: i for i, p in enumerate(prefixes)}
     edges = [dict() for _ in prefixes]
     terms = [dict() for _ in prefixes]

@@ -32,8 +32,10 @@ enumerate_shared evaluates each distinct subtree once for as long as
 its caller keeps it.  An att that walks its table keeps one crossing
 summary per subtree (Crossings, Shepherdson 1959): how the walk entering
 at each synthesized attribute ends inside the subtree and what it emits
-there, built from the children's summaries and read at the root marker;
-the oracle's word cache keeps the same summaries per suffix of a word.
+there, read at the root marker.  The walks at a node run once per label
+and ends of the children's walks, as a plan that joins their chunks;
+the oracle's word cache reads each word through the same plans, over
+the summaries of its suffixes.
 A tree on which a budget could bind the att walk is walked on its own.
 A relabeling keeps its run per subtree, a deterministic top-down
 transducer its output and rule count per (state, subtree), and a pair
@@ -633,15 +635,18 @@ class Crossings:
 
     A walk enters the subtree at a node only as a synthesized attribute
     of that node, and leaves it only as an inherited attribute of that
-    node, whose rule sits at the parent.  The summary of a subtree maps
-    each synthesized attribute to (chunk, end, name): the labels its walk
-    emits inside the subtree, and how the walk ends there: "up" into the
-    inherited attribute name, "leaf" with the output leaf name, "stuck",
-    or "silent" and "productive" (an occurrence came back, with no output
-    in between or with some).  The summary of a node is one walk per
-    attribute at its label over the summaries of its children, and the
-    root marker reads the summary of the whole tree.  A word is the
-    monadic case: a letter has one child, the last letter none.
+    node, whose rule sits at the parent.  The summary of a subtree is
+    (ends, chunks), per synthesized attribute: the labels its walk emits
+    inside the subtree, and (end, name, full), full when there are some,
+    with end "up" into the inherited attribute name, "leaf" with the
+    output leaf name, "stuck", or "silent" and "productive" (an
+    occurrence came back, with no output in between or with some).  The
+    walks at a node depend on the ends below it, never on the chunks, so
+    they run once per label and children's ends, kept as a plan: per
+    attribute its end and its chunk's pieces, labels or child i's chunk
+    of attribute k.  summary joins a node's plan, at_root the root
+    marker's, read the marker's composed through the node's below it.
+    A word is the monadic case: a letter has one child, the last none.
 
     width is the largest number of rules of one symbol.  A walk applies a
     rule at most once per node, so over #(s) it takes at most width *
@@ -650,60 +655,98 @@ class Crossings:
 
     def __init__(self, att):
         self.table = att.rule_table
-        self.syn = att.syn
-        self.syn_set = frozenset(att.syn)
+        self.index = {a: k for k, a in enumerate(att.syn)}
         self.inh_set = frozenset(att.inh)
         self.init = att.init
         self.width = max(Counter(sym for sym, _, _ in self.table).values(),
                          default=0)
+        self.plans = {}     # (label, children's ends) -> (ends, pieces)
+        self.reads = {}     # (label, children's ends) -> (end, name, pieces)
 
     def summary(self, label, below):
         """The summary of a node labelled label over its children's."""
-        return {a: self.cross(label, below, (a, 0)) for a in self.syn}
+        ends, pieces = self._plan(label, tuple([b[0] for b in below]))
+        return ends, tuple(_join(p, below) for p in pieces)
 
     def at_root(self, below):
         """(chunk, end, name) of the whole walk over #(s), given the
         summary of s."""
-        return self.cross(ROOT, (below,), (self.init, 1))
+        ((end, name, _),), (pieces,) = self._plan(ROOT, (below[0],))
+        return _join(pieces, (below,)), end, name
 
-    def cross(self, label, below, tip):
-        """(chunk, end, name) of the walk from tip at a node labelled
-        label: ROOT for the root marker, which has no parent, else a
-        symbol, below the summaries of its children.  tip is an (attr,
-        pos) as rule_table gives it, read at this node; (a, 0) enters a
-        synthesized a."""
+    def read(self, label, below):
+        """at_root(summary(label, below)), from one composed plan."""
+        key = label, tuple([b[0] for b in below])
+        if key not in self.reads:
+            ends, node = self._plan(*key)
+            ((end, name, _),), (pieces,) = self._plan(ROOT, (ends,))
+            self.reads[key] = end, name, tuple(
+                q for i, x in pieces
+                for q in ([(i, x)] if i is None else node[x]))
+        end, name, pieces = self.reads[key]
+        return _join(pieces, below), end, name
+
+    def _plan(self, label, below):
+        """(ends, pieces) of the walks at a node labelled label over
+        children whose summaries have the ends below; the root marker
+        ROOT walks once, from the initial attribute at its child."""
+        key = label, below
+        if key not in self.plans:
+            walks = [self._walk(label, below, tip) for tip in
+                     ([(self.init, 1)] if label == ROOT else
+                      [(a, 0) for a in self.index])]
+            self.plans[key] = (tuple((e, n, bool(p)) for p, e, n in walks),
+                               tuple(tuple(p) for p, _, _ in walks))
+        return self.plans[key]
+
+    def _walk(self, label, below, tip):
+        """(pieces, end, name) of the walk from tip, an (attr, pos) as
+        rule_table gives it, read at this node; (a, 0) enters a
+        synthesized a.  A piece is (None, labels) or (i, k), never empty:
+        a child's empty chunk is left out."""
         root = label == ROOT
-        out = []
-        seen = {}       # occurrence -> output length when it was reached
+        pieces = []
+        seen = {}       # occurrence -> pieces emitted when it was reached
         while True:
             attr, pos = tip
             occ = None      # the occurrence the walk goes on at, if any
-            if attr in self.syn_set:
+            k = self.index.get(attr)
+            if k is not None:
                 if pos == 0:
                     if not root:
                         occ = tip
                 elif pos <= len(below):
-                    chunk, end, name = below[pos - 1][attr]
-                    out.extend(chunk)
+                    end, name, full = below[pos - 1][k]
+                    if full:
+                        pieces.append((pos - 1, k))
                     if end != "up":
-                        return tuple(out), end, name
+                        return pieces, end, name
                     occ = (name, pos)
             elif attr in self.inh_set:
                 if pos:
                     occ = tip
                 elif not root:
-                    return tuple(out), "up", attr
+                    return pieces, "up", attr
             if occ is None:
-                return tuple(out), "stuck", None
+                return pieces, "stuck", None
             if occ in seen:
-                return (tuple(out),
-                        "silent" if seen[occ] == len(out) else "productive",
+                return (pieces,
+                        "silent" if seen[occ] == len(pieces) else "productive",
                         None)
-            seen[occ] = len(out)
+            seen[occ] = len(pieces)
             chain = self.table.get((label,) + occ)
             if chain is None:
-                return tuple(out), "stuck", None
+                return pieces, "stuck", None
             emitted, tip, leaf = chain
-            out.extend(emitted)
+            if emitted:
+                pieces.append((None, emitted))
             if tip is None:
-                return tuple(out), "leaf", leaf
+                return pieces, "leaf", leaf
+
+
+def _join(pieces, below):
+    """The chunk the pieces give over the children's summaries."""
+    out = ()
+    for i, x in pieces:
+        out += x if i is None else below[i][1][x]
+    return out

@@ -392,61 +392,51 @@ class _SuffixSummaries(Crossings):
     machine's words, kept by suffix.
 
     A word is a tree whose letters have one child and whose last letter
-    has none, so the summary of c.w is one walk per attribute at the
-    letter c over the summary of w, and the root marker reads the
-    summary of the whole word: a word costs the walks at its first
-    letter and at the root marker instead of a walk over all of it.
+    has none, so the output on c.w is read at c over the summary of w,
+    and that summary is joined at the first letter of w over the summary
+    of the rest, once: a word costs one read, and only the suffixes of
+    longer words are summarized.
 
     A suffix no caller asked for, because the automaton does not accept
-    it, is summarized on demand.  Summaries of words shorter than
-    keep_below are kept for the life of the object; those of longer
-    words are not, since no word the caller asks for has them as a
-    suffix.  built counts the summaries made.
+    it, is summarized on demand.  built counts the summaries made.
     """
 
-    def __init__(self, att, keep_below):
+    def __init__(self, att):
         super().__init__(att)
-        self.keep_below = keep_below
         self.kept = {}
         self.built = 0
 
-    def of(self, w):
-        """The summary of w, made from the longest suffix of w that has
-        one, letter by letter."""
-        got, i = None, len(w)
-        for k in range(len(w)):
-            got = self.kept.get(w[k:])
-            if got is not None:
-                i = k
-                break
-        for j in range(i - 1, -1, -1):
-            got = self.summary(w[j], () if got is None else (got,))
-            self.built += 1
-            if len(w) - j < self.keep_below:
-                self.kept[w[j:]] = got
-        return got
-
     def output(self, w):
-        """Output labels of the machine on the word, None when undefined."""
-        chunk, end, name = self.at_root(self.of(w))
+        """Output labels of the machine on the word, None when undefined:
+        read over the summary of w[1:], made from the longest suffix of
+        it that has one, letter by letter."""
+        i = 1
+        while i < len(w) and w[i:] not in self.kept:
+            i += 1
+        got = self.kept.get(w[i:])
+        for j in range(i - 1, 0, -1):
+            got = self.kept[w[j:]] = self.summary(
+                w[j], () if got is None else (got,))
+            self.built += 1
+        chunk, end, name = self.read(w[0], () if got is None else (got,))
         return chunk + (name,) if end == "leaf" else None
 
 
 def _word_cache(tw, length, budget):
     """({word: output labels} over every accepted word up to the length,
     with None where the machine is undefined and _EXHAUSTED where the
-    step budget ran out; the number of suffix summaries built).
+    step budget ran out; the _SuffixSummaries that read them).
 
     When the machine walks on its rule table, a word of length n is
-    composed from suffix summaries if max_steps is at least width *
-    (n + 1), the most steps its walk can take (Crossings.width), so
-    the summaries give what evaluate gives.  For a machine whose letters have rank one
+    read from suffix summaries if max_steps is at least width * (n + 1),
+    the most steps its walk can take (Crossings.width), so the summaries
+    give what evaluate gives.  For a machine whose letters have rank one
     and whose rules are those validation admits, width is at most the
     number of attributes.  Other words and machines are evaluated one by
     one, as _eval_word does."""
     att = tw.att
-    summaries = _SuffixSummaries(att, length)
-    covered = 0     # the longest words composed from summaries
+    summaries = _SuffixSummaries(att)
+    covered = 0     # the longest words read from summaries
     if att.walks_on_table:
         width = summaries.width
         covered = budget.max_steps // width - 1 if width else length
@@ -459,7 +449,7 @@ def _word_cache(tw, length, budget):
         if got is not None:
             _check_lsi(att, len(w), len(got), lambda: tree_of(w).render())
         cache[w] = got
-    return cache, summaries.built
+    return cache, summaries
 
 
 def one_way_definability(tw, budget=None):
@@ -502,7 +492,8 @@ def one_way_definability(tw, budget=None):
     for w in exhausted:
         cache[w] = None
     report["words"] = len(cache)
-    report["summaries"] = summaries
+    report["summaries"] = summaries.built
+    report["plans"] = len(summaries.plans) + len(summaries.reads)
     report["cache_length"] = cache_length
     if exhausted:
         report["budget_exhausted_words"] = len(exhausted)

@@ -1,0 +1,131 @@
+"""Crossing summaries replayed from compiled plans, against the walk
+they replace.
+
+semantics.Crossings runs the walks at a node once per (label, ends of
+the children's summaries) and keeps them as plans; summary, at_root and
+read join a plan's pieces over the children's chunks.  reference_cross,
+kept here, walks over the children's chunks themselves at every node
+and stays the reference: a reference summary maps each synthesized
+attribute to (chunk, end, name).
+"""
+
+from hypothesis import given, settings
+
+from ttdef.model import ROOT, AttRule, AttSpec, occ_pattern
+from ttdef.semantics import Crossings
+from ttdef.trees import RankedAlphabet, Tree, trees_up_to_height
+
+from test_walk_table import IN, OUT, atts
+from test_word_cache import LETTERS, word_machines
+
+
+def reference_cross(att, label, below, tip):
+    """(chunk, end, name) of the walk from tip at a node labelled label:
+    ROOT for the root marker, which has no parent, else a symbol, below
+    the reference summaries of its children.  tip is an (attr, pos) as
+    rule_table gives it, read at this node; (a, 0) enters a synthesized
+    a."""
+    table, syn, inh = att.rule_table, frozenset(att.syn), frozenset(att.inh)
+    root = label == ROOT
+    out = []
+    seen = {}       # occurrence -> output length when it was reached
+    while True:
+        attr, pos = tip
+        occ = None      # the occurrence the walk goes on at, if any
+        if attr in syn:
+            if pos == 0:
+                if not root:
+                    occ = tip
+            elif pos <= len(below):
+                chunk, end, name = below[pos - 1][attr]
+                out.extend(chunk)
+                if end != "up":
+                    return tuple(out), end, name
+                occ = (name, pos)
+        elif attr in inh:
+            if pos:
+                occ = tip
+            elif not root:
+                return tuple(out), "up", attr
+        if occ is None:
+            return tuple(out), "stuck", None
+        if occ in seen:
+            return (tuple(out),
+                    "silent" if seen[occ] == len(out) else "productive",
+                    None)
+        seen[occ] = len(out)
+        chain = table.get((label,) + occ)
+        if chain is None:
+            return tuple(out), "stuck", None
+        emitted, tip, leaf = chain
+        out.extend(emitted)
+        if tip is None:
+            return tuple(out), "leaf", leaf
+
+
+def plans_match_the_walk(att, trees):
+    """summary, at_root and read agree with reference_cross on every
+    subtree of the trees, in the order given, with one Crossings kept
+    across them.  Returns the ends every root summary ended in."""
+    crossings = Crossings(att)
+    new, ref = {}, {}
+    kinds = set()
+
+    def visit(t):
+        if t in new:
+            return
+        for c in t.children:
+            visit(c)
+        below = tuple(new[c] for c in t.children)
+        ref_below = tuple(ref[c] for c in t.children)
+        ends, chunks = new[t] = crossings.summary(t.label, below)
+        ref[t] = {a: reference_cross(att, t.label, ref_below, (a, 0))
+                  for a in att.syn}
+        assert ends == tuple((ref[t][a][1], ref[t][a][2], bool(ref[t][a][0]))
+                             for a in att.syn), t.render()
+        assert chunks == tuple(ref[t][a][0] for a in att.syn), t.render()
+        want = reference_cross(att, ROOT, (ref[t],), (att.init, 1))
+        assert crossings.at_root(new[t]) == want, t.render()
+        assert crossings.read(t.label, below) == want, t.render()
+        kinds.add(want[1])
+
+    for s in trees:
+        visit(s)
+    return kinds
+
+
+@settings(max_examples=150, deadline=None)
+@given(atts())
+def test_plans_match_the_walk_on_random_atts(a):
+    assert a.walks_on_table
+    plans_match_the_walk(a, trees_up_to_height(IN, 4))
+
+
+@settings(max_examples=150, deadline=None)
+@given(word_machines())
+def test_plans_match_the_walk_on_random_word_machines(tw):
+    plans_match_the_walk(tw.att, trees_up_to_height(LETTERS, 5))
+
+
+def test_one_end_comes_with_an_empty_and_a_full_chunk():
+    """The walk from a ends up in b over e with no output and over h(e)
+    with some, so the root marker's walk, which enters a again from b,
+    is silent over e and productive over h(e): the same end and name,
+    told apart only by whether the chunk is empty."""
+    a = AttSpec(name="FLAG", input=RankedAlphabet({"g": 1, "h": 1, "e": 0}),
+                output=OUT, syn=("a",), inh=("b",), init="a", rules={
+                    "e": (AttRule("a", 0, Tree(occ_pattern("b", 0))),),
+                    "g": (AttRule("a", 0, Tree(occ_pattern("a", 1))),
+                          AttRule("b", 1, Tree(occ_pattern("b", 0)))),
+                    "h": (AttRule("a", 0, Tree("h", [Tree(occ_pattern("a", 1))])),
+                          AttRule("b", 1, Tree(occ_pattern("b", 0)))),
+                    ROOT: (AttRule("b", 1, Tree(occ_pattern("a", 1))),)})
+    assert a.walks_on_table
+    kinds = plans_match_the_walk(a, trees_up_to_height(a.input, 4))
+    assert kinds == {"silent", "productive"}
+    crossings = Crossings(a)
+    e = crossings.summary("e", ())
+    he = crossings.summary("h", (e,))
+    assert (e[0], he[0]) == ((("up", "b", False),), (("up", "b", True),))
+    assert crossings.at_root(e) == ((), "silent", None)
+    assert crossings.at_root(he) == (("h", "h"), "productive", None)

@@ -207,21 +207,25 @@ def test_functional_with_look_around_reports_cycles():
 @pytest.mark.parametrize("paired", [False, True], ids=["att", "look-around"])
 def test_functional_lists_its_inputs_once(make, paired, monkeypatch):
     """The productive-cycle pass and the enumeration read one list of
-    trees: on the look-around route each input is relabeled once."""
+    trees: on the look-around route each input is relabeled once, all
+    of them through one enumerate_shared."""
     a = make()
     if paired:
         a = PairedSpec(kind="attU", name="u", second=a,
                        first=fixtures.identity_lookaround(a.input, "id"))
-    calls = []
-    listed = functionality._inputs
+    calls = {"_inputs": 0, "enumerate_shared": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return listed(*args)
+    def counted(fn):
+        def run(*args):
+            calls[fn.__name__] += 1
+            return fn(*args)
+        return run
 
-    monkeypatch.setattr(functionality, "_inputs", counted)
+    for name in calls:
+        monkeypatch.setattr(functionality, name,
+                            counted(getattr(functionality, name)))
     is_functional(a, 3)
-    assert len(calls) == 1
+    assert calls == {"_inputs": 1, "enumerate_shared": int(paired)}
 
 
 def test_functional_rejects_other_pair_kinds():

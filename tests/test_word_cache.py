@@ -1,24 +1,28 @@
 """The oracle's word cache, composed from suffix summaries, against the
 walk from scratch it replaces.
 
-_word_cache summarizes how each suffix of a word crosses its first
-letter and reads the word's output off the summary at the root marker;
-_eval_word walks every word on its own and stays the reference.  Words
+_word_cache summarizes how each proper suffix of a word crosses its
+first letter and reads the word's output at its first letter and the
+root marker over the summary of the rest; _eval_word walks every word
+on its own and stays the reference.  Words
 the step budget does not cover, and machines that do not walk on their
-rule table, take the reference route inside _word_cache too.
+rule table, take the reference route inside _word_cache too.  The
+fold's onward prefixes, merged a prefix-tree level at a time, are
+checked against the per-word loop they replaced, kept here.
 """
 
 import functools
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from ttdef import word_transducers
 from ttdef.constructions import (associate, normalize_domain_into_range,
                                  normalize_ground_rhs)
 from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
                          RelabelingSpec, occ_pattern)
+from ttdef.one_way import _lcp, _onward_prefixes
 from ttdef.semantics import LSI_VIOLATIONS, StepBudget
 from ttdef.trees import RankedAlphabet, Tree
 from ttdef.word_transducers import (Definable, DefinabilityBudget,
@@ -38,10 +42,10 @@ SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
 def caches_agree(tw, length, budget):
     """The summary-built cache equals the word-by-word one, and both
     routes record the same linear-size-increase violations.  Returns
-    the number of summaries built."""
+    the number of summaries built and of reads compiled."""
     mark = len(LSI_VIOLATIONS)
     try:
-        got, built = _word_cache(tw, length, budget)
+        got, summaries = _word_cache(tw, length, budget)
         got_lsi = LSI_VIOLATIONS[mark:]
         del LSI_VIOLATIONS[mark:]
         want = {w: _eval_word(tw, w, budget)
@@ -51,7 +55,7 @@ def caches_agree(tw, length, budget):
         assert LSI_VIOLATIONS[mark:] == got_lsi
     finally:
         del LSI_VIOLATIONS[mark:]
-    return built
+    return summaries.built, len(summaries.reads)
 
 
 # ---------------------------------------------------------------------------
@@ -133,19 +137,22 @@ def a2_walk():
 
 def test_both_routes_run_inside_one_cache(a2_walk):
     """A2's two-way machine has at most 9 rules per letter, so 27 steps
-    cover words of length 2 and leave length 3 to the reference route."""
+    cover words of length 2 and leave length 3 to the reference route.
+    A covered word is read over the summary of the rest of it, so only
+    the last letters of the words of length 2 are summarized."""
     tw = a2_walk
-    counts = [len(w) for w, _ in accepted_words(tw.correspondence, 3)]
-    built = caches_agree(tw, 3, StepBudget(max_steps=27))
-    assert built == counts.count(1) + counts.count(2)
-    assert caches_agree(tw, 3, StepBudget(max_steps=1)) == 0
+    words = [w for w, _ in accepted_words(tw.correspondence, 3)]
+    built, _ = caches_agree(tw, 3, StepBudget(max_steps=27))
+    assert built == len({w[1:] for w in words if len(w) == 2}) == 2
+    assert caches_agree(tw, 3, StepBudget(max_steps=1)) == (0, 0)
 
 
 def test_a_wide_machine_outgrows_the_size_bound_on_both_routes():
     """On the word e this machine applies five rules, one more than its
     attributes times its nodes (the root marker and e), so 4 steps run
     out; up to 5 steps the word is left to the reference route, which
-    the widest symbol's 3 rules times 2 nodes decide.  Its output of
+    the widest symbol's 3 rules times 2 nodes decide, and from 6 steps
+    on it is read at e over no summary.  Its output of
     size 6 breaks the linear bound 2 * 2 * 1, on both routes alike."""
     def chain(tip):
         return Tree("u", [Tree(tip)])
@@ -161,9 +168,9 @@ def test_a_wide_machine_outgrows_the_size_bound_on_both_routes():
     tw = TwoWayWord("wide_w", a, corr)
     seen = {}
     for steps in range(1, 9):
-        built = caches_agree(tw, 1, StepBudget(max_steps=steps))
-        seen[steps] = (built, _eval_word(tw, ("e",), StepBudget(steps)))
-    assert [built for built, _ in seen.values()] == [0] * 5 + [1] * 3
+        seen[steps] = (caches_agree(tw, 1, StepBudget(max_steps=steps)),
+                       _eval_word(tw, ("e",), StepBudget(steps)))
+    assert [work for work, _ in seen.values()] == [(0, 0)] * 5 + [(0, 1)] * 3
     assert seen[4][1] is word_transducers._EXHAUSTED
     assert seen[5][1] == ("u",) * 5 + ("c",)
     mark = len(LSI_VIOLATIONS)
@@ -189,7 +196,7 @@ def test_the_root_marker_has_no_synthesized_occurrence():
         RelabelingRule("e", (), "ok", "e"),
         RelabelingRule("g", ("ok",), "ok", "g")))
     tw = TwoWayWord("off_w", a, corr)
-    assert caches_agree(tw, 3, StepBudget()) == 3
+    assert caches_agree(tw, 3, StepBudget()) == (2, 2)
     assert _word_cache(tw, 3, StepBudget())[0] == {
         ("e",): None, ("g", "e"): None, ("g", "g", "e"): None}
 
@@ -203,14 +210,14 @@ def test_non_final_suffixes_are_summarized_on_demand():
              RelabelingRule("g", ("even",), "odd", "g"))
     corr = RelabelingSpec("parity", idw.input, idw.input, ("odd",), moves)
     tw = TwoWayWord("odd_w", idw, corr)
-    assert caches_agree(tw, 7, StepBudget()) == 7
+    assert caches_agree(tw, 7, StepBudget()) == (6, 2)
     got = one_way_definability(tw, DefinabilityBudget(verify_length=7))
     assert isinstance(got, Definable)
-    assert (got.report["words"], got.report["summaries"]) == (4, 7)
+    assert (got.report["words"], got.report["summaries"]) == (4, 6)
 
 
 def test_a_long_run_of_unaccepted_suffixes():
-    """Only g^1500 e is accepted, so its first summary is made from 1501
+    """Only g^1500 e is accepted, so it is read over 1500 summaries of
     suffixes nobody asked for."""
     idw = parse_spec(IDW_TEXT)
     n = 1500
@@ -221,7 +228,7 @@ def test_a_long_run_of_unaccepted_suffixes():
                           tuple(moves))
     tw = TwoWayWord("far_w", idw, corr)
     word = ("g",) * n + ("e",)
-    assert caches_agree(tw, n + 1, StepBudget()) == n + 1
+    assert caches_agree(tw, n + 1, StepBudget()) == (n, 1)
     assert _word_cache(tw, n + 1, StepBudget())[0] == {word: word}
 
 
@@ -237,7 +244,7 @@ rule #: b(pi 1) -> e
         RelabelingRule("g", ("ok",), "ok", "g")))
     tw = TwoWayWord("nd_w", nd, corr)
     assert not tw.att.walks_on_table
-    assert caches_agree(tw, 4, StepBudget()) == 0
+    assert caches_agree(tw, 4, StepBudget()) == (0, 0)
     assert _eval_word(tw, ("g", "g", "e")) == ("g", "g", "e")
 
 
@@ -267,9 +274,13 @@ def bench_two_way(name):
     ("a2", 5), ("lme", 2), ("rev", 10), ("copy", 10), ("half", 10),
     ("idw", 10)])
 def test_summaries_match_the_walk_on_the_bench_machines(name, length):
+    """One summary per distinct proper suffix of an accepted word."""
     tw = bench_two_way(name)
-    words = sum(1 for _ in accepted_words(tw.correspondence, length))
-    assert caches_agree(tw, length, StepBudget(max_steps=10000)) >= words
+    suffixes = {w[k:] for w, _ in accepted_words(tw.correspondence, length)
+                for k in range(1, len(w))}
+    built, _ = caches_agree(tw, length, StepBudget(max_steps=10000))
+    assert built == len(suffixes) == {"a2": 1170, "lme": 2, "rev": 511,
+                                      "copy": 9, "half": 9, "idw": 9}[name]
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +301,8 @@ def test_the_a2_oracle_walks_no_cache_word_from_scratch(a2_walk,
     got = one_way_definability(a2_walk, DefinabilityBudget(verify_length=5))
     assert isinstance(got, Definable) and got.verified_length == 5
     assert calls == []
-    assert (got.report["words"], got.report["summaries"]) == (9362, 9362)
+    assert (got.report["words"], got.report["summaries"],
+            got.report["plans"]) == (9362, 1170, 174)
 
 
 def test_a_short_word_budget_is_unknown(a2_walk):
@@ -356,3 +368,43 @@ def test_accepted_words_keeps_its_order(name, length):
 def test_accepted_words_keeps_its_order_on_random_automata(aut, length):
     assert list(accepted_words(aut, length)) == \
         list(reference_accepted_words(aut, length))
+
+
+# ---------------------------------------------------------------------------
+# the fold's onward prefixes against the loop they replaced
+
+def reference_onward_prefixes(sample):
+    lcp = {}
+    clamp = {}
+    for w, o in sample.items():
+        for j in range(len(w)):
+            p = w[:j]
+            lcp[p] = o if p not in lcp else _lcp(lcp[p], o)
+            clamp[p] = min(clamp.get(p, len(o) - 1), len(o) - 1)
+    return {p: v[:clamp[p]] for p, v in lcp.items()}
+
+
+@pytest.mark.parametrize("name, length", [
+    ("a2", 5), ("lme", 2), ("rev", 10), ("copy", 10), ("half", 10),
+    ("idw", 10)])
+def test_onward_prefixes_keep_their_values(name, length):
+    cache, _ = _word_cache(bench_two_way(name), length,
+                           StepBudget(max_steps=10000))
+    positives = {w: o for w, o in cache.items() if o is not None}
+    assert _onward_prefixes(positives) == \
+        reference_onward_prefixes(positives)
+
+
+# outputs of no letter or one make the clamp bind below the shared prefix
+samples = st.dictionaries(
+    st.lists(st.sampled_from("gh"), max_size=4).map(tuple).flatmap(
+        lambda w: st.sampled_from("ed").map(lambda leaf: w + (leaf,))),
+    st.lists(st.sampled_from("uv"), max_size=3).map(tuple), max_size=12)
+
+
+@settings(max_examples=200, deadline=None)
+@given(samples)
+@example({("g", "e"): ("u",), ("g", "d"): ("u",), ("h", "e"): ()})
+@example({("e",): ("u",), ("g", "e"): ("u",), ("g", "g", "d"): ("u", "v")})
+def test_onward_prefixes_keep_their_values_on_random_samples(sample):
+    assert _onward_prefixes(sample) == reference_onward_prefixes(sample)

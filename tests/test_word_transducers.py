@@ -320,7 +320,7 @@ def test_oracle_finds_a_one_way_equivalent(verdict2):
     assert cand.deterministic
     assert len(cand.states) <= 16
     assert set(verdict2.report) == {"budget", "words", "summaries",
-                                    "cache_length"}
+                                    "plans", "cache_length"}
     assert verdict2.report["cache_length"] == 5
 
 
