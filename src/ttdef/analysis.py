@@ -29,19 +29,20 @@ them through chi's answers (stitch).  The segments from each synthesized
 attribute at the node are the ones that build the node's tail map, so
 each production keeps them from the shape build (Prod.runs).  A walk
 that stops at a child, which is how a child's chi is found, never reads
-that child's tail map: its segments are memoized without it (by symbol,
-child, the other children's shapes and start) and shared by every shape
-of the child and every configuration.
+that child's tail map: its segments, and the chi they give the child,
+are memoized without it (by symbol, child, the other children's shapes
+and start or chi) and shared by every shape of the child.
 
 Circularity, the single path verdict, kappa and the variation verdict of
 each visiting pair set are computed once per spec and cached on it
 (AttSpec.circularity and AttSpec.walk_analysis): the pipeline asks for
 circularity in several stages, and single_path, kappa and variations come
 from one pass over the same shapes and configurations.  Only these
-small results are cached.  The shapes, their segment memos and the
-configuration systems die with the pass; kept on the spec they would
-stay alive through associate and build_two_way, which raises the traced
-peak of one look-around fixture decision from 13 to 21 MB.
+small results are cached.  The tip-edge map of the is-dependency pass,
+and the shapes with their memos and the configuration systems, die with
+their pass; kept on the spec they would stay alive through associate
+and build_two_way, which raises the traced peak of one look-around
+fixture decision from 13 to 21 MB.
 """
 
 import itertools
@@ -164,10 +165,26 @@ def stitch(segment, chi, start):
 # ---------------------------------------------------------------------------
 # is-dependencies (works for nondeterministic and non-monadic specs too)
 
-def _theta_step(att, sigma, child_thetas):
+def _tip_edges(att):
+    """symbol -> {(attr, pos): the occurrences in the right-hand sides
+    of all its rules}, so nondeterministic and non-monadic specs too."""
+    edges = {}
+    for sym, rules in att.rules.items():
+        row = edges.setdefault(sym, {})
+        for rule in rules:
+            tips = row.setdefault((rule.attr, rule.pos), [])
+            for _, sub in rule.rhs.addresses():
+                tip = occ_pattern_info(sub.label)
+                if tip is not None:
+                    tips.append(tip)
+    return edges
+
+
+def _theta_step(att, edges, child_thetas):
     """Per synthesized attribute, the inherited attributes reachable at the
-    node's own root when started there, with children summarized by their
-    theta maps (synthesized -> set of inherited)."""
+    node's own root when started there, with the node's rules as the
+    _tip_edges of its symbol and children summarized by their theta maps
+    (synthesized -> set of inherited)."""
     result = {}
     for a in att.syn:
         reached = set()
@@ -183,14 +200,10 @@ def _theta_step(att, sigma, child_thetas):
                 reached.add(attr)
                 continue
             if att.is_syn(attr) and pos >= 1:
-                for b in child_thetas[pos - 1].get(attr, ()):
-                    stack.append((b, pos))
-                continue
-            for rule in att.rules_for(sigma, attr, pos):
-                for _, sub in rule.rhs.addresses():
-                    tip = occ_pattern_info(sub.label)
-                    if tip is not None:
-                        stack.append(tip)
+                stack.extend((b, pos) for b in child_thetas[pos - 1].get(
+                    attr, ()))
+            else:
+                stack.extend(edges.get(cur, ()))
         result[a] = frozenset(reached)
     return result
 
@@ -199,13 +212,15 @@ def _theta_key(theta):
     return tuple(sorted((a, tuple(sorted(bs))) for a, bs in theta.items() if bs))
 
 
-def all_isds(a):
+def all_isds(a, edges=None):
     """Every is-dependency realized by some input tree, as a set of
-    frozensets of (inherited, synthesized) pairs."""
+    frozensets of (inherited, synthesized) pairs; edges is _tip_edges(a)."""
+    edges = edges or _tip_edges(a)
     thetas = {}
 
     def step(sym, combo):
-        theta = _theta_step(a, sym, [thetas[c] for c in combo])
+        theta = _theta_step(a, edges.get(sym, {}),
+                            [thetas[c] for c in combo])
         key = _theta_key(theta)
         thetas.setdefault(key, theta)
         return key
@@ -259,28 +274,21 @@ def is_circular(a):
 
 
 def _circularity(a):
-    isds = sorted(all_isds(a), key=lambda s: sorted(s))
+    edges = _tip_edges(a)
+    isds = sorted(all_isds(a, edges), key=lambda s: sorted(s))
     symbols = [(sym, k) for sym, k in a.input.items()] + [(ROOT, 1)]
     for sym, k in symbols:
-        rule_edges = {}
-        rule_nodes = set()
-        for rule in a.rules_at(sym):
-            src = (rule.attr, rule.pos)
-            rule_nodes.add(src)
-            for _, sub in rule.rhs.addresses():
-                tip = occ_pattern_info(sub.label)
-                if tip is not None:
-                    rule_edges.setdefault(src, []).append(tip)
-                    rule_nodes.add(tip)
+        rule_edges = edges.get(sym, {})
+        rule_nodes = set(rule_edges).union(*rule_edges.values())
         for combo in itertools.product(isds, repeat=k):
-            edges = {src: list(tips) for src, tips in rule_edges.items()}
+            edges_k = {src: list(tips) for src, tips in rule_edges.items()}
             nodes = set(rule_nodes)
             for j in range(1, k + 1):
                 for b, syn in combo[j - 1]:
-                    edges.setdefault((syn, j), []).append((b, j))
+                    edges_k.setdefault((syn, j), []).append((b, j))
                     nodes.add((syn, j))
                     nodes.add((b, j))
-            cycle = _cycle_in(edges, sorted(nodes))
+            cycle = _cycle_in(edges_k, sorted(nodes))
             if cycle is not None:
                 return True, CircularityWitness(sym, combo, cycle)
     return False, None
@@ -328,6 +336,8 @@ class Shapes:
         self.prods = []
         self.by_out = {}     # key -> [Prod]
         self._bounded = {}   # (sigma, i, other child keys) -> {start: segment}
+        self._chis = {}      # (sigma, i, other child keys, chi) -> child's chi
+        self._chi_values = {}   # child's chi -> the one copy kept
         self._build()
 
     def _runs(self, sym, child_keys):
@@ -492,7 +502,7 @@ class TopDown:
             children = {}
             for i, a in first_entry.items():
                 child = Config(prod.child_keys[i - 1], a, _child_chi(
-                    self.shapes, prod.sigma, prod.child_keys, i, chi))
+                    self.shapes, prod.sigma, prod.child_keys, i, cfg.chi))
                 children[i] = self._interned.setdefault(child, child)
             out.append((prod, children))
         return out
@@ -500,25 +510,31 @@ class TopDown:
 
 def _child_chi(shapes, sigma, child_keys, i, chi):
     """The context answer of child i of a sigma-node whose own context
-    answer is chi, as sorted (inherited attr, answer) pairs."""
-    segment = shapes.bounded(sigma, child_keys, i)
-    answers = []
-    for b in shapes.att.inh:
-        kind, attr, _, _ = stitch(segment, chi, (b, i))
-        if kind == "enter":
-            answers.append((b, attr))
-        elif kind in ("ground", "halt_ok"):
-            answers.append((b, HALT_OK))
-        else:
-            answers.append((b, HALT_DEAD))
-    return tuple(sorted(answers))
+    answer is chi, both as sorted (inherited attr, answer) pairs; memoized
+    on shapes without child i's shape, which it never reads."""
+    key = (sigma, i, child_keys[:i - 1] + child_keys[i:], chi)
+    if key not in shapes._chis:
+        segment = shapes.bounded(sigma, child_keys, i)
+        chi_map = dict(chi)
+        answers = []
+        for b in shapes.att.inh:
+            kind, attr, _, _ = stitch(segment, chi_map, (b, i))
+            if kind == "enter":
+                answers.append((b, attr))
+            elif kind in ("ground", "halt_ok"):
+                answers.append((b, HALT_OK))
+            else:
+                answers.append((b, HALT_DEAD))
+        got = tuple(sorted(answers))
+        shapes._chis[key] = shapes._chi_values.setdefault(got, got)
+    return shapes._chis[key]
 
 
 def _root_configs(att, shapes):
     """Valid whole-input configurations: entry is the initial attribute and
     chi reflects the root rules.  The root rules never read the shape
     below them, so every shape gets the same chi."""
-    chi = _child_chi(shapes, ROOT, (None,), 1, {})
+    chi = _child_chi(shapes, ROOT, (None,), 1, ())
     return [Config(key, att.init, chi) for key in sorted(shapes.tau)]
 
 
@@ -832,7 +848,6 @@ def _variation_core(att, growth, psi):
 def _bare_nf_size(att, shapes, t, entry):
     """Size of the normal form from entry at the root of bare t, without
     running the derivation: emitted length plus one for the tip."""
-    prods = {}
 
     def length(sub):
         key_children = [length(c) for c in sub.children]

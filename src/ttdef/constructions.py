@@ -16,10 +16,14 @@ from .errors import AlphabetMismatch, NotApplicable, NotTrimmable, SpecSyntaxErr
 from .model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
                     RelabelingSpec, TdttRule, TdttSpec, call_info, call_label,
                     fresh_name, is_occurrence, mangle_literal, mangle_parts,
-                    occ_node, occ_node_info, occ_pattern, occ_pattern_info)
-from .semantics import nf
+                    occ_node, occ_pattern)
+from . import semantics
+from .semantics import Crossings, _chain_tree
 from .trees import (RankedAlphabet, Tree, explore_bottom_up,
                     settle_representatives)
+
+# bench/spans.py traces calls through this name.
+nf = semantics.nf
 
 
 # ---------------------------------------------------------------------------
@@ -69,15 +73,7 @@ def normalize_ground_rhs(a):
             for xi in grounds:
                 bucket.append(AttRule(names[xi], j,
                                       Tree(occ_pattern(names[xi], 0))))
-    out = {}
-    for sym, bucket in rules.items():
-        seen = set()
-        kept = []
-        for r in bucket:
-            if r not in seen:
-                seen.add(r)
-                kept.append(r)
-        out[sym] = tuple(kept)
+    out = {sym: tuple(dict.fromkeys(bucket)) for sym, bucket in rules.items()}
     return AttSpec(name=a.name + "_rooted", input=a.input, output=a.output,
                    syn=a.syn, inh=a.inh + tuple(names[xi] for xi in grounds),
                    init=a.init, rules=out)
@@ -114,69 +110,37 @@ class AssociatedAttR:
         return PairedSpec("attR", self.name, self.relabeling, self.att)
 
 
-def _finished_pairs(a, t, cap):
-    pairs = set()
-    for attr in a.syn:
-        form = nf(a, t, Tree(occ_node(attr, ())))
-        if not isinstance(form, Tree) or form.height > cap:
-            continue
-        ok = True
-        for _, node in form.addresses():
-            if not is_occurrence(node.label):
-                continue
-            info = occ_node_info(node.label)
-            if info is None or info[1] != () or not a.is_inh(info[0]):
-                ok = False
-                break
-        if ok:
-            pairs.add((attr, form))
-    return frozenset(pairs)
-
-
-def _as_child_occurrences(form, pos):
-    """Rebase a finished form: inherited tips at the subtree root become
-    rule-side occurrences at child position pos."""
-    info = occ_node_info(form.label) if is_occurrence(form.label) else None
-    if info is not None and not form.children:
-        return Tree(occ_pattern(info[0], pos))
-    return Tree(form.label, [_as_child_occurrences(c, pos) for c in form.children])
-
-
-class _StuckReduction(Exception):
-    pass
-
-
-def _chase(a, sym, tables, t, path):
-    info = occ_pattern_info(t.label) if not t.children else None
-    if info is None:
-        return Tree(t.label, [_chase(a, sym, tables, c, path) for c in t.children])
-    attr, pos = info
-    key = (attr, pos)
-    if pos >= 1 and a.is_syn(attr):
-        form = tables[pos - 1].get(attr)
-        if form is None:
-            return t    # not precomputed; the reduced att walks the child
-        assert key not in path, "reduction revisits %s" % (key,)
-        return _chase(a, sym, tables, _as_child_occurrences(form, pos),
-                      path | {key})
-    if pos >= 1 and a.is_inh(attr):
-        rules = a.rules_for(sym, attr, pos)
-        if not rules:
-            raise _StuckReduction
-        assert key not in path, "reduction revisits %s" % (key,)
-        return _chase(a, sym, tables, rules[0].rhs, path | {key})
-    return t    # inherited at self: resolved by the context above the node
-
-
-def _reduce(a, sym, tables, rhs):
-    """The rule right-hand side with every precomputed child walk inlined,
-    or None when the walk strands at a child position with no applicable
-    rule (then the translation is undefined whenever the rule fires, and
-    dropping it reproduces exactly that)."""
-    try:
-        return _chase(a, sym, tables, rhs, frozenset())
-    except _StuckReduction:
-        return None
+def _reduce(a, sym, tables, chain, built):
+    """The rule chain with every precomputed child walk inlined, as a
+    right-hand side built once per result, or None when the walk strands
+    at a child with no applicable rule (then the translation is undefined
+    whenever the rule fires, and dropping it reproduces exactly that).
+    tables[i - 1] maps the attributes child i finishes to (chunk, end,
+    name)."""
+    labels, tip, leaf = chain
+    labels = list(labels)
+    path = set()
+    while tip is not None and tip[1] >= 1:
+        attr, pos = tip
+        if a.is_syn(attr):
+            got = tables[pos - 1].get(attr)
+            if got is None:
+                break       # not precomputed; the reduced att walks the child
+            chunk, end, name = got
+            tip, leaf = ((name, pos), None) if end == "up" else (None, name)
+        else:
+            chain = a.rule_table.get((sym, attr, pos))
+            if chain is None:
+                return None
+            chunk, tip, leaf = chain
+        assert (attr, pos) not in path, "reduction revisits %s" % (attr, pos)
+        path.add((attr, pos))
+        labels.extend(chunk)
+    key = tuple(labels), tip, leaf
+    if key not in built:
+        built[key] = _chain_tree(labels, leaf if tip is None else
+                                 occ_pattern(*tip))
+    return built[key]
 
 
 def associate(a):
@@ -187,28 +151,37 @@ def associate(a):
     height cap kappa(a); each symbol of positive rank is annotated with
     its children's states, and the att's rules are reduced against those
     states so that precomputed output is emitted in place instead of
-    being fetched by walking the child. States are computed on minimal
-    representative trees (ties broken by rendered text); the outcome does
-    not depend on the choice.
+    being fetched by walking the child.
+
+    A state's pairs come from the crossing summary (semantics.Crossings)
+    of the first tree found in it, joined from its children's; then the
+    representatives settle on the smallest trees (ties broken by rendered
+    text).  The outcome depends on neither choice.  Summaries are exact;
+    nf under the default StepBudget of 1 000 000 steps agrees with them
+    except on a first tree of more than 1e6 / width nodes (width as in
+    Crossings), where the budget drops a pair that is precomputed here.
     """
     _require_walkable(a)
     cap = kappa(a)
-    names = {}      # frozenset of pairs -> state name
+    crossings = Crossings(a)
+    names = {}      # frozenset of finished walks -> state name
     reps = {}       # state name -> representative tree
-    tables = {}     # state name -> dict attribute -> finished form
+    firsts = {}     # state name -> (first tree's summary, finished walks)
     out_rule = {}   # (symbol, child state names) -> (state name, out symbol)
 
     def step(sym, combo):
-        rep = Tree(sym, [reps[c] for c in combo])
-        pairs = _finished_pairs(a, rep, cap)
-        if pairs not in names:
-            name = "r%d" % len(names)
-            names[pairs] = name
-            reps[name] = rep
-            tables[name] = dict(pairs)
+        ends, chunks = crossings.summary(sym, [firsts[c][0] for c in combo])
+        table = {attr: (chunk, end, name) for attr, (end, name, _), chunk
+                 in zip(a.syn, ends, chunks)
+                 if end in ("leaf", "up") and len(chunk) < cap}
+        key = frozenset(table.items())
+        if key not in names:
+            name = names[key] = "r%d" % len(names)
+            reps[name] = Tree(sym, [reps[c] for c in combo])
+            firsts[name] = (ends, chunks), table
         out = sym if not combo else mangle_parts(sym, combo)
-        out_rule[(sym, combo)] = (names[pairs], out)
-        return names[pairs]
+        out_rule[(sym, combo)] = (names[key], out)
+        return names[key]
 
     order = explore_bottom_up(a.input, step)
     settle_representatives([(sym, combo, res) for (sym, combo), (res, _)
@@ -218,15 +191,17 @@ def associate(a):
     rules2 = {sym: tuple(a.rules_at(sym)) for sym, _ in alpha2}
     rules2[ROOT] = tuple(a.rules_at(ROOT))
     brules = []
+    built = {}
     for (sym, combo), (res, out) in out_rule.items():
         brules.append(RelabelingRule(sym, combo, res, out))
         if a.input.rank(sym) == 0:
             continue
         alpha2.append((out, a.input.rank(sym)))
-        child_tables = [tables[c] for c in combo]
+        child_tables = [firsts[c][1] for c in combo]
         bucket = []
         for r in a.rules_at(sym):
-            eta = _reduce(a, sym, child_tables, r.rhs)
+            eta = _reduce(a, sym, child_tables,
+                          a.rule_table[sym, r.attr, r.pos], built)
             if eta is not None:
                 bucket.append(AttRule(r.attr, r.pos, eta))
         rules2[out] = tuple(bucket)
@@ -237,8 +212,11 @@ def associate(a):
     reduced = AttSpec(name=a.name + "_main", input=annotated, output=a.output,
                       syn=a.syn, inh=a.inh, init=a.init, rules=rules2)
     return AssociatedAttR(name=a.name + "_assoc", relabeling=relab, att=reduced,
-                          states={name: PrecomputeState(fs)
-                                  for fs, name in names.items()},
+                          states={name: PrecomputeState(frozenset(
+                              (attr, _chain_tree(chunk, occ_node(x, ())
+                                                 if end == "up" else x))
+                              for attr, (chunk, end, x) in table.items()))
+                              for name, (_, table) in firsts.items()},
                           representatives=reps, kappa=cap)
 
 
@@ -297,15 +275,6 @@ def _range_automaton(u):
                           final=final, rules=rules)
 
 
-def _relabel_by_out(top):
-    table = {}
-    for r in top.rules:
-        key = (r.state, r.symbol)
-        if key not in table:
-            table[key] = _relabel_out(r)
-    return table
-
-
 def _fuse_lookaround(u, annot):
     """One look-around equivalent to running u and then the bottom-up
     relabeling annot on u's output.
@@ -318,10 +287,19 @@ def _fuse_lookaround(u, annot):
     rel, top = u.first, u.second
     qtop = list(top.states)
     qindex = {q: i for i, q in enumerate(qtop)}
-    tops = _relabel_by_out(top)
+    # the first rule of each (state, symbol) wins
+    tops = {(r.state, r.symbol): _relabel_out(r) for r in reversed(top.rules)}
     states = {}     # (bottom state, phi table) -> name
     anns = {}       # (source symbol, mid symbol, child phi tables) -> name
     rrules = []
+
+    def annotated(q, mid, phis):
+        """(annot's rule at what u emits from q over mid, or None; u's
+        calls)."""
+        out, qs = tops.get((q, mid), (None, ()))
+        bs = tuple(phis[i][qindex[qc]] for i, qc in enumerate(qs))
+        ar = None if out is None or None in bs else annot.rule_for(out, bs)
+        return ar, qs
 
     def step(sym, combo):
         rr = rel.rule_for(sym, tuple(p for p, _ in combo))
@@ -331,18 +309,7 @@ def _fuse_lookaround(u, annot):
         phis = tuple(phi for _, phi in combo)
         phi = []
         for q in qtop:
-            got = tops.get((q, mid))
-            if got is None:
-                phi.append(None)
-                continue
-            out, qs = got
-            bs = []
-            for i, qc in enumerate(qs):
-                bs.append(phis[i][qindex[qc]])
-            if any(b is None for b in bs):
-                phi.append(None)
-                continue
-            ar = annot.rule_for(out, tuple(bs))
+            ar, _ = annotated(q, mid, phis)
             phi.append(None if ar is None else ar.state)
         key = (rr.state, tuple(phi))
         states.setdefault(key, "l%d" % len(states))
@@ -359,21 +326,10 @@ def _fuse_lookaround(u, annot):
     trules = []
     for (sym, mid, phis), ann in anns.items():
         for q in qtop:
-            got = tops.get((q, mid))
-            if got is None:
-                continue
-            out, qs = got
-            bs = []
-            for i, qc in enumerate(qs):
-                bs.append(phis[i][qindex[qc]])
-            if any(b is None for b in bs):
-                continue
-            ar = annot.rule_for(out, tuple(bs))
-            if ar is None:
-                continue
-            trules.append(TdttRule(q, ann, Tree(ar.out_symbol, [
-                Tree(call_label(qs[i], i + 1))
-                for i in range(len(qs))])))
+            ar, qs = annotated(q, mid, phis)
+            if ar is not None:
+                trules.append(TdttRule(q, ann, Tree(ar.out_symbol, [
+                    Tree(call_label(qc, i)) for i, qc in enumerate(qs, 1)])))
     name = u.name + "_ranged"
     fused_rel = RelabelingSpec(name=name + "_la", input=rel.input,
                                output=ann_alpha,

@@ -232,11 +232,14 @@ class AttSpec:
     @cached_property
     def rule_table(self):
         """(symbol, attr, pos) -> rhs_chain of the first rule with that
-        left-hand side; None where that right-hand side is not a chain."""
-        table = {}
+        left-hand side; None where that right-hand side is not a chain.
+        Equal right-hand sides share one parsed chain."""
+        table, chains = {}, {}
         for sym, rules in self.rules.items():
             for r in rules:
-                table.setdefault((sym, r.attr, r.pos), rhs_chain(r.rhs))
+                if r.rhs not in chains:
+                    chains[r.rhs] = rhs_chain(r.rhs)
+                table.setdefault((sym, r.attr, r.pos), chains[r.rhs])
         return table
 
     @cached_property

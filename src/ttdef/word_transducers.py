@@ -17,9 +17,9 @@ from .constructions import normalize_ground_rhs
 from .errors import (NoSuchNode, NotApplicable, NotFunctionalInput,
                      SpecSyntaxError)
 from .model import (ROOT, AttRule, AttSpec, RelabelingRule, RelabelingSpec,
-                    TdttRule, TdttSpec, call_info, call_label, check_monadic,
-                    fresh_name, mangle_child, mangle_parts, occ_pattern,
-                    occ_pattern_info, split_mangled_child)
+                    TdttRule, TdttSpec, call_info, call_label, fresh_name,
+                    mangle_child, mangle_parts, occ_pattern,
+                    split_mangled_child)
 from .one_way import (PumpCertificate, affine_family_ok, drifts_apart,
                       pump_search, restrict_to_language, synthesize, verify)
 from .semantics import (BudgetExhausted, Crossings, Output, StepBudget,
@@ -248,27 +248,6 @@ class TwoWayWord:
     correspondence: RelabelingSpec
 
 
-def _child_refs(rule):
-    refs = set()
-    if rule.pos:
-        refs.add(rule.pos)
-    for _, leaf in rule.rhs.leaves():
-        info = occ_pattern_info(leaf.label)
-        if info and info[1]:
-            refs.add(info[1])
-    return refs
-
-
-def _shift(rule, i):
-    """The rule with every reference to child i turned into child 1."""
-    def sub(t):
-        info = occ_pattern_info(t.label)
-        if info and info[1] == i:
-            return Tree(occ_pattern(info[0], 1))
-        return Tree(t.label, [sub(c) for c in t.children])
-    return AttRule(rule.attr, 1 if rule.pos == i else rule.pos, sub(rule.rhs))
-
-
 def build_two_way(h):
     """Two-way word machine running the associated att along encoded paths.
 
@@ -277,16 +256,16 @@ def build_two_way(h):
     into the leaf's automaton state, and the states climb back up as
     inherited attributes, replaying the correspondence automaton.  When
     a final state reaches the root marker it hands over to the att's
-    initial attribute; the att rules are projected per letter, keeping a
-    rule under sym@i only if child i is the only child it mentions and
-    redirecting that child to the single successor.  Words the
+    initial attribute; the att rules' chains are projected per letter,
+    keeping a rule under sym@i only if child i is the only child it
+    mentions and redirecting that child to the single successor.  Words the
     correspondence automaton rejects strand the climb, so the machine's
     domain stays inside the correspondence language.
     """
     a = normalize_ground_rhs(h.att)
-    if not check_monadic(a):
-        raise NotApplicable("output of %r is not monadic; a word machine "
-                            "needs word output" % a.name)
+    if not a.walks_on_table:
+        raise NotApplicable("%r is not deterministic with monadic output; "
+                            "a word machine needs both" % a.name)
     bbar = _trimmed(range_automaton(h.relabeling))
     words = build_correspondence_automaton(bbar)
     taken = set(a.attributes)
@@ -305,8 +284,13 @@ def build_two_way(h):
             continue
         for i in range(1, k + 1):
             letter = mangle_child(sym, i)
-            bucket = [_shift(r, i) for r in a.rules_at(sym)
-                      if _child_refs(r) <= {i}]
+            bucket = []
+            for r in a.rules_at(sym):
+                labels, tip, leaf = a.rule_table[sym, r.attr, r.pos]
+                if r.pos in (0, i) and (tip is None or tip[1] in (0, i)):
+                    bucket.append(AttRule(r.attr, min(r.pos, 1), _chain_tree(
+                        labels, leaf if tip is None else
+                        occ_pattern(tip[0], min(tip[1], 1)))))
             bucket.append(AttRule(dn, 0, Tree(occ_pattern(dn, 1))))
             for l in states:
                 wr = words.rule_for(letter, (l,))

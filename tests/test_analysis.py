@@ -4,8 +4,8 @@ from hypothesis import assume, given, settings
 from ttdef import analysis
 from ttdef.analysis import (Shapes, TopDown, _Growth, _family,
                             _require_walkable, _root_configs, _theta_step,
-                            _variation_core, all_isds, is_circular, kappa,
-                            single_path)
+                            _tip_edges, _variation_core, all_isds,
+                            is_circular, kappa, single_path)
 from ttdef.constructions import normalize_domain_into_range, normalize_ground_rhs
 from ttdef.errors import NotApplicable, UnknownAttribute
 from ttdef.model import PairedSpec, occ_node, occ_node_info, occ_pattern_info
@@ -62,9 +62,11 @@ def compute_isd(a, s):
     """All pairs (b, a') such that, from a'(eps) on the bare tree s, some
     derivation reaches a form containing b(eps): the theta maps that
     all_isds closes over, composed along s."""
+    edges = _tip_edges(a)
+
     def theta_of(t):
         children = [theta_of(c) for c in t.children]
-        return _theta_step(a, t.label, children)
+        return _theta_step(a, edges.get(t.label, {}), children)
 
     theta = theta_of(s)
     return frozenset((b, syn) for syn, bs in theta.items() for b in bs)

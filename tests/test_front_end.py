@@ -1,0 +1,454 @@
+"""The look-around front end against the string-form code it replaced.
+
+associate reads each state's finished walks off the crossing summary of
+its first tree and reduces rules by joining rule_table chains;
+build_two_way projects each rule per letter from its chain; all_isds and
+is_circular read one tip-edge map per spec.  The code they replace is
+kept here as the reference: reference_associate (with _finished_pairs,
+which runs nf on whole trees, and _reduce, which chases rule trees
+through occ_pattern_info), reference_build_two_way (with _child_refs and
+_shift), and reference_all_isds and reference_circularity (with the
+_theta_step that reads rules_for).  The compiled forms must render
+byte-identical artifacts and answer exactly as the references do.
+"""
+
+import itertools
+import sys
+from collections import Counter
+
+from hypothesis import assume, given, settings, strategies as st
+
+from ttdef import analysis, model, pipeline
+from ttdef.analysis import (CircularityWitness, _cycle_in, _require_walkable,
+                            _theta_key, all_isds, is_circular, kappa)
+from ttdef.constructions import (AssociatedAttR, PrecomputeState, associate,
+                                 normalize_domain_into_range,
+                                 normalize_ground_rhs)
+from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
+                         RelabelingSpec, check_monadic, fresh_name,
+                         is_occurrence, mangle_child, mangle_parts, occ_node,
+                         occ_node_info, occ_pattern, occ_pattern_info,
+                         render_spec)
+from ttdef.pipeline import decide_dtR
+from ttdef.semantics import nf
+from ttdef.trees import (RankedAlphabet, Tree, explore_bottom_up,
+                         settle_representatives)
+from ttdef.word_transducers import (TwoWayWord, _trimmed,
+                                    build_correspondence_automaton,
+                                    build_two_way, range_automaton)
+
+import fixtures
+from test_walk_table import IN, atts
+
+# ---------------------------------------------------------------------------
+# associate on whole trees and rule trees
+
+
+def _finished_pairs(a, t, cap):
+    pairs = set()
+    for attr in a.syn:
+        form = nf(a, t, Tree(occ_node(attr, ())))
+        if not isinstance(form, Tree) or form.height > cap:
+            continue
+        ok = True
+        for _, node in form.addresses():
+            if not is_occurrence(node.label):
+                continue
+            info = occ_node_info(node.label)
+            if info is None or info[1] != () or not a.is_inh(info[0]):
+                ok = False
+                break
+        if ok:
+            pairs.add((attr, form))
+    return frozenset(pairs)
+
+
+def _as_child_occurrences(form, pos):
+    """Rebase a finished form: inherited tips at the subtree root become
+    rule-side occurrences at child position pos."""
+    info = occ_node_info(form.label) if is_occurrence(form.label) else None
+    if info is not None and not form.children:
+        return Tree(occ_pattern(info[0], pos))
+    return Tree(form.label, [_as_child_occurrences(c, pos)
+                             for c in form.children])
+
+
+class _StuckReduction(Exception):
+    pass
+
+
+def _chase(a, sym, tables, t, path):
+    info = occ_pattern_info(t.label) if not t.children else None
+    if info is None:
+        return Tree(t.label, [_chase(a, sym, tables, c, path)
+                              for c in t.children])
+    attr, pos = info
+    key = (attr, pos)
+    if pos >= 1 and a.is_syn(attr):
+        form = tables[pos - 1].get(attr)
+        if form is None:
+            return t    # not precomputed; the reduced att walks the child
+        assert key not in path, "reduction revisits %s" % (key,)
+        return _chase(a, sym, tables, _as_child_occurrences(form, pos),
+                      path | {key})
+    if pos >= 1 and a.is_inh(attr):
+        rules = a.rules_for(sym, attr, pos)
+        if not rules:
+            raise _StuckReduction
+        assert key not in path, "reduction revisits %s" % (key,)
+        return _chase(a, sym, tables, rules[0].rhs, path | {key})
+    return t    # inherited at self: resolved by the context above the node
+
+
+def _reduce(a, sym, tables, rhs):
+    """The rule right-hand side with every precomputed child walk inlined,
+    or None when the walk strands at a child position with no applicable
+    rule."""
+    try:
+        return _chase(a, sym, tables, rhs, frozenset())
+    except _StuckReduction:
+        return None
+
+
+def reference_associate(a):
+    """associate with each state's pairs from nf on its first tree and
+    rules reduced by chasing their right-hand side trees."""
+    _require_walkable(a)
+    cap = kappa(a)
+    names = {}      # frozenset of pairs -> state name
+    reps = {}       # state name -> representative tree
+    tables = {}     # state name -> dict attribute -> finished form
+    out_rule = {}   # (symbol, child state names) -> (state name, out symbol)
+
+    def step(sym, combo):
+        rep = Tree(sym, [reps[c] for c in combo])
+        pairs = _finished_pairs(a, rep, cap)
+        if pairs not in names:
+            name = "r%d" % len(names)
+            names[pairs] = name
+            reps[name] = rep
+            tables[name] = dict(pairs)
+        out = sym if not combo else mangle_parts(sym, combo)
+        out_rule[(sym, combo)] = (names[pairs], out)
+        return names[pairs]
+
+    order = explore_bottom_up(a.input, step)
+    settle_representatives([(sym, combo, res) for (sym, combo), (res, _)
+                            in out_rule.items()], reps)
+
+    alpha2 = [(sym, 0) for sym, k in a.input.items() if k == 0]
+    rules2 = {sym: tuple(a.rules_at(sym)) for sym, _ in alpha2}
+    rules2[ROOT] = tuple(a.rules_at(ROOT))
+    brules = []
+    for (sym, combo), (res, out) in out_rule.items():
+        brules.append(RelabelingRule(sym, combo, res, out))
+        if a.input.rank(sym) == 0:
+            continue
+        alpha2.append((out, a.input.rank(sym)))
+        child_tables = [tables[c] for c in combo]
+        bucket = []
+        for r in a.rules_at(sym):
+            eta = _reduce(a, sym, child_tables, r.rhs)
+            if eta is not None:
+                bucket.append(AttRule(r.attr, r.pos, eta))
+        rules2[out] = tuple(bucket)
+    annotated = RankedAlphabet(alpha2)
+    relab = RelabelingSpec(name=a.name + "_pre", input=a.input,
+                           output=annotated, final=tuple(order),
+                           rules=tuple(brules))
+    reduced = AttSpec(name=a.name + "_main", input=annotated, output=a.output,
+                      syn=a.syn, inh=a.inh, init=a.init, rules=rules2)
+    return AssociatedAttR(name=a.name + "_assoc", relabeling=relab,
+                          att=reduced,
+                          states={name: PrecomputeState(fs)
+                                  for fs, name in names.items()},
+                          representatives=reps, kappa=cap)
+
+
+# ---------------------------------------------------------------------------
+# build_two_way on rule trees
+
+def _child_refs(rule):
+    refs = set()
+    if rule.pos:
+        refs.add(rule.pos)
+    for _, leaf in rule.rhs.leaves():
+        info = occ_pattern_info(leaf.label)
+        if info and info[1]:
+            refs.add(info[1])
+    return refs
+
+
+def _shift(rule, i):
+    """The rule with every reference to child i turned into child 1."""
+    def sub(t):
+        info = occ_pattern_info(t.label)
+        if info and info[1] == i:
+            return Tree(occ_pattern(info[0], 1))
+        return Tree(t.label, [sub(c) for c in t.children])
+    return AttRule(rule.attr, 1 if rule.pos == i else rule.pos, sub(rule.rhs))
+
+
+def reference_build_two_way(h):
+    """build_two_way projecting rule trees through _child_refs and
+    _shift."""
+    a = normalize_ground_rhs(h.att)
+    assert check_monadic(a)
+    bbar = _trimmed(range_automaton(h.relabeling))
+    words = build_correspondence_automaton(bbar)
+    taken = set(a.attributes)
+    dn = fresh_name("dn", taken)
+    states = bbar.states
+    up = {l: fresh_name(mangle_parts("up", (l,)), taken) for l in states}
+    rules = {}
+    for sym, k in h.relabeling.output.items():
+        if k == 0:
+            bucket = list(a.rules_at(sym))
+            lr = words.rule_for(sym, ())
+            if lr is not None:
+                bucket.append(AttRule(dn, 0,
+                                      Tree(occ_pattern(up[lr.state], 0))))
+            if bucket:
+                rules[sym] = tuple(bucket)
+            continue
+        for i in range(1, k + 1):
+            letter = mangle_child(sym, i)
+            bucket = [_shift(r, i) for r in a.rules_at(sym)
+                      if _child_refs(r) <= {i}]
+            bucket.append(AttRule(dn, 0, Tree(occ_pattern(dn, 1))))
+            for l in states:
+                wr = words.rule_for(letter, (l,))
+                if wr is not None:
+                    bucket.append(AttRule(up[l], 1,
+                                          Tree(occ_pattern(up[wr.state], 0))))
+            rules[letter] = tuple(bucket)
+    root = list(a.rules_at(ROOT))
+    for l in bbar.final:
+        root.append(AttRule(up[l], 1, Tree(occ_pattern(a.init, 1))))
+    rules[ROOT] = tuple(root)
+    att = AttSpec(name=h.name + "_walk", input=words.input, output=a.output,
+                  syn=a.syn + (dn,),
+                  inh=a.inh + tuple(up[l] for l in states),
+                  init=dn, rules=rules)
+    return TwoWayWord(name=h.name + "_walk", att=att, correspondence=words)
+
+
+# ---------------------------------------------------------------------------
+# is-dependencies and circularity from rules_for
+
+def _theta_step(att, sigma, child_thetas):
+    """Per synthesized attribute, the inherited attributes reachable at the
+    node's own root when started there, with children summarized by their
+    theta maps (synthesized -> set of inherited)."""
+    result = {}
+    for a in att.syn:
+        reached = set()
+        stack = [(a, 0)]
+        seen = set()
+        while stack:
+            cur = stack.pop()
+            if cur in seen:
+                continue
+            seen.add(cur)
+            attr, pos = cur
+            if att.is_inh(attr) and pos == 0:
+                reached.add(attr)
+                continue
+            if att.is_syn(attr) and pos >= 1:
+                for b in child_thetas[pos - 1].get(attr, ()):
+                    stack.append((b, pos))
+                continue
+            for rule in att.rules_for(sigma, attr, pos):
+                for _, sub in rule.rhs.addresses():
+                    tip = occ_pattern_info(sub.label)
+                    if tip is not None:
+                        stack.append(tip)
+        result[a] = frozenset(reached)
+    return result
+
+
+def reference_all_isds(a):
+    thetas = {}
+
+    def step(sym, combo):
+        theta = _theta_step(a, sym, [thetas[c] for c in combo])
+        key = _theta_key(theta)
+        thetas.setdefault(key, theta)
+        return key
+
+    explore_bottom_up(a.input, step)
+    return {frozenset((b, syn) for syn, bs in theta.items() for b in bs)
+            for theta in thetas.values()}
+
+
+def reference_circularity(a):
+    isds = sorted(reference_all_isds(a), key=lambda s: sorted(s))
+    symbols = [(sym, k) for sym, k in a.input.items()] + [(ROOT, 1)]
+    for sym, k in symbols:
+        rule_edges = {}
+        rule_nodes = set()
+        for rule in a.rules_at(sym):
+            src = (rule.attr, rule.pos)
+            rule_nodes.add(src)
+            for _, sub in rule.rhs.addresses():
+                tip = occ_pattern_info(sub.label)
+                if tip is not None:
+                    rule_edges.setdefault(src, []).append(tip)
+                    rule_nodes.add(tip)
+        for combo in itertools.product(isds, repeat=k):
+            edges = {src: list(tips) for src, tips in rule_edges.items()}
+            nodes = set(rule_nodes)
+            for j in range(1, k + 1):
+                for b, syn in combo[j - 1]:
+                    edges.setdefault((syn, j), []).append((b, j))
+                    nodes.add((syn, j))
+                    nodes.add((b, j))
+            cycle = _cycle_in(edges, sorted(nodes))
+            if cycle is not None:
+                return True, CircularityWitness(sym, combo, cycle)
+    return False, None
+
+
+# ---------------------------------------------------------------------------
+# the checks
+
+def lme_att():
+    """A2 behind the leftmost-e look-around, as the pipeline hands it to
+    single_path and associate."""
+    return normalize_ground_rhs(normalize_domain_into_range(
+        fixtures.leftmost_e_lookaround(), fixtures.a2()).second)
+
+
+def same_front_end(a):
+    """associate and build_two_way render what the references render,
+    with the same states, representatives and kappa."""
+    got, ref = associate(a), reference_associate(a)
+    assert render_spec(got.pair) == render_spec(ref.pair)
+    assert (got.states, got.representatives, got.kappa) == \
+        (ref.states, ref.representatives, ref.kappa)
+    tw, ref_tw = build_two_way(got), reference_build_two_way(ref)
+    assert render_spec(tw.att) == render_spec(ref_tw.att)
+    assert render_spec(tw.correspondence) == \
+        render_spec(ref_tw.correspondence)
+    assert tw == ref_tw
+
+
+def same_dependencies(a):
+    assert all_isds(a) == reference_all_isds(a)
+    assert is_circular(a) == reference_circularity(a)
+
+
+@settings(max_examples=300, deadline=None)
+@given(atts())
+def test_front_end_matches_the_references_on_random_atts(a):
+    same_dependencies(a)
+    assume(not is_circular(a)[0])
+    same_front_end(a)
+
+
+def test_front_end_matches_the_references_on_fixtures():
+    for a in (fixtures.a1(), fixtures.a2(), fixtures.rev(), lme_att()):
+        same_dependencies(a)
+        same_front_end(a)
+    for a in (fixtures.c0(), fixtures.p0(), fixtures.n1()):
+        same_dependencies(a)
+
+
+WIDE_OUT = RankedAlphabet({"h": 1, "m": 2, "c": 0})
+
+
+@st.composite
+def branching_rhs(draw, tips, depth):
+    """A chain over a tip, or, depth permitting, m over two of them."""
+    if depth and draw(st.booleans()):
+        return Tree("m", [draw(branching_rhs(tips, depth - 1)),
+                          draw(branching_rhs(tips, depth - 1))])
+    t = draw(st.sampled_from(tips))
+    return Tree("h", [t]) if draw(st.booleans()) else t
+
+
+@st.composite
+def nondeterministic_atts(draw):
+    """Atts over IN with 0-3 rules per left-hand side, whose right-hand
+    sides may branch under the rank-2 m, so several occurrences sit in
+    one rule."""
+    syn = tuple("a%d" % i for i in range(draw(st.integers(1, 2))))
+    inh = tuple("b%d" % i for i in range(draw(st.integers(0, 2))))
+    rules = {}
+    for sym, k in list(IN.items()) + [(ROOT, 1)]:
+        tips = [Tree("c")]
+        tips += [Tree(occ_pattern(a, j)) for a in syn for j in range(1, k + 1)]
+        tips += [Tree(occ_pattern(b, 0)) for b in inh]
+        lhs = [(b, j) for b in inh for j in range(1, k + 1)]
+        if sym != ROOT:
+            lhs = [(a, 0) for a in syn] + lhs
+        rules[sym] = tuple(
+            AttRule(attr, pos, draw(branching_rhs(tips, 2)))
+            for attr, pos in lhs for _ in range(draw(st.integers(0, 3))))
+    return AttSpec(name="N", input=IN, output=WIDE_OUT, syn=syn, inh=inh,
+                   init=draw(st.sampled_from(syn)), rules=rules)
+
+
+@settings(max_examples=300, deadline=None)
+@given(nondeterministic_atts())
+def test_dependencies_match_the_references_on_nondeterministic_atts(a):
+    same_dependencies(a)
+
+
+def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
+                                                          tmp_path):
+    """On the LME decision, the single_path pass computes each child
+    context answer once per (symbol, child, other children's shapes,
+    context answer): 893 of them over 12 985 asks.  associate and
+    build_two_way read compiled rule chains: every occ_pattern_info call
+    they make is part of a rule_table compile, which parses each
+    distinct right-hand side once (29 of them for the 7 420 rules of
+    the reduced att)."""
+    made, counts, inside = [], Counter(), []
+
+    class Counted(analysis.Shapes):
+        def __init__(self, att):
+            super().__init__(att)
+            made.append(self)
+
+    child_chi = analysis._child_chi
+
+    def counted_chi(*args):
+        counts["asks"] += 1
+        return child_chi(*args)
+
+    split = model._split_parens
+
+    def counted_split(label):
+        frame = sys._getframe(1)
+        if inside and frame.f_code.co_name == "occ_pattern_info":
+            names = set()
+            while frame is not None:
+                names.add(frame.f_code.co_name)
+                frame = frame.f_back
+            counts["compile" if "rule_table" in names else "parsed"] += 1
+        return split(label)
+
+    def staged(fn):
+        def run(*args):
+            inside.append(fn)
+            try:
+                return fn(*args)
+            finally:
+                inside.pop()
+        return run
+
+    monkeypatch.setattr(analysis, "Shapes", Counted)
+    monkeypatch.setattr(analysis, "_child_chi", counted_chi)
+    monkeypatch.setattr(model, "_split_parens", counted_split)
+    monkeypatch.setattr(pipeline, "associate", staged(associate))
+    monkeypatch.setattr(pipeline, "build_two_way", staged(build_two_way))
+    pair = PairedSpec("attU", "LME", fixtures.leftmost_e_lookaround(),
+                      fixtures.a2())
+    report = decide_dtR(pair, {"equivalence_depth": 4,
+                               "verify_word_length": 2}, outdir=tmp_path)
+    assert report.answer.stage == "bounded_equivalence"
+    assert [len(shapes._chis) for shapes in made] == [893]
+    assert counts["asks"] == 12985
+    assert counts["parsed"] == 0
+    assert counts["compile"] == 29

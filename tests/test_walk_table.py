@@ -318,26 +318,37 @@ def test_table_nf_matches_string_nf_on_fixtures():
     assert nf(fixtures.a1(), Tree("e"), tower) == tower
 
 
-def test_associate_walks_nf_on_the_table(monkeypatch):
+def test_associate_reads_crossing_summaries(monkeypatch):
     """associate on the A2 behind the leftmost-e look-around, as the
-    pipeline hands it over, reads no string forms."""
+    pipeline hands it over, reads no string forms and runs no normal
+    form: each state's finished walks come from one crossing summary,
+    joined from compiled plans, one per (symbol, children's ends).  Run
+    on whole representative trees, nf took 5 226 calls."""
     att = normalize_ground_rhs(normalize_domain_into_range(
         fixtures.leftmost_e_lookaround(), fixtures.a2()).second)
     calls = Counter()
+    made = []
 
     def counted(name, real):
-        def run(*args):
+        def run(*args, **kwargs):
             calls[name] += 1
-            return real(*args)
+            return real(*args, **kwargs)
         return run
 
-    for name in ("occurrences", "_expansions", "nf"):
+    class Counted(semantics.Crossings):
+        def __init__(self, a):
+            super().__init__(a)
+            made.append(self)
+
+    for name in ("occurrences", "_expansions", "nf", "_walk_table"):
         monkeypatch.setattr(semantics, name,
                             counted(name, getattr(semantics, name)))
     monkeypatch.setattr("ttdef.constructions.nf", semantics.nf)
+    monkeypatch.setattr("ttdef.constructions.Crossings", Counted)
     associate(att)
-    assert (calls["occurrences"], calls["_expansions"], calls["nf"]) == \
-        (0, 0, 5226)
+    assert (calls["occurrences"], calls["_expansions"], calls["nf"],
+            calls["_walk_table"]) == (0, 0, 0, 0)
+    assert [len(c.plans) for c in made] == [402]
 
 
 # ---------------------------------------------------------------------------
