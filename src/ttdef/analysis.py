@@ -21,17 +21,20 @@ of visiting pair sets, boundedness of output variation per visiting pair set
 (with replayable pump witnesses when unbounded), the overall output-height
 cap kappa, and the single path property.
 
-Both summaries are read off node walks, and most node walks are shared.
-A walk at a node runs until it leaves the node for its parent; up to
-there it does not depend on chi, so it is split into chi-free segments
-(one local_run with chi None each), and a walk under a given chi chains
-them through chi's answers (stitch).  The segments from each synthesized
-attribute at the node are the ones that build the node's tail map, so
-each production keeps them from the shape build (Prod.runs).  A walk
-that stops at a child, which is how a child's chi is found, never reads
-that child's tail map: its segments, and the chi they give the child,
-are memoized without it (by symbol, child, the other children's shapes
-and start or chi) and shared by every shape of the child.
+Both summaries are read off node walks, and the node walk is the one
+the crossing summaries of semantics.Crossings run: Crossings.walk, over
+children given by their tail maps as ends.  A walk at a node runs until
+it leaves the node for its parent; up to there it does not depend on
+chi, so it is split into chi-free segments (local_run), and a walk under
+a given chi chains them through chi's answers (stitch).  The segments
+from each synthesized attribute at the node are the ones that build the
+node's tail map, so each production keeps them from the shape build
+(Prod.runs).  A walk that stops at a child, which is how a child's chi
+is found, reads that child as "enter" ends, never its tail map: its
+segments, and the chi they give the child, are memoized without it (by
+symbol, child, the other children's shapes and start or chi) and shared
+by every shape of the child.  The output length of a pump witness's
+walk is read off the crossing summary of its tree.
 
 Circularity, the single path verdict, kappa and the variation verdict of
 each visiting pair set are computed once per spec and cached on it
@@ -40,9 +43,10 @@ circularity in several stages, and single_path, kappa and variations come
 from one pass over the same shapes and configurations.  Only these
 small results are cached.  The tip-edge map of the is-dependency pass,
 and the shapes with their memos and the configuration systems, die with
-their pass; kept on the spec they would stay alive through associate
-and build_two_way, which raises the traced peak of one look-around
-fixture decision from 13 to 21 MB.
+their pass as soon as it returns, since no reference cycle holds them;
+kept on the spec they would stay alive through associate and
+build_two_way, which raises the traced peak of one look-around fixture
+decision from 13 to 21 MB.
 """
 
 import itertools
@@ -50,6 +54,7 @@ from dataclasses import dataclass, field
 
 from .errors import NotApplicable
 from .model import ROOT, check_monadic, occ_pattern_info
+from .semantics import Crossings, _bottom_up
 from .trees import (HOLE, Tree, explore_bottom_up, fill_holes,
                     settle_representatives)
 
@@ -58,95 +63,40 @@ HALT_DEAD = "halt_dead"
 
 
 # ---------------------------------------------------------------------------
-# the node-level walk engine
+# node walks, read off Crossings.walk
 
-@dataclass
-class LocalResult:
-    """Outcome of walking one node with children summarized by tail maps.
-
-    kind: "up" (exited at an inherited attribute, chi is None),
-    "ground"/"halt_ok" (run finished), "dead" (stuck or cycling),
-    "enter" (reached the boundary child; attr is the entering attribute).
-    emit counts rank-1 symbols emitted by this node's own rules; child
-    contributions are represented by visits, in order, as (child, attr)."""
-    kind: str
-    attr: str = None
-    emit: int = 0
-    visits: tuple = ()
+# a walk's end -> the kind of its segment, any other end being "dead";
+# and a segment's kind -> the end it gives its shape as a child, "dead"
+# giving "stuck"
+_KINDS = {"up": "up", "leaf": "ground", "enter": "enter"}
+_ENDS = {"up": "up", "ground": "leaf"}
 
 
-def local_run(att, sigma, taus, chi, start, boundary=None):
-    """Walk the rules of one sigma-node from start=(attr, pos).
-
-    Positions: 0 is the node itself, 1..k its children. taus[i-1] is the
-    tail map summarizing child i (ignored for the boundary child, where the
-    walk stops and reports the entering attribute instead). chi answers
-    exits at position 0: None means "report the exit as the result" (bare
-    subtree mode), otherwise a map from inherited attribute to a
-    synthesized re-entry attribute, HALT_OK or HALT_DEAD."""
-    attr, pos = start
-    table = att.rule_table
-    emit = 0
-    visits = []
-    seen = set()
-
-    def done(kind, a=None):
-        return LocalResult(kind, attr=a, emit=emit, visits=tuple(visits))
-
-    while True:
-        if (attr, pos) in seen:
-            return done("dead")
-        seen.add((attr, pos))
-        syn = att.is_syn(attr)
-        if syn == (pos == 0):
-            # a rule of this node: a(pi) for synthesized a, b(pi i) for
-            # inherited b
-            key = (sigma, attr, pos)
-            if key not in table:
-                return done("dead")
-            chain = table[key]
-            if chain is None:
-                raise NotApplicable("nonmonadic")
-            labels, tip, _ = chain
-            emit += len(labels)
-            if tip is None:
-                return done("ground")
-            attr, pos = tip
-        elif syn:
-            if pos == boundary:
-                return done("enter", attr)
-            out = taus[pos - 1].get(attr)
-            if out is None:
-                return done("dead")
-            visits.append((pos, attr))
-            if out[0] == "ground":
-                return done("ground")
-            attr = out[1]
-        else:
-            if chi is None:
-                return done("up", attr)
-            ans = chi.get(attr, HALT_DEAD)
-            if ans == HALT_DEAD:
-                return done("dead")
-            if ans == HALT_OK:
-                return done("halt_ok")
-            attr = ans
-
-
-def _segment(res):
-    """A chi-free LocalResult as the (kind, attr, emit, visits) tuple the
-    memos keep."""
-    return res.kind, res.attr, res.emit, res.visits
+def local_run(crossings, sigma, below, start):
+    """The chi-free segment of the walk at a sigma-node from start, an
+    (attr, pos) as rule_table gives it, over children with the ends
+    below (see Crossings): (kind, attr, emit, visits), kind "up" (attr
+    the inherited attribute it leaves by), "ground" (the run finished),
+    "enter" (attr the attribute entering the child it stops at) or
+    "dead" (stuck or cycling).  emit counts the labels of the node's own
+    rules, and visits are the children's pieces in order, as (child,
+    attr); neither is read when the segment is dead."""
+    pieces, end, name = crossings.walk(sigma, below, start)
+    kind = _KINDS.get(end, "dead")
+    return (kind, name if kind in ("up", "enter") else None,
+            sum(len(x) for i, x in pieces if i is None),
+            tuple((i + 1, crossings.syn[x]) for i, x in pieces
+                  if i is not None))
 
 
 def stitch(segment, chi, start):
-    """What local_run with context answer chi returns from start, as a
+    """The walk at a node from start under context answer chi, as a
     (kind, attr, emit, visits) tuple, chained from chi-free segments:
-    segment(start) is the tuple of local_run from start with chi None and
-    the same taus and boundary, and each exit re-enters the node at (chi's
-    answer, 0).  A walk whose segments share an occurrence repeats the
+    segment(start) is local_run's segment from start, and each exit
+    re-enters the node at (chi's answer, 0), or ends the walk "halt_ok"
+    or "dead".  A walk whose segments share an occurrence repeats the
     exits of the first one from there on, so it re-enters some attribute
-    twice; that re-entry is dead, as local_run's revisit is."""
+    twice; that re-entry is dead, as a revisit is."""
     kind, attr, emit, visits = segment(start)
     entered = set()
     while kind == "up":
@@ -331,18 +281,21 @@ class Shapes:
 
     def __init__(self, att):
         self.att = att
+        self.crossings = Crossings(att)
         self.tau = {}        # key -> tail map dict
+        self.ends = {}       # key -> the tail map as a child's ends
         self.rep = {}        # key -> representative Tree
         self.prods = []
         self.by_out = {}     # key -> [Prod]
         self._bounded = {}   # (sigma, i, other child keys) -> {start: segment}
         self._chis = {}      # (sigma, i, other child keys, chi) -> child's chi
         self._chi_values = {}   # child's chi -> the one copy kept
+        self._entering = tuple(("enter", a, False) for a in att.syn)
         self._build()
 
     def _runs(self, sym, child_keys):
-        taus = [self.tau[k] for k in child_keys]
-        return {a: _segment(local_run(self.att, sym, taus, None, (a, 0)))
+        below = [self.ends[k] for k in child_keys]
+        return {a: local_run(self.crossings, sym, below, (a, 0))
                 for a in self.att.syn}
 
     def _build(self):
@@ -355,12 +308,21 @@ class Shapes:
             self.by_out.setdefault(key, []).append(prod)
             if key not in self.tau:
                 self.tau[key] = tau
+                self.ends[key] = tuple(
+                    (_ENDS.get(kind, "stuck"), attr, True)
+                    for kind, attr, _, _ in runs.values())
                 self.rep[key] = Tree(sym, [self.rep[c] for c in combo])
             return key
 
         explore_bottom_up(self.att.input, step)
         settle_representatives(
             [(p.sigma, p.child_keys, p.out_key) for p in self.prods], self.rep)
+
+    def plug(self, prod, subs):
+        """prod's symbol over the representatives of its child shapes,
+        child i replaced by subs[i] where subs has it."""
+        return Tree(prod.sigma, [subs.get(i, self.rep[key]) for i, key
+                                 in enumerate(prod.child_keys, start=1)])
 
     def key_of(self, s):
         child_keys = tuple(self.key_of(c) for c in s.children)
@@ -377,11 +339,10 @@ class Shapes:
         def segment(start):
             seg = memo.get(start)
             if seg is None:
-                taus = [self.tau[k] for k in others]
-                taus.insert(i - 1, None)
-                seg = _segment(local_run(self.att, sigma, taus, None, start,
-                                         i))
-                memo[start] = seg
+                below = [self.ends[k] for k in others]
+                below.insert(i - 1, self._entering)
+                seg = memo[start] = local_run(self.crossings, sigma, below,
+                                              start)
             return seg
         return segment
 
@@ -578,25 +539,16 @@ class _Growth:
                 for prod, children in exps:
                     tree = None
                     if self.sys.emit[(cfg, id(prod))] > 0:
-                        tree = self._fill(prod, {})
+                        tree = self.shapes.plug(prod, {})
                     else:
                         for i, child in children.items():
                             if child in self.pos:
-                                tree = self._fill(prod, {i: self.pos[child]})
+                                tree = self.shapes.plug(prod, {i: self.pos[child]})
                                 break
                     if tree is not None:
                         self.pos[cfg] = tree
                         changed = True
                         break
-
-    def _fill(self, prod, override):
-        subs = []
-        for i, key in enumerate(prod.child_keys, start=1):
-            if i in override:
-                subs.append(override[i])
-            else:
-                subs.append(self.shapes.rep[key])
-        return Tree(prod.sigma, subs)
 
     def _edges(self):
         self.edges = {}   # cfg -> [(child cfg, prod, hole index, positivity)]
@@ -731,12 +683,15 @@ class _Growth:
         path.reverse()
         outer = Tree(HOLE)
         for cfg, prod, i, children, why in path:
-            outer = fill_holes(outer, [self._piece(prod, children, i, None)])
+            piece = self.shapes.plug(prod, {i: Tree(HOLE)})
+            outer = fill_holes(outer, [piece])
         loop_edges = self._cycle_through_positive(entry)
         loop = Tree(HOLE)
         for cfg, prod, i, children, why in loop_edges:
-            use_side = why if isinstance(why, tuple) else None
-            loop = fill_holes(loop, [self._piece(prod, children, i, use_side)])
+            subs = {i: Tree(HOLE)}
+            if isinstance(why, tuple):
+                subs[why[1]] = self.pos[why[2]]
+            loop = fill_holes(loop, [self.shapes.plug(prod, subs)])
         return outer, loop, self.shapes.rep[entry.key]
 
     def _cycle_through_positive(self, entry):
@@ -781,17 +736,6 @@ class _Growth:
                 queue.append(child)
         raise AssertionError("disconnected component")
 
-    def _piece(self, prod, children, hole, use_side):
-        subs = []
-        for i, key in enumerate(prod.child_keys, start=1):
-            if i == hole:
-                subs.append(Tree(HOLE))
-            elif use_side is not None and i == use_side[1]:
-                subs.append(self.pos[use_side[2]])
-            else:
-                subs.append(self.shapes.rep[key])
-        return Tree(prod.sigma, subs)
-
 
 @dataclass
 class PumpWitness:
@@ -835,7 +779,7 @@ def _variation_core(att, growth, psi):
         for n in range(3):
             t = w.tree(n)
             assert _isd_of_tau(shapes.tau[shapes.key_of(t)]) >= psi
-            lengths.append(_bare_nf_size(att, shapes, t, target.entry))
+            lengths.append(_bare_nf_size(shapes, t, target.entry))
         w.lengths = tuple(lengths)
         assert lengths[0] < lengths[1] < lengths[2], lengths
         return VariationVerdict(psi, False, witness=w)
@@ -845,28 +789,14 @@ def _variation_core(att, growth, psi):
     return VariationVerdict(psi, True, kappa_psi=best + 1)
 
 
-def _bare_nf_size(att, shapes, t, entry):
+def _bare_nf_size(shapes, t, entry):
     """Size of the normal form from entry at the root of bare t, without
-    running the derivation: emitted length plus one for the tip."""
-
-    def length(sub):
-        key_children = [length(c) for c in sub.children]
-        keys = tuple(k for k, _ in key_children)
-        taus = [shapes.tau[k] for k in keys]
-        tau = {}
-        lens = {}
-        for a in att.syn:
-            res = local_run(att, sub.label, taus, None, (a, 0))
-            if res.kind in ("up", "ground"):
-                tau[a] = ("up", res.attr) if res.kind == "up" else ("ground",)
-                total = res.emit
-                for i, a2 in res.visits:
-                    total += key_children[i - 1][1][a2]
-                lens[a] = total
-        return _tau_key(tau), lens
-
-    _, lens = length(t)
-    return lens[entry] + 1
+    running the derivation: the chunk of entry's walk in the crossing
+    summary of t, plus one for the tip."""
+    crossings = shapes.crossings
+    _, chunks = _bottom_up(
+        t, {}, lambda sub, below: crossings.summary(sub.label, below))
+    return len(chunks[crossings.index[entry]]) + 1
 
 
 # ---------------------------------------------------------------------------
@@ -945,42 +875,28 @@ def _single_path_and_kappa(a):
     return SinglePathVerdict(True), cap, verdicts
 
 
+def _down(shapes, flagged, config):
+    """Subtree realizing config with the address of a node whose own
+    visiting pair set is unbounded, following flag pointers down."""
+    ptr = flagged[config]
+    if ptr is None:
+        return shapes.rep[config.key], ()
+    p, i, child = ptr
+    sub, addr = _down(shapes, flagged, child)
+    return shapes.plug(p, {i: sub}), (i,) + addr
+
+
 def _reconstruct(shapes, sys, flagged, cfg, prod, children, i1, i2):
     """Concrete tree for a failed single-path check: follow discovery
     parents up to a root and flag pointers down to unbounded nodes."""
-
-    def down(config):
-        """Subtree realizing config with the address of a node whose own
-        visiting pair set is unbounded."""
-        ptr = flagged[config]
-        if ptr is None:
-            return shapes.rep[config.key], ()
-        p, i, child = ptr
-        sub, addr = down(child)
-        subs = []
-        for j, key in enumerate(p.child_keys, start=1):
-            subs.append(sub if j == i else shapes.rep[key])
-        return Tree(p.sigma, subs), (i,) + addr
-
-    sub1, a1 = down(children[i1])
-    sub2, a2 = down(children[i2])
-    subs = []
-    for j, key in enumerate(prod.child_keys, start=1):
-        if j == i1:
-            subs.append(sub1)
-        elif j == i2:
-            subs.append(sub2)
-        else:
-            subs.append(shapes.rep[key])
-    t = Tree(prod.sigma, subs)
+    sub1, a1 = _down(shapes, flagged, children[i1])
+    sub2, a2 = _down(shapes, flagged, children[i2])
+    t = shapes.plug(prod, {i1: sub1, i2: sub2})
     v1 = (i1,) + a1
     v2 = (i2,) + a2
     while cfg in sys.parent:
         parent_cfg, p, i = sys.parent[cfg]
-        subs = []
-        for j, key in enumerate(p.child_keys, start=1):
-            subs.append(t if j == i else shapes.rep[key])
-        t = Tree(p.sigma, subs)
+        t = shapes.plug(p, {i: t})
         v1 = (i,) + v1
         v2 = (i,) + v2
         cfg = parent_cfg

@@ -917,22 +917,23 @@ def render_spec(spec):
     """Serialize a declaration (for pairs: its stages first, then the pair
     line) such that parse_all(render_spec(x))[-1] == x."""
     chunks = []
-    seen = {}
-
-    def visit(s):
-        if s.name in seen:
-            if seen[s.name] != s:
-                raise SpecSyntaxError(
-                    "two distinct declarations share the name %r" % s.name)
-            return
-        seen[s.name] = s
-        if isinstance(s, PairedSpec):
-            visit(s.first)
-            visit(s.second)
-            chunks.append("pair %s %s = %s ; %s"
-                          % (s.kind, s.name, s.first.name, s.second.name))
-        else:
-            chunks.append(_render_decl(s))
-
-    visit(spec)
+    _render_into(spec, {}, chunks)
     return "\n\n".join(chunks) + "\n"
+
+
+def _render_into(s, seen, chunks):
+    """Append the chunks of s and of the stages it pairs that seen, a map
+    from name to declaration, does not hold yet."""
+    if s.name in seen:
+        if seen[s.name] != s:
+            raise SpecSyntaxError(
+                "two distinct declarations share the name %r" % s.name)
+        return
+    seen[s.name] = s
+    if isinstance(s, PairedSpec):
+        _render_into(s.first, seen, chunks)
+        _render_into(s.second, seen, chunks)
+        chunks.append("pair %s %s = %s ; %s"
+                      % (s.kind, s.name, s.first.name, s.second.name))
+    else:
+        chunks.append(_render_decl(s))

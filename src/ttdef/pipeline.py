@@ -350,6 +350,10 @@ def decide_dtR(a, cfg=None, outdir=None):
         st.artifact = sink.write_spec(
             "two-way", render_spec(tw.att) + "\n" + render_spec(tw.correspondence))
         st.verdict = "two-way word machine %r" % tw.name
+    # uniformize reads only the relabeling: the reduced att goes now, not
+    # after the oracle and bounded_equivalence
+    relabeling = h.relabeling
+    del h
 
     with _staged(stages, "one_way_definability") as st:
         oracle_budget = DefinabilityBudget(
@@ -383,7 +387,7 @@ def decide_dtR(a, cfg=None, outdir=None):
         st.verdict = "tree-level transducer %r" % trees.name
 
     with _staged(stages, "uniformize") as st:
-        candidate = PairedSpec("dtR", a.name + "_dtr", h.relabeling, trees)
+        candidate = PairedSpec("dtR", a.name + "_dtr", relabeling, trees)
         candidate = uniformize(candidate)
         final = candidate
         spec_path = None

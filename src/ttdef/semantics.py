@@ -648,6 +648,14 @@ class Crossings:
     marker's, read the marker's composed through the node's below it.
     A word is the monadic case: a letter has one child, the last none.
 
+    walk runs one walk at a node over any ends of its children, and the
+    walk analysis (analysis.local_run) reads it over two more kinds of
+    ends.  A tail map gives, per synthesized attribute, ("up", b, True),
+    ("leaf", None, True) or ("stuck", None, True), so that every child
+    visit is a piece.  A child the walk must stop at gives ("enter", a,
+    False) for each synthesized a: only "up" goes on through a child, so
+    the walk ends there, with end "enter" and the entering attribute.
+
     width is the largest number of rules of one symbol.  A walk applies a
     rule at most once per node, so over #(s) it takes at most width *
     (size of s + 1) steps; within budgets above that it never runs out,
@@ -655,6 +663,7 @@ class Crossings:
 
     def __init__(self, att):
         self.table = att.rule_table
+        self.syn = att.syn
         self.index = {a: k for k, a in enumerate(att.syn)}
         self.inh_set = frozenset(att.inh)
         self.init = att.init
@@ -692,14 +701,14 @@ class Crossings:
         ROOT walks once, from the initial attribute at its child."""
         key = label, below
         if key not in self.plans:
-            walks = [self._walk(label, below, tip) for tip in
+            walks = [self.walk(label, below, tip) for tip in
                      ([(self.init, 1)] if label == ROOT else
-                      [(a, 0) for a in self.index])]
+                      [(a, 0) for a in self.syn])]
             self.plans[key] = (tuple((e, n, bool(p)) for p, e, n in walks),
                                tuple(tuple(p) for p, _, _ in walks))
         return self.plans[key]
 
-    def _walk(self, label, below, tip):
+    def walk(self, label, below, tip):
         """(pieces, end, name) of the walk from tip, an (attr, pos) as
         rule_table gives it, read at this node; (a, 0) enters a
         synthesized a.  A piece is (None, labels) or (i, k), never empty:

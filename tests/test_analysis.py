@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import pytest
 from hypothesis import assume, given, settings
 
@@ -15,7 +18,7 @@ from ttdef.trees import RankedAlphabet, Tree, parse_tree, trees_up_to_height
 
 import fixtures
 from fixtures import parse_spec
-from test_walk_table import atts, derivation_forms
+from test_walk_table import NONMONADIC_TEXT, atts, derivation_forms
 
 FE = RankedAlphabet({"f": 2, "e": 0})
 FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
@@ -221,6 +224,8 @@ def test_visiting_family_matches_simulation():
 
 
 def test_analyses_reject_unsuitable_input():
+    with pytest.raises(NotApplicable, match="nonmonadic"):
+        single_path(parse_spec(NONMONADIC_TEXT))
     with pytest.raises(NotApplicable, match="nondeterministic"):
         visiting_pair_sets(fixtures.n1())
     with pytest.raises(NotApplicable, match="circular"):
@@ -378,6 +383,33 @@ def test_one_pass_matches_separate_routes(make):
 def test_one_pass_matches_separate_routes_on_random_atts(a):
     assume(not is_circular(a)[0])
     check_one_pass(a)
+
+
+@pytest.mark.parametrize("make, yes", [(fixtures.a1, False),
+                                       (fixtures.a2, True),
+                                       (lookaround_att, True)])
+def test_the_pass_frees_its_shapes_on_return(make, yes, monkeypatch):
+    """The shapes of a pass, with their memos and productions, are freed
+    by reference counting as soon as the pass returns, also after a
+    single-path No, whose witness is built by a recursive walk down the
+    flag pointers: nothing they hold refers back to itself."""
+    a = make()
+    made = []
+
+    class Watched(analysis.Shapes):
+        def __init__(self, att):
+            super().__init__(att)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(analysis, "Shapes", Watched)
+    gc.collect()
+    gc.disable()
+    try:
+        verdict, _, _ = analysis._single_path_and_kappa(a)
+        assert [ref() for ref in made] == [None]
+    finally:
+        gc.enable()
+    assert verdict.yes == yes
 
 
 def test_one_decision_analyses_each_att_once(tmp_path, monkeypatch):

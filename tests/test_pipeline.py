@@ -6,15 +6,20 @@ keeps all of them; a change to any of them is a change in what the
 pipeline decides or writes.
 """
 
+import gc
+import weakref
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
+from ttdef import pipeline
 from ttdef.cli import main
+from ttdef.constructions import associate
 from ttdef.errors import NotApplicable
 from ttdef.model import PairedSpec
 from ttdef.pipeline import decide_dtR, report_to_json
+from ttdef.word_transducers import one_way_definability
 
 import fixtures
 from fixtures import parse_spec
@@ -207,3 +212,31 @@ def test_reserved_output_names_stop_before_any_artifact(tmp_path, capsys):
     err = capsys.readouterr().err
     assert err.startswith("ttdef: error: output symbol name 'x0' is reserved")
     assert not (tmp_path / "out").exists()
+
+
+def test_the_reduced_att_is_freed_before_the_oracle(tmp_path, monkeypatch):
+    """After build_two_way the decision keeps only the relabeling of the
+    associated att for uniformize, and rendering an artifact keeps no
+    declaration it rendered: the reduced att, with its compiled rule
+    table, is freed by reference counting before the oracle runs."""
+    reduced, alive = [], []
+
+    def watched_associate(att):
+        h = associate(att)
+        reduced.append(weakref.ref(h.att))
+        return h
+
+    def watched_oracle(tw, budget):
+        alive.append(reduced[0]() is not None)
+        return one_way_definability(tw, budget)
+
+    monkeypatch.setattr(pipeline, "associate", watched_associate)
+    monkeypatch.setattr(pipeline, "one_way_definability", watched_oracle)
+    gc.collect()
+    gc.disable()
+    try:
+        report = decide_dtR(fixtures.a2(), A2_CFG, outdir=tmp_path)
+    finally:
+        gc.enable()
+    assert alive == [False]
+    assert Path(report.answer.spec_path).name == "dtr-29392332c3fc.att"

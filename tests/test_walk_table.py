@@ -9,10 +9,12 @@ transducers run on their own table in run_tdtt and enumerate_outputs,
 whatever the shape of their right-hand sides, against _rewrite_tdtt, the
 deterministic run on string forms kept here, and _search_tdtt.  Pairs
 run stage by stage, checked against the same references composed.
-local_run reads the att table and is checked against its rules_for
-form, kept here as the reference.
-The walk analysis chains local_run's chi-free segments through context
-answers with stitch, checked against local_run with the answers.
+The walk analysis reads its node walks off Crossings.walk: local_run
+gives the chi-free segment of one, and stitch chains segments through
+a context answer.  reference_local_run, the node walk on the rules_for
+form kept here, is the reference for both: with no context answer for
+local_run, over children's tail maps and a child the walk stops at,
+and with each context answer for stitch.
 enumerate_shared, which shares work across the trees it is called on,
 is checked against the same references on each tree.
 """
@@ -26,8 +28,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from ttdef import analysis
-from ttdef.analysis import (HALT_DEAD, HALT_OK, LocalResult, _segment,
-                            local_run, single_path, stitch)
+from ttdef.analysis import (HALT_DEAD, HALT_OK, local_run, single_path,
+                            stitch)
 from ttdef.constructions import (associate, normalize_domain_into_range,
                                  normalize_ground_rhs)
 from ttdef.errors import NotApplicable
@@ -38,8 +40,8 @@ from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec,
                          occ_pattern_info, parse_all)
 from ttdef.pipeline import decide_dtR
 from ttdef import semantics
-from ttdef.semantics import (LSI_VIOLATIONS, BudgetExhausted, Diverges,
-                             NoOutput, Output, Reject, StepBudget,
+from ttdef.semantics import (LSI_VIOLATIONS, BudgetExhausted, Crossings,
+                             Diverges, NoOutput, Output, Reject, StepBudget,
                              _enumerate_att, _expansions, _run_att,
                              _search_tdtt, _symbol_lookup, _tdtt_successors,
                              _walk_table, derive_step, enumerate_outputs,
@@ -199,6 +201,18 @@ def test_compiled_walk_matches_derivation_on_words(make):
               + (rng.choice(ends),) for _ in range(300)]
     for w in words:
         same_as_reference(tw.att, tree_of(w), StepBudget())
+
+
+NONMONADIC_TEXT = """\
+att NM
+input f:1 e:0
+output m:2 g:1 e:0
+syn a c
+init a
+rule f: a(pi) -> m(c(pi 1), c(pi 1))
+rule f: c(pi) -> g(c(pi 1))
+rule e: c(pi) -> e
+"""
 
 
 def test_walks_off_the_table_keep_the_derivation():
@@ -708,7 +722,7 @@ def test_tdtts_off_the_table_keep_the_rewriting():
 
 
 # ---------------------------------------------------------------------------
-# local_run against its rules_for form
+# local_run and stitch against the rules_for form of the node walk
 
 def reference_chain(rhs):
     labels = []
@@ -725,6 +739,14 @@ def reference_chain(rhs):
 
 
 def reference_local_run(att, sigma, taus, chi, start, boundary=None):
+    """The walk at a sigma-node from start=(attr, pos) on the rules_for
+    form, as (kind, attr, emit, visits).  taus[i - 1] is the tail map of
+    child i, except at the boundary child, where the walk stops with kind
+    "enter" and the entering attribute.  chi answers the exits at the
+    node itself: None reports the exit as kind "up", otherwise a map from
+    inherited attribute to a synthesized re-entry attribute, HALT_OK or
+    HALT_DEAD.  emit counts the labels of the node's own rules, and
+    visits are the child visits, in order, as (child, attr)."""
     attr, pos = start
     emit = 0
     visits = []
@@ -737,7 +759,7 @@ def reference_local_run(att, sigma, taus, chi, start, boundary=None):
         return tip
 
     def done(kind, a=None):
-        return LocalResult(kind, attr=a, emit=emit, visits=tuple(visits))
+        return kind, a, emit, tuple(visits)
 
     while True:
         if (attr, pos) in seen:
@@ -782,13 +804,6 @@ def reference_local_run(att, sigma, taus, chi, start, boundary=None):
                 attr, pos = tip
 
 
-def outcome(run, *args):
-    try:
-        return run(*args)
-    except NotApplicable as e:
-        return "raised %s" % e
-
-
 def tau_choices(att):
     out = [{}, {a: ("ground",) for a in att.syn}]
     out += [{a: ("up", b) for a in att.syn} for b in att.inh]
@@ -803,87 +818,99 @@ def chi_choices(att):
     return out
 
 
-NONMONADIC_TEXT = """\
-att NM
-input f:1 e:0
-output m:2 g:1 e:0
-syn a c
-init a
-rule f: a(pi) -> m(c(pi 1), c(pi 1))
-rule f: c(pi) -> g(c(pi 1))
-rule e: c(pi) -> e
-"""
+def child_ends(att, taus, boundary):
+    """The ends local_run reads for children with tail maps taus, the
+    boundary child stopping the walk (see Crossings)."""
+    below = []
+    for i, tau in enumerate(taus, start=1):
+        if i == boundary:
+            below.append(tuple(("enter", a, False) for a in att.syn))
+            continue
+        ends = []
+        for a in att.syn:
+            out = tau.get(a, ("stuck", None))
+            ends.append(("leaf", None, True) if out[0] == "ground"
+                        else out + (True,))
+        below.append(tuple(ends))
+    return below
 
 
-@pytest.mark.parametrize("make", [
-    fixtures.a1, fixtures.a2, fixtures.rev, fixtures.c0,
-    lambda: associate(fixtures.a2()).att,
-    lambda: parse_spec(NONMONADIC_TEXT),
-])
-def test_local_run_matches_rules_for_form(make):
-    att = make()
-    raised = 0
+def node_walks(att, chis):
+    """(sigma, taus, chi, start, boundary) for every symbol of att, every
+    combination of children's tail maps from tau_choices, and every
+    context answer in chis, start and boundary child."""
     for sigma, k in att.input.items():
         starts = [(attr, pos) for attr in att.attributes
                   for pos in range(k + 1)]
         for taus in itertools.product(tau_choices(att), repeat=k):
             for chi, start, boundary in itertools.product(
-                    chi_choices(att), starts, [None] + list(range(1, k + 1))):
-                args = (att, sigma, list(taus), chi, start, boundary)
-                got = outcome(local_run, *args)
-                assert got == outcome(reference_local_run, *args)
-                raised += isinstance(got, str)
-    # only a walk that applies the non-chain rule raises
-    assert bool(raised) == (att.name == "NM")
+                    chis, starts, [None] + list(range(1, k + 1))):
+                yield sigma, list(taus), chi, start, boundary
 
 
-def stitch_outcome(att, sigma, taus, chi, start, boundary):
-    def segment(st):
-        return _segment(local_run(att, sigma, taus, None, st, boundary))
-    try:
-        return stitch(segment, chi, start)
-    except NotApplicable as e:
-        return "raised %s" % e
+def same_walk(got, want):
+    """Whether a segment or stitched walk ends as the reference does; a
+    dead walk's emit and visits are not compared, since the reference
+    stops at the first revisited (attr, pos) and Crossings.walk at the
+    first revisited rule occurrence, after the child visit before it."""
+    return got[:2] == want[:2] and (want[0] == "dead" or got == want)
 
 
-@pytest.mark.parametrize("make", [
-    fixtures.a1, fixtures.a2, fixtures.rev, fixtures.c0,
-    lambda: associate(fixtures.a2()).att,
-    lambda: parse_spec(NONMONADIC_TEXT),
-])
+def segments_match_reference(att):
+    """local_run over Crossings.walk against the reference with chi
+    None."""
+    crossings = Crossings(att)
+    for sigma, taus, _, start, boundary in node_walks(att, [None]):
+        got = local_run(crossings, sigma, child_ends(att, taus, boundary),
+                        start)
+        want = reference_local_run(att, sigma, taus, None, start, boundary)
+        assert same_walk(got, want), (sigma, taus, start, boundary)
+
+
+def stitched_match_reference(att):
+    """stitch over local_run's segments against the reference with each
+    context answer; returns how many of the walks were dead."""
+    crossings = Crossings(att)
+    dead = 0
+    for sigma, taus, chi, start, boundary in node_walks(
+            att, chi_choices(att)[1:]):
+        below = child_ends(att, taus, boundary)
+        got = stitch(lambda st: local_run(crossings, sigma, below, st),
+                     chi, start)
+        want = reference_local_run(att, sigma, taus, chi, start, boundary)
+        assert same_walk(got, want), (sigma, taus, chi, start, boundary)
+        dead += want[0] == "dead"
+    return dead
+
+
+def a2_reduced():
+    """The reduced att associate builds for A2."""
+    return associate(fixtures.a2()).att
+
+
+WALKABLE = [fixtures.a1, fixtures.a2, fixtures.rev, fixtures.c0, a2_reduced]
+
+
+@pytest.mark.parametrize("make", WALKABLE)
+def test_local_run_matches_rules_for_form(make):
+    segments_match_reference(make())
+
+
+@pytest.mark.parametrize("make", WALKABLE)
 def test_stitched_segments_match_local_run(make):
     """Every walk with a context answer, chained from chi-free segments,
-    ends as local_run's does; emit and visits agree unless it is dead,
-    where local_run stops at the first revisit.  A segment that stops at
-    a child never reads that child's tail map, which is what lets the
-    analysis share it across the child's shapes."""
-    att = make()
-    dead = 0
-    for sigma, k in att.input.items():
-        starts = [(attr, pos) for attr in att.attributes
-                  for pos in range(k + 1)]
-        for taus in itertools.product(tau_choices(att), repeat=k):
-            taus = list(taus)
-            for chi, start, boundary in itertools.product(
-                    chi_choices(att)[1:], starts,
-                    [None] + list(range(1, k + 1))):
-                want = outcome(local_run, att, sigma, taus, chi, start,
-                               boundary)
-                got = stitch_outcome(att, sigma, taus, chi, start, boundary)
-                if isinstance(want, str):
-                    assert got == want
-                    continue
-                assert got[:2] == (want.kind, want.attr)
-                if want.kind == "dead":
-                    dead += 1
-                else:
-                    assert got[2:] == (want.emit, want.visits)
-                if boundary is not None:
-                    blind = taus[:boundary - 1] + [None] + taus[boundary:]
-                    assert outcome(local_run, att, sigma, blind, None, start,
-                                   boundary) == outcome(
-                        local_run, att, sigma, taus, None, start, boundary)
-    assert dead
+    ends as the reference walk with that answer does; emit and visits
+    agree unless it is dead.  A segment that stops at a child reads
+    only that child's entering ends, never its tail map, which is what
+    lets the analysis share it across the child's shapes."""
+    assert stitched_match_reference(make())
+
+
+@settings(max_examples=60, deadline=None)
+@given(atts())
+def test_node_walks_match_rules_for_form_on_random_atts(a):
+    segments_match_reference(a)
+    stitched_match_reference(a)
 
 
 def test_the_lookaround_analysis_shares_its_segments(monkeypatch):
