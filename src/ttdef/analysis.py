@@ -36,6 +36,20 @@ symbol, child, the other children's shapes and start or chi) and shared
 by every shape of the child.  The output length of a pump witness's
 walk is read off the crossing summary of its tree.
 
+The growth system and the circularity test explore only what a verdict
+reads.  The variation of a visiting pair set psi reads the bare-walk
+configurations (any exit ends the walk) that enter a node by one of
+psi's synthesized attributes on a shape realizing psi: its targets.  The
+growth system is rooted at the targets of the family's sets, not at
+every shape and synthesized attribute.  That is exact: whether a
+configuration can emit, whether its output is unbounded and its largest
+output are fixpoints over the configurations below it, the same in any
+system that holds it.
+Circularity tries the products of the inclusion-maximal realizable
+is-dependencies first, since a cycle under smaller ones is a cycle under
+larger ones too, and tries all products only at a symbol with a cycle,
+so that its witness is the first in product order.
+
 Circularity, the single path verdict, kappa and the variation verdict of
 each visiting pair set are computed once per spec and cached on it
 (AttSpec.circularity and AttSpec.walk_analysis): the pipeline asks for
@@ -224,24 +238,41 @@ def is_circular(a):
 
 
 def _circularity(a):
+    """A graph under some child is-dependencies has every edge it has
+    under subsets of them, so a symbol has a cycle under some combination
+    of realizable is-dependencies exactly when it has one under some
+    combination of inclusion-maximal ones (Knuth's circularity test).
+    Only a symbol with such a cycle is searched over all combinations,
+    for the first witness in product order."""
     edges = _tip_edges(a)
     isds = sorted(all_isds(a, edges), key=lambda s: sorted(s))
+    maximal = [s for s in isds if not any(s < t for t in isds)]
     symbols = [(sym, k) for sym, k in a.input.items()] + [(ROOT, 1)]
     for sym, k in symbols:
         rule_edges = edges.get(sym, {})
-        rule_nodes = set(rule_edges).union(*rule_edges.values())
-        for combo in itertools.product(isds, repeat=k):
-            edges_k = {src: list(tips) for src, tips in rule_edges.items()}
-            nodes = set(rule_nodes)
-            for j in range(1, k + 1):
-                for b, syn in combo[j - 1]:
-                    edges_k.setdefault((syn, j), []).append((b, j))
-                    nodes.add((syn, j))
-                    nodes.add((b, j))
-            cycle = _cycle_in(edges_k, sorted(nodes))
-            if cycle is not None:
-                return True, CircularityWitness(sym, combo, cycle)
+        if _first_cycle(rule_edges, maximal, k) is not None:
+            combo, cycle = _first_cycle(rule_edges, isds, k)
+            return True, CircularityWitness(sym, combo, cycle)
     return False, None
+
+
+def _first_cycle(rule_edges, isds, k):
+    """(combo, cycle) for the first combination of k child is-dependencies
+    from isds, in product order, under which a rank-k node's rules with
+    the edges rule_edges close a cycle; None if none does."""
+    rule_nodes = set(rule_edges).union(*rule_edges.values())
+    for combo in itertools.product(isds, repeat=k):
+        edges_k = {src: list(tips) for src, tips in rule_edges.items()}
+        nodes = set(rule_nodes)
+        for j in range(1, k + 1):
+            for b, syn in combo[j - 1]:
+                edges_k.setdefault((syn, j), []).append((b, j))
+                nodes.add((syn, j))
+                nodes.add((b, j))
+        cycle = _cycle_in(edges_k, sorted(nodes))
+        if cycle is not None:
+            return combo, cycle
+    return None
 
 
 # ---------------------------------------------------------------------------
@@ -511,18 +542,40 @@ def _allok_configs(att, shapes):
     return roots
 
 
+def _wants(psi, isd, cfg):
+    """Whether the variation of psi reads the bare-walk configuration cfg,
+    whose shape realizes the is-dependency isd: the walk enters the node
+    by one of psi's synthesized attributes, and the shape realizes psi."""
+    return any(cfg.entry == a for _, a in psi) and isd >= psi
+
+
+def _targets(att, shapes, family):
+    """The bare-walk configurations that some visiting pair set of family
+    reads, in _allok_configs order."""
+    isds = {key: _isd_of_tau(tau) for key, tau in shapes.tau.items()}
+    return [cfg for cfg in _allok_configs(att, shapes)
+            if any(_wants(psi, isds[cfg.key], cfg) for psi in family)]
+
+
 # ---------------------------------------------------------------------------
 # variation: growth analysis over the bare-walk configuration system
 
 class _Growth:
     """Per configuration of the bare-walk system: can the emitted output be
     positive, and is it unbounded over all trees of the configuration's
-    shape? Carries witness material for pump construction."""
+    shape? Carries witness material for pump construction.
 
-    def __init__(self, att, shapes):
+    The system is rooted at the targets of the visiting pair sets of
+    family only, not at every bare-walk configuration.  That is exact:
+    pos, unb and value of a configuration are fixpoints over the
+    expansions below it, so they depend only on the configurations
+    reachable from it, and every target is a root."""
+
+    def __init__(self, att, shapes, family):
         self.att = att
         self.shapes = shapes
-        self.sys = TopDown(att, shapes, _allok_configs(att, shapes))
+        self.targets = _targets(att, shapes, family)
+        self.sys = TopDown(att, shapes, self.targets)
         self._positives()
         self._edges()
         self._unbounded()
@@ -763,13 +816,10 @@ class VariationVerdict:
     witness: PumpWitness = None
 
 
-def _variation_core(att, growth, psi):
+def _variation_core(growth, psi):
     shapes = growth.shapes
-    entries = {a for _, a in psi}
-    allok = tuple(sorted((b, HALT_OK) for b in att.inh))
-    targets = [cfg for cfg in growth.sys.configs
-               if cfg.chi == allok and cfg.entry in entries
-               and _isd_of_tau(shapes.tau[cfg.key]) >= psi]
+    targets = [cfg for cfg in growth.targets
+               if _wants(psi, _isd_of_tau(shapes.tau[cfg.key]), cfg)]
     unb = [cfg for cfg in targets if cfg in growth.unb]
     if unb:
         target = unb[0]
@@ -843,8 +893,9 @@ def _single_path_and_kappa(a):
     verdict, kappa and the verdict per visiting pair set."""
     shapes = Shapes(a)
     sys = TopDown(a, shapes, _root_configs(a, shapes))
-    growth = _Growth(a, shapes)
-    verdicts = {psi: _variation_core(a, growth, psi) for psi in _family(sys)}
+    family = _family(sys)
+    growth = _Growth(a, shapes, family)
+    verdicts = {psi: _variation_core(growth, psi) for psi in family}
     cap = max((v.kappa_psi for v in verdicts.values() if v.bounded),
               default=0)
 

@@ -233,13 +233,19 @@ class AttSpec:
     def rule_table(self):
         """(symbol, attr, pos) -> rhs_chain of the first rule with that
         left-hand side; None where that right-hand side is not a chain.
-        Equal right-hand sides share one parsed chain."""
-        table, chains = {}, {}
+        Equal right-hand sides share one parsed chain.  Rules often share
+        one right-hand side object, so each object is looked up by value
+        once: by_id keeps its chain under its id, which stays valid while
+        self.rules holds the object."""
+        table, chains, by_id = {}, {}, {}
         for sym, rules in self.rules.items():
             for r in rules:
-                if r.rhs not in chains:
-                    chains[r.rhs] = rhs_chain(r.rhs)
-                table.setdefault((sym, r.attr, r.pos), chains[r.rhs])
+                key = id(r.rhs)
+                if key not in by_id:
+                    if r.rhs not in chains:
+                        chains[r.rhs] = rhs_chain(r.rhs)
+                    by_id[key] = chains[r.rhs]
+                table.setdefault((sym, r.attr, r.pos), by_id[key])
         return table
 
     @cached_property

@@ -272,13 +272,18 @@ def build_two_way(h):
     dn = fresh_name("dn", taken)
     states = bbar.states
     up = {l: fresh_name(mangle_parts("up", (l,)), taken) for l in states}
+    # one right-hand side object per distinct value, so that the word
+    # machine's rule_table looks each up by value once
+    down = Tree(occ_pattern(dn, 1))
+    climb = {l: Tree(occ_pattern(up[l], 0)) for l in states}
+    chains = {}
     rules = {}
     for sym, k in h.relabeling.output.items():
         if k == 0:
             bucket = list(a.rules_at(sym))
             lr = words.rule_for(sym, ())
             if lr is not None:
-                bucket.append(AttRule(dn, 0, Tree(occ_pattern(up[lr.state], 0))))
+                bucket.append(AttRule(dn, 0, climb[lr.state]))
             if bucket:
                 rules[sym] = tuple(bucket)
             continue
@@ -288,19 +293,22 @@ def build_two_way(h):
             for r in a.rules_at(sym):
                 labels, tip, leaf = a.rule_table[sym, r.attr, r.pos]
                 if r.pos in (0, i) and (tip is None or tip[1] in (0, i)):
-                    bucket.append(AttRule(r.attr, min(r.pos, 1), _chain_tree(
-                        labels, leaf if tip is None else
-                        occ_pattern(tip[0], min(tip[1], 1)))))
-            bucket.append(AttRule(dn, 0, Tree(occ_pattern(dn, 1))))
+                    end = leaf if tip is None else \
+                        occ_pattern(tip[0], min(tip[1], 1))
+                    if (labels, end) not in chains:
+                        chains[labels, end] = _chain_tree(labels, end)
+                    bucket.append(AttRule(r.attr, min(r.pos, 1),
+                                          chains[labels, end]))
+            bucket.append(AttRule(dn, 0, down))
             for l in states:
                 wr = words.rule_for(letter, (l,))
                 if wr is not None:
-                    bucket.append(AttRule(up[l], 1,
-                                          Tree(occ_pattern(up[wr.state], 0))))
+                    bucket.append(AttRule(up[l], 1, climb[wr.state]))
             rules[letter] = tuple(bucket)
     root = list(a.rules_at(ROOT))
+    start = Tree(occ_pattern(a.init, 1))
     for l in bbar.final:
-        root.append(AttRule(up[l], 1, Tree(occ_pattern(a.init, 1))))
+        root.append(AttRule(up[l], 1, start))
     rules[ROOT] = tuple(root)
     att = AttSpec(name=h.name + "_walk", input=words.input, output=a.output,
                   syn=a.syn + (dn,),

@@ -5,10 +5,11 @@ import pytest
 from hypothesis import assume, given, settings
 
 from ttdef import analysis
-from ttdef.analysis import (Shapes, TopDown, _Growth, _family,
-                            _require_walkable, _root_configs, _theta_step,
-                            _tip_edges, _variation_core, all_isds,
-                            is_circular, kappa, single_path)
+from ttdef.analysis import (Shapes, TopDown, _allok_configs, _Growth,
+                            _family, _isd_of_tau, _require_walkable,
+                            _root_configs, _theta_step, _tip_edges,
+                            _variation_core, all_isds, is_circular, kappa,
+                            single_path)
 from ttdef.constructions import normalize_domain_into_range, normalize_ground_rhs
 from ttdef.errors import NotApplicable, UnknownAttribute
 from ttdef.model import PairedSpec, occ_node, occ_node_info, occ_pattern_info
@@ -47,7 +48,8 @@ def variation(a, psi):
         if not a.is_syn(a_):
             raise UnknownAttribute("not a synthesized attribute: %r" % (a_,))
     shapes = Shapes(a)
-    return _variation_core(a, _Growth(a, shapes), frozenset(psi))
+    psi = frozenset(psi)
+    return _variation_core(_Growth(a, shapes, {psi}), psi)
 
 
 def visiting_pair_sets(a):
@@ -383,6 +385,70 @@ def test_one_pass_matches_separate_routes(make):
 def test_one_pass_matches_separate_routes_on_random_atts(a):
     assume(not is_circular(a)[0])
     check_one_pass(a)
+
+
+# ---------------------------------------------------------------------------
+# the growth system rooted at the targets, against one rooted everywhere
+
+class AllRootsGrowth(_Growth):
+    """The growth system rooted at every bare-walk configuration, each a
+    target that _variation_core filters by psi, as _Growth built it
+    before it was rooted at the targets of a family."""
+
+    def __init__(self, att, shapes):
+        self.att = att
+        self.shapes = shapes
+        self.targets = _allok_configs(att, shapes)
+        self.sys = TopDown(att, shapes, self.targets)
+        self._positives()
+        self._edges()
+        self._unbounded()
+        self._values()
+
+
+def check_growth_on_targets(a, same_witnesses, every_isd=False):
+    """Rooting the growth system at the targets of the family explores a
+    part of the all-roots system, and every configuration it explores
+    gets the same positivity, unboundedness and value there; so every
+    visiting pair set gets the same verdict and cap, and on the fixtures
+    the same pump witness.  every_isd adds to the family every
+    is-dependency of a shape and each of its pairs, so that small atts,
+    whose family is often only the empty set, have targets too."""
+    shapes = Shapes(a)
+    family = _family(TopDown(a, shapes, _root_configs(a, shapes)))
+    if every_isd:
+        isds = {_isd_of_tau(tau) for tau in shapes.tau.values()}
+        family |= isds | {frozenset([p]) for isd in isds for p in isd}
+    got = _Growth(a, shapes, family)
+    ref = AllRootsGrowth(a, shapes)
+    assert got.targets == [cfg for cfg in ref.targets if cfg in got.targets]
+    assert set(got.sys.configs) <= set(ref.sys.configs)
+    for cfg in got.sys.configs:
+        assert (cfg in got.pos) == (cfg in ref.pos)
+        assert (cfg in got.unb) == (cfg in ref.unb)
+        assert got.value.get(cfg) == ref.value.get(cfg)
+    for psi in family:
+        v, r = _variation_core(got, psi), _variation_core(ref, psi)
+        assert (v.bounded, v.kappa_psi) == (r.bounded, r.kappa_psi)
+        if same_witnesses:
+            assert v.witness == r.witness
+    return got, ref
+
+
+@pytest.mark.parametrize("make", [fixtures.a1, fixtures.a2, fixtures.rev,
+                                  lookaround_att])
+def test_growth_on_targets_matches_all_roots(make):
+    got, ref = check_growth_on_targets(make(), True)
+    assert got.targets
+    if make is lookaround_att:
+        assert (len(got.sys.configs), len(ref.sys.configs)) == (99, 265)
+
+
+@settings(max_examples=300, deadline=None)
+@given(atts())
+def test_growth_on_targets_matches_all_roots_on_random_atts(a):
+    assume(not is_circular(a)[0])
+    check_growth_on_targets(a, False, every_isd=True)
 
 
 @pytest.mark.parametrize("make, yes", [(fixtures.a1, False),

@@ -399,23 +399,50 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
                                                           tmp_path):
     """On the LME decision, the single_path pass computes each child
     context answer once per (symbol, child, other children's shapes,
-    context answer): 893 of them over 12 985 asks.  associate and
-    build_two_way read compiled rule chains: every occ_pattern_info call
-    they make is part of a rule_table compile, which parses each
-    distinct right-hand side once (29 of them for the 7 420 rules of
-    the reduced att)."""
-    made, counts, inside = [], Counter(), []
+    context answer): 169 of them over 1 351 asks.  Its growth system
+    holds only the 99 configurations, with 627 expansions, reachable
+    from the bare-walk configurations its 22 visiting pair sets read
+    (all of them are 265, with 12 149 expansions).  The circularity
+    checks of A2 and of the look-around att make 288 _cycle_in calls
+    (844 over all realizable is-dependencies): they search the products
+    of the inclusion-maximal is-dependencies only, and find no cycle.
+    associate and build_two_way read compiled rule chains: every
+    occ_pattern_info call they make is part of a rule_table compile,
+    which parses each distinct right-hand side once (29 of them for the
+    7 420 rules of the reduced att).  rule_table looks each right-hand
+    side object up by value once, and build_two_way makes one object per
+    distinct right-hand side, so the compiles of the whole decision
+    compare 162 trees (32 044 when every rule was looked up twice and
+    the word machine's rules had a tree each)."""
+    made, counts, inside, growths = [], Counter(), [], []
 
     class Counted(analysis.Shapes):
         def __init__(self, att):
             super().__init__(att)
             made.append(self)
 
+    class CountedGrowth(analysis._Growth):
+        def __init__(self, *args):
+            super().__init__(*args)
+            growths.append((len(self.sys.configs), sum(
+                len(exps) for exps in self.sys.expansions.values())))
+
     child_chi = analysis._child_chi
+    cycle_in = analysis._cycle_in
+    tree_eq = Tree.__eq__
 
     def counted_chi(*args):
         counts["asks"] += 1
         return child_chi(*args)
+
+    def counted_cycle_in(*args):
+        counts["cycle_in"] += 1
+        return cycle_in(*args)
+
+    def counted_eq(self, other):
+        if sys._getframe(1).f_code.co_name == "rule_table":
+            counts["compared"] += 1
+        return tree_eq(self, other)
 
     split = model._split_parens
 
@@ -439,7 +466,10 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
         return run
 
     monkeypatch.setattr(analysis, "Shapes", Counted)
+    monkeypatch.setattr(analysis, "_Growth", CountedGrowth)
     monkeypatch.setattr(analysis, "_child_chi", counted_chi)
+    monkeypatch.setattr(analysis, "_cycle_in", counted_cycle_in)
+    monkeypatch.setattr(Tree, "__eq__", counted_eq)
     monkeypatch.setattr(model, "_split_parens", counted_split)
     monkeypatch.setattr(pipeline, "associate", staged(associate))
     monkeypatch.setattr(pipeline, "build_two_way", staged(build_two_way))
@@ -448,7 +478,10 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
     report = decide_dtR(pair, {"equivalence_depth": 4,
                                "verify_word_length": 2}, outdir=tmp_path)
     assert report.answer.stage == "bounded_equivalence"
-    assert [len(shapes._chis) for shapes in made] == [893]
-    assert counts["asks"] == 12985
+    assert [len(shapes._chis) for shapes in made] == [169]
+    assert counts["asks"] == 1351
+    assert growths == [(99, 627)]
+    assert counts["cycle_in"] == 288
+    assert counts["compared"] == 162
     assert counts["parsed"] == 0
     assert counts["compile"] == 29
