@@ -129,10 +129,10 @@ def _reduce(a, sym, tables, chain, built):
             chunk, end, name = got
             tip, leaf = ((name, pos), None) if end == "up" else (None, name)
         else:
-            chain = a.rule_table.get((sym, attr, pos))
-            if chain is None:
+            chains = a.rule_table.get((sym, attr, pos))
+            if chains is None:
                 return None
-            chunk, tip, leaf = chain
+            chunk, tip, leaf = chains[0]
         assert (attr, pos) not in path, "reduction revisits %s" % (attr, pos)
         path.add((attr, pos))
         labels.extend(chunk)
@@ -201,7 +201,7 @@ def associate(a):
         bucket = []
         for r in a.rules_at(sym):
             eta = _reduce(a, sym, child_tables,
-                          a.rule_table[sym, r.attr, r.pos], built)
+                          a.rule_table[sym, r.attr, r.pos][0], built)
             if eta is not None:
                 bucket.append(AttRule(r.attr, r.pos, eta))
         rules2[out] = tuple(bucket)

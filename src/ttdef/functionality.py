@@ -11,15 +11,21 @@ has more than one.
 
 All comparisons here are exhaustive up to a depth, and every verdict
 carries something replayable: a two-output witness checks against
-enumerate_outputs, a cycle trace checks against derive_step.
+enumerate_outputs, a cycle trace checks against derive_step.  Both
+searches run on the att's rule chains: a form is a chain of labels
+above one occurrence, and the cycle search's graph has the occurrences
+(attr, address in #(s)) for nodes and each rule's chain for an edge
+(semantics._occurrence_steps).  An att whose output is not monadic is
+refused.
 """
 
 from dataclasses import dataclass, fields
 
 from .errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
-from .model import PairedSpec, check_monadic, input_alphabet, occ_node
-from .semantics import (StepBudget, _expansions, _symbol_lookup, derive_step,
-                        enumerate_outputs, enumerate_shared, occurrences)
+from .model import (PairedSpec, check_monadic, input_alphabet, occ_node,
+                    occ_node_info, rhs_chain)
+from .semantics import (StepBudget, _chain_tree, _occurrence_steps,
+                        derive_step, enumerate_outputs, enumerate_shared)
 from .trees import Tree, canonical_key, trees_up_to_height
 
 
@@ -130,7 +136,9 @@ def _productive_cycle(att, shown):
 
 def replay_cycle(a, cert):
     """True iff the certificate's trace is a real derivation over its
-    input that revisits an occurrence with the form strictly grown."""
+    input that revisits an occurrence with the form strictly grown.  A
+    trace form that is not a chain is no step of a, so it answers
+    False."""
     forms = list(cert.trace)
     if not forms or forms[0] != Tree(occ_node(a.init, (1,))):
         return False
@@ -139,101 +147,75 @@ def replay_cycle(a, cert):
             return False
     spots = {}
     for idx, form in enumerate(forms[1:], start=1):
-        for _, attr, naddr in occurrences(form):
-            spots.setdefault((attr, naddr), []).append(idx)
+        tip = rhs_chain(form, occ_node_info)[1]
+        if tip is not None:
+            spots.setdefault(tip, []).append(idx)
     return any(forms[ixs[0]] != forms[ixs[-1]] for ixs in spots.values())
 
 
 def _cycle_on(a, s):
-    """Trace of a productive cycle of a over #(s), or None."""
-    sym_at = _symbol_lookup(s, rooted=True)
-    start = (a.init, (1,))
+    """Trace of a productive cycle of a over #(s), or None.  The graph's
+    nodes are occurrences (attr, address in #(s)), and its edges per node
+    the (labels, tip, leaf) of each rule there (_occurrence_steps),
+    weighted by the labels.  The first positive edge, breadth first from
+    the initial occurrence, that leads back to its own node closes the
+    cycle."""
+    step = _occurrence_steps(a, s)
     edges = {}
-    order = [start]
-    seen = {start}
-    i = 0
-    while i < len(order):
-        u = order[i]
-        i += 1
-        out = []
-        for rule, repl in _expansions(a, sym_at, u[0], u[1]):
-            tgts = [(attr, naddr) for _, attr, naddr in occurrences(repl)]
-            out.append((repl, repl.size - 1, tuple(tgts)))
-            for v in tgts:
-                if v not in seen:
-                    seen.add(v)
-                    order.append(v)
-        edges[u] = tuple(out)
-    for u in order:
-        for repl, w, tgts in edges[u]:
-            if w <= 0:
-                continue
-            for v in tgts:
-                if _reaches(edges, v, u):
-                    path = _route(edges, start, u)
-                    loop = [(u, repl, v)] + _route(edges, v, u)
-                    return _walk_trace(a, start, path + loop * 3)
+
+    def out(u):
+        if u not in edges:
+            edges[u] = step(*u)
+        return edges[u]
+
+    start = (a.init, (1,))
+    reach = _reach(out, start)
+    for u in reach:
+        for labels, v, _ in edges[u]:
+            if labels and v is not None:
+                back = _reach(out, v)
+                if u in back:
+                    loop = [(u, labels, v)] + _path(back, u)
+                    return _walk_trace(start, _path(reach, u) + loop * 3)
     return None
 
 
-def _reaches(edges, src, dst):
-    stack, seen = [src], {src}
-    while stack:
-        x = stack.pop()
-        if x == dst:
-            return True
-        for _, _, tgts in edges.get(x, ()):
-            for y in tgts:
-                if y not in seen:
-                    seen.add(y)
-                    stack.append(y)
-    return False
-
-
-def _route(edges, src, dst):
-    """Steps (occurrence, replacement, next occurrence) from src to dst
-    along first-discovered edges; [] when src is dst."""
-    if src == dst:
-        return []
+def _reach(out, src):
+    """Every occurrence reachable from src, breadth first, each mapped to
+    the first-discovered edge into it, (occurrence, labels); src to
+    None."""
     parent = {src: None}
     queue = [src]
-    i = 0
-    while i < len(queue):
-        x = queue[i]
-        i += 1
-        for repl, _, tgts in edges.get(x, ()):
-            for y in tgts:
-                if y not in parent:
-                    parent[y] = (x, repl, y)
-                    if y == dst:
-                        steps = []
-                        while parent[y] is not None:
-                            steps.append(parent[y])
-                            y = parent[y][0]
-                        return steps[::-1]
-                    queue.append(y)
-    return []
+    for x in queue:
+        for labels, y, _ in out(x):
+            if y is not None and y not in parent:
+                parent[y] = (x, labels)
+                queue.append(y)
+    return parent
 
 
-def _walk_trace(a, start, steps):
+def _path(parent, dst):
+    """The steps (occurrence, labels, next occurrence) from the source of
+    a _reach map to dst."""
+    steps = []
+    while parent[dst] is not None:
+        x, labels = parent[dst]
+        steps.append((x, labels, dst))
+        dst = x
+    return steps[::-1]
+
+
+def _walk_trace(start, steps):
     """Forms along the steps, cut at the first occurrence revisited with
     the form grown; the initial form itself does not count as a visit."""
-    form = Tree(occ_node(start[0], start[1]))
-    forms = [form]
+    forms = [((), start)]
     first_at = {}
-    for x, repl, y in steps:
-        label = occ_node(x[0], x[1])
-        faddr = next((addr for addr, node in form.addresses()
-                      if not node.children and node.label == label), None)
-        if faddr is None:
-            return None
-        form = form.replace_at(faddr, repl)
-        forms.append(form)
-        here = len(forms) - 1
-        if y in first_at and forms[first_at[y]] != form:
-            return forms
-        first_at.setdefault(y, here)
-    return None
+    for _, more, y in steps:
+        forms.append((forms[-1][0] + more, y))
+        if y in first_at and forms[first_at[y]] != forms[-1]:
+            break
+        first_at.setdefault(y, len(forms) - 1)
+    return [_chain_tree(labels, occ_node(*tip)) for labels, tip in forms]
 
 
 # ---------------------------------------------------------------------------

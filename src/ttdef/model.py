@@ -196,10 +196,6 @@ class AttSpec:
     def rules_at(self, symbol):
         return self.rules.get(symbol, ())
 
-    def rules_for(self, symbol, attr, pos):
-        return tuple(r for r in self.rules_at(symbol)
-                     if r.attr == attr and r.pos == pos)
-
     def is_syn(self, attr):
         return attr in self._syn_set
 
@@ -231,13 +227,16 @@ class AttSpec:
 
     @cached_property
     def rule_table(self):
-        """(symbol, attr, pos) -> rhs_chain of the first rule with that
-        left-hand side; None where that right-hand side is not a chain.
-        Equal right-hand sides share one parsed chain.  Rules often share
-        one right-hand side object, so each object is looked up by value
-        once: by_id keeps its chain under its id, which stays valid while
-        self.rules holds the object."""
-        table, chains, by_id = {}, {}, {}
+        """(symbol, attr, pos) -> the rhs_chain of each rule with that
+        left-hand side, in rule order, a rule repeated verbatim once per
+        copy; a right-hand side that is not a chain, which monadic output
+        rules out, is left out.  Each distinct right-hand side is parsed
+        once and each distinct list of chains is one tuple.  Rules often
+        share one right-hand side object, so each object is looked up by
+        value once: by_id keeps its chain under its id, which stays valid
+        while self.rules holds the object, and shared keeps each list
+        under the ids of the list one shorter and the chain added."""
+        table, chains, by_id, shared = {}, {}, {}, {}
         for sym, rules in self.rules.items():
             for r in rules:
                 key = id(r.rhs)
@@ -245,7 +244,15 @@ class AttSpec:
                     if r.rhs not in chains:
                         chains[r.rhs] = rhs_chain(r.rhs)
                     by_id[key] = chains[r.rhs]
-                table.setdefault((sym, r.attr, r.pos), by_id[key])
+                chain = by_id[key]
+                if chain is None:
+                    continue
+                lhs = sym, r.attr, r.pos
+                have = table.get(lhs, ())
+                grown = id(have), id(chain)
+                if grown not in shared:
+                    shared[grown] = have + (chain,)
+                table[lhs] = shared[grown]
         return table
 
     @cached_property
@@ -266,10 +273,10 @@ class AttSpec:
     @cached_property
     def walks_on_table(self):
         """True when every run is one walk that rule_table describes:
-        deterministic rules, monadic output, every right-hand side a
-        chain."""
-        return (self.deterministic and check_monadic(self)
-                and None not in self.rule_table.values())
+        monadic output, so every right-hand side is a chain, and
+        deterministic rules, so the chains of a left-hand side are all
+        one, the first."""
+        return check_monadic(self) and self.deterministic
 
     def __post_init__(self):
         self._syn_set = frozenset(self.syn)

@@ -6,20 +6,24 @@ sentential forms therefore start at 1 for the root of s, and the initial
 form is a0(1). Normal forms (nf) instead run over the bare tree, so an
 inherited occurrence at eps is simply stuck there and becomes a tip.
 
-Deterministic monadic-output derivations have a single active occurrence
-per form; revisiting a consumed occurrence certifies a cycle, which
-evaluate reports as NoOutput and nf as Diverges.
+Every att derivation runs on the spec's rule table, compiled once per
+spec (AttSpec.rule_table).  Atts have monadic output here, and an att
+whose output is not monadic is refused as NotApplicable("nonmonadic"):
+every right-hand side is then a chain of labels above one occurrence or
+an output leaf, and so is every form, kept as its labels and its tip.
+A deterministic att (AttSpec.walks_on_table) walks the one chain of each
+left-hand side: evaluate and nf keep the occurrence as (attr, node) and
+the labels as a list, and build the output tree once at the end.
+Revisiting an occurrence certifies a cycle, which evaluate reports as
+NoOutput and nf as Diverges.  nf walks the bare tree under a top node
+without rules, from a given start occurrence.  A nondeterministic att
+steps an occurrence (attr, address in #(s)) to every chain of its
+left-hand side (_occurrence_steps): enumerate_outputs searches the forms
+(labels, tip, leaf) this reaches, derive_step gives the forms one step
+away for certificates that replay a derivation, and the productive-cycle
+search of functionality builds its occurrence graph from it.
 
-Compiled walks run every deterministic machine whose rule table covers
-it.  When the att is deterministic with monadic output
-(AttSpec.walks_on_table), evaluate and nf walk the spec's rule table,
-compiled once per spec (enumerate_outputs reads the same table through
-crossing summaries, below): the form is then a chain of
-emitted labels above one occurrence, so the walk keeps the occurrence as
-(attr, node) and the labels as a list, and builds the output tree once
-at the end.  nf is defined only there: it walks the bare tree under a
-top node without rules, from a given start occurrence.  Every
-deterministic top-down transducer runs on its own table (TdttSpec.
+Every deterministic top-down transducer runs on its own table (TdttSpec.
 rule_table), whatever the shape of its right-hand sides: the output and
 the rule count of each (state, subtree) are found once, so a copying
 transducer does each call once, and the budgets are read off the count
@@ -41,14 +45,11 @@ A relabeling keeps its run per subtree, a deterministic top-down
 transducer its output and rule count per (state, subtree), and a pair
 composes its stages.
 
-String sentential forms are left for atts that are not monadic or not
-deterministic (a form holds several occurrences, or enumeration
-searches a set of forms), for nondeterministic top-down transducers,
-and for derive_step, which gives one rewriting step for certificates
-that replay a derivation.  _run_att and _enumerate_att are also the
-reference the att walk is tested against, and _search_tdtt the
-reference for the top-down walk; both engines give the same outcomes,
-budgets included.
+String sentential forms are left for nondeterministic top-down
+transducers (_search_tdtt), which is also the reference the top-down
+walk is tested against.  The att derivation on string forms is kept
+with the tests (tests/string_forms.py) as the reference for the chain
+walks; both give the same outcomes, budgets included.
 """
 
 from collections import Counter
@@ -58,7 +59,7 @@ from .errors import (DuplicateLhsInDeterministic, NotApplicable,
                      NotFunctionalInput)
 from .model import (ROOT, AttSpec, PairedSpec, RelabelingSpec, TdttSpec,
                     call_info, check_monadic, is_occurrence, occ_node,
-                    occ_node_info, occ_pattern_info, rhs_chain)
+                    occ_node_info, rhs_chain)
 from .trees import Tree
 
 
@@ -111,27 +112,9 @@ def _check_lsi(a, input_size, output_size, render_input):
                                "output_size": output_size, "bound": bound})
 
 
-def occurrences(form):
-    """Preorder (address-in-form, attribute, node-address) of all
-    occurrence leaves."""
-    out = []
-    for addr, node in form.addresses():
-        if not node.children and is_occurrence(node.label):
-            info = occ_node_info(node.label)
-            if info is not None:
-                out.append((addr, info[0], info[1]))
-    return out
-
-
-def instantiate(rhs, v):
-    """Ground a rule right-hand side at node v: beta(pi j) becomes
-    beta(v.j), with v.0 = v."""
-    def build(t):
-        if not t.children and is_occurrence(t.label):
-            attr, j = occ_pattern_info(t.label)
-            return Tree(occ_node(attr, v if j == 0 else v + (j,)))
-        return Tree(t.label, [build(c) for c in t.children])
-    return build(rhs)
+def _require_monadic(a):
+    if not check_monadic(a):
+        raise NotApplicable("nonmonadic")
 
 
 def _symbol_lookup(s, rooted):
@@ -151,67 +134,56 @@ def _symbol_lookup(s, rooted):
     return sym_at
 
 
-def _expansions(a, sym_at, attr, naddr):
-    """(rule, replacement) pairs for one occurrence; [] when stuck."""
-    if a.is_syn(attr):
-        sym = sym_at(naddr)
-        if sym is None or sym == ROOT:
-            return []  # no synthesized rules exist at the root marker
-        base, pos = naddr, 0
-    elif a.is_inh(attr):
-        if not naddr:
-            return []  # inherited at the root: no parent, permanently stuck
-        base, pos = naddr[:-1], naddr[-1]
-        sym = sym_at(base)
-        if sym is None:
+def _occurrence_steps(a, s):
+    """The derivation step of the monadic att a over #(s), as a function
+    of one occurrence (attr, address in #(s)): per rule that applies
+    there, in rule_table order, (labels, tip, leaf), the labels the
+    rule emits and the occurrence tip it ends in, or None and the output
+    leaf.  [] when the occurrence is stuck: no rule, a node #(s) lacks,
+    a synthesized attribute at the root marker or an inherited one at
+    the root of #(s)."""
+    _require_monadic(a)
+    table = a.rule_table
+    sym_at = _symbol_lookup(s, rooted=True)
+
+    def step(attr, v):
+        if a.is_syn(attr):
+            sym = sym_at(v)
+            if sym is None or sym == ROOT:
+                return []
+            base, pos = v, 0
+        elif a.is_inh(attr) and v:
+            base, pos = v[:-1], v[-1]
+            sym = sym_at(base)
+        else:
             return []
-    else:
-        return []
-    return [(r, instantiate(r.rhs, base)) for r in a.rules_for(sym, attr, pos)]
+        out = []
+        for labels, tip, leaf in table.get((sym, attr, pos), ()):
+            if tip is not None:
+                tip = tip[0], base + (tip[1],) if tip[1] else base
+            out.append((labels, tip, leaf))
+        return out
+    return step
 
 
 def derive_step(a, s, form):
-    """All forms reachable in one derivation step over #(s). Empty iff the
-    form is ground or every occurrence is stuck."""
-    sym_at = _symbol_lookup(s, rooted=True)
+    """All forms reachable in one derivation step over #(s), in rule
+    order with repeats dropped.  Empty iff the form is ground or its
+    occurrence is stuck.  a has monadic output, so the form is a chain
+    above at most one occurrence."""
+    _require_monadic(a)
+    chain = rhs_chain(form, occ_node_info)
+    if chain is None:
+        raise NotApplicable("the form %s branches" % form.render())
+    labels, tip, _ = chain
     out = []
-    seen = set()
-    for faddr, attr, naddr in occurrences(form):
-        for _, replacement in _expansions(a, sym_at, attr, naddr):
-            nxt = form.replace_at(faddr, replacement)
-            if nxt not in seen:
-                seen.add(nxt)
-                out.append(nxt)
+    if tip is not None:
+        for more, nxt, leaf in _occurrence_steps(a, s)(*tip):
+            form = _chain_tree(labels + more,
+                               leaf if nxt is None else occ_node(*nxt))
+            if form not in out:
+                out.append(form)
     return out
-
-
-def _run_att(a, s, budget):
-    if not a.deterministic:
-        raise DuplicateLhsInDeterministic(
-            "att %r is nondeterministic; use enumerate_outputs" % a.name)
-    sym_at = _symbol_lookup(s, rooted=True)
-    form = Tree(occ_node(a.init, (1,)))
-    track_cycles = check_monadic(a)
-    consumed = set()
-    steps = 0
-    while True:
-        occs = occurrences(form)
-        if not occs:
-            _check_lsi(a, s.size, form.size, s.render)
-            return Output(form)
-        expanded = [(o, _expansions(a, sym_at, o[1], o[2])) for o in occs]
-        if any(not exps for _, exps in expanded):
-            return NoOutput()  # a stuck occurrence never recovers
-        (faddr, attr, naddr), exps = expanded[0]
-        _, replacement = exps[0]
-        if track_cycles:
-            if (attr, naddr) in consumed:
-                return NoOutput()
-            consumed.add((attr, naddr))
-        steps += 1
-        if steps > budget.max_steps:
-            return BudgetExhausted()
-        form = form.replace_at(faddr, replacement)
 
 
 # ---------------------------------------------------------------------------
@@ -284,14 +256,14 @@ def _walk_table(a, s, max_steps, max_enumeration=None, start=None):
     seen = {occ: 0}    # occurrence -> output length when it was reached
     steps = 0
     while True:
-        chain = None if occ is None else \
+        chains = None if occ is None else \
             table.get((labels[occ[1]], occ[0], occ[2]))
-        if chain is None:
+        if chains is None:
             return "stuck", out, occ_node(at[0], address(at[1], at[2]))
         steps += 1
         if steps > max_steps:
             return "steps", out, None
-        emitted, tip, leaf = chain
+        emitted, tip, leaf = chains[0]
         out.extend(emitted)
         if tip is not None:
             at = (tip[0], occ[1], tip[1])
@@ -475,14 +447,16 @@ def evaluate(d, s, budget=None):
     machines belong to enumerate_outputs."""
     budget = budget or StepBudget()
     if isinstance(d, AttSpec):
-        if d.walks_on_table:
-            kind, labels, leaf = _walk_table(d, s, budget.max_steps)
-            if kind == "output":
-                tree = _chain_tree(labels, leaf)
-                _check_lsi(d, s.size, tree.size, s.render)
-                return Output(tree)
-            return BudgetExhausted() if kind == "steps" else NoOutput()
-        return _run_att(d, s, budget)
+        _require_monadic(d)
+        if not d.deterministic:
+            raise DuplicateLhsInDeterministic(
+                "att %r is nondeterministic; use enumerate_outputs" % d.name)
+        kind, labels, leaf = _walk_table(d, s, budget.max_steps)
+        if kind == "output":
+            tree = _chain_tree(labels, leaf)
+            _check_lsi(d, s.size, tree.size, s.render)
+            return Output(tree)
+        return BudgetExhausted() if kind == "steps" else NoOutput()
     if isinstance(d, TdttSpec):
         return run_tdtt(d, s, budget)
     if isinstance(d, RelabelingSpec):
@@ -542,9 +516,11 @@ def enumerate_shared(d, budget=None):
       the rule-by-rule run would stop;
     - a pair runs its second stage on each output of its first, each
       under the budget.
-    Other atts and top-down transducers search string forms tree by
-    tree.  Trees may come in any order: the subtrees of a tree that are
-    not kept yet are done first, off an explicit stack."""
+    A nondeterministic att searches its chain forms (_enumerate_att), and
+    a nondeterministic top-down transducer its string forms, tree by
+    tree; an att without monadic output is refused.  Trees may come in
+    any order: the subtrees of a tree that are not kept yet are done
+    first, off an explicit stack."""
     budget = budget or StepBudget()
     if isinstance(d, PairedSpec):
         first = enumerate_shared(d.first, budget)
@@ -567,7 +543,8 @@ def enumerate_shared(d, budget=None):
             return ({got[1]} if ok else set()), True
         return run
     if isinstance(d, AttSpec):
-        if not d.walks_on_table:
+        _require_monadic(d)
+        if not d.deterministic:
             return lambda s: _enumerate_att(d, s, budget)
         crossings = Crossings(d)
 
@@ -601,19 +578,19 @@ def enumerate_shared(d, budget=None):
 
 
 def _enumerate_att(a, s, budget):
-    sym_at = _symbol_lookup(s, rooted=True)
+    """_search over the forms of the monadic att a over #(s), each kept
+    as (labels, tip, leaf) as _occurrence_steps gives them: a state is
+    ground when its tip is None.  Rewriting the one occurrence of a form
+    is the whole step."""
+    step = _occurrence_steps(a, s)
 
-    def successors(form):
-        # Rewriting the first occurrence only is complete: rule choice
-        # at one occurrence commutes with choice at any other.
-        occs = occurrences(form)
-        if not occs:
+    def successors(state):
+        labels, tip, _ = state
+        if tip is None:
             return None
-        faddr, attr, naddr = occs[0]
-        return [form.replace_at(faddr, repl)
-                for _, repl in _expansions(a, sym_at, attr, naddr)]
-    start = Tree(occ_node(a.init, (1,)))
-    return _search(start, successors, budget)
+        return [(labels + more, nxt, leaf) for more, nxt, leaf in step(*tip)]
+    outs, exhaustive = _search(((), (a.init, (1,)), None), successors, budget)
+    return {_chain_tree(labels, leaf) for labels, _, leaf in outs}, exhaustive
 
 
 def _search_tdtt(t, s, budget):
@@ -743,10 +720,10 @@ class Crossings:
                         "silent" if seen[occ] == len(pieces) else "productive",
                         None)
             seen[occ] = len(pieces)
-            chain = self.table.get((label,) + occ)
-            if chain is None:
+            chains = self.table.get((label,) + occ)
+            if chains is None:
                 return pieces, "stuck", None
-            emitted, tip, leaf = chain
+            emitted, tip, leaf = chains[0]
             if emitted:
                 pieces.append((None, emitted))
             if tip is None:

@@ -291,7 +291,7 @@ def build_two_way(h):
             letter = mangle_child(sym, i)
             bucket = []
             for r in a.rules_at(sym):
-                labels, tip, leaf = a.rule_table[sym, r.attr, r.pos]
+                labels, tip, leaf = a.rule_table[sym, r.attr, r.pos][0]
                 if r.pos in (0, i) and (tip is None or tip[1] in (0, i)):
                     end = leaf if tip is None else \
                         occ_pattern(tip[0], min(tip[1], 1))

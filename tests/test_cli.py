@@ -19,6 +19,7 @@ from ttdef.cli import main
 from ttdef.model import render_spec
 
 import fixtures
+from test_walk_table import NONMONADIC_TEXT
 
 
 def spec_file(tmp_path, att):
@@ -120,6 +121,15 @@ def test_a_circular_spec_is_refused(command, tmp_path, capsys):
     assert captured.err.startswith("ttdef: error: ")
     assert "circular" in captured.err
     assert not (tmp_path / "out").exists()
+
+
+def test_eval_refuses_a_nonmonadic_att(tmp_path, capsys):
+    spec = tmp_path / "nm.att"
+    spec.write_text(NONMONADIC_TEXT)
+    assert main(["eval", str(spec), "f(e)"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "ttdef: error: nonmonadic\n"
 
 
 FUNCTIONAL = {

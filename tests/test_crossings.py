@@ -54,10 +54,10 @@ def reference_cross(att, label, below, tip):
                     "silent" if seen[occ] == len(out) else "productive",
                     None)
         seen[occ] = len(out)
-        chain = table.get((label,) + occ)
-        if chain is None:
+        chains = table.get((label,) + occ)
+        if chains is None:
             return tuple(out), "stuck", None
-        emitted, tip, leaf = chain
+        emitted, tip, leaf = chains[0]
         out.extend(emitted)
         if tip is None:
             return tuple(out), "leaf", leaf

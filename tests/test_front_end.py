@@ -38,6 +38,7 @@ from ttdef.word_transducers import (TwoWayWord, _trimmed,
                                     build_two_way, range_automaton)
 
 import fixtures
+from string_forms import rules_for
 from test_walk_table import IN, atts
 
 # ---------------------------------------------------------------------------
@@ -92,7 +93,7 @@ def _chase(a, sym, tables, t, path):
         return _chase(a, sym, tables, _as_child_occurrences(form, pos),
                       path | {key})
     if pos >= 1 and a.is_inh(attr):
-        rules = a.rules_for(sym, attr, pos)
+        rules = rules_for(a, sym, attr, pos)
         if not rules:
             raise _StuckReduction
         assert key not in path, "reduction revisits %s" % (key,)
@@ -258,7 +259,7 @@ def _theta_step(att, sigma, child_thetas):
                 for b in child_thetas[pos - 1].get(attr, ()):
                     stack.append((b, pos))
                 continue
-            for rule in att.rules_for(sigma, attr, pos):
+            for rule in rules_for(att, sigma, attr, pos):
                 for _, sub in rule.rhs.addresses():
                     tip = occ_pattern_info(sub.label)
                     if tip is not None:

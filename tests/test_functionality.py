@@ -22,13 +22,13 @@ from ttdef.functionality import (Equal, FunctionalUpTo, FunctionalityBudget,
                                  bounded_equivalence, detect_productive_cycle,
                                  is_functional, replay_cycle)
 from ttdef.model import ROOT, AttRule, AttSpec, PairedSpec, occ_node
-from ttdef.semantics import (StepBudget, derive_step, enumerate_outputs,
-                             occurrences)
+from ttdef.semantics import StepBudget, derive_step, enumerate_outputs
 from ttdef.trees import Tree, canonical_key, parse_tree, trees_up_to_height
 
 import fixtures
 from fixtures import parse_spec
-from test_walk_table import IN, OUT, rhs_at
+import string_forms
+from test_walk_table import IN, OUT, SMALL_BUDGETS, rhs_at, trees
 
 # the productive cycle can also escape, so two outputs exist
 ESCAPE_TEXT = """\
@@ -81,6 +81,11 @@ def test_cycle_replay_rejects_tampering():
     p0 = fixtures.p0()
     cert = detect_productive_cycle(p0)
     assert not replay_cycle(p0, replace(cert, trace=cert.trace[:3]))
+    # a form that is not a chain is no step of a monadic att
+    fork = Tree("g", [Tree(occ_node("b", (1,))), Tree(occ_node("b", (1,)))])
+    for i in (1, len(cert.trace) - 1):
+        trace = cert.trace[:i] + (fork,) + cert.trace[i + 1:]
+        assert not replay_cycle(p0, replace(cert, trace=trace))
     assert not replay_cycle(p0, replace(cert, trace=cert.trace[::-1]))
     assert not replay_cycle(p0, replace(cert, input=parse_tree("g(e)")))
 
@@ -279,10 +284,12 @@ def test_functional_respects_the_step_budget():
 
 
 @st.composite
-def nondeterministic_atts(draw):
+def nondeterministic_atts(draw, repeat=False):
     """Monadic atts over IN with zero to three rules per left-hand side,
     root-marker rules included; each rule is quiet or emits at random.
-    Identical rules collapse, as they do when a spec is parsed."""
+    Identical rules collapse, as they do when a spec is parsed; given
+    repeat, one rule is then held twice, as a spec built in memory may
+    hold it, the copy at a random place among its symbol's rules."""
     syn = tuple("a%d" % i for i in range(draw(st.integers(1, 2))))
     inh = tuple("b%d" % i for i in range(draw(st.integers(0, 2))))
     rules = {}
@@ -294,6 +301,12 @@ def nondeterministic_atts(draw):
             AttRule(attr, pos,
                     draw(rhs_at(syn, inh, k, draw(st.booleans()))))
             for attr, pos in lhs for _ in range(draw(st.integers(0, 3)))))
+    held = [sym for sym in rules if rules[sym]]
+    if repeat and held:
+        sym = draw(st.sampled_from(held))
+        rule = draw(st.sampled_from(rules[sym]))
+        i = draw(st.integers(0, len(rules[sym])))
+        rules[sym] = rules[sym][:i] + (rule,) + rules[sym][i:]
     return AttSpec(name="R", input=IN, output=OUT, syn=syn, inh=inh,
                    init=draw(st.sampled_from(syn)), rules=rules)
 
@@ -309,7 +322,7 @@ def ground_forms(a, s):
             if nxt not in seen:
                 seen.add(nxt)
                 stack.append(nxt)
-    return {f for f in seen if not occurrences(f)}
+    return {f for f in seen if not string_forms.occurrences(f)}
 
 
 def check_verdict(subject, a, depth):
@@ -353,3 +366,44 @@ def test_verdicts_behind_an_identity_lookaround(a, depth):
     pair = PairedSpec(kind="attU", name="r_u",
                       first=fixtures.identity_lookaround(IN, "idr"), second=a)
     assert check_verdict(pair, a, depth) == is_functional(a, depth)
+
+
+# ---------------------------------------------------------------------------
+# rule chains against string forms, on random nondeterministic atts
+
+
+def reachable_forms(a, s, limit=200):
+    """The first forms, at most limit of them, of the string-form
+    derivation over #(s), breadth first from the initial form."""
+    order = [Tree(occ_node(a.init, (1,)))]
+    seen = set(order)
+    i = 0
+    while i < len(order) and len(order) < limit:
+        for nxt in string_forms.derive_step(a, s, order[i]):
+            if nxt not in seen:
+                seen.add(nxt)
+                order.append(nxt)
+        i += 1
+    return order
+
+
+@settings(max_examples=200, deadline=None)
+@given(nondeterministic_atts(repeat=True), trees(3), st.integers(2, 3))
+def test_chains_match_string_forms_on_random_atts(a, s, depth):
+    """enumerate_outputs under every small budget, derive_step on every
+    reachable form, and the productive cycle with its trace give what
+    the string-form references give; the cycle replays.  A draw whose
+    rules are all one per left-hand side, up to the copy, is
+    deterministic and walks its table instead of searching: its
+    enumeration is checked in test_walk_table, on atts without copies,
+    since the string-form search counts a copy as a second step."""
+    for budget in SMALL_BUDGETS if not a.deterministic else ():
+        assert enumerate_outputs(a, s, budget) == \
+            string_forms.enumerate_att(a, s, budget)
+    for form in reachable_forms(a, s):
+        assert derive_step(a, s, form) == \
+            string_forms.derive_step(a, s, form)
+    cycle = detect_productive_cycle(a, depth)
+    want = string_forms.detect_productive_cycle(a, depth)
+    assert cycle == (None if want is None else ProductiveCycle(*want))
+    assert cycle is None or replay_cycle(a, cycle)

@@ -13,6 +13,7 @@ from ttdef.trees import Tree, parse_tree
 
 import fixtures
 from fixtures import parse_spec
+from string_forms import rules_for
 
 
 def test_a1_parses_as_expected():
@@ -23,9 +24,9 @@ def test_a1_parses_as_expected():
     assert a.input.rank("f") == 2 and a.output.rank("g") == 1
     assert a.deterministic
     assert len(a.rules_at("f")) == 3
-    assert a.rules_for("f", "b", 1)[0].rhs == Tree(occ_pattern("a", 2))
-    assert a.rules_for("#", "b", 1)[0].rhs == Tree("e")
-    assert a.rules_for("e", "a", 0)[0].rhs == Tree("g", [Tree(occ_pattern("b", 0))])
+    assert rules_for(a, "f", "b", 1)[0].rhs == Tree(occ_pattern("a", 2))
+    assert rules_for(a, "#", "b", 1)[0].rhs == Tree("e")
+    assert rules_for(a, "e", "a", 0)[0].rhs == Tree("g", [Tree(occ_pattern("b", 0))])
 
 
 def test_a2_parses_and_is_deterministic():
@@ -40,7 +41,7 @@ def test_a2_parses_and_is_deterministic():
 def test_n1_not_deterministic():
     n = fixtures.n1()
     assert not n.deterministic
-    assert len(n.rules_for("e", "a", 0)) == 2
+    assert len(rules_for(n, "e", "a", 0)) == 2
 
 
 def test_root_marker_syn_rule_rejected():
@@ -114,8 +115,9 @@ def test_built_spec_with_duplicate_lhs_is_not_deterministic():
     assert a1.deterministic and a1.walks_on_table
     assert not a.deterministic
     assert not a.walks_on_table
-    # the rule table keeps the first rule of each left-hand side
-    assert a.rule_table["e", "a", 0] == (("g",), ("b", 0), None)
+    # the rule table keeps every rule of each left-hand side, in order
+    assert a.rule_table["e", "a", 0] == ((("g",), ("b", 0), None),
+                                         ((), None, "e"))
     assert a.max_rhs_size == 2
 
 

@@ -7,6 +7,7 @@ pipeline decides or writes.
 """
 
 import gc
+import sys
 import weakref
 from dataclasses import replace
 from pathlib import Path
@@ -19,6 +20,7 @@ from ttdef.constructions import associate
 from ttdef.errors import NotApplicable
 from ttdef.model import PairedSpec
 from ttdef.pipeline import decide_dtR, report_to_json
+from ttdef.trees import Tree
 from ttdef.word_transducers import one_way_definability
 
 import fixtures
@@ -191,6 +193,32 @@ def test_a_functional_nondeterministic_att_stops_at_determinize(tmp_path):
     ], "8b2368e31f26e20a91da6222f1c4577a266d5db23eefc143c1d8c1a22814cba2",
         prefix=PREFIX[:3])
     assert report.answer.stage == "determinize"
+
+
+def test_the_functional_stage_rewrites_no_string_form(tmp_path, monkeypatch):
+    """The functional stage, on S1 and on the refused N1, derives on rule
+    chains: it rewrites no form with Tree.replace_at and parses no
+    occurrence label.  The string-form derivation took 603 rewrites and
+    1 180 parsed labels on S1."""
+    counts = {"replace_at": 0, "occ_node_info": 0}
+
+    def counted(name, real):
+        def run(*args):
+            counts[name] += 1
+            return real(*args)
+        return run
+
+    monkeypatch.setattr(Tree, "replace_at",
+                        counted("replace_at", Tree.replace_at))
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ttdef.") and hasattr(module, "occ_node_info"):
+            monkeypatch.setattr(module, "occ_node_info", counted(
+                "occ_node_info", module.occ_node_info))
+    report = decide_dtR(parse_spec(S1_TEXT), outdir=tmp_path)
+    assert report.answer.stage == "determinize"
+    with pytest.raises(NotApplicable, match="two different outputs"):
+        decide_dtR(fixtures.n1(), outdir=tmp_path)
+    assert counts == {"replace_at": 0, "occ_node_info": 0}
 
 
 def test_report_hash_ignores_the_artifact_directory(a2_twice):

@@ -1,10 +1,13 @@
 """The compiled walk against the string-form derivation it replaces.
 
 evaluate, enumerate_outputs and nf run deterministic atts with monadic
-output on the spec's rule table; _run_att and _enumerate_att rewrite
-sentential forms and stay the reference, and so does reference_nf, kept
-here.  derivation_forms rebuilds the forms of a derivation with
-derive_step for tests that inspect them.  Deterministic top-down
+output on the spec's rule table; run_att and enumerate_att of
+string_forms rewrite sentential forms and stay the reference, and so
+does reference_nf, kept here.  An att whose output is not monadic is
+refused.  derivation_forms rebuilds the forms of a derivation with
+derive_step for tests that inspect them.  The random atts may be forced
+to emit on a loop through a child, so that their walk analysis meets
+unbounded variation.  Deterministic top-down
 transducers run on their own table in run_tdtt and enumerate_outputs,
 whatever the shape of their right-hand sides, against _rewrite_tdtt, the
 deterministic run on string forms kept here, and _search_tdtt.  Pairs
@@ -33,7 +36,8 @@ from ttdef.analysis import (HALT_DEAD, HALT_OK, local_run, single_path,
 from ttdef.constructions import (associate, normalize_domain_into_range,
                                  normalize_ground_rhs)
 from ttdef.errors import NotApplicable
-from ttdef.functionality import Equal, bounded_equivalence
+from ttdef.functionality import (Equal, bounded_equivalence,
+                                 detect_productive_cycle)
 from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec,
                          RelabelingSpec, TdttRule, TdttSpec, call_label,
                          check_monadic, occ_node, occ_node_info, occ_pattern,
@@ -42,16 +46,17 @@ from ttdef.pipeline import decide_dtR
 from ttdef import semantics
 from ttdef.semantics import (LSI_VIOLATIONS, BudgetExhausted, Crossings,
                              Diverges, NoOutput, Output, Reject, StepBudget,
-                             _enumerate_att, _expansions, _run_att,
                              _search_tdtt, _symbol_lookup, _tdtt_successors,
                              _walk_table, derive_step, enumerate_outputs,
-                             enumerate_shared, evaluate, nf, occurrences,
-                             run_relabeling, run_tdtt)
+                             enumerate_shared, evaluate, nf, run_relabeling,
+                             run_tdtt)
 from ttdef.trees import RankedAlphabet, Tree, trees_up_to_height
 from ttdef.word_transducers import accepted_words, build_two_way, tree_of
 
 import fixtures
 from fixtures import parse_spec
+from string_forms import (enumerate_att, expansions, occurrences, rules_for,
+                          run_att)
 
 IN = RankedAlphabet({"f": 2, "g": 1, "e": 0})
 OUT = RankedAlphabet({"h": 1, "k": 1, "c": 0})
@@ -70,12 +75,12 @@ def same_as_reference(a, s, budget):
         got = evaluate(a, s, budget)
         got_lsi = LSI_VIOLATIONS[mark:]
         del LSI_VIOLATIONS[mark:]
-        ref = _run_att(a, s, budget)
+        ref = run_att(a, s, budget)
         assert got == ref, s.render()
         assert LSI_VIOLATIONS[mark:] == got_lsi
     finally:
         del LSI_VIOLATIONS[mark:]
-    assert enumerate_outputs(a, s, budget) == _enumerate_att(a, s, budget), \
+    assert enumerate_outputs(a, s, budget) == enumerate_att(a, s, budget), \
         s.render()
 
 
@@ -102,7 +107,14 @@ def atts(draw):
     """Deterministic atts with monadic output over IN.  Rules go missing
     at random, including the root-marker rules of inherited attributes.
     Cycles through the root marker come up often; in quiet atts, which
-    emit only at the leaves of their outputs, they are silent."""
+    emit only at the leaves of their outputs, they are silent.  Half the
+    atts with an inherited attribute b are forced to emit h on a loop
+    through a child: a descends through g, turns into b at e, b climbs
+    back through g and ends the output at the root marker, and it may
+    also visit both children of f, as in A1.  So the output chunk of the
+    visiting pair (b, a) grows with the number of g below a node, and on
+    random atts too the walk analysis builds pump witnesses and answers
+    No by single path."""
     syn = tuple("a%d" % i for i in range(draw(st.integers(1, 2))))
     inh = tuple("b%d" % i for i in range(draw(st.integers(0, 2))))
     quiet = draw(st.booleans())
@@ -114,6 +126,20 @@ def atts(draw):
         rules[sym] = tuple(
             AttRule(attr, pos, draw(rhs_at(syn, inh, k, quiet)))
             for attr, pos in lhs if draw(st.integers(0, 3)))
+    if inh and draw(st.booleans()):
+        a, b = syn[0], inh[0]
+        forced = {"g": [AttRule(a, 0, Tree("h", [Tree(occ_pattern(a, 1))])),
+                        AttRule(b, 1, Tree(occ_pattern(b, 0)))],
+                  "e": [AttRule(a, 0, Tree(occ_pattern(b, 0)))],
+                  ROOT: [AttRule(b, 1, Tree("c"))]}
+        if draw(st.booleans()):
+            forced["f"] = [AttRule(a, 0, Tree(occ_pattern(a, 1))),
+                           AttRule(b, 1, Tree(occ_pattern(a, 2))),
+                           AttRule(b, 2, Tree(occ_pattern(b, 0)))]
+        for sym, add in forced.items():
+            rules[sym] = tuple(add) + tuple(
+                r for r in rules[sym]
+                if all((r.attr, r.pos) != (f.attr, f.pos) for f in add))
     return AttSpec(name="R", input=IN, output=OUT, syn=syn, inh=inh,
                    init=draw(st.sampled_from(syn)), rules=rules)
 
@@ -216,14 +242,32 @@ rule e: c(pi) -> e
 
 
 def test_walks_off_the_table_keep_the_derivation():
+    """A nondeterministic att enumerates its chain forms, as the string
+    forms do; an att without monadic output is refused."""
     n1 = fixtures.n1()
     assert not n1.walks_on_table
     s = Tree("e")
-    assert enumerate_outputs(n1, s) == _enumerate_att(n1, s, StepBudget())
+    assert enumerate_outputs(n1, s) == enumerate_att(n1, s, StepBudget())
     wide = parse_spec(NONMONADIC_TEXT)
     assert not wide.walks_on_table
-    got = evaluate(wide, Tree("f", [Tree("e")]))
-    assert got.tree.render() == "m(e,e)"
+    with pytest.raises(NotApplicable) as err:
+        evaluate(wide, Tree("f", [Tree("e")]))
+    assert str(err.value) == "nonmonadic"
+
+
+@pytest.mark.parametrize("run", [
+    lambda a, s: evaluate(a, s),
+    lambda a, s: enumerate_outputs(a, s),
+    lambda a, s: derive_step(a, s, Tree(occ_node(a.init, (1,)))),
+    lambda a, s: detect_productive_cycle(a, 2),
+], ids=["evaluate", "enumerate_outputs", "derive_step",
+        "detect_productive_cycle"])
+def test_a_nonmonadic_att_is_refused(run):
+    """Every att derivation runs on rule chains, so an att whose output
+    is not monadic is refused, as the walk analysis refuses it."""
+    with pytest.raises(NotApplicable) as err:
+        run(parse_spec(NONMONADIC_TEXT), Tree("f", [Tree("e")]))
+    assert str(err.value) == "nonmonadic"
 
 
 # ---------------------------------------------------------------------------
@@ -243,7 +287,7 @@ def reference_nf(a, s, start, budget=None):
     while True:
         progressed = False
         for faddr, attr, naddr in occurrences(form):
-            exps = _expansions(a, sym_at, attr, naddr)
+            exps = expansions(a, sym_at, attr, naddr)
             if not exps:
                 continue  # stuck occurrences stay as tips of the normal form
             _, replacement = exps[0]
@@ -354,14 +398,14 @@ def test_associate_reads_crossing_summaries(monkeypatch):
             super().__init__(a)
             made.append(self)
 
-    for name in ("occurrences", "_expansions", "nf", "_walk_table"):
+    for name in ("_occurrence_steps", "nf", "_walk_table"):
         monkeypatch.setattr(semantics, name,
                             counted(name, getattr(semantics, name)))
     monkeypatch.setattr("ttdef.constructions.nf", semantics.nf)
     monkeypatch.setattr("ttdef.constructions.Crossings", Counted)
     associate(att)
-    assert (calls["occurrences"], calls["_expansions"], calls["nf"],
-            calls["_walk_table"]) == (0, 0, 0, 0)
+    assert (calls["_occurrence_steps"], calls["nf"],
+            calls["_walk_table"]) == (0, 0, 0)
     assert [len(c.plans) for c in made] == [402]
 
 
@@ -464,9 +508,9 @@ def test_table_walk_matches_rewriting_on_branching_tdtts():
 
 def reference_outputs(d, s, budget, walk=False):
     """enumerate_outputs composed from the references stage by stage:
-    run_relabeling, _search_tdtt and _enumerate_att.  Given walk, an att
+    run_relabeling, _search_tdtt and enumerate_att.  Given walk, an att
     that walks its table is walked on s alone (_walk_table, which
-    same_as_reference checks against _enumerate_att): the search a
+    same_as_reference checks against enumerate_att): the search a
     productive cycle sends to the default budget takes minutes."""
     if isinstance(d, RelabelingSpec):
         got = run_relabeling(d, s)
@@ -476,7 +520,7 @@ def reference_outputs(d, s, budget, walk=False):
         return _search_tdtt(d, s, budget)
     if isinstance(d, AttSpec):
         if not (walk and d.walks_on_table):
-            return _enumerate_att(d, s, budget)
+            return enumerate_att(d, s, budget)
         kind, labels, leaf = _walk_table(d, s, budget.max_steps,
                                          budget.max_enumeration)
         if kind == "output":
@@ -496,7 +540,7 @@ def reference_outputs(d, s, budget, walk=False):
 
 def reference_run(d, s, budget):
     """evaluate composed from the references stage by stage:
-    run_relabeling, _rewrite_tdtt and _run_att."""
+    run_relabeling, _rewrite_tdtt and run_att."""
     if isinstance(d, RelabelingSpec):
         got = run_relabeling(d, s)
         ok = not isinstance(got, Reject) and got[0] in d.final
@@ -504,7 +548,7 @@ def reference_run(d, s, budget):
     if isinstance(d, TdttSpec):
         return _rewrite_tdtt(d, s, budget)
     if isinstance(d, AttSpec):
-        return _run_att(d, s, budget)
+        return run_att(d, s, budget)
     first = reference_run(d.first, s, budget)
     if not isinstance(first, Output):
         return first
@@ -767,7 +811,7 @@ def reference_local_run(att, sigma, taus, chi, start, boundary=None):
         seen.add((attr, pos))
         if att.is_syn(attr):
             if pos == 0:
-                rules = att.rules_for(sigma, attr, 0)
+                rules = rules_for(att, sigma, attr, 0)
                 if not rules:
                     return done("dead")
                 tip = apply_rule(rules[0])
@@ -795,7 +839,7 @@ def reference_local_run(att, sigma, taus, chi, start, boundary=None):
                     return done("halt_ok")
                 attr = ans
             else:
-                rules = att.rules_for(sigma, attr, pos)
+                rules = rules_for(att, sigma, attr, pos)
                 if not rules:
                     return done("dead")
                 tip = apply_rule(rules[0])

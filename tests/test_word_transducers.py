@@ -25,6 +25,7 @@ from ttdef.word_transducers import (Definable, DefinabilityBudget,
 
 import fixtures
 from fixtures import parse_spec
+from string_forms import rules_for
 
 FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
 
@@ -226,8 +227,8 @@ def test_two_way_walks_down_then_climbs(tw2):
     assert a.syn == ("a", "a_e", "a_d", "dn")
     assert a.inh == ("b_e", "b_d", "lit<e>", "lit<d>",
                      "up_<r0>", "up_<r1>", "up_<r2>", "up_<r3>")
-    assert a.rules_for("e", "dn", 0)[0].rhs == Tree("up_<r0>(pi)")
-    assert a.rules_for("d", "dn", 0)[0].rhs == Tree("up_<r1>(pi)")
+    assert rules_for(a, "e", "dn", 0)[0].rhs == Tree("up_<r0>(pi)")
+    assert rules_for(a, "d", "dn", 0)[0].rhs == Tree("up_<r1>(pi)")
     roots = {r.render(ROOT) for r in a.rules_at(ROOT)}
     assert {"rule #: up_<%s>(pi 1) -> a(pi 1)" % l
             for l in ("r0", "r1", "r2", "r3")} <= roots
