@@ -86,6 +86,8 @@ def test_cycle_replay_rejects_tampering():
     for i in (1, len(cert.trace) - 1):
         trace = cert.trace[:i] + (fork,) + cert.trace[i + 1:]
         assert not replay_cycle(p0, replace(cert, trace=trace))
+    with pytest.raises(NotApplicable, match="branches"):
+        derive_step(p0, cert.input, fork)
     assert not replay_cycle(p0, replace(cert, trace=cert.trace[::-1]))
     assert not replay_cycle(p0, replace(cert, input=parse_tree("g(e)")))
 
