@@ -560,6 +560,54 @@ def _targets(att, shapes, family):
 # ---------------------------------------------------------------------------
 # variation: growth analysis over the bare-walk configuration system
 
+def _components(roots, successors):
+    """Strongly connected components of the graph reachable from roots,
+    successors(v) listing the successors of v (Tarjan, without
+    recursion): node -> component number, equal for two nodes exactly
+    when each reaches the other."""
+    index = {}
+    low = {}
+    comp = {}
+    counter = itertools.count()
+    ncomp = itertools.count()
+    stack = []
+    on_stack = set()
+    for root in roots:
+        if root in index:
+            continue
+        work = [(root, iter(successors(root)))]
+        index[root] = low[root] = next(counter)
+        stack.append(root)
+        on_stack.add(root)
+        while work:
+            v, it = work[-1]
+            advanced = False
+            for child in it:
+                if child not in index:
+                    index[child] = low[child] = next(counter)
+                    stack.append(child)
+                    on_stack.add(child)
+                    work.append((child, iter(successors(child))))
+                    advanced = True
+                    break
+                if child in on_stack:
+                    low[v] = min(low[v], index[child])
+            if not advanced:
+                work.pop()
+                if low[v] == index[v]:
+                    cid = next(ncomp)
+                    while True:
+                        w = stack.pop()
+                        on_stack.discard(w)
+                        comp[w] = cid
+                        if w == v:
+                            break
+                if work:
+                    u, _ = work[-1]
+                    low[u] = min(low[u], low[v])
+    return comp
+
+
 class _Growth:
     """Per configuration of the bare-walk system: can the emitted output be
     positive, and is it unbounded over all trees of the configuration's
@@ -621,51 +669,8 @@ class _Growth:
             self.edges[cfg] = lst
 
     def _unbounded(self):
-        # strongly connected components over configuration edges
-        index = {}
-        low = {}
-        comp = {}
-        counter = itertools.count()
-        ncomp = itertools.count()
-        stack = []
-        on_stack = set()
-
-        def strongconnect(root):
-            work = [(root, iter(self.edges.get(root, ())))]
-            index[root] = low[root] = next(counter)
-            stack.append(root)
-            on_stack.add(root)
-            while work:
-                v, it = work[-1]
-                advanced = False
-                for child, *_ in it:
-                    if child not in index:
-                        index[child] = low[child] = next(counter)
-                        stack.append(child)
-                        on_stack.add(child)
-                        work.append((child, iter(self.edges.get(child, ()))))
-                        advanced = True
-                        break
-                    if child in on_stack:
-                        low[v] = min(low[v], index[child])
-                if not advanced:
-                    work.pop()
-                    if low[v] == index[v]:
-                        cid = next(ncomp)
-                        while True:
-                            w = stack.pop()
-                            on_stack.discard(w)
-                            comp[w] = cid
-                            if w == v:
-                                break
-                    if work:
-                        u, _ = work[-1]
-                        low[u] = min(low[u], low[v])
-
-        for cfg in self.sys.configs:
-            if cfg not in index:
-                strongconnect(cfg)
-
+        comp = _components(self.sys.configs, lambda cfg: [
+            child for child, *_ in self.edges.get(cfg, ())])
         core_comps = set()
         for cfg, lst in self.edges.items():
             for child, prod, i, children, why in lst:

@@ -130,9 +130,10 @@ def _cmd_validate(args):
 
 
 def _cmd_eval(args):
+    over = {} if args.max_steps is None else {"max_steps": args.max_steps}
+    budget = StepBudget(max_steps=BudgetConfig(**over).max_steps)
     d = _subject(_load_decls(args.file), args.spec)
     s = parse_tree(args.tree, alphabet=input_alphabet(d))
-    budget = StepBudget(max_steps=args.max_steps) if args.max_steps else None
     outputs, exhaustive = enumerate_outputs(d, s, budget)
     rendered = sorted(t.render() for t in outputs)
     if not exhaustive:

@@ -11,21 +11,22 @@ has more than one.
 
 All comparisons here are exhaustive up to a depth, and every verdict
 carries something replayable: a two-output witness checks against
-enumerate_outputs, a cycle trace checks against derive_step.  Both
-searches run on the att's rule chains: a form is a chain of labels
-above one occurrence, and the cycle search's graph has the occurrences
-(attr, address in #(s)) for nodes and each rule's chain for an edge
-(semantics._occurrence_steps).  An att whose output is not monadic is
-refused.
+enumerate_outputs, a cycle trace step by step against the att's rules
+(the tests replay it on string forms).  Both searches run on the att's
+rule chains: a form is a chain of labels above one occurrence, and the
+cycle search's graph has the occurrences (attr, address in #(s)) for
+nodes and each rule's chain for an edge (semantics._occurrence_steps).
+One pass of strongly connected components over that graph finds the
+cycle.  An att whose output is not monadic is refused.
 """
 
 from dataclasses import dataclass, fields
 
 from .errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
-from .model import (PairedSpec, check_monadic, input_alphabet, occ_node,
-                    occ_node_info, rhs_chain)
+from .analysis import _components
+from .model import PairedSpec, check_monadic, input_alphabet, occ_node
 from .semantics import (StepBudget, _chain_tree, _occurrence_steps,
-                        derive_step, enumerate_outputs, enumerate_shared)
+                        enumerate_outputs, enumerate_shared)
 from .trees import Tree, canonical_key, trees_up_to_height
 
 
@@ -72,7 +73,8 @@ class NotFunctional:
 class ProductiveCycle:
     """A derivation whose trace revisits an attribute occurrence with the
     sentential form strictly grown in between, so it can never settle.
-    The trace starts at the initial form and replays under derive_step."""
+    The trace starts at the initial form, and each form is one
+    derivation step from the one before it."""
     input: Tree
     trace: tuple
 
@@ -110,47 +112,15 @@ class Witness:
 # ---------------------------------------------------------------------------
 # productive cycles
 
-def detect_productive_cycle(a, budget=None):
-    """A derivation over some input tree within the budget depth that
-    revisits an attribute occurrence with the form strictly grown, or
-    None.  For an att with look-around the trees are the relabeled
-    forms of the inputs the look-around accepts, and the cycle names
-    the relabeled tree, so its trace replays against the att side.
-
-    Per input tree, the occurrences reachable from the initial one form
-    a graph whose edges are rule applications weighted by how much the
-    form grows; any reachable cycle through a positive edge is
-    productive.  The trace is rebuilt by walking to the cycle and around
-    it until an occurrence repeats with a bigger form."""
-    return _productive_cycle(*_inputs(a, FunctionalityBudget.coerce(budget)))
-
-
 def _productive_cycle(att, shown):
-    """detect_productive_cycle over the (att, shown) pair _inputs gives."""
+    """The first tree of shown, in its order, with a derivation that
+    revisits an attribute occurrence with the form strictly grown, as a
+    ProductiveCycle, or None; shown is what _inputs gives for att."""
     for s in shown:
         trace = _cycle_on(att, s)
         if trace is not None:
             return ProductiveCycle(input=s, trace=tuple(trace))
     return None
-
-
-def replay_cycle(a, cert):
-    """True iff the certificate's trace is a real derivation over its
-    input that revisits an occurrence with the form strictly grown.  A
-    trace form that is not a chain is no step of a, so it answers
-    False."""
-    forms = list(cert.trace)
-    if not forms or forms[0] != Tree(occ_node(a.init, (1,))):
-        return False
-    for cur, nxt in zip(forms, forms[1:]):
-        if nxt not in derive_step(a, cert.input, cur):
-            return False
-    spots = {}
-    for idx, form in enumerate(forms[1:], start=1):
-        tip = rhs_chain(form, occ_node_info)[1]
-        if tip is not None:
-            spots.setdefault(tip, []).append(idx)
-    return any(forms[ixs[0]] != forms[ixs[-1]] for ixs in spots.values())
 
 
 def _cycle_on(a, s):
@@ -159,7 +129,9 @@ def _cycle_on(a, s):
     the (labels, tip, leaf) of each rule there (_occurrence_steps),
     weighted by the labels.  The first positive edge, breadth first from
     the initial occurrence, that leads back to its own node closes the
-    cycle."""
+    cycle: the first whose two ends share a strongly connected component.
+    The trace walks to it and around the cycle until an occurrence
+    repeats with a bigger form."""
     step = _occurrence_steps(a, s)
     edges = {}
 
@@ -170,13 +142,13 @@ def _cycle_on(a, s):
 
     start = (a.init, (1,))
     reach = _reach(out, start)
+    comp = _components([start], lambda u: [v for _, v, _ in edges[u]
+                                           if v is not None])
     for u in reach:
         for labels, v, _ in edges[u]:
-            if labels and v is not None:
-                back = _reach(out, v)
-                if u in back:
-                    loop = [(u, labels, v)] + _path(back, u)
-                    return _walk_trace(start, _path(reach, u) + loop * 3)
+            if labels and v is not None and comp[u] == comp[v]:
+                loop = [(u, labels, v)] + _path(_reach(out, v), u)
+                return _walk_trace(start, _path(reach, u) + loop * 3)
     return None
 
 

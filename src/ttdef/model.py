@@ -392,29 +392,26 @@ class TdttSpec:
     def deterministic(self):
         """No two different rules share a left-hand side; a rule repeated
         verbatim counts once."""
-        first = {}
-        for r in self.rules:
-            if first.setdefault((r.state, r.symbol), r.rhs) != r.rhs:
-                return False
-        return True
+        return all(len(rhss) == 1 for rhss in self.rule_table.values())
 
     @cached_property
     def rule_table(self):
-        """(state, symbol) -> the right-hand side of the first rule with
-        that left-hand side, in preorder: (label, rank) for an output
+        """(state, symbol) -> the right-hand sides of the rules with that
+        left-hand side, in the order of the spec with a rule repeated
+        verbatim kept once, each in preorder: (label, rank) for an output
         node, (None, (state, child)) for a call.  Chains, relabelings and
         branching or copying right-hand sides all take this one form, so
-        a deterministic run walks it whatever their shape."""
+        a top-down run walks it whatever their shape."""
         table = {}
         for r in self.rules:
-            if (r.state, r.symbol) in table:
-                continue
             nodes = []
             for _, node in r.rhs.addresses():
                 call = None if node.children else call_info(node.label)
                 nodes.append((node.label, len(node.children)) if call is None
                              else (None, call))
-            table[r.state, r.symbol] = tuple(nodes)
+            rhss = table.setdefault((r.state, r.symbol), ())
+            if tuple(nodes) not in rhss:
+                table[r.state, r.symbol] = rhss + (tuple(nodes),)
         return table
 
     @property

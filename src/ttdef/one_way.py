@@ -181,7 +181,7 @@ def _word_steps(cand):
     (state, letter) -> (output chunk, next state), the next state None
     for a rule that ends the word."""
     steps = {}
-    for key, rhs in cand.rule_table.items():
+    for key, (rhs,) in cand.rule_table.items():
         label, last = rhs[-1]
         chunk = tuple(l for l, _ in rhs[:-1])
         steps[key] = (chunk, last[0]) if label is None \
@@ -195,7 +195,7 @@ def _not_word_shaped(cand):
     in a call into child 1."""
     if not cand.deterministic:
         return "one-way machine has two rules for one left-hand side"
-    for (q, letter), rhs in cand.rule_table.items():
+    for (q, letter), (rhs,) in cand.rule_table.items():
         label, last = rhs[-1]
         ends = last == 0 if label is not None else last[1] == 1
         if not ends or any(rank != 1 for _, rank in rhs[:-1]):

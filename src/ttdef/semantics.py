@@ -19,17 +19,17 @@ NoOutput and nf as Diverges.  nf walks the bare tree under a top node
 without rules, from a given start occurrence.  A nondeterministic att
 steps an occurrence (attr, address in #(s)) to every chain of its
 left-hand side (_occurrence_steps): enumerate_outputs searches the forms
-(labels, tip, leaf) this reaches, derive_step gives the forms one step
-away for certificates that replay a derivation, and the productive-cycle
-search of functionality builds its occurrence graph from it.
+(labels, tip, leaf) this reaches, and the productive-cycle search of
+functionality builds its occurrence graph from it.
 
-Every deterministic top-down transducer runs on its own table (TdttSpec.
-rule_table), whatever the shape of its right-hand sides: the output and
-the rule count of each (state, subtree) are found once, so a copying
-transducer does each call once, and the budgets are read off the count
-of the whole run.  Labels are parsed only when a table is built.  A pair
-runs its first stage and then its second, each under the caller's
-budget; the top stage of a look-around is an ordinary top-down run.
+Every top-down transducer runs on its own table (TdttSpec.rule_table),
+deterministic or not, whatever the shape of its right-hand sides: the
+outputs and the rule count of each (state, subtree) are found once, so a
+copying transducer does each call once, and the budgets are read off the
+count of the whole run and the number of its outputs.  Labels are parsed
+only when a table is built.  A pair runs its first stage and then its
+second, each under the caller's budget; the top stage of a look-around
+is an ordinary top-down run.
 
 enumerate_outputs is enumerate_shared on one tree; over many trees,
 enumerate_shared evaluates each distinct subtree once for as long as
@@ -41,25 +41,26 @@ and ends of the children's walks, as a plan that joins their chunks;
 the oracle's word cache reads each word through the same plans, over
 the summaries of its suffixes.
 A tree on which a budget could bind the att walk is walked on its own.
-A relabeling keeps its run per subtree, a deterministic top-down
-transducer its output and rule count per (state, subtree), and a pair
-composes its stages.
+A relabeling keeps its run per subtree, a top-down transducer its
+outputs and rule count per (state, subtree), and a pair composes its
+stages.
 
-String sentential forms are left for nondeterministic top-down
-transducers (_search_tdtt), which is also the reference the top-down
-walk is tested against.  The att derivation on string forms is kept
-with the tests (tests/string_forms.py) as the reference for the chain
-walks; both give the same outcomes, budgets included.
+No derivation here rewrites string sentential forms.  The derivations
+on string forms, of atts and of top-down transducers, are kept with the
+tests (tests/string_forms.py) as the references for the chain walks and
+the top-down run.  On an att both give the same outcomes, budgets
+included, and so they do on a deterministic top-down transducer; on a
+nondeterministic one they give the same outputs when neither runs out.
 """
 
+import itertools
 from collections import Counter
 from dataclasses import dataclass
 
 from .errors import (DuplicateLhsInDeterministic, NotApplicable,
                      NotFunctionalInput)
 from .model import (ROOT, AttSpec, PairedSpec, RelabelingSpec, TdttSpec,
-                    call_info, check_monadic, is_occurrence, occ_node,
-                    occ_node_info, rhs_chain)
+                    check_monadic, occ_node, occ_node_info, rhs_chain)
 from .trees import Tree
 
 
@@ -117,16 +118,15 @@ def _require_monadic(a):
         raise NotApplicable("nonmonadic")
 
 
-def _symbol_lookup(s, rooted):
+def _symbol_lookup(s):
+    """The label at an address of #(s), or None where #(s) has no node."""
     def sym_at(v):
+        if not v:
+            return ROOT
+        if v[0] != 1:
+            return None
         t = s
-        if rooted:
-            if not v:
-                return ROOT
-            if v[0] != 1:
-                return None
-            v = v[1:]
-        for i in v:
+        for i in v[1:]:
             if not 1 <= i <= len(t.children):
                 return None
             t = t.children[i - 1]
@@ -144,7 +144,7 @@ def _occurrence_steps(a, s):
     the root of #(s)."""
     _require_monadic(a)
     table = a.rule_table
-    sym_at = _symbol_lookup(s, rooted=True)
+    sym_at = _symbol_lookup(s)
 
     def step(attr, v):
         if a.is_syn(attr):
@@ -164,26 +164,6 @@ def _occurrence_steps(a, s):
             out.append((labels, tip, leaf))
         return out
     return step
-
-
-def derive_step(a, s, form):
-    """All forms reachable in one derivation step over #(s), in rule
-    order with repeats dropped.  Empty iff the form is ground or its
-    occurrence is stuck.  a has monadic output, so the form is a chain
-    above at most one occurrence."""
-    _require_monadic(a)
-    chain = rhs_chain(form, occ_node_info)
-    if chain is None:
-        raise NotApplicable("the form %s branches" % form.render())
-    labels, tip, _ = chain
-    out = []
-    if tip is not None:
-        for more, nxt, leaf in _occurrence_steps(a, s)(*tip):
-            form = _chain_tree(labels + more,
-                               leaf if nxt is None else occ_node(*nxt))
-            if form not in out:
-                out.append(form)
-    return out
 
 
 # ---------------------------------------------------------------------------
@@ -286,47 +266,62 @@ def _chain_tree(labels, leaf):
     return tree
 
 
-def _top_down(table, state, s, memo):
-    """(output tree, rules applied) of the run from state on s, on the
-    rule table of a deterministic top-down transducer.  A run that gets
-    stuck (no rule, or a call into a child s lacks) has the output None
-    and counts the rules applied before it, in the preorder the
-    string-form run rewrites calls in.  memo keeps both per (state,
-    subtree), so an output shares the outputs of its calls and a copying
-    transducer does each call once."""
+def _top_down(table, state, s, memo, cap):
+    """(outputs, rules applied) of the runs from state on s, on the rule
+    table of a top-down transducer.  The outputs are the union, over the
+    rules for state and the label of s, of every choice of one output
+    per call of the rule, at most cap of them, in rule order and then in
+    the order of the calls' outputs.  A rule that gets stuck (a call
+    with no output, or into a child s lacks) gives none and counts the
+    rules applied before it, in the preorder the string-form run
+    rewrites calls in; the count adds up the rules.  Outputs from a
+    state on a subtree do not depend on the context, and copies of a
+    call choose independently, so memo keeps both per (state, subtree),
+    for one cap: an output shares the outputs of its calls, and a
+    copying transducer does each call once.  On a deterministic table
+    there is at most one output, and the count is that of its one run."""
     stack = [(state, s)]
     while stack:
         key = stack[-1]
         if key in memo:
             stack.pop()
             continue
-        rhs = table.get((key[0], key[1].label))
-        if rhs is None:
-            memo[key] = None, 0
-            stack.pop()
-            continue
+        rhss = table.get((key[0], key[1].label), ())
         kids = key[1].children
-        todo = [(q, kids[i - 1]) for _, (q, i) in _calls(rhs)
+        todo = [(q, kids[i - 1]) for rhs in rhss for _, (q, i) in _calls(rhs)
                 if 1 <= i <= len(kids) and (q, kids[i - 1]) not in memo]
         if todo:
             stack.extend(todo)
             continue
         stack.pop()
-        count, parts = 1, []
-        for _, (q, i) in _calls(rhs):
-            sub, n = memo[q, kids[i - 1]] if 1 <= i <= len(kids) else (None, 0)
-            count += n
-            if sub is None:
-                memo[key] = None, count
-                break
-            parts.append(sub)
-        else:
-            built = []
-            for label, what in reversed(rhs):
-                built.append(parts.pop() if label is None else
-                             Tree(label, [built.pop() for _ in range(what)]))
-            memo[key] = built[0], count
+        outs, count = {}, 0
+        for rhs in rhss:
+            count += 1
+            parts = []
+            for _, (q, i) in _calls(rhs):
+                got, n = memo[q, kids[i - 1]] if 1 <= i <= len(kids) \
+                    else ((), 0)
+                count += n
+                if not got:
+                    break
+                parts.append(got)
+            else:
+                for choice in itertools.product(*parts):
+                    if len(outs) == cap:
+                        break
+                    outs[_fill(rhs, list(choice))] = None
+        memo[key] = tuple(outs), count
     return memo[state, s]
+
+
+def _fill(rhs, parts):
+    """The tree of a compiled top-down right-hand side with its calls, in
+    preorder, replaced by parts."""
+    built = []
+    for label, what in reversed(rhs):
+        built.append(parts.pop() if label is None else
+                     Tree(label, [built.pop() for _ in range(what)]))
+    return built[0]
 
 
 def _calls(rhs):
@@ -396,48 +391,19 @@ def run_relabeling(b, s):
     return Reject() if got is None else got
 
 
-def _tdtt_successors(t, s, form):
-    """First state-call leaf of the form with its grounded rewrites, or
-    (None, None) when the form is ground."""
-    sym_at = _symbol_lookup(s, rooted=False)
-    for faddr, node in form.addresses():
-        if node.children or not is_occurrence(node.label):
-            continue
-        state, v = occ_node_info(node.label)
-        sym = sym_at(v)
-        if sym is None:
-            return faddr, []
-        return faddr, [(r, _ground_calls(r.rhs, v))
-                       for r in t.rules_for(state, sym)]
-    return None, None
-
-
-def _ground_calls(rhs, v):
-    def build(t):
-        info = call_info(t.label)
-        if info is not None and not t.children:
-            return Tree(occ_node(info[0], v + (info[1],)))
-        return Tree(t.label, [build(c) for c in t.children])
-    return build(rhs)
-
-
 def run_tdtt(t, s, budget=None):
-    """Top-down rewriting.  A nondeterministic machine is tolerated only
-    while its answer on s is unambiguous."""
+    """The top-down run on the table (_top_down).  A nondeterministic
+    machine is tolerated only while its answer on s is unambiguous, so
+    two outputs are as many as the run needs."""
     budget = budget or StepBudget()
-    if t.deterministic:
-        tree, count = _top_down(t.rule_table, t.init, s, {})
-        if count > budget.max_steps:
-            return BudgetExhausted()
-        return NoOutput() if tree is None else Output(tree)
-    outs, exhaustive = _search_tdtt(t, s, budget)
+    outs, count = _top_down(t.rule_table, t.init, s, {}, 2)
     if len(outs) > 1:
         raise NotFunctionalInput(
-            "nondeterministic transducer %r has %d outputs on %s"
-            % (t.name, len(outs), s.render()))
-    if outs:
-        return Output(next(iter(outs)))
-    return NoOutput() if exhaustive else BudgetExhausted()
+            "nondeterministic transducer %r has more than one output on %s"
+            % (t.name, s.render()))
+    if count > budget.max_steps:
+        return BudgetExhausted()
+    return Output(outs[0]) if outs else NoOutput()
 
 
 def evaluate(d, s, budget=None):
@@ -510,17 +476,17 @@ def enumerate_shared(d, budget=None):
       max_steps and below max_enumeration, so no budget can bind; any
       other tree is walked on its own (_walk_table);
     - a relabeling keeps its run per subtree;
-    - a deterministic top-down transducer keeps its output and rule
-      count per (state, subtree); a run is cut short when the count of
+    - a top-down transducer keeps its outputs and rule count per
+      (state, subtree) (_top_down); a run is cut short when the count of
       the whole run is above max_steps or reaches max_enumeration, where
-      the rule-by-rule run would stop;
+      the rule-by-rule run of a deterministic one would stop, or when it
+      has more than max_enumeration outputs;
     - a pair runs its second stage on each output of its first, each
       under the budget.
-    A nondeterministic att searches its chain forms (_enumerate_att), and
-    a nondeterministic top-down transducer its string forms, tree by
-    tree; an att without monadic output is refused.  Trees may come in
-    any order: the subtrees of a tree that are not kept yet are done
-    first, off an explicit stack."""
+    A nondeterministic att searches its chain forms (_enumerate_att),
+    tree by tree; an att without monadic output is refused.  Trees may
+    come in any order: the subtrees of a tree that are not kept yet are
+    done first, off an explicit stack."""
     budget = budget or StepBudget()
     if isinstance(d, PairedSpec):
         first = enumerate_shared(d.first, budget)
@@ -565,14 +531,14 @@ def enumerate_shared(d, budget=None):
             return set(), end in ("stuck", "silent")
         return run
     if isinstance(d, TdttSpec):
-        if not d.deterministic:
-            return lambda s: _search_tdtt(d, s, budget)
+        cap = budget.max_enumeration + 1
 
         def run(s):
-            tree, count = _top_down(d.rule_table, d.init, s, memo)
-            if count > budget.max_steps or count >= budget.max_enumeration:
+            outs, count = _top_down(d.rule_table, d.init, s, memo, cap)
+            if count > budget.max_steps or count >= budget.max_enumeration \
+                    or len(outs) == cap:
                 return set(), False
-            return ({tree} if tree is not None else set()), True
+            return set(outs), True
         return run
     raise TypeError("cannot enumerate %r" % type(d).__name__)
 
@@ -591,16 +557,6 @@ def _enumerate_att(a, s, budget):
         return [(labels + more, nxt, leaf) for more, nxt, leaf in step(*tip)]
     outs, exhaustive = _search(((), (a.init, (1,)), None), successors, budget)
     return {_chain_tree(labels, leaf) for labels, _, leaf in outs}, exhaustive
-
-
-def _search_tdtt(t, s, budget):
-    def successors(form):
-        faddr, grounded = _tdtt_successors(t, s, form)
-        if faddr is None:
-            return None
-        return [form.replace_at(faddr, replacement) for _, replacement in grounded]
-    start = Tree(occ_node(t.init, ()))
-    return _search(start, successors, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -1,20 +1,28 @@
-"""The att derivation on string sentential forms, kept as the reference
-for the compiled rule chains that run every att derivation of the
-package.
+"""Derivations on string sentential forms, kept as the references for
+the compiled rule chains that run every att derivation of the package,
+and for the top-down run on a transducer's rule table.
 
 A form is a tree over the output alphabet whose leaves may be
 occurrences attr(address in #(s)); a step rewrites one occurrence by the
 right-hand side of a rule, instantiated at the occurrence's node.  These
 work on any att, monadic or not: run_att is evaluate, enumerate_att is
-enumerate_outputs on an att, derive_step is semantics.derive_step, and
-cycle_on is the productive-cycle search of functionality, each on
-string forms.  rules_for(a, symbol, attr, pos) gives the rules of one
-left-hand side, in the order of the spec.
+enumerate_outputs on an att, and cycle_on is the productive-cycle search
+of functionality, each on string forms.  derive_step gives the forms one
+step away, and replay_cycle checks a productive-cycle certificate step
+by step against it.  rules_for(a, symbol, attr, pos) gives the rules of
+one left-hand side, in the order of the spec.
+
+A top-down transducer's form has calls state(address in s) for leaves,
+and a step rewrites the first of them, in preorder, by a rule for its
+state and the symbol there: rewrite_tdtt is run_tdtt on a deterministic
+transducer, applying the first rule, and search_tdtt is
+enumerate_outputs on any transducer, searching every choice.
 """
 
 from ttdef.errors import DuplicateLhsInDeterministic
-from ttdef.model import (ROOT, check_monadic, is_occurrence, occ_node,
-                         occ_node_info, occ_pattern_info)
+from ttdef.functionality import ProductiveCycle
+from ttdef.model import (ROOT, call_info, check_monadic, is_occurrence,
+                         occ_node, occ_node_info, occ_pattern_info)
 from ttdef.semantics import (BudgetExhausted, NoOutput, Output, _check_lsi,
                              _search, _symbol_lookup)
 from ttdef.trees import Tree, trees_up_to_height
@@ -67,10 +75,18 @@ def expansions(a, sym_at, attr, naddr):
     return [(r, instantiate(r.rhs, base)) for r in rules_for(a, sym, attr, pos)]
 
 
+def bare_lookup(s):
+    """The label at an address of s itself, with no root marker, or None
+    where s has no node: the root of s is at 1 in #(s)."""
+    rooted = _symbol_lookup(s)
+    return lambda v: rooted((1,) + v)
+
+
 def derive_step(a, s, form):
-    """All forms reachable in one derivation step over #(s). Empty iff the
-    form is ground or every occurrence is stuck."""
-    sym_at = _symbol_lookup(s, rooted=True)
+    """All forms reachable in one derivation step over #(s), in the order
+    of the occurrences and then of the rules, with repeats dropped.
+    Empty iff the form is ground or every occurrence is stuck."""
+    sym_at = _symbol_lookup(s)
     out = []
     seen = set()
     for faddr, attr, naddr in occurrences(form):
@@ -89,7 +105,7 @@ def run_att(a, s, budget):
     if not a.deterministic:
         raise DuplicateLhsInDeterministic(
             "att %r is nondeterministic; use enumerate_outputs" % a.name)
-    sym_at = _symbol_lookup(s, rooted=True)
+    sym_at = _symbol_lookup(s)
     form = Tree(occ_node(a.init, (1,)))
     track_cycles = check_monadic(a)
     consumed = set()
@@ -116,7 +132,7 @@ def run_att(a, s, budget):
 
 def enumerate_att(a, s, budget):
     """enumerate_outputs on an att, searching string forms."""
-    sym_at = _symbol_lookup(s, rooted=True)
+    sym_at = _symbol_lookup(s)
 
     def successors(form):
         # Rewriting the first occurrence only is complete: rule choice
@@ -140,7 +156,7 @@ def cycle_on(a, s):
     replacement grows the form and leads back to it; the trace walks
     there and around the cycle until an occurrence repeats with a
     bigger form."""
-    sym_at = _symbol_lookup(s, rooted=True)
+    sym_at = _symbol_lookup(s)
     start = (a.init, (1,))
     edges = {}
     order = [start]
@@ -170,14 +186,32 @@ def cycle_on(a, s):
     return None
 
 
-def detect_productive_cycle(a, depth):
-    """(input, trace) of the first productive cycle over a's input trees
-    up to the depth, in canonical order, or None."""
+def detect_productive_cycle(a, depth=4):
+    """The first productive cycle over a's input trees up to the depth,
+    in canonical order, as the ProductiveCycle is_functional reports, or
+    None."""
     for s in trees_up_to_height(a.input, depth):
         trace = cycle_on(a, s)
         if trace is not None:
-            return s, tuple(trace)
+            return ProductiveCycle(input=s, trace=tuple(trace))
     return None
+
+
+def replay_cycle(a, cert):
+    """True iff the certificate's trace is a derivation over its input
+    from the initial form, one derive_step at a time, that revisits an
+    occurrence with the form strictly grown."""
+    forms = list(cert.trace)
+    if not forms or forms[0] != Tree(occ_node(a.init, (1,))):
+        return False
+    for cur, nxt in zip(forms, forms[1:]):
+        if nxt not in derive_step(a, cert.input, cur):
+            return False
+    spots = {}
+    for idx, form in enumerate(forms[1:], start=1):
+        for _, attr, v in occurrences(form):
+            spots.setdefault((attr, v), []).append(idx)
+    return any(forms[ixs[0]] != forms[ixs[-1]] for ixs in spots.values())
 
 
 def _reaches(edges, src, dst):
@@ -238,3 +272,64 @@ def _walk_trace(start, steps):
             return forms
         first_at.setdefault(y, here)
     return None
+
+
+# ---------------------------------------------------------------------------
+# top-down transducers
+
+def tdtt_successors(t, s, form):
+    """The address of the first call leaf of the form, in preorder, with
+    its rewrites, one per rule for its state and the symbol there, in
+    the order of the spec and a rule repeated verbatim once; [] when s
+    has no node there, and (None, None) when the form is ground."""
+    sym_at = bare_lookup(s)
+    for faddr, node in form.addresses():
+        if node.children or not is_occurrence(node.label):
+            continue
+        state, v = occ_node_info(node.label)
+        sym = sym_at(v)
+        if sym is None:
+            return faddr, []
+        return faddr, [ground_calls(rhs, v) for rhs in
+                       dict.fromkeys(r.rhs for r in t.rules_for(state, sym))]
+    return None, None
+
+
+def ground_calls(rhs, v):
+    """The right-hand side at node v: each call q(xi) becomes q(v.i)."""
+    def build(t):
+        info = call_info(t.label)
+        if info is not None and not t.children:
+            return Tree(occ_node(info[0], v + (info[1],)))
+        return Tree(t.label, [build(c) for c in t.children])
+    return build(rhs)
+
+
+def rewrite_tdtt(t, s, budget):
+    """run_tdtt on a deterministic transducer: the first call in
+    preorder is rewritten by its first rule; stuck when it has none or
+    names a child s lacks."""
+    form = Tree(occ_node(t.init, ()))
+    steps = 0
+    while True:
+        faddr, grounded = tdtt_successors(t, s, form)
+        if faddr is None:
+            return Output(form)
+        if not grounded:
+            return NoOutput()
+        steps += 1
+        if steps > budget.max_steps:
+            return BudgetExhausted()
+        form = form.replace_at(faddr, grounded[0])
+
+
+def search_tdtt(t, s, budget):
+    """enumerate_outputs on a top-down transducer, searching string
+    forms: rewriting the first call only is complete, since the choice
+    at one call commutes with the choice at any other."""
+    def successors(form):
+        faddr, grounded = tdtt_successors(t, s, form)
+        if faddr is None:
+            return None
+        return [form.replace_at(faddr, repl) for repl in grounded]
+    return _search(Tree(occ_node(t.init, ())), successors, budget)

@@ -123,6 +123,41 @@ def test_a_circular_spec_is_refused(command, tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("steps", ["0", "-3"])
+def test_eval_refuses_a_step_budget_that_is_not_positive(steps, tmp_path,
+                                                         capsys):
+    """As decide does: not the default budget, and no traceback."""
+    argv = ["eval", "--max-steps", steps,
+            spec_file(tmp_path, fixtures.a2()), "f(e,e)"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == ("ttdef: error: config max_steps must be a "
+                            "positive integer, got %s\n" % steps)
+
+
+ND_DT = """\
+dt ND
+input g:1 e:0
+output g:1 e:0
+init q
+rule q g: q(g(x1)) -> g(q(x1))
+rule q e: q(e) -> e
+rule q e: q(e) -> g(e)
+"""
+
+
+def test_eval_prints_every_output_of_a_nondeterministic_dt(tmp_path,
+                                                          capsys):
+    spec = tmp_path / "nd.dt"
+    spec.write_text(ND_DT)
+    assert main(["eval", str(spec), "g(e)"]) == 0
+    assert capsys.readouterr().out == "g(e)\ng(g(e))\n"
+    got = run_json(capsys, ["eval", "--json", str(spec), "g(e)"])
+    assert got == {"schema": 1, "outputs": ["g(e)", "g(g(e))"],
+                   "exhaustive": True}
+
+
 def test_eval_refuses_a_nonmonadic_att(tmp_path, capsys):
     spec = tmp_path / "nm.att"
     spec.write_text(NONMONADIC_TEXT)

@@ -5,8 +5,10 @@ depth.  Once no tree up to the depth has a productive cycle, every
 derivation search settles, so enumerating the outputs of each tree
 finds the first one with two; a cycle stands as the verdict unless a
 shallow probe on its tree finds two outputs.  The random tests check
-each verdict against a closure of derive_step, on the bare att and
-behind an identity look-around.
+each verdict against the string-form references of string_forms: the
+productive cycle that detect_productive_cycle finds there and replays
+with replay_cycle, or the outputs in the closure of derive_step, on the
+bare att and behind an identity look-around.
 """
 
 from dataclasses import replace
@@ -19,15 +21,17 @@ from ttdef.analysis import is_circular
 from ttdef.errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from ttdef.functionality import (Equal, FunctionalUpTo, FunctionalityBudget,
                                  NotFunctional, ProductiveCycle, Witness,
-                                 bounded_equivalence, detect_productive_cycle,
-                                 is_functional, replay_cycle)
-from ttdef.model import ROOT, AttRule, AttSpec, PairedSpec, occ_node
-from ttdef.semantics import StepBudget, derive_step, enumerate_outputs
+                                 bounded_equivalence, is_functional)
+from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec, occ_node,
+                         occ_node_info, rhs_chain)
+from ttdef.semantics import (StepBudget, _chain_tree, _occurrence_steps,
+                             enumerate_outputs)
 from ttdef.trees import Tree, canonical_key, parse_tree, trees_up_to_height
 
 import fixtures
 from fixtures import parse_spec
 import string_forms
+from string_forms import derive_step, replay_cycle
 from test_walk_table import IN, OUT, SMALL_BUDGETS, rhs_at, trees
 
 # the productive cycle can also escape, so two outputs exist
@@ -62,16 +66,24 @@ def lifted_a1():
 # productive cycles
 
 
+def productive_cycle(a, depth=4):
+    """The productive cycle is_functional looks for first, over a's input
+    trees up to the depth, or None."""
+    return functionality._productive_cycle(*functionality._inputs(
+        a, FunctionalityBudget(depth=depth)))
+
+
 def test_cycle_trace_golden():
-    cert = detect_productive_cycle(fixtures.p0())
+    cert = productive_cycle(fixtures.p0())
     assert cert.input == parse_tree("e")
     assert [t.render() for t in cert.trace] == \
         ["a(1)", "g(b(1))", "g(a(1))", "g(g(b(1)))"]
+    assert cert == string_forms.detect_productive_cycle(fixtures.p0())
 
 
 def test_cycle_trace_replays_step_by_step():
     p0 = fixtures.p0()
-    cert = detect_productive_cycle(p0)
+    cert = productive_cycle(p0)
     for cur, nxt in zip(cert.trace, cert.trace[1:]):
         assert nxt in derive_step(p0, cert.input, cur)
     assert replay_cycle(p0, cert)
@@ -79,35 +91,49 @@ def test_cycle_trace_replays_step_by_step():
 
 def test_cycle_replay_rejects_tampering():
     p0 = fixtures.p0()
-    cert = detect_productive_cycle(p0)
+    cert = productive_cycle(p0)
     assert not replay_cycle(p0, replace(cert, trace=cert.trace[:3]))
     # a form that is not a chain is no step of a monadic att
     fork = Tree("g", [Tree(occ_node("b", (1,))), Tree(occ_node("b", (1,)))])
     for i in (1, len(cert.trace) - 1):
         trace = cert.trace[:i] + (fork,) + cert.trace[i + 1:]
         assert not replay_cycle(p0, replace(cert, trace=trace))
-    with pytest.raises(NotApplicable, match="branches"):
-        derive_step(p0, cert.input, fork)
     assert not replay_cycle(p0, replace(cert, trace=cert.trace[::-1]))
     assert not replay_cycle(p0, replace(cert, input=parse_tree("g(e)")))
 
 
 def test_no_cycle_when_nothing_grows():
-    assert detect_productive_cycle(fixtures.c0()) is None
+    assert productive_cycle(fixtures.c0()) is None
 
 
 def test_no_cycle_without_circularity():
-    assert detect_productive_cycle(fixtures.a1()) is None
-    assert detect_productive_cycle(fixtures.a2()) is None
+    assert productive_cycle(fixtures.a1()) is None
+    assert productive_cycle(fixtures.a2()) is None
 
 
 def test_cycle_positives_are_circular():
     p0, c0 = fixtures.p0(), fixtures.c0()
-    assert detect_productive_cycle(p0) is not None
+    assert productive_cycle(p0) is not None
     assert is_circular(p0)[0] is True
     # circularity alone is not enough
     assert is_circular(c0)[0] is True
-    assert detect_productive_cycle(c0) is None
+    assert productive_cycle(c0) is None
+
+
+@pytest.mark.parametrize("make", [fixtures.n1, fixtures.p0])
+def test_the_cycle_search_reaches_twice_per_tree(make, monkeypatch):
+    """One pass of strongly connected components finds the cycle edge:
+    a breadth-first reach from the initial occurrence, and one more
+    from the edge's target for the way back.  A reach from the target
+    of every positive edge took 157 on N1."""
+    a = make()
+    calls = []
+    reach = functionality._reach
+    monkeypatch.setattr(functionality, "_reach",
+                        lambda *args: calls.append(args) or reach(*args))
+    trees = trees_up_to_height(a.input, 4)
+    is_functional(a)
+    assert 0 < len(calls) <= 2 * len(trees)
 
 
 # ---------------------------------------------------------------------------
@@ -159,7 +185,7 @@ def test_functional_reports_unfinishable_cycles():
     p0 = fixtures.p0()
     verdict = is_functional(p0)
     assert isinstance(verdict, ProductiveCycle)
-    assert verdict == detect_productive_cycle(p0)
+    assert verdict == productive_cycle(p0)
     assert replay_cycle(p0, verdict)
 
 
@@ -333,7 +359,7 @@ def check_verdict(subject, a, depth):
     A cycle found first decides the verdict; otherwise it names the
     first tree with two outputs, or there is none."""
     verdict = is_functional(subject, depth)
-    cycle = detect_productive_cycle(a, depth)
+    cycle = string_forms.detect_productive_cycle(a, depth)
     if cycle is not None:
         if isinstance(verdict, ProductiveCycle):
             assert verdict == cycle and replay_cycle(a, verdict)
@@ -381,7 +407,7 @@ def reachable_forms(a, s, limit=200):
     seen = set(order)
     i = 0
     while i < len(order) and len(order) < limit:
-        for nxt in string_forms.derive_step(a, s, order[i]):
+        for nxt in derive_step(a, s, order[i]):
             if nxt not in seen:
                 seen.add(nxt)
                 order.append(nxt)
@@ -389,12 +415,28 @@ def reachable_forms(a, s, limit=200):
     return order
 
 
+def chain_step(a, s, form):
+    """The forms one step from a chain form over #(s), stepped on the
+    rule chains that enumerate_outputs and the cycle search step on
+    (semantics._occurrence_steps), in rule order with repeats dropped."""
+    labels, tip, _ = rhs_chain(form, occ_node_info)
+    out = []
+    if tip is not None:
+        for more, nxt, leaf in _occurrence_steps(a, s)(*tip):
+            step = _chain_tree(labels + more,
+                               leaf if nxt is None else occ_node(*nxt))
+            if step not in out:
+                out.append(step)
+    return out
+
+
 @settings(max_examples=200, deadline=None)
 @given(nondeterministic_atts(repeat=True), trees(3), st.integers(2, 3))
 def test_chains_match_string_forms_on_random_atts(a, s, depth):
-    """enumerate_outputs under every small budget, derive_step on every
-    reachable form, and the productive cycle with its trace give what
-    the string-form references give; the cycle replays.  A draw whose
+    """enumerate_outputs under every small budget, a step on the rule
+    chains from every reachable form, and the productive cycle with its
+    trace give what the string-form references give; the cycle
+    replays.  A draw whose
     rules are all one per left-hand side, up to the copy, is
     deterministic and walks its table instead of searching: its
     enumeration is checked in test_walk_table, on atts without copies,
@@ -403,9 +445,7 @@ def test_chains_match_string_forms_on_random_atts(a, s, depth):
         assert enumerate_outputs(a, s, budget) == \
             string_forms.enumerate_att(a, s, budget)
     for form in reachable_forms(a, s):
-        assert derive_step(a, s, form) == \
-            string_forms.derive_step(a, s, form)
-    cycle = detect_productive_cycle(a, depth)
-    want = string_forms.detect_productive_cycle(a, depth)
-    assert cycle == (None if want is None else ProductiveCycle(*want))
+        assert chain_step(a, s, form) == derive_step(a, s, form)
+    cycle = productive_cycle(a, depth)
+    assert cycle == string_forms.detect_productive_cycle(a, depth)
     assert cycle is None or replay_cycle(a, cycle)

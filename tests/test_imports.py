@@ -20,9 +20,6 @@ BENCH = PACKAGE.parent.parent / "bench"
 # call it or the reason it stays.
 UNREAD_ALLOWED = {
     "encode_prefix": "item 1(c), words from counterexample trees",
-    "replay_cycle": "item 8, `ttdef replay` of a productive cycle",
-    "detect_productive_cycle": "the cycle check on its own; is_functional "
-                               "runs its helper on the trees it has listed",
 }
 
 

@@ -3,13 +3,14 @@ import pytest
 from ttdef.errors import DuplicateLhsInDeterministic
 from ttdef.model import occ_node
 from ttdef.semantics import (LSI_VIOLATIONS, BudgetExhausted, Diverges,
-                             NoOutput, Output, Reject, StepBudget, derive_step,
+                             NoOutput, Output, Reject, StepBudget,
                              enumerate_outputs, evaluate, nf, run_relabeling,
                              run_tdtt)
 from ttdef.trees import RankedAlphabet, Tree, parse_tree, trees_up_to_height
 
 import fixtures
 from fixtures import parse_spec
+from string_forms import derive_step
 from test_walk_table import derivation_forms
 
 FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
@@ -32,7 +33,7 @@ def g_tower(n, base="e"):
 
 
 # ---------------------------------------------------------------------------
-# derive_step
+# derive_step, the string-form step that cycle certificates replay under
 
 def test_derive_step_descends_first_child():
     a1 = fixtures.a1()

@@ -5,13 +5,16 @@ output on the spec's rule table; run_att and enumerate_att of
 string_forms rewrite sentential forms and stay the reference, and so
 does reference_nf, kept here.  An att whose output is not monadic is
 refused.  derivation_forms rebuilds the forms of a derivation with
-derive_step for tests that inspect them.  The random atts may be forced
-to emit on a loop through a child, so that their walk analysis meets
-unbounded variation.  Deterministic top-down
-transducers run on their own table in run_tdtt and enumerate_outputs,
-whatever the shape of their right-hand sides, against _rewrite_tdtt, the
-deterministic run on string forms kept here, and _search_tdtt.  Pairs
-run stage by stage, checked against the same references composed.
+string_forms.derive_step for tests that inspect them.  The random atts
+may be forced to emit on a loop through a child, so that their walk
+analysis meets unbounded variation.  Top-down transducers, deterministic or not, run
+on their own table in run_tdtt and enumerate_outputs, whatever the shape
+of their right-hand sides.  A deterministic one is checked against
+rewrite_tdtt and search_tdtt of string_forms under every budget, and
+any one against search_tdtt under the default budget, where both find
+every output: the two count budgets differently once a left-hand side
+has two rules.  Pairs run stage by stage, checked against the same
+references composed.
 The walk analysis reads its node walks off Crossings.walk: local_run
 gives the chi-free segment of one, and stitch chains segments through
 a context answer.  reference_local_run, the node walk on the rules_for
@@ -36,27 +39,27 @@ from ttdef.analysis import (HALT_DEAD, HALT_OK, local_run, single_path,
 from ttdef.constructions import (associate, normalize_domain_into_range,
                                  normalize_ground_rhs)
 from ttdef.errors import NotApplicable
-from ttdef.functionality import (Equal, bounded_equivalence,
-                                 detect_productive_cycle)
+from ttdef import functionality
+from ttdef.functionality import Equal, bounded_equivalence
 from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec,
                          RelabelingSpec, TdttRule, TdttSpec, call_label,
                          check_monadic, occ_node, occ_node_info, occ_pattern,
                          occ_pattern_info, parse_all)
 from ttdef.pipeline import decide_dtR
 from ttdef import semantics
+from ttdef.errors import NotFunctionalInput
 from ttdef.semantics import (LSI_VIOLATIONS, BudgetExhausted, Crossings,
                              Diverges, NoOutput, Output, Reject, StepBudget,
-                             _search_tdtt, _symbol_lookup, _tdtt_successors,
-                             _walk_table, derive_step, enumerate_outputs,
-                             enumerate_shared, evaluate, nf, run_relabeling,
-                             run_tdtt)
+                             _walk_table, enumerate_outputs, enumerate_shared,
+                             evaluate, nf, run_relabeling, run_tdtt)
 from ttdef.trees import RankedAlphabet, Tree, trees_up_to_height
 from ttdef.word_transducers import accepted_words, build_two_way, tree_of
 
 import fixtures
 from fixtures import parse_spec
-from string_forms import (enumerate_att, expansions, occurrences, rules_for,
-                          run_att)
+from string_forms import (bare_lookup, derive_step, enumerate_att, expansions,
+                          occurrences, rewrite_tdtt, rules_for, run_att,
+                          search_tdtt)
 
 IN = RankedAlphabet({"f": 2, "g": 1, "e": 0})
 OUT = RankedAlphabet({"h": 1, "k": 1, "c": 0})
@@ -258,10 +261,10 @@ def test_walks_off_the_table_keep_the_derivation():
 @pytest.mark.parametrize("run", [
     lambda a, s: evaluate(a, s),
     lambda a, s: enumerate_outputs(a, s),
-    lambda a, s: derive_step(a, s, Tree(occ_node(a.init, (1,)))),
-    lambda a, s: detect_productive_cycle(a, 2),
-], ids=["evaluate", "enumerate_outputs", "derive_step",
-        "detect_productive_cycle"])
+    lambda a, s: semantics._occurrence_steps(a, s),
+    lambda a, s: functionality._productive_cycle(a, [s]),
+], ids=["evaluate", "enumerate_outputs", "occurrence_steps",
+        "productive_cycle"])
 def test_a_nonmonadic_att_is_refused(run):
     """Every att derivation runs on rule chains, so an att whose output
     is not monadic is refused, as the walk analysis refuses it."""
@@ -279,7 +282,7 @@ def reference_nf(a, s, start, budget=None):
     rewritten, stuck ones stay as tips, and a consumed occurrence met
     again, or a step past the budget, gives Diverges."""
     budget = budget or StepBudget()
-    sym_at = _symbol_lookup(s, rooted=False)
+    sym_at = bare_lookup(s)
     track_cycles = check_monadic(a)
     consumed = set()
     form = start
@@ -412,31 +415,39 @@ def test_associate_reads_crossing_summaries(monkeypatch):
 # ---------------------------------------------------------------------------
 # top-down transducers on their table
 
-def _rewrite_tdtt(t, s, budget):
-    """The deterministic run on string forms: the first call in preorder
-    is rewritten by its first rule; stuck when it has none or names a
-    child s lacks."""
-    form = Tree(occ_node(t.init, ()))
-    steps = 0
-    while True:
-        faddr, grounded = _tdtt_successors(t, s, form)
-        if faddr is None:
-            return Output(form)
-        if not grounded:
-            return NoOutput()
-        steps += 1
-        if steps > budget.max_steps:
-            return BudgetExhausted()
-        _, replacement = grounded[0]
-        form = form.replace_at(faddr, replacement)
-
-
 def same_tdtt_as_reference(t, s, budget):
+    """On a deterministic transducer, run_tdtt and enumerate_outputs
+    against the string-form references under the budget."""
     assert t.deterministic
-    assert run_tdtt(t, s, budget) == _rewrite_tdtt(t, s, budget), \
+    assert run_tdtt(t, s, budget) == rewrite_tdtt(t, s, budget), \
         s.render()
-    assert enumerate_outputs(t, s, budget) == _search_tdtt(t, s, budget), \
+    assert enumerate_outputs(t, s, budget) == search_tdtt(t, s, budget), \
         s.render()
+
+
+def same_tdtt_outputs_as_search(t, s):
+    """On any transducer, under the default budget: where the string-form
+    search finds every output, enumerate_outputs finds the same ones,
+    and run_tdtt refuses the tree exactly where there are two or more.
+    Copies choose independently, so the search can run out of forms on
+    a copying transducer where the run on the table does not; the run's
+    outputs must then include the ones the search found.  Returns
+    whether the search found every output."""
+    budget = StepBudget()
+    want, done = search_tdtt(t, s, budget)
+    got, exhaustive = enumerate_outputs(t, s, budget)
+    if not done:
+        assert not exhaustive or want <= got, s.render()
+        return False
+    assert (got, exhaustive) == (want, True), s.render()
+    try:
+        one = run_tdtt(t, s, budget)
+    except NotFunctionalInput:
+        assert len(want) > 1, s.render()
+    else:
+        assert len(want) < 2, s.render()
+        assert one == (Output(*want) if want else NoOutput()), s.render()
+    return True
 
 
 WIDE = RankedAlphabet({"h": 1, "k": 1, "m": 2, "c": 0})
@@ -461,18 +472,25 @@ def tdtt_rhs(draw, tips, depth):
 
 @st.composite
 def tdtts(draw):
-    """Deterministic top-down transducers over IN whose right-hand sides
-    are chains, or branch and copy under the rank-2 m.  Rules go missing
-    at random, and calls may name a child the symbol does not have (x0,
-    x2 under g, any under e)."""
+    """Top-down transducers over IN whose right-hand sides are chains, or
+    branch and copy under the rank-2 m.  In half of them each left-hand
+    side has one or two rules, in the others one; sometimes a rule comes
+    again, verbatim.  Rules go missing at random, and calls may name a
+    child the symbol does not have (x0, x2 under g, any under e)."""
     states = tuple("q%d" % i for i in range(draw(st.integers(1, 3))))
     tips = [Tree("c")] + [Tree(call_label(q, i)) for q in states
                           for i in range(3)]
+    most = draw(st.integers(1, 2))
     rules = []
     for q in states:
         for sym in IN.symbols():
             if draw(st.integers(0, 4)):
-                rules.append(TdttRule(q, sym, draw(tdtt_rhs(tips, 2))))
+                more = [TdttRule(q, sym, draw(tdtt_rhs(tips, 2)))
+                        for _ in range(draw(st.integers(1, most)))]
+                if draw(st.integers(0, 3)) == 0:
+                    more.insert(draw(st.integers(0, len(more))),
+                                draw(st.sampled_from(more)))
+                rules.extend(more)
     return TdttSpec(name="T", input=IN, output=WIDE,
                     init=draw(st.sampled_from(states)), rules=tuple(rules))
 
@@ -480,7 +498,12 @@ def tdtts(draw):
 @settings(max_examples=300, deadline=None)
 @given(tdtts(), trees(4), budgets)
 def test_table_walk_matches_rewriting_on_random_tdtts(t, s, budget):
-    same_tdtt_as_reference(t, s, budget)
+    """A deterministic draw against the string-form run and search under
+    the budget drawn, any draw against the search under the default
+    budget."""
+    if t.deterministic:
+        same_tdtt_as_reference(t, s, budget)
+    same_tdtt_outputs_as_search(t, s)
 
 
 def test_table_walk_matches_rewriting_on_branching_tdtts():
@@ -506,9 +529,33 @@ def test_table_walk_matches_rewriting_on_branching_tdtts():
     assert kinds == {"Output", "NoOutput", "BudgetExhausted", "enumeration"}
 
 
+def test_a_copying_nondeterministic_tdtt_matches_the_search():
+    """Two rules for one left-hand side under a rule that copies a call:
+    each copy chooses on its own, as the string-form search rewrites
+    them, on every tree up to height 3."""
+    q1, p2 = Tree(call_label("q", 1)), Tree(call_label("p", 2))
+    t = TdttSpec(name="C", input=IN, output=WIDE, init="q", rules=(
+        TdttRule("q", "g", Tree("m", [q1, q1])),
+        TdttRule("q", "g", Tree("h", [q1])),
+        TdttRule("q", "f", Tree("m", [q1, p2])),
+        TdttRule("q", "e", Tree("c")),
+        TdttRule("q", "e", Tree("k", [Tree("c")])),
+        TdttRule("p", "e", Tree("c")),
+        TdttRule("p", "g", Tree("h", [Tree(call_label("q", 1))]))))
+    assert not t.deterministic
+    many = 0
+    for s in trees_up_to_height(IN, 3):
+        assert same_tdtt_outputs_as_search(t, s), s.render()
+        many += len(enumerate_outputs(t, s)[0]) > 1
+    assert many
+    got, _ = enumerate_outputs(t, Tree("g", [Tree("e")]))
+    assert Tree("m", [Tree("c"), Tree("k", [Tree("c")])]) in got
+    assert len(got) == 6
+
+
 def reference_outputs(d, s, budget, walk=False):
     """enumerate_outputs composed from the references stage by stage:
-    run_relabeling, _search_tdtt and enumerate_att.  Given walk, an att
+    run_relabeling, search_tdtt and enumerate_att.  Given walk, an att
     that walks its table is walked on s alone (_walk_table, which
     same_as_reference checks against enumerate_att): the search a
     productive cycle sends to the default budget takes minutes."""
@@ -517,7 +564,7 @@ def reference_outputs(d, s, budget, walk=False):
         ok = not isinstance(got, Reject) and got[0] in d.final
         return ({got[1]} if ok else set()), True
     if isinstance(d, TdttSpec):
-        return _search_tdtt(d, s, budget)
+        return search_tdtt(d, s, budget)
     if isinstance(d, AttSpec):
         if not (walk and d.walks_on_table):
             return enumerate_att(d, s, budget)
@@ -540,13 +587,13 @@ def reference_outputs(d, s, budget, walk=False):
 
 def reference_run(d, s, budget):
     """evaluate composed from the references stage by stage:
-    run_relabeling, _rewrite_tdtt and run_att."""
+    run_relabeling, rewrite_tdtt and run_att."""
     if isinstance(d, RelabelingSpec):
         got = run_relabeling(d, s)
         ok = not isinstance(got, Reject) and got[0] in d.final
         return Output(got[1]) if ok else NoOutput()
     if isinstance(d, TdttSpec):
-        return _rewrite_tdtt(d, s, budget)
+        return rewrite_tdtt(d, s, budget)
     if isinstance(d, AttSpec):
         return run_att(d, s, budget)
     first = reference_run(d.first, s, budget)
@@ -603,8 +650,8 @@ def test_att_with_lookaround_enumerates_off_string_forms(monkeypatch):
     """Enumerating A2 behind the leftmost-e look-around over its depth-4
     inputs rewrites no string form."""
     calls = []
-    rewrite = semantics._tdtt_successors
-    monkeypatch.setattr(semantics, "_tdtt_successors",
+    rewrite = Tree.replace_at
+    monkeypatch.setattr(Tree, "replace_at",
                         lambda *args: calls.append(args) or rewrite(*args))
     d = PairedSpec("attU", "LME", fixtures.leftmost_e_lookaround(),
                    fixtures.a2())
@@ -657,13 +704,13 @@ def test_bounded_equivalence_walks_the_dtr_on_its_table(a2_dtr, monkeypatch):
             return fn(*args)
         monkeypatch.setattr(owner, name, counted)
 
-    for name in ("_tdtt_successors", "_walk_table"):
-        count(semantics, name)
+    count(semantics, "_walk_table")
     count(semantics.Crossings, "summary")
+    count(Tree, "replace_at")
     assert bounded_equivalence(fixtures.a2(), a2_dtr, 4) == Equal(4)
     # 1 446 input trees up to depth 4
     assert 0 < calls["summary"] <= 1446
-    assert (calls["_tdtt_successors"], calls["_walk_table"]) == (0, 0)
+    assert (calls["replace_at"], calls["_walk_table"]) == (0, 0)
 
 
 # ---------------------------------------------------------------------------
@@ -702,7 +749,16 @@ def test_shared_atts_match_enumeration_on_random_atts(a, budget):
 @settings(max_examples=150, deadline=None)
 @given(tdtts(), st.sampled_from(SHARED_BUDGETS))
 def test_shared_tdtts_match_enumeration_on_random_tdtts(t, budget):
-    same_as_enumeration(t, trees_up_to_height(IN, 4), budget)
+    """A nondeterministic draw, whose budgets the string-form search
+    counts differently, against enumerate_outputs tree by tree, which
+    same_tdtt_outputs_as_search checks against the search; on trees up
+    to height 3, where a copying draw has fewer outputs to build."""
+    if t.deterministic:
+        same_as_enumeration(t, trees_up_to_height(IN, 4), budget)
+        return
+    run = enumerate_shared(t, budget)
+    for s in trees_up_to_height(IN, 3):
+        assert run(s) == enumerate_outputs(t, s, budget), s.render()
 
 
 def test_shared_atts_match_enumeration_on_fixtures():
@@ -746,9 +802,13 @@ def test_shared_pairs_match_enumeration(make, a2_dtr):
                                StepBudget()) == (0, 0)
 
 
-def test_tdtts_off_the_table_keep_the_rewriting():
-    """A state with two rules for one symbol leaves string forms in
-    charge; a right-hand side with two calls walks the table."""
+def test_two_rules_for_one_lhs_walk_the_table(monkeypatch):
+    """A right-hand side with two calls, and a state with two rules for
+    one symbol, both run on the table and rewrite no string form."""
+    calls = []
+    rewrite = Tree.replace_at
+    monkeypatch.setattr(Tree, "replace_at",
+                        lambda *args: calls.append(args) or rewrite(*args))
     pair = TdttSpec(name="P", input=IN, output=RankedAlphabet({"m": 2, "c": 0}),
                     init="q", rules=(
                         TdttRule("q", "g", Tree("m", [Tree(call_label("q", 1)),
@@ -763,6 +823,9 @@ def test_tdtts_off_the_table_keep_the_rewriting():
     assert not both.deterministic
     assert enumerate_outputs(both, Tree("e")) == (
         {Tree("c"), Tree("h", [Tree("c")])}, True)
+    with pytest.raises(NotFunctionalInput):
+        run_tdtt(both, Tree("e"))
+    assert calls == []
 
 
 # ---------------------------------------------------------------------------
