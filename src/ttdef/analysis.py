@@ -69,8 +69,8 @@ from dataclasses import dataclass, field
 from .errors import NotApplicable
 from .model import ROOT, check_monadic, occ_pattern_info
 from .semantics import Crossings, _bottom_up
-from .trees import (HOLE, Tree, explore_bottom_up, fill_holes,
-                    settle_representatives)
+from .trees import (HOLE, Tree, breadth_first, explore_bottom_up,
+                    fill_holes, path_to, settle_representatives)
 
 HALT_OK = "halt_ok"
 HALT_DEAD = "halt_dead"
@@ -440,41 +440,36 @@ def _chain(tau, entry, chi_map):
 
 
 class TopDown:
-    """Reachable valid configurations from a given set of roots, with the
-    production-indexed child configurations and discovery parents."""
+    """Valid configurations reachable from a given set of roots, in the
+    order breadth_first finds them, with the production-indexed child
+    configurations.  parent is the breadth_first map, with edges (prod,
+    child index)."""
 
     def __init__(self, att, shapes, roots):
         self.att = att
         self.shapes = shapes
-        self.configs = []
         self.psi = {}         # config -> frozenset of visiting pairs
         self.expansions = {}  # config -> [(prod, {child index: config})]
         self.emit = {}        # (config, id(prod)) -> the node's own output
-        self.parent = {}      # config -> (config, prod, child index)
         self.has_unvisited = False
         self._interned = {}   # config -> the one equal instance in use
-        queue = []
-        for cfg in roots:
-            if self._admit(cfg):
-                queue.append(cfg)
-        while queue:
-            cfg = queue.pop(0)
-            for prod, children in self._expand(cfg):
-                self.expansions[cfg].append((prod, children))
-                for i, child in children.items():
-                    if child not in self.psi and self._admit(child):
-                        self.parent[child] = (cfg, prod, i)
-                        queue.append(child)
 
-    def _admit(self, cfg):
-        if cfg in self.psi:
-            return False
-        got = _chain(self.shapes.tau[cfg.key], cfg.entry, cfg.chi_map())
-        if got is None:
-            return False
-        self.configs.append(cfg)
-        self.psi[cfg] = got[1]
-        self.expansions[cfg] = []
+        def successors(cfg):
+            self.expansions[cfg] = self._expand(cfg)
+            return [((prod, i), child)
+                    for prod, children in self.expansions[cfg]
+                    for i, child in children.items() if self._valid(child)]
+        self.parent = breadth_first([cfg for cfg in roots if self._valid(cfg)],
+                                    successors)
+        self.configs = list(self.parent)
+
+    def _valid(self, cfg):
+        """Whether cfg's chain completes; keeps its visiting pairs."""
+        if cfg not in self.psi:
+            got = _chain(self.shapes.tau[cfg.key], cfg.entry, cfg.chi_map())
+            if got is None:
+                return False
+            self.psi[cfg] = got[1]
         return True
 
     def _expand(self, cfg):
@@ -678,17 +673,13 @@ class _Growth:
                     core_comps.add(comp[cfg])
         self.comp = comp
         self.core_comps = core_comps
-        self.unb = set()
-        changed = True
-        while changed:
-            changed = False
-            for cfg, lst in self.edges.items():
-                if cfg in self.unb:
-                    continue
-                if comp[cfg] in core_comps or \
-                        any(child in self.unb for child, *_ in lst):
-                    self.unb.add(cfg)
-                    changed = True
+        back = {}
+        for cfg, lst in self.edges.items():
+            for edge in lst:
+                back.setdefault(edge[0], []).append((edge, cfg))
+        self.unb = set(breadth_first(
+            [cfg for cfg in self.edges if comp[cfg] in core_comps],
+            lambda cfg: back.get(cfg, ())))
 
     def _values(self):
         self.value = {}
@@ -718,29 +709,10 @@ class _Growth:
         output: the loop closes a shape-preserving cycle through an edge
         that emits or carries a positive side subtree."""
         # path from target to the first configuration inside a core component
-        core = {c for c in self.unb if self.comp[c] in self.core_comps}
-        prev = {target: None}
-        queue = [target]
-        entry = None
-        while queue:
-            cur = queue.pop(0)
-            if cur in core:
-                entry = cur
-                break
-            for child, prod, i, children, why in self.edges.get(cur, ()):
-                if child not in prev and child in self.unb:
-                    prev[child] = (cur, prod, i, children, why)
-                    queue.append(child)
-        assert entry is not None, "no core component reachable from target"
-        path = []
-        cur = entry
-        while prev[cur] is not None:
-            parent, prod, i, children, why = prev[cur]
-            path.append((parent, prod, i, children, why))
-            cur = parent
-        path.reverse()
+        prev = self._search(target, self.unb.__contains__)
+        entry = next(c for c in prev if self.comp[c] in self.core_comps)
         outer = Tree(HOLE)
-        for cfg, prod, i, children, why in path:
+        for cfg, prod, i, children, why in path_to(prev, entry):
             piece = self.shapes.plug(prod, {i: Tree(HOLE)})
             outer = fill_holes(outer, [piece])
         loop_edges = self._cycle_through_positive(entry)
@@ -765,34 +737,19 @@ class _Growth:
                 continue
             for child, prod, i, children, why in lst:
                 if why is not None and inside(child):
-                    to_src = self._path_inside(entry, src, cid)
-                    back = self._path_inside(child, entry, cid)
+                    to_src = path_to(self._search(entry, inside), src)
+                    back = path_to(self._search(child, inside), entry)
                     edge = (src, prod, i, children, why)
                     return to_src + [edge] + back
         raise AssertionError("no positive edge in core component")
 
-    def _path_inside(self, src, dst, cid):
-        if src == dst:
-            return []
-        prev = {src: None}
-        queue = [src]
-        while queue:
-            cur = queue.pop(0)
-            for edge in self.edges.get(cur, ()):
-                child = edge[0]
-                if self.comp.get(child) != cid or child in prev:
-                    continue
-                prev[child] = (cur, (cur,) + edge[1:])
-                if child == dst:
-                    steps = []
-                    while prev[child] is not None:
-                        parent, e = prev[child]
-                        steps.append(e)
-                        child = parent
-                    steps.reverse()
-                    return steps
-                queue.append(child)
-        raise AssertionError("disconnected component")
+    def _search(self, src, keep):
+        """The breadth_first map from src along the edges into the
+        configurations keep accepts, each edge (config, prod, hole index,
+        children, why)."""
+        return breadth_first([src], lambda cur: [
+            ((cur,) + edge[1:], edge[0]) for edge in self.edges.get(cur, ())
+            if keep(edge[0])])
 
 
 @dataclass
@@ -950,10 +907,8 @@ def _reconstruct(shapes, sys, flagged, cfg, prod, children, i1, i2):
     t = shapes.plug(prod, {i1: sub1, i2: sub2})
     v1 = (i1,) + a1
     v2 = (i2,) + a2
-    while cfg in sys.parent:
-        parent_cfg, p, i = sys.parent[cfg]
+    for p, i in reversed(path_to(sys.parent, cfg)):
         t = shapes.plug(p, {i: t})
         v1 = (i,) + v1
         v2 = (i,) + v2
-        cfg = parent_cfg
     return t, v1, v2

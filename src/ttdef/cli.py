@@ -359,18 +359,24 @@ def _build_parser():
         p.add_argument("--spec", metavar="NAME",
                        help="declaration to use (default: last in file)")
 
-    def budget_args(p, out=True):
+    budget_flags = {
+        "--depth": "override equivalence_depth",
+        "--verify-length": "override verify_word_length",
+        "--state-bound": "override synth_state_bound",
+        "--max-steps": "override max_steps, the step cap of the "
+                       "functionality searches and of bounded_equivalence "
+                       "(ttdef eval's default)",
+    }
+
+    def budget_args(p, flags=tuple(budget_flags), out=True):
+        """--config and the budget flags the command reads; a config file
+        may set every key."""
         p.add_argument("--config", metavar="FILE",
                        help="budget config, key = value lines "
                             "(default: $TTDEF_CONFIG if set)")
-        p.add_argument("--depth", type=int, metavar="N",
-                       help="override equivalence_depth")
-        p.add_argument("--verify-length", type=int, metavar="N",
-                       help="override verify_word_length")
-        p.add_argument("--state-bound", type=int, metavar="N",
-                       help="override synth_state_bound")
-        p.add_argument("--max-steps", type=int, metavar="N",
-                       help="override max_steps")
+        for flag in flags:
+            p.add_argument(flag, type=int, metavar="N",
+                           help=budget_flags[flag])
         if out:
             p.add_argument("--out", metavar="DIR", default=DEFAULT_OUTDIR,
                            help="artifact directory (default %(default)s)")
@@ -382,7 +388,8 @@ def _build_parser():
     spec_arg(p)
     p.add_argument("tree", help="input tree, e.g. 'f(e,e)'")
     p.add_argument("--max-steps", type=int, metavar="N",
-                   help="derivation step budget")
+                   help="derivation step budget (default: BudgetConfig's "
+                        "max_steps, %d)" % BudgetConfig.max_steps)
 
     p = add("analyze", _cmd_analyze,
             "circularity, visiting pair sets, variation, single path")
@@ -403,7 +410,7 @@ def _build_parser():
     p = add("definable", _cmd_definable,
             "one-way definability of the two-way word machine")
     spec_arg(p)
-    budget_args(p)
+    budget_args(p, ("--verify-length", "--state-bound"))
     p.add_argument("--budget-words", type=int, metavar="N",
                    help="cap on cached words (0 gives Unknown)")
     p.add_argument("--replay", metavar="CERT",
@@ -422,7 +429,7 @@ def _build_parser():
     p = add("functional", _cmd_functional,
             "does a nondeterministic att still compute a function")
     spec_arg(p)
-    budget_args(p, out=False)
+    budget_args(p, ("--depth", "--max-steps"), out=False)
 
     p = add("compose", _cmd_compose,
             "compose staged transducers left to right")

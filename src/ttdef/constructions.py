@@ -19,7 +19,7 @@ from .model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
                     occ_node, occ_pattern)
 from . import semantics
 from .semantics import Crossings, _chain_tree
-from .trees import (RankedAlphabet, Tree, explore_bottom_up,
+from .trees import (RankedAlphabet, Tree, breadth_first, explore_bottom_up,
                     settle_representatives)
 
 # bench/spans.py traces calls through this name.
@@ -452,9 +452,10 @@ def compose_dtR(t1, t2):
 
     The fused look-ahead pairs t1's look-ahead state with a table sending
     each state of t1's top stage to the state t2's look-ahead reaches on
-    the output produced from there. The fused top stage runs pairs of
-    states, symbolically pushing t2's rules through t1's right-hand
-    sides; a combination with no complete continuation yields no rule.
+    the output produced from there. The fused top stage runs the pairs of
+    states that breadth_first reaches from the initial pair, symbolically
+    pushing t2's rules through t1's right-hand sides; a combination with
+    no complete continuation yields no rule.
     """
     for t in (t1, t2):
         if not isinstance(t, PairedSpec) or t.kind not in ("dtR", "lookaround"):
@@ -528,10 +529,9 @@ def compose_dtR(t1, t2):
                                  for c in rhs2.children])
 
     trules = []
-    pending = [(d1.init, d2.init)]
-    done = {pending[0]}
-    while pending:
-        q1, q2 = pending.pop(0)
+
+    def fuse(pair):
+        q1, q2 = pair
         for ann, _, mid, lams in ann_info:
             rules1 = d1.rules_for(q1, mid)
             if not rules1:
@@ -542,10 +542,10 @@ def compose_dtR(t1, t2):
             except _Dead:
                 continue
             trules.append(TdttRule(_pair_state(q1, q2), ann, rhs))
-            for pair in needed:
-                if pair not in done:
-                    done.add(pair)
-                    pending.append(pair)
+            for called in needed:
+                yield None, called
+
+    breadth_first([(d1.init, d2.init)], fuse)
     init_i = q1index[d1.init]
     final = tuple(states[key] for key in order
                   if key[0] in r1.final and key[1][init_i] is not None

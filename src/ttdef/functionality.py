@@ -27,7 +27,8 @@ from .analysis import _components
 from .model import PairedSpec, check_monadic, input_alphabet, occ_node
 from .semantics import (StepBudget, _chain_tree, _occurrence_steps,
                         enumerate_outputs, enumerate_shared)
-from .trees import Tree, canonical_key, trees_up_to_height
+from .trees import (Tree, breadth_first, canonical_key, path_to,
+                    trees_up_to_height)
 
 
 @dataclass(frozen=True)
@@ -147,34 +148,17 @@ def _cycle_on(a, s):
     for u in reach:
         for labels, v, _ in edges[u]:
             if labels and v is not None and comp[u] == comp[v]:
-                loop = [(u, labels, v)] + _path(_reach(out, v), u)
-                return _walk_trace(start, _path(reach, u) + loop * 3)
+                loop = [(u, labels, v)] + path_to(_reach(out, v), u)
+                return _walk_trace(start, path_to(reach, u) + loop * 3)
     return None
 
 
 def _reach(out, src):
-    """Every occurrence reachable from src, breadth first, each mapped to
-    the first-discovered edge into it, (occurrence, labels); src to
-    None."""
-    parent = {src: None}
-    queue = [src]
-    for x in queue:
-        for labels, y, _ in out(x):
-            if y is not None and y not in parent:
-                parent[y] = (x, labels)
-                queue.append(y)
-    return parent
-
-
-def _path(parent, dst):
-    """The steps (occurrence, labels, next occurrence) from the source of
-    a _reach map to dst."""
-    steps = []
-    while parent[dst] is not None:
-        x, labels = parent[dst]
-        steps.append((x, labels, dst))
-        dst = x
-    return steps[::-1]
+    """The breadth_first map of the occurrences reachable from src, each
+    edge a step (occurrence, labels, next occurrence)."""
+    return breadth_first([src], lambda x: [((x, labels, y), y)
+                                           for labels, y, _ in out(x)
+                                           if y is not None])
 
 
 def _walk_trace(start, steps):
@@ -267,11 +251,11 @@ def is_functional(a, budget=None):
     NotFunctional witness whenever some derivation over the same input
     actually finishes twice, and stands as the verdict otherwise.
     Without one every derivation search settles, so the outputs of each
-    tree up to the budget depth are enumerated in canonical order: the
-    first tree with two or more gives NotFunctional with its two
-    smallest outputs, and a search the step budget cuts short raises
-    NotApplicable.  Exhausting both checks yields
-    FunctionalUpTo(depth)."""
+    tree up to the budget depth are enumerated in canonical order,
+    through one enumerate_shared: the first tree with two or more gives
+    NotFunctional with its two smallest outputs, and a search the step
+    budget cuts short raises NotApplicable.  Exhausting both checks
+    yields FunctionalUpTo(depth)."""
     budget = FunctionalityBudget.coerce(budget)
     att, shown = _inputs(a, budget)
     if not check_monadic(att):
@@ -286,9 +270,9 @@ def is_functional(a, budget=None):
         probe = StepBudget(max_steps=min(budget.max_steps, 400))
         two = _two_smallest(enumerate_outputs(att, cyc.input, probe)[0])
         return cyc if two is None else NotFunctional(shown[cyc.input], *two)
-    steps = StepBudget(max_steps=budget.max_steps)
+    run = enumerate_shared(att, StepBudget(max_steps=budget.max_steps))
     for s, input_tree in shown.items():
-        outs, exhaustive = enumerate_outputs(att, s, steps)
+        outs, exhaustive = run(s)
         if not exhaustive:
             raise NotApplicable("derivation search over %r on %s stopped "
                                 "within %d steps"

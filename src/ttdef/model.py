@@ -325,7 +325,7 @@ class RelabelingSpec:
     def rule_for(self, symbol, child_states):
         return self._index.get((symbol, tuple(child_states)))
 
-    @property
+    @cached_property
     def states(self):
         out = []
         seen = set()
@@ -372,7 +372,9 @@ class TdttSpec:
         return tuple(r for r in self.rules
                      if r.state == state and r.symbol == symbol)
 
-    @property
+    # As for AttSpec, the properties below are computed once per spec.
+
+    @cached_property
     def states(self):
         out = [self.init]
         seen = {self.init}
@@ -385,8 +387,6 @@ class TdttSpec:
                     seen.add(q)
                     out.append(q)
         return tuple(out)
-
-    # As for AttSpec, the properties below are computed once per spec.
 
     @cached_property
     def deterministic(self):

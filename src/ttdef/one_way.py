@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 from .model import TdttRule, TdttSpec, call_label
 from .semantics import _chain_tree
+from .trees import breadth_first, path_to
 
 
 @dataclass(frozen=True)
@@ -204,13 +205,14 @@ def _not_word_shaped(cand):
 
 
 def _language_product(init, steps, aut):
-    """Breadth-first search of a one-way machine against the word
-    language, over pairs (machine state, set of automaton states that
-    still climb to a final): a letter moves the machine by its steps
-    and the set to the states that climb into it.  Starts from (init,
-    final states).  Returns the leaf states of the automaton, each pair
-    in the order found with the shortest word that reaches it, and the
-    arrows (pair, letter, pair) in the same order."""
+    """The product of a one-way machine with the word language, searched
+    by breadth_first over pairs (machine state, set of automaton states
+    that still climb to a final): a letter moves the machine by its
+    steps and the set to the states that climb into it.  Starts from
+    (init, final states).  Returns the leaf states of the automaton, the
+    breadth_first map of the pairs with letters for edges, so that
+    path_to gives a shortest word to each, and the arrows (pair, letter,
+    pair) in the order found."""
     up = {}
     leafst = {}
     for r in aut.rules:
@@ -222,27 +224,30 @@ def _language_product(init, steps, aut):
     for (q, letter), (_, q2) in steps.items():
         if q2 is not None:
             moves.setdefault(q, []).append((letter, q2))
-    order = [(init, frozenset(aut.final))]
-    paths = {order[0]: ()}
+    states = aut.states
     arrows = []
-    for q, down in order:
+
+    def successors(node):
+        q, down = node
         for letter, q2 in sorted(moves.get(q, ())):
-            key = (q2, frozenset(l for l in aut.states
+            key = (q2, frozenset(l for l in states
                                  if up.get((letter, l)) in down))
-            if key not in paths:
-                paths[key] = paths[(q, down)] + (letter,)
-                order.append(key)
-            arrows.append(((q, down), letter, key))
-    return leafst, paths, arrows
+            arrows.append((node, letter, key))
+            yield letter, key
+    parent = breadth_first([(init, frozenset(aut.final))], successors)
+    return leafst, parent, arrows
 
 
 def restrict_to_language(cand, aut):
     """Product of the candidate with the word language: a leaf rule
     survives only where the automaton accepts, and states that cannot
     reach an accepting leaf are dropped, so the machine rejects by
-    omission everywhere outside the language."""
+    omission everywhere outside the language.  The states kept are those
+    a breadth_first search back over the arrows reaches from the
+    accepting pairs, named t0, t1, ... in the order the product found
+    them."""
     steps = _word_steps(cand)
-    leafst, paths, arrows = _language_product(cand.init, steps, aut)
+    leafst, pairs, arrows = _language_product(cand.init, steps, aut)
     ends = {}
     for (q, leaf), (chunk, q2) in steps.items():
         if q2 is None:
@@ -250,21 +255,18 @@ def restrict_to_language(cand, aut):
     accepts = {(q, down): [(leaf, chunk) for leaf, chunk in
                            sorted(ends.get(q, ()))
                            if leafst.get(leaf) in down]
-               for q, down in paths}
-    alive = {node for node, acc in accepts.items() if acc}
-    changed = True
-    while changed:
-        changed = False
-        for src, _, dst in arrows:
-            if dst in alive and src not in alive:
-                alive.add(src)
-                changed = True
+               for q, down in pairs}
+    back = {}
+    for src, letter, dst in arrows:
+        back.setdefault(dst, []).append((letter, src))
+    alive = breadth_first([node for node, acc in accepts.items() if acc],
+                          lambda node: back.get(node, ()))
     start = (cand.init, frozenset(aut.final))
     if start not in alive:
         return TdttSpec(name=cand.name, input=cand.input, output=cand.output,
                         init="t0", rules=())
     name_of = {}
-    for node in paths:
+    for node in pairs:
         if node in alive:
             name_of[node] = "t%d" % len(name_of)
     rules = []
@@ -297,12 +299,12 @@ def _dom_within(cand, aut, steps):
     """A shortest word the candidate accepts outside the automaton's
     language, or None.  Exact for all lengths: the product search covers
     every pair the candidate and the language can reach together."""
-    leafst, paths, _ = _language_product(cand.init, steps, aut)
-    for (q, down), path in paths.items():
+    leafst, pairs, _ = _language_product(cand.init, steps, aut)
+    for q, down in pairs:
         for leaf in sorted(l for (p, l), (_, q2) in steps.items()
                            if p == q and q2 is None):
             if leafst.get(leaf) not in down:
-                return path + (leaf,)
+                return tuple(path_to(pairs, (q, down))) + (leaf,)
     return None
 
 

@@ -49,7 +49,10 @@ class BudgetConfig:
     equivalence_depth bounds the input trees used for the final
     certification and for functionality probes; verify_word_length and
     synth_state_bound parametrize the one-way definability oracle;
-    max_steps caps any single derivation search.
+    max_steps caps the steps of the functionality searches
+    (is_functional) and of bounded_equivalence, and is the step budget
+    `ttdef eval` takes by default.  The oracle's word walks do not read
+    it: they run under DefinabilityBudget.max_steps.
     """
     equivalence_depth: int = 4
     verify_word_length: int = 10

@@ -99,6 +99,33 @@ def explore_bottom_up(alphabet, step):
     return found
 
 
+def breadth_first(roots, successors):
+    """Nodes reachable from the roots, breadth first: a dict in the order
+    found, mapping each root to None and every other node to (node,
+    edge), the first edge found into it.  successors(node) gives (edge,
+    next node) pairs; it is called once per node, in the order found, so
+    callers may record what it sees.  Callers name states and pick
+    witness paths in this order, so it is part of every artifact built
+    on it."""
+    parent = dict.fromkeys(roots)
+    queue = list(parent)
+    for node in queue:
+        for edge, nxt in successors(node):
+            if nxt not in parent:
+                parent[nxt] = (node, edge)
+                queue.append(nxt)
+    return parent
+
+
+def path_to(parent, node):
+    """The edges from a root of a breadth_first map to node, in order."""
+    path = []
+    while parent[node] is not None:
+        node, edge = parent[node]
+        path.append(edge)
+    return path[::-1]
+
+
 def settle_representatives(productions, reps):
     """Make reps[state] the canonical_key-smallest tree among those the
     productions build from the children's representatives, repeating

@@ -167,6 +167,29 @@ def test_eval_refuses_a_nonmonadic_att(tmp_path, capsys):
     assert captured.err == "ttdef: error: nonmonadic\n"
 
 
+@pytest.mark.parametrize("command, flag", [
+    ("definable", "--depth"), ("definable", "--max-steps"),
+    ("functional", "--verify-length"), ("functional", "--state-bound")])
+def test_a_budget_flag_the_command_does_not_read_is_refused(command, flag,
+                                                           tmp_path, capsys):
+    argv = [command, spec_file(tmp_path, fixtures.a2()), flag, "1"]
+    assert main(argv) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "ttdef: error: unrecognized arguments: %s 1\n" % flag \
+        in captured.err
+
+
+def test_the_budget_flags_a_command_reads_take_effect(tmp_path, capsys):
+    spec = spec_file(tmp_path, fixtures.a2())
+    got = run_json(capsys, ["definable", "--json", "--verify-length", "3",
+                            "--state-bound", "16", spec])
+    assert (got["verdict"], got["verified_length"]) == ("definable", 3)
+    got = run_json(capsys, ["functional", "--json", "--depth", "2",
+                            "--max-steps", "100", spec])
+    assert got == {"schema": 1, "verdict": "functional", "depth": 2}
+
+
 FUNCTIONAL = {
     "n1": {"verdict": "not-functional", "input": "e",
            "outputs": ["e", "g(e)"]},

@@ -16,7 +16,7 @@ from dataclasses import replace
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from ttdef import functionality
+from ttdef import functionality, semantics
 from ttdef.analysis import is_circular
 from ttdef.errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from ttdef.functionality import (Equal, FunctionalUpTo, FunctionalityBudget,
@@ -241,7 +241,8 @@ def test_functional_with_look_around_reports_cycles():
 def test_functional_lists_its_inputs_once(make, paired, monkeypatch):
     """The productive-cycle pass and the enumeration read one list of
     trees: on the look-around route each input is relabeled once, all
-    of them through one enumerate_shared."""
+    of them through one enumerate_shared, and the enumeration, which
+    P0's productive cycle stops first, runs through one more."""
     a = make()
     if paired:
         a = PairedSpec(kind="attU", name="u", second=a,
@@ -258,7 +259,29 @@ def test_functional_lists_its_inputs_once(make, paired, monkeypatch):
         monkeypatch.setattr(functionality, name,
                             counted(getattr(functionality, name)))
     is_functional(a, 3)
-    assert calls == {"_inputs": 1, "enumerate_shared": int(paired)}
+    enumerates = make is not fixtures.p0
+    assert calls == {"_inputs": 1,
+                     "enumerate_shared": int(paired) + enumerates}
+
+
+def test_functional_compiles_each_plan_once(monkeypatch):
+    """The enumeration keeps one Crossings across the listed trees, so
+    each walk plan is compiled once: A2 behind an identity look-around
+    at depth 3 compiles 44, where a Crossings per tree made 38 of them
+    and compiled 184 plans."""
+    made = []
+
+    class Counted(semantics.Crossings):
+        def __init__(self, att):
+            super().__init__(att)
+            made.append(self)
+
+    monkeypatch.setattr(semantics, "Crossings", Counted)
+    a2 = fixtures.a2()
+    a = PairedSpec(kind="attU", name="u", second=a2,
+                   first=fixtures.identity_lookaround(a2.input, "id"))
+    assert is_functional(a, 3) == FunctionalUpTo(3)
+    assert [len(c.plans) for c in made] == [44]
 
 
 def test_functional_rejects_other_pair_kinds():

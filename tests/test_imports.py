@@ -1,11 +1,14 @@
 """Every name a module of the package imports is used in that module,
 and every top-level function and class of the package, and every method
 and property of its classes, is read by the package or the benchmark.
+No module pops the head of a list.
 
 No linter runs on this package, so these scans stand in for the
 unused-import and dead-code checks: an import nothing reads is either
 dead code or a sign that a caller was rewired and the old dependency
-left behind, and a function only tests call belongs with the tests.
+left behind, and a function only tests call belongs with the tests.  A
+list popped at its head is a hand-rolled queue; a search goes through
+trees.breadth_first, whose order every artifact depends on.
 """
 
 import ast
@@ -51,6 +54,29 @@ def test_the_scan_sees_an_unused_import():
               "from dataclasses import field as f\n"
               "def g():\n    import sys\n    return loads(os.sep)\n")
     assert unused_imports(source) == [(2, "dumps"), (3, "f"), (5, "sys")]
+
+
+def queue_pops(source):
+    """Lines of the .pop(0) calls in source."""
+    return sorted(node.lineno for node in ast.walk(ast.parse(source))
+                  if isinstance(node, ast.Call)
+                  and isinstance(node.func, ast.Attribute)
+                  and node.func.attr == "pop" and len(node.args) == 1
+                  and isinstance(node.args[0], ast.Constant)
+                  and node.args[0].value == 0)
+
+
+@pytest.mark.parametrize("path", sorted(PACKAGE.glob("*.py")),
+                         ids=lambda p: p.name)
+def test_no_list_is_popped_at_its_head(path):
+    assert queue_pops(path.read_text()) == []
+
+
+def test_the_scan_sees_a_queue():
+    source = ("queue = [1]\nfor x in queue:\n    queue.pop()\n"
+              "while queue:\n    x = queue.pop(0)\n"
+              "seen.pop(0, None)\nqueue.pop(1)\nhead = [queue.pop(0)]\n")
+    assert queue_pops(source) == [5, 8]
 
 
 def _reads(node):

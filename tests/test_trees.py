@@ -6,9 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from ttdef.errors import ArityMismatch, NoSuchNode, SpecSyntaxError, UnknownSymbol
 from ttdef.trees import (
-    RankedAlphabet, Tree, canonical_key, explore_bottom_up, fill_holes,
-    format_address, hole_addresses, leaf, parse_tree, tokenize,
-    trees_up_to_height,
+    RankedAlphabet, Tree, breadth_first, canonical_key, explore_bottom_up,
+    fill_holes, format_address, hole_addresses, leaf, parse_tree, path_to,
+    tokenize, trees_up_to_height,
 )
 
 FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
@@ -258,3 +258,82 @@ def test_explore_bottom_up_counts_tree_heights():
                      ("f", (1, 2)), ("f", (2, 1)), ("f", (2, 2)), ("g", (2,)),
                      ("f", (1, 3)), ("f", (2, 3)), ("f", (3, 1)),
                      ("f", (3, 2)), ("f", (3, 3)), ("g", (3,))]
+
+
+# ---------------------------------------------------------------------------
+# reachable nodes breadth first
+
+# node -> [(edge, next node)]; b reaches c straight and a reaches it too,
+# and x is reachable from no root
+GRAPH = {"a": [("ab", "b"), ("ac", "c")],
+         "b": [("bd", "d"), ("bc", "c")],
+         "c": [("cd", "d"), ("ca", "a")],
+         "d": [("de", "e")],
+         "e": [],
+         "x": [("xa", "a")]}
+
+
+def counted_successors(graph):
+    calls = []
+
+    def successors(node):
+        calls.append(node)
+        return graph[node]
+    return successors, calls
+
+
+def test_breadth_first_puts_each_root_first_once():
+    successors, _ = counted_successors(GRAPH)
+    parent = breadth_first(["b", "a", "b"], successors)
+    assert list(parent)[:2] == ["b", "a"]
+    assert parent["b"] is None and parent["a"] is None
+
+
+def test_breadth_first_finds_in_order_and_keeps_the_first_edge():
+    """c is found from the root b before the root a is expanded, so the
+    cross edge ac comes too late; d, found from b, is expanded before c."""
+    successors, calls = counted_successors(GRAPH)
+    parent = breadth_first(["b", "a"], successors)
+    assert parent == {"b": None, "a": None, "d": ("b", "bd"),
+                      "c": ("b", "bc"), "e": ("d", "de")}
+    assert list(parent) == ["b", "a", "d", "c", "e"]
+    assert calls == list(parent)
+
+
+def test_path_to_gives_the_edges_from_a_root():
+    successors, _ = counted_successors(GRAPH)
+    parent = breadth_first(["a"], successors)
+    assert path_to(parent, "a") == []
+    assert path_to(parent, "c") == ["ac"]
+    assert path_to(parent, "e") == ["ab", "bd", "de"]
+    assert "x" not in parent
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(0, 7), max_size=3), min_size=8,
+                max_size=8),
+       st.lists(st.integers(0, 7), min_size=1, max_size=3))
+def test_breadth_first_paths_are_shortest(succ, roots):
+    """On random graphs over 0..7 each node's path is a walk from a root
+    along the graph's edges, as short as any, and a node is in the map
+    exactly when some root reaches it."""
+    graph = {u: [((u, k), v) for k, v in enumerate(vs)]
+             for u, vs in enumerate(succ)}
+    successors, calls = counted_successors(graph)
+    parent = breadth_first(roots, successors)
+    dist, layer, d = {}, set(roots), 0
+    while layer:
+        dist.update(dict.fromkeys(layer, d))
+        layer = {v for u in layer for v in succ[u] if v not in dist}
+        d += 1
+    assert set(parent) == set(dist)
+    assert calls == list(parent)
+    for node in parent:
+        path = path_to(parent, node)
+        assert len(path) == dist[node]
+        at = path[0][0] if path else node
+        assert at in roots
+        for u, k in path:
+            assert u == at
+            at = succ[u][k]
+        assert at == node
