@@ -130,8 +130,7 @@ def _cmd_validate(args):
 
 
 def _cmd_eval(args):
-    over = {} if args.max_steps is None else {"max_steps": args.max_steps}
-    budget = StepBudget(max_steps=BudgetConfig(**over).max_steps)
+    budget = StepBudget(max_steps=_resolve_config(args).max_steps)
     d = _subject(_load_decls(args.file), args.spec)
     s = parse_tree(args.tree, alphabet=input_alphabet(d))
     outputs, exhaustive = enumerate_outputs(d, s, budget)
@@ -388,8 +387,9 @@ def _build_parser():
     spec_arg(p)
     p.add_argument("tree", help="input tree, e.g. 'f(e,e)'")
     p.add_argument("--max-steps", type=int, metavar="N",
-                   help="derivation step budget (default: BudgetConfig's "
-                        "max_steps, %d)" % BudgetConfig.max_steps)
+                   help="derivation step budget (default: max_steps of "
+                        "$TTDEF_CONFIG if set, else %d)"
+                        % BudgetConfig.max_steps)
 
     p = add("analyze", _cmd_analyze,
             "circularity, visiting pair sets, variation, single path")

@@ -41,15 +41,24 @@ def normalize_ground_rhs(a):
     it the value xi, every input symbol passes it down unchanged, and the
     offending rules emit the attribute instead of the tree. The result
     computes the same translation. Returns the input unchanged when there
-    is nothing to rewrite, so applying the pass twice is a no-op.
+    is nothing to rewrite, so applying the pass twice is a no-op.  Rules
+    often share one right-hand side object, and each object is checked
+    once, under its id, which stays valid while a.rules holds it.
     """
-    grounds = []
+    ground = {}     # id of a right-hand side object -> whether it is ground
+
+    def is_ground(rhs):
+        if id(rhs) not in ground:
+            ground[id(rhs)] = _is_ground(rhs)
+        return ground[id(rhs)]
+
+    grounds = {}    # the ground trees, in the order first met
     for sym, rules in a.rules.items():
         if sym == ROOT:
             continue
         for r in rules:
-            if _is_ground(r.rhs) and r.rhs not in grounds:
-                grounds.append(r.rhs)
+            if is_ground(r.rhs):
+                grounds[r.rhs] = None
     if not grounds:
         return a
     taken = set(a.attributes) | set(a.output) | set(a.input)
@@ -58,7 +67,7 @@ def normalize_ground_rhs(a):
     for sym, old in a.rules.items():
         bucket = []
         for r in old:
-            if sym != ROOT and _is_ground(r.rhs):
+            if sym != ROOT and is_ground(r.rhs):
                 bucket.append(AttRule(r.attr, r.pos,
                                       Tree(occ_pattern(names[r.rhs], 0))))
             else:

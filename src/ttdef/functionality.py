@@ -25,8 +25,9 @@ from dataclasses import dataclass, fields
 from .errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from .analysis import _components
 from .model import PairedSpec, check_monadic, input_alphabet, occ_node
-from .semantics import (StepBudget, _chain_tree, _occurrence_steps,
-                        enumerate_outputs, enumerate_shared)
+from .semantics import (StepBudget, _chain_tree, _occurrence_steps, _shared,
+                        _word_output, enumerate_outputs, enumerate_shared,
+                        tree_of)
 from .trees import (Tree, breadth_first, canonical_key, path_to,
                     trees_up_to_height)
 
@@ -177,11 +178,14 @@ def _walk_trace(start, steps):
 # ---------------------------------------------------------------------------
 # bounded equivalence
 
-def _smallest_difference(mine, theirs):
-    extra = sorted(mine - theirs, key=canonical_key)
-    if extra:
-        return extra[0]
-    return min(mine, key=canonical_key) if mine else None
+def _smallest_difference(mine, theirs, as_tree):
+    """The canonically smallest output of mine that theirs lacks, else of
+    mine, as a tree (as_tree, if given, builds it); None when mine is
+    empty."""
+    extra = mine - theirs or mine
+    if as_tree is not None:
+        extra = map(as_tree, extra)
+    return min(extra, key=canonical_key, default=None)
 
 
 def bounded_equivalence(d1, d2, depth, budget=None):
@@ -194,22 +198,30 @@ def bounded_equivalence(d1, d2, depth, budget=None):
     common input alphabet; a side with no output at the differing input
     is reported as None.  Each machine's outputs are enumerated as
     enumerate_outputs does under the budget, but with work shared across
-    the trees (enumerate_shared): each distinct subtree is summarized,
-    relabeled or transduced once for the whole call."""
+    the trees (semantics._shared): each distinct subtree is summarized,
+    relabeled or transduced once for the whole call, and of each tree
+    only the root is stepped.  When both machines have monadic output
+    (semantics._word_output) the outputs are compared as words, the
+    tuples of their labels, and only the outputs a witness is picked
+    from become trees; otherwise they are compared as trees."""
     budget = budget or StepBudget()
     in1, in2 = input_alphabet(d1), input_alphabet(d2)
     if in1 != in2:
         raise AlphabetMismatch("cannot compare %r and %r over different "
                                "input alphabets" % (d1.name, d2.name))
-    run1, run2 = enumerate_shared(d1, budget), enumerate_shared(d2, budget)
+    if _word_output(d1) and _word_output(d2):
+        shared, as_tree = _shared, tree_of
+    else:
+        shared, as_tree = enumerate_shared, None
+    run1, run2 = shared(d1, budget), shared(d2, budget)
     for s in trees_up_to_height(in1, depth):
         got1, done1 = run1(s)
         got2, done2 = run2(s)
         if not (done1 and done2):
             return Unfinished(s)
         if got1 != got2:
-            return Witness(s, _smallest_difference(got1, got2),
-                           _smallest_difference(got2, got1))
+            return Witness(s, _smallest_difference(got1, got2, as_tree),
+                           _smallest_difference(got2, got1, as_tree))
     return Equal(depth)
 
 

@@ -45,21 +45,31 @@ def _lcp(a, b):
 
 
 def _onward_prefixes(sample):
-    """For each proper prefix of a sampled word, the longest output
-    prefix shared by everything below it, clamped so that every word's
-    final rule keeps at least its last output letter.  Words and
-    prefixes merge into their parents one length at a time, each once."""
+    """(prefixes, out): the proper prefixes of the sampled words, shortest
+    first and in order within a length, and for each one below a defined
+    word the longest output prefix shared by the defined words below it,
+    clamped so that every word's final rule keeps at least its last
+    output letter.  Words and prefixes merge into their parents one
+    length at a time, each once; a rejected word only adds its
+    prefixes, and each length's prefixes are sorted once."""
     words = {}
     for w, o in sample.items():
-        words.setdefault(len(w), []).append((w, (o, len(o) - 1)))
-    out, up = {}, {}
+        words.setdefault(len(w), []).append(
+            (w, None if o is None else (o, len(o) - 1)))
+    out, up, levels = {}, {}, []
     for n in range(max(words, default=0), 0, -1):
         level, up = up, {}
-        for p, (v, c) in words.get(n, []) + list(level.items()):
-            got = up.get(p[:-1], (v, c))
-            up[p[:-1]] = _lcp(got[0], v), min(got[1], c)
-        out.update((p, v[:c]) for p, (v, c) in up.items())
-    return out
+        for p, got in words.get(n, []) + list(level.items()):
+            parent = p[:-1]
+            have = up.get(parent)
+            if have is None or got is None:
+                up[parent] = have or got
+            else:
+                up[parent] = _lcp(have[0], got[0]), min(have[1], got[1])
+        out.update((p, got[0][:got[1]]) for p, got in up.items()
+                   if got is not None)
+        levels.append(sorted(up))
+    return [p for level in reversed(levels) for p in level], out
 
 
 _REJECT = object()
@@ -80,10 +90,7 @@ def synthesize(sample, enc, out_alpha, name, bound):
     if not sample:
         return TdttSpec(name=name, input=enc, output=out_alpha, init="s0",
                         rules=()), None
-    positives = {w: o for w, o in sample.items() if o is not None}
-    out = _onward_prefixes(positives)
-    prefixes = {w[:j] for w in sample for j in range(len(w))}
-    prefixes = sorted(sorted(prefixes), key=len)
+    prefixes, out = _onward_prefixes(sample)
     index = {p: i for i, p in enumerate(prefixes)}
     edges = [dict() for _ in prefixes]
     terms = [dict() for _ in prefixes]

@@ -36,14 +36,23 @@ enumerate_shared evaluates each distinct subtree once for as long as
 its caller keeps it.  An att that walks its table keeps one crossing
 summary per subtree (Crossings, Shepherdson 1959): how the walk entering
 at each synthesized attribute ends inside the subtree and what it emits
-there, read at the root marker.  The walks at a node run once per label
-and ends of the children's walks, as a plan that joins their chunks;
-the oracle's word cache reads each word through the same plans, over
+there.  The walks at a node run once per label and ends of the
+children's walks, as a plan that joins their chunks; the root of each
+tree is read through the root marker's plan composed with its own
+(Crossings.read), and so is each word of the oracle's word cache, over
 the summaries of its suffixes.
 A tree on which a budget could bind the att walk is walked on its own.
 A relabeling keeps its run per subtree, a top-down transducer its
 outputs and rule count per (state, subtree), and a pair composes its
-stages.
+stages.  Of a tree whose subtrees are all kept only the root is stepped.
+A machine with monadic output (an att, a top-down transducer whose
+output symbols all have rank <= 1, or a pair whose second stage is one
+of these) gives each output as a word, the tuple of its labels with the
+leaf last: a monadic top-down rule joins its labels with its call's
+word.  Relabelings and other top-down transducers give trees, and a pair
+hands trees from its first stage to its second.  enumerate_shared,
+enumerate_outputs and run_tdtt still return trees, each built once at
+that boundary; functionality.bounded_equivalence compares the words.
 
 No derivation here rewrites string sentential forms.  The derivations
 on string forms, of atts and of top-down transducers, are kept with the
@@ -266,52 +275,119 @@ def _chain_tree(labels, leaf):
     return tree
 
 
-def _top_down(table, state, s, memo, cap):
-    """(outputs, rules applied) of the runs from state on s, on the rule
-    table of a top-down transducer.  The outputs are the union, over the
-    rules for state and the label of s, of every choice of one output
-    per call of the rule, at most cap of them, in rule order and then in
-    the order of the calls' outputs.  A rule that gets stuck (a call
-    with no output, or into a child s lacks) gives none and counts the
-    rules applied before it, in the preorder the string-form run
-    rewrites calls in; the count adds up the rules.  Outputs from a
-    state on a subtree do not depend on the context, and copies of a
-    call choose independently, so memo keeps both per (state, subtree),
-    for one cap: an output shares the outputs of its calls, and a
-    copying transducer does each call once.  On a deterministic table
-    there is at most one output, and the count is that of its one run."""
-    stack = [(state, s)]
-    while stack:
-        key = stack[-1]
-        if key in memo:
-            stack.pop()
-            continue
-        rhss = table.get((key[0], key[1].label), ())
-        kids = key[1].children
-        todo = [(q, kids[i - 1]) for rhs in rhss for _, (q, i) in _calls(rhs)
-                if 1 <= i <= len(kids) and (q, kids[i - 1]) not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        outs, count = {}, 0
+def tree_of(word):
+    """The monadic tree of a word, its labels with the leaf last."""
+    return _chain_tree(word[:-1], word[-1])
+
+
+def _word_output(d):
+    """Whether d has monadic output: an att, a top-down transducer whose
+    output symbols all have rank <= 1, or a pair whose second stage is
+    one of these.  The runs of _shared give each output of such a
+    machine as a word, the tuple of its labels with the leaf last."""
+    if isinstance(d, PairedSpec):
+        return _word_output(d.second)
+    return isinstance(d, AttSpec) or \
+        isinstance(d, TdttSpec) and check_monadic(d)
+
+
+def _top_down_rules(t):
+    """t's rule table, each right-hand side as (calls, build): its calls
+    (state, child) in preorder, and the function that gives its output
+    from one output per call.  With monadic output (_word_output) a
+    right-hand side is a chain, and build joins its labels with the one
+    call's word or ends them in its leaf; otherwise build fills the
+    right-hand side's tree (_fill)."""
+    words = check_monadic(t)
+    rules = {}
+    for lhs, rhss in t.rule_table.items():
+        compiled = []
         for rhs in rhss:
-            count += 1
-            parts = []
-            for _, (q, i) in _calls(rhs):
-                got, n = memo[q, kids[i - 1]] if 1 <= i <= len(kids) \
-                    else ((), 0)
-                count += n
-                if not got:
-                    break
-                parts.append(got)
+            calls = tuple(what for label, what in rhs if label is None)
+            if not words:
+                build = lambda choice, rhs=rhs: _fill(rhs, list(choice))
+            elif calls:
+                labels = tuple(label for label, _ in rhs[:-1])
+                build = lambda choice, labels=labels: labels + choice[0]
             else:
-                for choice in itertools.product(*parts):
-                    if len(outs) == cap:
-                        break
-                    outs[_fill(rhs, list(choice))] = None
-        memo[key] = tuple(outs), count
-    return memo[state, s]
+                word = tuple(label for label, _ in rhs)
+                build = lambda choice, word=word: word
+            compiled.append((calls, build))
+        rules[lhs] = tuple(compiled)
+    return rules
+
+
+def _top_down(rules, state, s, memo, cap):
+    """(outputs, rules applied) of the runs from state on s, on the rules
+    of a top-down transducer as _top_down_rules compiles them.  The
+    outputs are the union, over the rules for state and the label of s,
+    of every choice of one output per call of the rule, at most cap of
+    them, in rule order and then in the order of the calls' outputs;
+    words where the transducer has monadic output, trees otherwise.  A
+    rule that gets stuck (a call with no output, or into a child s
+    lacks) gives none and counts the rules applied before it, in the
+    preorder the string-form run rewrites calls in; the count adds up
+    the rules.  Outputs from a state on a subtree do not depend on the
+    context, and copies of a call choose independently, so memo keeps
+    both per (state, subtree), for one cap: an output shares the outputs
+    of its calls, and a copying transducer does each call once.  On a
+    deterministic table there is at most one output, and the count is
+    that of its one run.  The calls not kept yet are run first, off an
+    explicit stack; when all are kept, (state, s) is stepped at once."""
+    key = state, s
+    if key not in memo:
+        stack = _unkept(rules, key, memo)
+        while stack:
+            top = stack[-1]
+            if top in memo:
+                stack.pop()
+                continue
+            todo = _unkept(rules, top, memo)
+            if todo:
+                stack.extend(todo)
+                continue
+            stack.pop()
+            memo[top] = _top_down_step(rules, top, memo, cap)
+        memo[key] = _top_down_step(rules, key, memo, cap)
+    return memo[key]
+
+
+def _unkept(rules, key, memo):
+    """The calls (state, child) of the rules at key that memo lacks."""
+    state, s = key
+    kids = s.children
+    return [(q, kids[i - 1]) for calls, _ in rules.get((state, s.label), ())
+            for q, i in calls
+            if 1 <= i <= len(kids) and (q, kids[i - 1]) not in memo]
+
+
+def _top_down_step(rules, key, memo, cap):
+    """_top_down at key, over the kept outputs of its calls.  A rule
+    whose calls have one output each builds one output, without
+    itertools.product."""
+    state, s = key
+    kids = s.children
+    outs, count = {}, 0
+    for calls, build in rules.get((state, s.label), ()):
+        count += 1
+        parts = []
+        for q, i in calls:
+            got, n = memo[q, kids[i - 1]] if 1 <= i <= len(kids) \
+                else ((), 0)
+            count += n
+            if not got:
+                break
+            parts.append(got)
+        else:
+            if all(len(got) == 1 for got in parts):
+                choices = [[got[0] for got in parts]]
+            else:
+                choices = itertools.product(*parts)
+            for choice in choices:
+                if len(outs) == cap:
+                    break
+                outs[build(choice)] = None
+    return tuple(outs), count
 
 
 def _fill(rhs, parts):
@@ -322,11 +398,6 @@ def _fill(rhs, parts):
         built.append(parts.pop() if label is None else
                      Tree(label, [built.pop() for _ in range(what)]))
     return built[0]
-
-
-def _calls(rhs):
-    """The calls of a compiled top-down right-hand side, in preorder."""
-    return [node for node in rhs if node[0] is None]
 
 
 def nf(a, s, start, budget=None):
@@ -354,19 +425,23 @@ def nf(a, s, start, budget=None):
 
 def _bottom_up(s, memo, step):
     """memo[s], once memo[t] = step(t, [memo[c] for c in t.children]) is
-    filled in, children first, for every subtree t of s it lacks."""
-    stack = [s]
-    while stack:
-        t = stack[-1]
-        if t in memo:
+    filled in, children first, for every subtree t of s it lacks.  The
+    children not kept yet are done first, off an explicit stack; when all
+    are kept, s is stepped at once."""
+    if s not in memo:
+        stack = [c for c in s.children if c not in memo]
+        while stack:
+            t = stack[-1]
+            if t in memo:
+                stack.pop()
+                continue
+            todo = [c for c in t.children if c not in memo]
+            if todo:
+                stack.extend(todo)
+                continue
             stack.pop()
-            continue
-        todo = [c for c in t.children if c not in memo]
-        if todo:
-            stack.extend(todo)
-            continue
-        stack.pop()
-        memo[t] = step(t, [memo[c] for c in t.children])
+            memo[t] = step(t, [memo[c] for c in t.children])
+        memo[s] = step(s, [memo[c] for c in s.children])
     return memo[s]
 
 
@@ -396,14 +471,16 @@ def run_tdtt(t, s, budget=None):
     machine is tolerated only while its answer on s is unambiguous, so
     two outputs are as many as the run needs."""
     budget = budget or StepBudget()
-    outs, count = _top_down(t.rule_table, t.init, s, {}, 2)
+    outs, count = _top_down(_top_down_rules(t), t.init, s, {}, 2)
     if len(outs) > 1:
         raise NotFunctionalInput(
             "nondeterministic transducer %r has more than one output on %s"
             % (t.name, s.render()))
     if count > budget.max_steps:
         return BudgetExhausted()
-    return Output(outs[0]) if outs else NoOutput()
+    if not outs:
+        return NoOutput()
+    return Output(tree_of(outs[0]) if check_monadic(t) else outs[0])
 
 
 def evaluate(d, s, budget=None):
@@ -470,30 +547,49 @@ def enumerate_outputs(d, s, budget=None):
 def enumerate_shared(d, budget=None):
     """A function that gives, for each tree s it is called on, (all ground
     outputs of d on s reachable within budget, exhaustive flag), sharing
-    work across the trees for as long as the function is kept:
+    work across the trees for as long as the function is kept.  The runs
+    are those of _shared; where they give words, each output becomes its
+    tree here, once."""
+    run = _shared(d, budget or StepBudget())
+    if not _word_output(d):
+        return run
+
+    def trees(s):
+        words, exhaustive = run(s)
+        return {tree_of(w) for w in words}, exhaustive
+    return trees
+
+
+def _shared(d, budget):
+    """enumerate_shared's run of d, which gives each output as a word
+    where d has monadic output (_word_output) and as a tree otherwise:
     - an att that walks its rule table keeps a Crossings summary per
       distinct subtree, on a tree where width * (size + 1) is at most
-      max_steps and below max_enumeration, so no budget can bind; any
-      other tree is walked on its own (_walk_table);
-    - a relabeling keeps its run per subtree;
+      max_steps and below max_enumeration, so no budget can bind, and
+      reads the root through Crossings.read; any other tree is walked on
+      its own (_walk_table);
+    - a relabeling keeps its run per subtree, and gives trees;
     - a top-down transducer keeps its outputs and rule count per
       (state, subtree) (_top_down); a run is cut short when the count of
       the whole run is above max_steps or reaches max_enumeration, where
       the rule-by-rule run of a deterministic one would stop, or when it
       has more than max_enumeration outputs;
-    - a pair runs its second stage on each output of its first, each
+    - a pair runs its second stage on each tree its first gives, each
       under the budget.
     A nondeterministic att searches its chain forms (_enumerate_att),
     tree by tree; an att without monadic output is refused.  Trees may
-    come in any order: the subtrees of a tree that are not kept yet are
-    done first, off an explicit stack."""
-    budget = budget or StepBudget()
+    come in any order: of a tree whose subtrees are all kept, only the
+    root is stepped."""
     if isinstance(d, PairedSpec):
         first = enumerate_shared(d.first, budget)
-        second = enumerate_shared(d.second, budget)
+        second = _shared(d.second, budget)
 
         def run(s):
             firsts, exhaustive = first(s)
+            if len(firsts) == 1:
+                (t,) = firsts
+                got, done = second(t)
+                return got, exhaustive and done
             outs = set()
             for t in firsts:
                 got, done = second(t)
@@ -523,18 +619,21 @@ def enumerate_shared(d, budget=None):
                 kind, chunk, leaf = _walk_table(d, s, budget.max_steps,
                                                 budget.max_enumeration)
                 end = "leaf" if kind == "output" else kind
+                chunk = tuple(chunk)
             else:
-                chunk, end, leaf = crossings.at_root(
-                    _bottom_up(s, memo, summarize))
+                chunk, end, leaf = crossings.read(
+                    s.label, [_bottom_up(c, memo, summarize)
+                              for c in s.children])
             if end == "leaf":
-                return {_chain_tree(chunk, leaf)}, True
+                return {chunk + (leaf,)}, True
             return set(), end in ("stuck", "silent")
         return run
     if isinstance(d, TdttSpec):
+        rules = _top_down_rules(d)
         cap = budget.max_enumeration + 1
 
         def run(s):
-            outs, count = _top_down(d.rule_table, d.init, s, memo, cap)
+            outs, count = _top_down(rules, d.init, s, memo, cap)
             if count > budget.max_steps or count >= budget.max_enumeration \
                     or len(outs) == cap:
                 return set(), False
@@ -546,8 +645,8 @@ def enumerate_shared(d, budget=None):
 def _enumerate_att(a, s, budget):
     """_search over the forms of the monadic att a over #(s), each kept
     as (labels, tip, leaf) as _occurrence_steps gives them: a state is
-    ground when its tip is None.  Rewriting the one occurrence of a form
-    is the whole step."""
+    ground when its tip is None, and gives the word labels + (leaf,).
+    Rewriting the one occurrence of a form is the whole step."""
     step = _occurrence_steps(a, s)
 
     def successors(state):
@@ -556,7 +655,7 @@ def _enumerate_att(a, s, budget):
             return None
         return [(labels + more, nxt, leaf) for more, nxt, leaf in step(*tip)]
     outs, exhaustive = _search(((), (a.init, (1,)), None), successors, budget)
-    return {_chain_tree(labels, leaf) for labels, _, leaf in outs}, exhaustive
+    return {labels + (leaf,) for labels, _, leaf in outs}, exhaustive
 
 
 # ---------------------------------------------------------------------------
@@ -577,8 +676,8 @@ class Crossings:
     walks at a node depend on the ends below it, never on the chunks, so
     they run once per label and children's ends, kept as a plan: per
     attribute its end and its chunk's pieces, labels or child i's chunk
-    of attribute k.  summary joins a node's plan, at_root the root
-    marker's, read the marker's composed through the node's below it.
+    of attribute k.  summary joins a node's plan, and read the root
+    marker's composed through the node's below it.
     A word is the monadic case: a letter has one child, the last none.
 
     walk runs one walk at a node over any ends of its children, and the
@@ -610,14 +709,10 @@ class Crossings:
         ends, pieces = self._plan(label, tuple([b[0] for b in below]))
         return ends, tuple(_join(p, below) for p in pieces)
 
-    def at_root(self, below):
-        """(chunk, end, name) of the whole walk over #(s), given the
-        summary of s."""
-        ((end, name, _),), (pieces,) = self._plan(ROOT, (below[0],))
-        return _join(pieces, (below,)), end, name
-
     def read(self, label, below):
-        """at_root(summary(label, below)), from one composed plan."""
+        """(chunk, end, name) of the whole walk over #(s), where s has the
+        label and its children the summaries below: the root marker's
+        plan composed through the node's, kept as one plan."""
         key = label, tuple([b[0] for b in below])
         if key not in self.reads:
             ends, node = self._plan(*key)

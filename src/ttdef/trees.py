@@ -130,14 +130,21 @@ def settle_representatives(productions, reps):
     """Make reps[state] the canonical_key-smallest tree among those the
     productions build from the children's representatives, repeating
     until nothing changes.  productions is a list of (symbol, child
-    states, state)."""
+    states, state).  Each representative's canonical_key is kept, and a
+    candidate's is put together from its children's, so a tree is built
+    only when it wins."""
+    keys = {state: canonical_key(t) for state, t in reps.items()}
     changed = True
     while changed:
         changed = False
         for sym, combo, state in productions:
-            cand = Tree(sym, [reps[c] for c in combo])
-            if canonical_key(cand) < canonical_key(reps[state]):
-                reps[state] = cand
+            below = [keys[c] for c in combo]
+            key = (1 + sum(size for size, _ in below),
+                   "%s(%s)" % (sym, ",".join(text for _, text in below))
+                   if below else sym)
+            if key < keys[state]:
+                reps[state] = Tree(sym, [reps[c] for c in combo])
+                keys[state] = key
                 changed = True
 
 

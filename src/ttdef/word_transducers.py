@@ -23,7 +23,8 @@ from .model import (ROOT, AttRule, AttSpec, RelabelingRule, RelabelingSpec,
 from .one_way import (PumpCertificate, affine_family_ok, drifts_apart,
                       pump_search, restrict_to_language, synthesize, verify)
 from .semantics import (BudgetExhausted, Crossings, Output, StepBudget,
-                        _chain_tree, _check_lsi, enumerate_outputs, evaluate)
+                        _chain_tree, _check_lsi, enumerate_outputs, evaluate,
+                        tree_of)
 from .trees import RankedAlphabet, Tree, format_address
 
 
@@ -106,10 +107,6 @@ def word_of(t):
         if len(node.children) != 1:
             raise SpecSyntaxError("node %r branches; not a word" % node.label)
         node = node.children[0]
-
-
-def tree_of(word):
-    return _chain_tree(word[:-1], word[-1])
 
 
 # ---------------------------------------------------------------------------
@@ -493,7 +490,8 @@ def one_way_definability(tw, budget=None):
     sample_lengths = sorted({min(budget.sample_length, cache_length),
                              cache_length})
     for length in sample_lengths:
-        sample = {w: o for w, o in cache.items() if len(w) <= length}
+        sample = cache if length == cache_length else \
+            {w: o for w, o in cache.items() if len(w) <= length}
         cand, why = synthesize(sample, aut.input, tw.att.output,
                                 tw.name + "_1way", budget.state_bound)
         if cand is None:

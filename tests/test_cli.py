@@ -136,6 +136,21 @@ def test_eval_refuses_a_step_budget_that_is_not_positive(steps, tmp_path,
                             "positive integer, got %s\n" % steps)
 
 
+def test_eval_reads_its_step_budget_from_the_config(tmp_path, capsys,
+                                                    monkeypatch):
+    """$TTDEF_CONFIG's max_steps binds ttdef eval, and --max-steps
+    overrides it."""
+    config = tmp_path / "budget.cfg"
+    config.write_text("max_steps = 1\n")
+    monkeypatch.setenv("TTDEF_CONFIG", str(config))
+    spec = spec_file(tmp_path, fixtures.a2())
+    assert main(["eval", spec, "f(e,e)"]) == 2
+    assert capsys.readouterr().out == \
+        "budget exhausted; outputs so far: none\n"
+    assert main(["eval", "--max-steps", "100", spec, "f(e,e)"]) == 0
+    assert capsys.readouterr().out == "g(e)\n"
+
+
 ND_DT = """\
 dt ND
 input g:1 e:0

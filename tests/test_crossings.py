@@ -2,8 +2,9 @@
 they replace.
 
 semantics.Crossings runs the walks at a node once per (label, ends of
-the children's summaries) and keeps them as plans; summary, at_root and
-read join a plan's pieces over the children's chunks.  reference_cross,
+the children's summaries) and keeps them as plans; summary and read
+join a plan's pieces over the children's chunks, read through the root
+marker's plan composed with the node's.  reference_cross,
 kept here, walks over the children's chunks themselves at every node
 and stays the reference: a reference summary maps each synthesized
 attribute to (chunk, end, name).
@@ -64,7 +65,7 @@ def reference_cross(att, label, below, tip):
 
 
 def plans_match_the_walk(att, trees):
-    """summary, at_root and read agree with reference_cross on every
+    """summary and read agree with reference_cross on every
     subtree of the trees, in the order given, with one Crossings kept
     across them.  Returns the ends every root summary ended in."""
     crossings = Crossings(att)
@@ -85,7 +86,6 @@ def plans_match_the_walk(att, trees):
                              for a in att.syn), t.render()
         assert chunks == tuple(ref[t][a][0] for a in att.syn), t.render()
         want = reference_cross(att, ROOT, (ref[t],), (att.init, 1))
-        assert crossings.at_root(new[t]) == want, t.render()
         assert crossings.read(t.label, below) == want, t.render()
         kinds.add(want[1])
 
@@ -127,5 +127,5 @@ def test_one_end_comes_with_an_empty_and_a_full_chunk():
     e = crossings.summary("e", ())
     he = crossings.summary("h", (e,))
     assert (e[0], he[0]) == ((("up", "b", False),), (("up", "b", True),))
-    assert crossings.at_root(e) == ((), "silent", None)
-    assert crossings.at_root(he) == (("h", "h"), "productive", None)
+    assert crossings.read("e", ()) == ((), "silent", None)
+    assert crossings.read("h", (e,)) == (("h", "h"), "productive", None)

@@ -20,8 +20,8 @@ from ttdef import functionality, semantics
 from ttdef.analysis import is_circular
 from ttdef.errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from ttdef.functionality import (Equal, FunctionalUpTo, FunctionalityBudget,
-                                 NotFunctional, ProductiveCycle, Witness,
-                                 bounded_equivalence, is_functional)
+                                 NotFunctional, ProductiveCycle, Unfinished,
+                                 Witness, bounded_equivalence, is_functional)
 from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec, occ_node,
                          occ_node_info, rhs_chain)
 from ttdef.semantics import (StepBudget, _chain_tree, _occurrence_steps,
@@ -32,7 +32,8 @@ import fixtures
 from fixtures import parse_spec
 import string_forms
 from string_forms import derive_step, replay_cycle
-from test_walk_table import IN, OUT, SMALL_BUDGETS, rhs_at, trees
+from test_walk_table import (IN, OUT, SMALL_BUDGETS, atts, budgets, rhs_at,
+                             trees)
 
 # the productive cycle can also escape, so two outputs exist
 ESCAPE_TEXT = """\
@@ -160,6 +161,51 @@ def test_equivalence_compares_across_spec_kinds():
     relab = fixtures.identity_relabeling(fixtures.a1().input, "idfe")
     got = bounded_equivalence(relab, fixtures.a1(), 2)
     assert got == Witness(parse_tree("e"), parse_tree("e"), parse_tree("g(e)"))
+
+
+def reference_equivalence(d1, d2, depth, budget):
+    """bounded_equivalence on trees, tree by tree: enumerate_outputs on
+    each input in canonical order, and of two differing output sets, per
+    side the smallest output the other side lacks, else its smallest."""
+    def smallest(mine, theirs):
+        extra = sorted(mine - theirs, key=canonical_key)
+        if extra:
+            return extra[0]
+        return min(mine, key=canonical_key) if mine else None
+
+    for s in trees_up_to_height(IN, depth):
+        got1, done1 = enumerate_outputs(d1, s, budget)
+        got2, done2 = enumerate_outputs(d2, s, budget)
+        if not (done1 and done2):
+            return Unfinished(s)
+        if got1 != got2:
+            return Witness(s, smallest(got1, got2), smallest(got2, got1))
+    return Equal(depth)
+
+
+@st.composite
+def att_pairs(draw):
+    """Two atts over IN: independent draws, or a draw and the same att
+    with one rule dropped."""
+    a = draw(atts())
+    held = [(sym, i) for sym in a.rules for i in range(len(a.rules[sym]))]
+    if not held or draw(st.booleans()):
+        return a, draw(atts())
+    sym, i = draw(st.sampled_from(held))
+    rules = dict(a.rules)
+    rules[sym] = rules[sym][:i] + rules[sym][i + 1:]
+    return a, replace(a, rules=rules)
+
+
+@settings(max_examples=200, deadline=None)
+@given(att_pairs(), budgets)
+def test_equivalence_matches_the_tree_reference_on_random_atts(pair, budget):
+    """Words compared, and the witness picked, as the tree reference
+    does, with the sides either way round."""
+    a, b = pair
+    for d1, d2 in ((a, b), (b, a)):
+        assert bounded_equivalence(d1, d2, 3, budget) == \
+            reference_equivalence(d1, d2, 3, budget)
 
 
 # ---------------------------------------------------------------------------

@@ -22,12 +22,16 @@ form kept here, is the reference for both: with no context answer for
 local_run, over children's tail maps and a child the walk stops at,
 and with each context answer for stitch.
 enumerate_shared, which shares work across the trees it is called on,
-is checked against the same references on each tree.
+is checked against the same references on each tree.  The word runs
+behind it (semantics._shared) are checked against enumerate_outputs:
+on atts, and on chain transducers against the same rules over WIDE,
+whose rank-2 m makes them run on trees.
 """
 
 import itertools
 import random
 from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -50,8 +54,9 @@ from ttdef import semantics
 from ttdef.errors import NotFunctionalInput
 from ttdef.semantics import (LSI_VIOLATIONS, BudgetExhausted, Crossings,
                              Diverges, NoOutput, Output, Reject, StepBudget,
-                             _walk_table, enumerate_outputs, enumerate_shared,
-                             evaluate, nf, run_relabeling, run_tdtt)
+                             _chain_tree, _walk_table, enumerate_outputs,
+                             enumerate_shared, evaluate, nf, run_relabeling,
+                             run_tdtt)
 from ttdef.trees import RankedAlphabet, Tree, trees_up_to_height
 from ttdef.word_transducers import accepted_words, build_two_way, tree_of
 
@@ -733,6 +738,19 @@ def test_bounded_equivalence_walks_the_dtr_on_its_table(a2_dtr, monkeypatch):
     assert (calls["replace_at"], calls["_walk_table"]) == (0, 0)
 
 
+def test_bounded_equivalence_compares_words(a2_dtr, monkeypatch):
+    """A2 and its dtR both have monadic output, so an Equal run compares
+    words and builds no output tree: no chain tree of the att's labels
+    and no tree filled in from a top-down right-hand side."""
+    calls = Counter()
+    for name in ("_chain_tree", "_fill"):
+        fn = getattr(semantics, name)
+        monkeypatch.setattr(semantics, name, lambda *args, fn=fn, name=name:
+                            calls.update([name]) or fn(*args))
+    assert bounded_equivalence(fixtures.a2(), a2_dtr, 4) == Equal(4)
+    assert (calls["_chain_tree"], calls["_fill"]) == (0, 0)
+
+
 # ---------------------------------------------------------------------------
 # work shared across trees against enumeration tree by tree
 
@@ -820,6 +838,79 @@ def test_shared_pairs_match_enumeration(make, a2_dtr):
     assert cut
     assert same_as_enumeration(d, trees_up_to_height(d.input_alphabet, 4),
                                StepBudget()) == (0, 0)
+
+
+# ---------------------------------------------------------------------------
+# word runs against the trees enumerate_outputs gives
+
+def words_match(d, trees, budget, want):
+    """The word run of d (semantics._shared), kept across the trees in
+    the order given, gives on each tree s the outputs of want(s), each
+    word wrapped by _chain_tree, with the same exhaustive flag."""
+    assert semantics._word_output(d)
+    run = semantics._shared(d, budget)
+    for s in trees:
+        words, exhaustive = run(s)
+        got = {_chain_tree(w[:-1], w[-1]) for w in words}
+        assert (got, exhaustive) == want(s), s.render()
+
+
+@st.composite
+def any_atts(draw):
+    """atts, and, half the time, one of them made nondeterministic: a
+    rule is held twice, the copy emitting k above its right-hand side."""
+    a = draw(atts())
+    held = [sym for sym in a.rules if a.rules[sym]]
+    if not held or draw(st.booleans()):
+        return a
+    sym = draw(st.sampled_from(held))
+    r = draw(st.sampled_from(a.rules[sym]))
+    rules = dict(a.rules)
+    rules[sym] += (AttRule(r.attr, r.pos, Tree("k", [r.rhs])),)
+    return replace(a, rules=rules)
+
+
+@settings(max_examples=150, deadline=None)
+@given(any_atts(), st.sampled_from(SMALL_BUDGETS))
+def test_att_words_match_enumeration_on_random_atts(a, budget):
+    """Against enumerate_outputs and against the references: the walk
+    of a deterministic draw on each tree alone, the string-form search
+    of a nondeterministic one."""
+    def want(s):
+        got = enumerate_outputs(a, s, budget)
+        assert got == reference_outputs(a, s, budget, walk=True), s.render()
+        return got
+    words_match(a, trees_up_to_height(IN, 3), budget, want)
+
+
+def chains_only(t):
+    """The transducer t with m cut out of every right-hand side, each m
+    giving way to its first child, so that every right-hand side is a
+    chain over OUT: its runs give words."""
+    rules = []
+    for r in t.rules:
+        rhs = r.rhs
+        while rhs.label == "m":
+            rhs = rhs.children[0]
+        rules.append(TdttRule(r.state, r.symbol, rhs))
+    return replace(t, output=OUT, rules=tuple(rules))
+
+
+@settings(max_examples=150, deadline=None)
+@given(tdtts(), st.sampled_from(SHARED_BUDGETS))
+def test_tdtt_words_match_enumeration_on_random_tdtts(t, budget):
+    """The word run of a chain transducer against enumerate_outputs of
+    the same rules over WIDE, which fills trees in from the right-hand
+    sides, deterministic and nondeterministic draws alike; a
+    deterministic one also against the string-form references."""
+    chains = chains_only(t)
+    wide = replace(chains, output=WIDE)
+    assert not semantics._word_output(wide)
+    words_match(chains, trees_up_to_height(IN, 4), budget,
+                lambda s: enumerate_outputs(wide, s, budget))
+    if chains.deterministic:
+        for s in trees_up_to_height(IN, 3):
+            same_tdtt_as_reference(chains, s, budget)
 
 
 def test_two_rules_for_one_lhs_walk_the_table(monkeypatch):

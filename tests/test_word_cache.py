@@ -374,37 +374,48 @@ def test_accepted_words_keeps_its_order_on_random_automata(aut, length):
 # the fold's onward prefixes against the loop they replaced
 
 def reference_onward_prefixes(sample):
+    """Every proper prefix of a sampled word, sorted and then sorted by
+    length, as the fold once took them, and the onward output prefixes
+    of the defined words, word by word and prefix by prefix."""
+    prefixes = {w[:j] for w in sample for j in range(len(w))}
     lcp = {}
     clamp = {}
     for w, o in sample.items():
+        if o is None:
+            continue
         for j in range(len(w)):
             p = w[:j]
             lcp[p] = o if p not in lcp else _lcp(lcp[p], o)
             clamp[p] = min(clamp.get(p, len(o) - 1), len(o) - 1)
-    return {p: v[:clamp[p]] for p, v in lcp.items()}
+    return (sorted(sorted(prefixes), key=len),
+            {p: v[:clamp[p]] for p, v in lcp.items()})
 
 
 @pytest.mark.parametrize("name, length", [
     ("a2", 5), ("lme", 2), ("rev", 10), ("copy", 10), ("half", 10),
     ("idw", 10)])
 def test_onward_prefixes_keep_their_values(name, length):
+    """On the whole word cache, rejected words included."""
     cache, _ = _word_cache(bench_two_way(name), length,
                            StepBudget(max_steps=10000))
-    positives = {w: o for w, o in cache.items() if o is not None}
-    assert _onward_prefixes(positives) == \
-        reference_onward_prefixes(positives)
+    cache = {w: None if o is word_transducers._EXHAUSTED else o
+             for w, o in cache.items()}
+    assert _onward_prefixes(cache) == reference_onward_prefixes(cache)
 
 
-# outputs of no letter or one make the clamp bind below the shared prefix
+# outputs of no letter or one make the clamp bind below the shared prefix;
+# a rejected word (None) adds prefixes without output
 samples = st.dictionaries(
     st.lists(st.sampled_from("gh"), max_size=4).map(tuple).flatmap(
         lambda w: st.sampled_from("ed").map(lambda leaf: w + (leaf,))),
-    st.lists(st.sampled_from("uv"), max_size=3).map(tuple), max_size=12)
+    st.none() | st.lists(st.sampled_from("uv"), max_size=3).map(tuple),
+    max_size=12)
 
 
 @settings(max_examples=200, deadline=None)
 @given(samples)
 @example({("g", "e"): ("u",), ("g", "d"): ("u",), ("h", "e"): ()})
 @example({("e",): ("u",), ("g", "e"): ("u",), ("g", "g", "d"): ("u", "v")})
+@example({("h", "g", "e"): None, ("h", "e"): ("u",), ("g", "d"): None})
 def test_onward_prefixes_keep_their_values_on_random_samples(sample):
     assert _onward_prefixes(sample) == reference_onward_prefixes(sample)
