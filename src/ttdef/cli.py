@@ -248,7 +248,9 @@ def _cmd_definable(args):
     v = one_way_definability(tw, budget)
     if isinstance(v, Definable):
         _emit(args, {"schema": SCHEMA, "verdict": "definable",
-                     "verified_length": v.verified_length},
+                     "verified_length": v.verified_length,
+                     "folded_length": v.report["folded_length"],
+                     "folded_words": v.report["folded_words"]},
               "definable; matched every accepted word up to length %d"
               % v.verified_length)
         return 0

@@ -1,11 +1,15 @@
 """One-way word transducers folded from samples, and pump certificates.
 
 The oracle in word_transducers evaluates a two-way machine on every
-accepted word up to a length.  synthesize folds those outputs into a
-deterministic one-way machine, restrict_to_language cuts it down to the
-correspondence language, and verify checks it against the outputs and
-the language.  When no candidate fits, pump_search looks for a pump
-certificate: a loop whose pumped outputs no one-way machine produces.
+accepted word up to a length, the word cache.  synthesize folds a sample
+of those outputs into a deterministic one-way machine, in the style of
+OSTIA (Oncina, Garcia and Vidal 1993): first the cache's shortest words,
+a quarter of it at most, and the whole cache only when that fold or its
+candidate fails.  restrict_to_language cuts the candidate down to the
+correspondence language, and verify checks it against every cached
+output and the language.  When no candidate fits, pump_search looks for
+a pump certificate: a loop whose pumped outputs no one-way machine
+produces.
 """
 
 from dataclasses import dataclass
@@ -80,12 +84,15 @@ def synthesize(sample, enc, out_alpha, name, bound):
     """Deterministic one-way machine folded from the sample.
 
     sample maps words to output tuples, or to None for words the
-    machine must reject.  Prefix-tree nodes merge into the first
-    earlier state they never contradict: output chunks must agree per
-    shared letter, and an output can never meet a rejection.  Edges no
-    defined word crosses carry no output evidence; they are left out of
-    the machine, which rejects by omission.  Returns (machine, None) or
-    (None, reason) when the fold needs more than bound states.
+    machine must reject.  The oracle passes the shortest words of its
+    cache, a quarter of it at most, and the whole cache only when the
+    candidate folded from that sample fails verify.  Prefix-tree nodes
+    merge into the first earlier state they never contradict: output
+    chunks must agree per shared letter, and an output can never meet a
+    rejection.  Edges no defined word crosses carry no output evidence;
+    they are left out of the machine, which rejects by omission.
+    Returns (machine, None) or (None, reason) when the fold needs more
+    than bound states.
     """
     if not sample:
         return TdttSpec(name=name, input=enc, output=out_alpha, init="s0",
@@ -315,10 +322,13 @@ def _dom_within(cand, aut, steps):
     return None
 
 
-def verify(cand, cache, aut):
+def verify(cand, cache, words, aut):
     """None when the candidate matches the cached machine behavior on
     every accepted word and never accepts outside the correspondence
-    language; otherwise a failure report."""
+    language; otherwise a failure report.  words are the cache's words
+    in the order to try them, sorted by the caller, which sorts once
+    however many candidates it checks; the report names the first word
+    that fails."""
     why = _not_word_shaped(cand)
     if why is not None:
         return {"reason": why}
@@ -327,7 +337,7 @@ def verify(cand, cache, aut):
     if stray is not None:
         return {"reason": "candidate accepts a word outside the "
                           "correspondence language", "word": list(stray)}
-    for w in sorted(cache):
+    for w in words:
         want = cache[w]
         got = _run_one_way(steps, cand.init, w)
         if got != want:

@@ -11,7 +11,9 @@ a one-way machine back into a top-down tree transducer over the original
 alphabet.
 """
 
+from collections import Counter
 from dataclasses import asdict, dataclass, field
+from itertools import islice
 
 from .constructions import normalize_ground_rhs
 from .errors import (NoSuchNode, NotApplicable, NotFunctionalInput,
@@ -319,7 +321,12 @@ def build_two_way(h):
 
 @dataclass(frozen=True)
 class DefinabilityBudget:
-    sample_length: int = 8
+    """Bounds for one_way_definability.  The word cache holds every
+    accepted word up to verify_length, and at most max_words of them;
+    max_steps bounds each word's walk.  The fold's first sample is the
+    cache's shortest words, a quarter of it at most, and the whole cache
+    is folded only when that sample fails; either fold stops past
+    state_bound states.  The pump fields bound pump_search."""
     verify_length: int = 10
     state_bound: int = 16
     max_words: int = 150000
@@ -335,7 +342,7 @@ class DefinabilityBudget:
         if isinstance(budget, cls):
             return budget
         if isinstance(budget, int):
-            return cls(sample_length=budget, verify_length=budget)
+            return cls(verify_length=budget)
         raise SpecSyntaxError("budget must be a DefinabilityBudget or an int")
 
 
@@ -441,37 +448,53 @@ def _word_cache(tw, length, budget):
     return cache, summaries
 
 
+def _fold_lengths(levels, cache_length):
+    """The word lengths the oracle folds up to, in order: the longest run
+    of levels from length 1 up whose words are at most a quarter of the
+    cache, then the whole cache.  levels[k] counts the cached words of
+    length k."""
+    total = sum(levels.values())
+    first = taken = 0
+    for k in range(1, cache_length + 1):
+        taken += levels[k]
+        if 4 * taken > total:
+            break
+        first = k
+    return sorted({first, cache_length} - {0})
+
+
 def one_way_definability(tw, budget=None):
     """Decide at desk scale whether the two-way machine has a one-way
     equivalent.
 
     All accepted words up to a length the word budget affords, and at
-    most verify_length, are evaluated once (_word_cache).  A candidate
-    folded from the defined words must then match that cache exactly and
-    must never accept outside the correspondence language (checked
-    against the automaton, all lengths); success is Definable with
-    verify_length, or Unknown naming the length reached when the word
-    budget stopped short of it.  Failing that, a replayable pump
-    certificate gives NotDefinable.  Everything else is Unknown with a
-    report.  The result is a pure function of the machine and the
-    budget.
+    most verify_length, are evaluated once (_word_cache).  The fold
+    (synthesize) first reads a sample of the shortest cached words, a
+    quarter of the cache at most (_fold_lengths), and reads the whole
+    cache only if that fold or its candidate fails.  A candidate must
+    match the whole cache exactly and must never accept outside the
+    correspondence language (checked against the automaton, all
+    lengths); success is Definable with verify_length, or Unknown naming
+    the length reached when the word budget stopped short of it.  The
+    report names the sample the candidate was folded from (folded_length,
+    folded_words).  Failing that, a replayable pump certificate gives
+    NotDefinable.  Everything else is Unknown with a report.  The result
+    is a pure function of the machine and the budget.
     """
     budget = DefinabilityBudget.coerce(budget)
     report = {"budget": asdict(budget)}
-    if budget.sample_length <= 0 or budget.max_words <= 0:
+    if budget.verify_length <= 0 or budget.max_words <= 0:
         report["reason"] = "no word budget"
         return Unknown(report)
     aut = tw.correspondence
-    horizon = max(budget.sample_length, budget.verify_length)
-    counts = accepted_counts(aut, horizon)
+    counts = accepted_counts(aut, budget.verify_length)
     cumulative = 0
     cache_length = 0
-    for k in range(1, horizon + 1):
+    for k in range(1, budget.verify_length + 1):
         if cumulative + counts[k] > budget.max_words:
             break
         cumulative += counts[k]
         cache_length = k
-    cache_length = min(cache_length, budget.verify_length)
     if cache_length == 0:
         report["reason"] = "word budget too small for any length"
         return Unknown(report)
@@ -486,20 +509,26 @@ def one_way_definability(tw, budget=None):
     report["cache_length"] = cache_length
     if exhausted:
         report["budget_exhausted_words"] = len(exhausted)
+    levels = Counter(map(len, cache))
+    words = None    # the cache sorted, once a candidate needs it
     failures = []
-    sample_lengths = sorted({min(budget.sample_length, cache_length),
-                             cache_length})
-    for length in sample_lengths:
+    for length in _fold_lengths(levels, cache_length):
+        folded = sum(levels[k] for k in range(1, length + 1))
+        # the cache lists its words shortest first
         sample = cache if length == cache_length else \
-            {w: o for w, o in cache.items() if len(w) <= length}
+            dict(islice(cache.items(), folded))
+        sampled = {"folded_length": length, "folded_words": folded}
         cand, why = synthesize(sample, aut.input, tw.att.output,
                                 tw.name + "_1way", budget.state_bound)
         if cand is None:
-            failures.append({"sample_length": length, "reason": why})
+            failures.append(dict(sampled, reason=why))
             continue
         cand = restrict_to_language(cand, aut)
-        failure = verify(cand, cache, aut)
+        if words is None:
+            words = sorted(cache)
+        failure = verify(cand, cache, words, aut)
         if failure is None:
+            report.update(sampled)
             if exhausted:
                 report["reason"] = "evaluation budget ran out on some words"
                 return Unknown(report)
@@ -509,8 +538,7 @@ def one_way_definability(tw, budget=None):
                                                       budget.verify_length))
                 return Unknown(report)
             return Definable(cand, cache_length, report)
-        failure["sample_length"] = length
-        failures.append(failure)
+        failures.append(dict(failure, **sampled))
     report["synthesis"] = failures
     cert = pump_search(cache, budget)
     if cert is not None:

@@ -200,6 +200,9 @@ def test_the_budget_flags_a_command_reads_take_effect(tmp_path, capsys):
     got = run_json(capsys, ["definable", "--json", "--verify-length", "3",
                             "--state-bound", "16", spec])
     assert (got["verdict"], got["verified_length"]) == ("definable", 3)
+    # A2's words up to length 2 fold into a candidate the cache refutes,
+    # so the candidate comes from all 146 words up to length 3
+    assert (got["folded_length"], got["folded_words"]) == (3, 146)
     got = run_json(capsys, ["functional", "--json", "--depth", "2",
                             "--max-steps", "100", spec])
     assert got == {"schema": 1, "verdict": "functional", "depth": 2}

@@ -3,12 +3,16 @@ and every top-level function and class of the package, and every method
 and property of its classes, is read by the package or the benchmark.
 No module pops the head of a list.
 
+Every field of a budget class is read by the package outside the
+class.
+
 No linter runs on this package, so these scans stand in for the
 unused-import and dead-code checks: an import nothing reads is either
 dead code or a sign that a caller was rewired and the old dependency
 left behind, and a function only tests call belongs with the tests.  A
 list popped at its head is a hand-rolled queue; a search goes through
-trees.breadth_first, whose order every artifact depends on.
+trees.breadth_first, whose order every artifact depends on.  A budget
+field nothing reads is a knob that bounds nothing.
 """
 
 import ast
@@ -169,3 +173,51 @@ def test_the_scan_sees_an_unused_method():
     # grow stays read: used calls it, and only its own call is discounted
     assert unread_definitions(package, readers) == [
         ("m.py", "Shape.area"), ("m.py", "Shape.unused"), ("m.py", "Shape.used")]
+
+
+BUDGETS = ("DefinabilityBudget", "BudgetConfig", "StepBudget",
+           "FunctionalityBudget")
+
+
+def unread_fields(package, classes):
+    """(class, field) of every field of the named classes that no code
+    of the package reads outside the class itself.  A field is an
+    annotated name in the class body; it is read where an attribute of
+    that name is loaded.  package maps file names to source text."""
+    declared = []
+    read = set()
+    for source in package.values():
+        for stmt in ast.parse(source).body:
+            if isinstance(stmt, ast.ClassDef) and stmt.name in classes:
+                declared += [(stmt.name, sub.target.id) for sub in stmt.body
+                             if isinstance(sub, ast.AnnAssign)
+                             and isinstance(sub.target, ast.Name)]
+                continue
+            read |= {sub.attr for sub in ast.walk(stmt)
+                     if isinstance(sub, ast.Attribute)
+                     and isinstance(sub.ctx, ast.Load)}
+    return sorted(f for f in declared if f[1] not in read)
+
+
+def test_every_budget_field_is_read():
+    package = {p.name: p.read_text() for p in sorted(PACKAGE.glob("*.py"))}
+    # a budget class renamed away would leave nothing to scan
+    assert {stmt.name for source in package.values()
+            for stmt in ast.parse(source).body
+            if isinstance(stmt, ast.ClassDef)} >= set(BUDGETS)
+    assert unread_fields(package, BUDGETS) == []
+
+
+def test_the_scan_sees_an_unread_field():
+    package = {"m.py": "class Budget:\n"
+                       "    depth: int = 4\n    steps: int = 10\n"
+                       "    words: int = 5\n    note = 'not a field'\n"
+                       "    def coerce(self):\n        return self.words\n"
+                       "class Other:\n    size: int = 1\n",
+               "n.py": "def run(b):\n    b.depth = 1\n    return b.steps\n"}
+    # words is read only inside Budget, depth only assigned
+    assert unread_fields(package, ("Budget",)) == [("Budget", "depth"),
+                                                   ("Budget", "words")]
+    package["n.py"] += "def size(b):\n    return b.depth + b.words\n"
+    assert unread_fields(package, ("Budget",)) == []
+    assert unread_fields(package, ("Budget", "Other")) == [("Other", "size")]

@@ -8,20 +8,23 @@ on its own and stays the reference.  Words
 the step budget does not cover, and machines that do not walk on their
 rule table, take the reference route inside _word_cache too.  The
 fold's onward prefixes, merged a prefix-tree level at a time, are
-checked against the per-word loop they replaced, kept here.
+checked against the per-word loop they replaced, kept here, and the
+oracle's quarter sample against the fixed sample length it replaced.
 """
 
 import functools
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
+from hypothesis import assume, example, given, settings, strategies as st
 
 from ttdef import word_transducers
+from ttdef.analysis import is_circular, single_path
 from ttdef.constructions import (associate, normalize_domain_into_range,
                                  normalize_ground_rhs)
+from ttdef.errors import NotApplicable
 from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
-                         RelabelingSpec, occ_pattern)
+                         RelabelingSpec, occ_pattern, render_spec)
 from ttdef.one_way import _lcp, _onward_prefixes
 from ttdef.semantics import LSI_VIOLATIONS, StepBudget
 from ttdef.trees import RankedAlphabet, Tree
@@ -32,6 +35,7 @@ from ttdef.word_transducers import (Definable, DefinabilityBudget,
 
 import fixtures
 from fixtures import parse_spec
+from test_walk_table import atts
 
 LETTERS = RankedAlphabet({"g": 1, "h": 1, "e": 0, "d": 0})
 OUT = RankedAlphabet({"u": 1, "v": 1, "c": 0})
@@ -305,6 +309,40 @@ def test_the_a2_oracle_walks_no_cache_word_from_scratch(a2_walk,
             got.report["plans"]) == (9362, 1170, 174)
 
 
+@pytest.fixture
+def folds(monkeypatch):
+    """(longest word, number of words) of every sample the oracle folds,
+    in the order it folds them."""
+    seen = []
+    real = word_transducers.synthesize
+
+    def counted(sample, *args):
+        seen.append((max(map(len, sample), default=0), len(sample)))
+        return real(sample, *args)
+    monkeypatch.setattr(word_transducers, "synthesize", counted)
+    return seen
+
+
+def test_the_a2_oracle_folds_a_quarter_of_its_cache(a2_walk, folds):
+    """A2's words up to length 4 are 1 170 of the 9 362 cached, and the
+    candidate folded from them matches all 9 362: one fold, over 1 313
+    prefix-tree nodes where the whole cache has 10 529."""
+    got = one_way_definability(a2_walk, DefinabilityBudget(verify_length=5))
+    assert isinstance(got, Definable) and got.verified_length == 5
+    assert folds == [(4, 1170)]
+    assert (got.report["words"], got.report["folded_length"],
+            got.report["folded_words"]) == (9362, 4, 1170)
+
+
+def test_a_failing_quarter_sample_falls_back_to_the_whole_cache(folds):
+    """REV's 255 words up to length 8 are the quarter sample; its
+    candidate fails, and so does the fold of all 1 023 words."""
+    got = one_way_definability(bench_two_way("rev"),
+                               DefinabilityBudget(verify_length=10))
+    assert isinstance(got, NotDefinable)
+    assert folds == [(8, 255), (10, 1023)]
+
+
 def test_a_short_word_budget_is_unknown(a2_walk):
     """200 words reach length 3; the candidate the fold finds there
     matches the cache, but 5 was asked for."""
@@ -419,3 +457,62 @@ samples = st.dictionaries(
 @example({("h", "g", "e"): None, ("h", "e"): ("u",), ("g", "d"): None})
 def test_onward_prefixes_keep_their_values_on_random_samples(sample):
     assert _onward_prefixes(sample) == reference_onward_prefixes(sample)
+
+
+# ---------------------------------------------------------------------------
+# the quarter sample against the sample rule it replaced
+
+def reference_fold_lengths(levels, cache_length):
+    """The fold lengths of the fixed sample rule: words up to length 8,
+    then the whole cache."""
+    return sorted({min(8, cache_length), cache_length})
+
+
+def outcome(verdict):
+    """What a verdict says: the rendered transducer, the certificate or
+    the reason."""
+    if isinstance(verdict, Definable):
+        return ("definable", render_spec(verdict.transducer),
+                verdict.verified_length)
+    if isinstance(verdict, NotDefinable):
+        return "not definable", verdict.certificate
+    return "unknown", verdict.report["reason"]
+
+
+def same_verdict_as_fixed_sample(tw, budget):
+    got = one_way_definability(tw, budget)
+    with pytest.MonkeyPatch.context() as m:
+        m.setattr(word_transducers, "_fold_lengths", reference_fold_lengths)
+        want = one_way_definability(tw, budget)
+    assert outcome(got) == outcome(want)
+
+
+@pytest.mark.parametrize("name, length", [
+    ("a2", 5), ("lme", 2), ("rev", 10), ("copy", 10), ("half", 10),
+    ("idw", 10)])
+def test_the_quarter_sample_decides_like_the_fixed_one(name, length):
+    same_verdict_as_fixed_sample(bench_two_way(name),
+                                 DefinabilityBudget(verify_length=length))
+
+
+def two_way_of(a):
+    """The two-way machine decide_dtR builds for a, or None where the
+    decision stops before build_two_way."""
+    try:
+        if is_circular(a)[0]:
+            return None
+        grounded = normalize_ground_rhs(a)
+        if not single_path(grounded).yes:
+            return None
+        return build_two_way(associate(grounded))
+    except NotApplicable:
+        return None
+
+
+@settings(max_examples=200, deadline=None)
+@given(atts(), st.integers(3, 6))
+def test_the_quarter_sample_decides_like_the_fixed_one_on_random_atts(
+        a, length):
+    tw = two_way_of(a)
+    assume(tw is not None)
+    same_verdict_as_fixed_sample(tw, DefinabilityBudget(verify_length=length))

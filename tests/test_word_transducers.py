@@ -321,8 +321,11 @@ def test_oracle_finds_a_one_way_equivalent(verdict2):
     assert cand.deterministic
     assert len(cand.states) <= 16
     assert set(verdict2.report) == {"budget", "words", "summaries",
-                                    "plans", "cache_length"}
+                                    "plans", "cache_length", "folded_length",
+                                    "folded_words"}
     assert verdict2.report["cache_length"] == 5
+    assert (verdict2.report["folded_length"],
+            verdict2.report["folded_words"]) == (4, 1170)
 
 
 def test_oracle_candidate_matches_the_walk(tw2, verdict2):
@@ -360,8 +363,9 @@ rule s1 d: s1(d) -> c
 rule s2 h: s2(h(x1)) -> s3(x1)
 rule s3 d: s3(d) -> c
 """)
-    assert verify(cand, {}, words)["word"] == ["g", "d"]
-    assert verify(restrict_to_language(cand, words), {}, words) is None
+    assert verify(cand, {}, (), words)["word"] == ["g", "d"]
+    assert verify(restrict_to_language(cand, words), {}, (),
+                  words) is None
 
 
 @pytest.mark.parametrize("rules, why", [
@@ -381,7 +385,7 @@ def test_verify_refuses_what_is_no_one_way_machine(rules, why):
         RelabelingRule("g", ("p",), "p", "g")))
     cand = parse_spec("dt C\ninput g:1 e:0\noutput k:1 m:2 c:0\ninit s0\n"
                       + "".join("rule s0 %s: %s\n" % (r[3], r) for r in rules))
-    got = verify(cand, {}, words)
+    got = verify(cand, {}, (), words)
     assert (got and got["reason"]) == why
 
 
@@ -415,7 +419,7 @@ def test_oracle_without_budget_is_unknown(tw2):
     assert isinstance(got, Unknown)
     assert got.report["reason"] == "no word budget"
     b = DefinabilityBudget.coerce(5)
-    assert (b.sample_length, b.verify_length) == (5, 5)
+    assert b == DefinabilityBudget(verify_length=5)
     assert DefinabilityBudget.coerce(b) is b
     with pytest.raises(SpecSyntaxError):
         DefinabilityBudget.coerce("plenty")
