@@ -414,7 +414,7 @@ def _build_parser():
     spec_arg(p)
     budget_args(p, ("--verify-length", "--state-bound"))
     p.add_argument("--budget-words", type=int, metavar="N",
-                   help="cap on cached words (0 gives Unknown)")
+                   help="cap on the accepted words checked (0 gives Unknown)")
     p.add_argument("--replay", metavar="CERT",
                    help="replay a pump certificate instead of deciding")
 

@@ -1,15 +1,17 @@
 """One-way word transducers folded from samples, and pump certificates.
 
-The oracle in word_transducers evaluates a two-way machine on every
-accepted word up to a length, the word cache.  synthesize folds a sample
-of those outputs into a deterministic one-way machine, in the style of
-OSTIA (Oncina, Garcia and Vidal 1993): first the cache's shortest words,
-a quarter of it at most, and the whole cache only when that fold or its
-candidate fails.  restrict_to_language cuts the candidate down to the
-correspondence language, and verify checks it against every cached
-output and the language.  When no candidate fits, pump_search looks for
-a pump certificate: a loop whose pumped outputs no one-way machine
-produces.
+The oracle in word_transducers decides on the accepted words up to a
+length.  synthesize folds a sample of the two-way machine's outputs on
+them into a deterministic one-way machine, in the style of OSTIA
+(Oncina, Garcia and Vidal 1993): first the shortest words, a quarter of
+them at most, and all of them only when that fold or its candidate
+fails.  restrict_to_language cuts the candidate down to the
+correspondence language.  verify checks it against the language and
+against the machine on every accepted word up to the length, exactly
+and with no word built: it walks joint classes of suffixes, keyed by
+automaton state, crossing summary (semantics.Crossings) and candidate
+outputs.  When no candidate fits, pump_search looks for a pump
+certificate: a loop whose pumped outputs no one-way machine produces.
 """
 
 from dataclasses import dataclass
@@ -84,8 +86,8 @@ def synthesize(sample, enc, out_alpha, name, bound):
     """Deterministic one-way machine folded from the sample.
 
     sample maps words to output tuples, or to None for words the
-    machine must reject.  The oracle passes the shortest words of its
-    cache, a quarter of it at most, and the whole cache only when the
+    machine must reject.  The oracle passes its shortest accepted
+    words, a quarter of them at most, and all of them only when the
     candidate folded from that sample fails verify.  Prefix-tree nodes
     merge into the first earlier state they never contradict: output
     chunks must agree per shared letter, and an output can never meet a
@@ -297,18 +299,6 @@ def restrict_to_language(cand, aut):
                     init=name_of[start], rules=tuple(rules))
 
 
-def _run_one_way(steps, init, word):
-    q = init
-    out = []
-    for letter in word:
-        got = steps.get((q, letter))
-        if got is None:
-            return None
-        chunk, q = got
-        out.extend(chunk)
-    return tuple(out) if q is None else None
-
-
 def _dom_within(cand, aut, steps):
     """A shortest word the candidate accepts outside the automaton's
     language, or None.  Exact for all lengths: the product search covers
@@ -322,13 +312,25 @@ def _dom_within(cand, aut, steps):
     return None
 
 
-def verify(cand, cache, words, aut):
-    """None when the candidate matches the cached machine behavior on
-    every accepted word and never accepts outside the correspondence
-    language; otherwise a failure report.  words are the cache's words
-    in the order to try them, sorted by the caller, which sorts once
-    however many candidates it checks; the report names the first word
-    that fails."""
+def verify(cand, machine, aut, length, work):
+    """None when the candidate matches the machine on every accepted
+    word up to the length and never accepts outside the correspondence
+    language; otherwise a failure report, naming the first failing word
+    in sorted order.
+
+    machine holds the two-way machine's crossing summaries
+    (semantics.Crossings): summary(c, below) is the summary of c.w over
+    below, the summary of w or () for the empty w, and output(c, below,
+    word) the machine's output on word = c.w.  The accepted words are
+    walked as joint classes of suffixes, one length at a time.  The key
+    of a suffix w is the automaton's state on w, the summary of w and
+    the candidate's output from each of its states on w.  The key of
+    c.w is a function of c and the key of w, and so are the machine's
+    output on c.w and the candidate's (the chunk of its step on c, then
+    its output on w from the state it steps to).  So one check per
+    (letter, class) pair covers every word of the pair exactly, whatever
+    the length, and the least of them is c followed by the least word of
+    the class.  work counts the classes walked and the pairs checked."""
     why = _not_word_shaped(cand)
     if why is not None:
         return {"reason": why}
@@ -337,15 +339,55 @@ def verify(cand, cache, words, aut):
     if stray is not None:
         return {"reason": "candidate accepts a word outside the "
                           "correspondence language", "word": list(stray)}
-    for w in words:
-        want = cache[w]
-        got = _run_one_way(steps, cand.init, w)
-        if got != want:
-            return {"reason": "candidate disagrees with the machine",
-                    "word": list(w),
-                    "machine": None if want is None else list(want),
-                    "candidate": None if got is None else list(got)}
-    return None
+    moves = {}      # state below (None for none) -> [(letter, state)]
+    for r in aut.rules:
+        moves.setdefault(r.child_states[0] if r.child_states else None,
+                         []).append((r.symbol, r.state))
+    final = frozenset(aut.final)
+    states = sorted({q for q, _ in steps}
+                    | {q for _, q in steps.values() if q is not None})
+    at = {q: i for i, q in enumerate(states)}
+
+    def run(got, outs):
+        """The candidate's output on c.w from a state whose step on c is
+        got, where outs are its outputs on w, None for the empty w."""
+        if got is None:
+            return None
+        chunk, q = got
+        if q is None or outs is None:
+            # a rule that ends the word fits only the empty w
+            return chunk if q is None and outs is None else None
+        rest = outs[at[q]]
+        return None if rest is None else chunk + rest
+
+    first = None    # (word, machine output, candidate output)
+    level = {(None, (), None): ()}      # key -> least word of the class
+    for n in range(1, length + 1):
+        later = {}
+        for (state, below, outs), least in level.items():
+            for c, up in moves.get(state, ()):
+                word = (c,) + least
+                if up in final:
+                    work["pairs"] += 1
+                    want = machine.output(c, below, word)
+                    got = run(steps.get((cand.init, c)), outs)
+                    if got != want and (first is None or word < first[0]):
+                        first = word, want, got
+                if n < length:
+                    key = (up, (machine.summary(c, below),),
+                           tuple(run(steps.get((q, c)), outs)
+                                 for q in states))
+                    if key not in later or word < later[key]:
+                        later[key] = word
+        work["classes"] += len(later)
+        level = later
+    if first is None:
+        return None
+    word, want, got = first
+    return {"reason": "candidate disagrees with the machine",
+            "word": list(word),
+            "machine": None if want is None else list(want),
+            "candidate": None if got is None else list(got)}
 
 
 def _affine_ok(outs, counts=(1, 2, 3, 4)):

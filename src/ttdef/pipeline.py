@@ -51,8 +51,8 @@ class BudgetConfig:
     synth_state_bound parametrize the one-way definability oracle;
     max_steps caps the steps of the functionality searches
     (is_functional) and of bounded_equivalence, and is the step budget
-    `ttdef eval` takes by default.  The oracle's word walks do not read
-    it: they run under DefinabilityBudget.max_steps.
+    `ttdef eval` takes by default.  The oracle does not read it: it
+    reads words over crossing summaries, which settle every walk.
     """
     equivalence_depth: int = 4
     verify_word_length: int = 10

@@ -11,7 +11,6 @@ a one-way machine back into a top-down tree transducer over the original
 alphabet.
 """
 
-from collections import Counter
 from dataclasses import asdict, dataclass, field
 from itertools import islice
 
@@ -24,9 +23,8 @@ from .model import (ROOT, AttRule, AttSpec, RelabelingRule, RelabelingSpec,
                     split_mangled_child)
 from .one_way import (PumpCertificate, affine_family_ok, drifts_apart,
                       pump_search, restrict_to_language, synthesize, verify)
-from .semantics import (BudgetExhausted, Crossings, Output, StepBudget,
-                        _chain_tree, _check_lsi, enumerate_outputs, evaluate,
-                        tree_of)
+from .semantics import (Crossings, Output, _chain_tree, _check_lsi,
+                        enumerate_outputs, evaluate, tree_of)
 from .trees import RankedAlphabet, Tree, format_address
 
 
@@ -321,16 +319,16 @@ def build_two_way(h):
 
 @dataclass(frozen=True)
 class DefinabilityBudget:
-    """Bounds for one_way_definability.  The word cache holds every
-    accepted word up to verify_length, and at most max_words of them;
-    max_steps bounds each word's walk.  The fold's first sample is the
-    cache's shortest words, a quarter of it at most, and the whole cache
-    is folded only when that sample fails; either fold stops past
-    state_bound states.  The pump fields bound pump_search."""
+    """Bounds for one_way_definability.  The candidate is verified on
+    every accepted word up to verify_length, and at most max_words of
+    them.  The fold's first sample is the shortest of those words, a
+    quarter of them at most, and all of them are folded only when that
+    sample fails; either fold stops past state_bound states.  Words are
+    read over crossing summaries, which settle every walk however long,
+    so no step budget binds.  The pump fields bound pump_search."""
     verify_length: int = 10
     state_bound: int = 16
     max_words: int = 150000
-    max_steps: int = 10000
     pump_counts: tuple = (1, 2, 3, 4)
     pump_suffix_length: int = 3
     max_pump_candidates: int = 20000
@@ -363,24 +361,18 @@ class Unknown:
     report: dict
 
 
-_EXHAUSTED = object()
-
-
-def _eval_word(tw, word, budget=None):
-    """Output labels of the machine on the word, None when undefined."""
+def _eval_word(tw, word):
+    """Output labels of the machine on the word, walked from scratch;
+    None when undefined or when the default step budget runs out."""
     s = tree_of(word)
     if tw.att.deterministic:
-        got = evaluate(tw.att, s, budget)
-        if isinstance(got, Output):
-            return word_of(got.tree)
-        return _EXHAUSTED if isinstance(got, BudgetExhausted) else None
-    outs, exhaustive = enumerate_outputs(tw.att, s, budget)
+        got = evaluate(tw.att, s)
+        return word_of(got.tree) if isinstance(got, Output) else None
+    outs, _ = enumerate_outputs(tw.att, s)
     if len(outs) > 1:
         raise NotFunctionalInput("machine %r yields %d outputs on %s"
                                  % (tw.name, len(outs), s.render()))
-    if outs:
-        return word_of(outs.pop())
-    return None if exhaustive else _EXHAUSTED
+    return word_of(outs.pop()) if outs else None
 
 
 class _SuffixSummaries(Crossings):
@@ -394,15 +386,16 @@ class _SuffixSummaries(Crossings):
     longer words are summarized.
 
     A suffix no caller asked for, because the automaton does not accept
-    it, is summarized on demand.  built counts the summaries made.
+    it, is summarized on demand.  built counts the summaries kept.
     """
 
     def __init__(self, att):
         super().__init__(att)
+        self.att = att
         self.kept = {}
         self.built = 0
 
-    def output(self, w):
+    def word(self, w):
         """Output labels of the machine on the word, None when undefined:
         read over the summary of w[1:], made from the longest suffix of
         it that has one, letter by letter."""
@@ -414,49 +407,30 @@ class _SuffixSummaries(Crossings):
             got = self.kept[w[j:]] = self.summary(
                 w[j], () if got is None else (got,))
             self.built += 1
-        chunk, end, name = self.read(w[0], () if got is None else (got,))
-        return chunk + (name,) if end == "leaf" else None
+        return self.output(w[0], () if got is None else (got,), w)
+
+    def output(self, letter, below, word):
+        """Output labels of the machine on the word, the letter over a
+        suffix whose summary is below (() for none), None when undefined.
+        An output past the linear bound is recorded (_check_lsi)."""
+        chunk, end, name = self.read(letter, below)
+        if end != "leaf":
+            return None
+        got = chunk + (name,)
+        _check_lsi(self.att, len(word), len(got),
+                   lambda: tree_of(word).render())
+        return got
 
 
-def _word_cache(tw, length, budget):
-    """({word: output labels} over every accepted word up to the length,
-    with None where the machine is undefined and _EXHAUSTED where the
-    step budget ran out; the _SuffixSummaries that read them).
-
-    When the machine walks on its rule table, a word of length n is
-    read from suffix summaries if max_steps is at least width * (n + 1),
-    the most steps its walk can take (Crossings.width), so the summaries
-    give what evaluate gives.  For a machine whose letters have rank one
-    and whose rules are those validation admits, width is at most the
-    number of attributes.  Other words and machines are evaluated one by
-    one, as _eval_word does."""
-    att = tw.att
-    summaries = _SuffixSummaries(att)
-    covered = 0     # the longest words read from summaries
-    if att.walks_on_table:
-        width = summaries.width
-        covered = budget.max_steps // width - 1 if width else length
-    cache = {}
-    for w, _ in accepted_words(tw.correspondence, length):
-        if len(w) > covered:
-            cache[w] = _eval_word(tw, w, budget)
-            continue
-        got = summaries.output(w)
-        if got is not None:
-            _check_lsi(att, len(w), len(got), lambda: tree_of(w).render())
-        cache[w] = got
-    return cache, summaries
-
-
-def _fold_lengths(levels, cache_length):
+def _fold_lengths(counts, cache_length):
     """The word lengths the oracle folds up to, in order: the longest run
-    of levels from length 1 up whose words are at most a quarter of the
-    cache, then the whole cache.  levels[k] counts the cached words of
-    length k."""
-    total = sum(levels.values())
+    of lengths from 1 up whose words are at most a quarter of those up
+    to cache_length, then all of them.  counts[k] counts the accepted
+    words of length k."""
+    total = sum(counts[1:cache_length + 1])
     first = taken = 0
     for k in range(1, cache_length + 1):
-        taken += levels[k]
+        taken += counts[k]
         if 4 * taken > total:
             break
         first = k
@@ -467,20 +441,33 @@ def one_way_definability(tw, budget=None):
     """Decide at desk scale whether the two-way machine has a one-way
     equivalent.
 
-    All accepted words up to a length the word budget affords, and at
-    most verify_length, are evaluated once (_word_cache).  The fold
-    (synthesize) first reads a sample of the shortest cached words, a
-    quarter of the cache at most (_fold_lengths), and reads the whole
-    cache only if that fold or its candidate fails.  A candidate must
-    match the whole cache exactly and must never accept outside the
-    correspondence language (checked against the automaton, all
-    lengths); success is Definable with verify_length, or Unknown naming
-    the length reached when the word budget stopped short of it.  The
-    report names the sample the candidate was folded from (folded_length,
-    folded_words).  Failing that, a replayable pump certificate gives
-    NotDefinable.  Everything else is Unknown with a report.  The result
-    is a pure function of the machine and the budget.
+    The fold (synthesize) first reads a sample: the shortest accepted
+    words, a quarter at most of those up to the length the word budget
+    affords, and at most verify_length (_fold_lengths).  Words are read
+    one by one over suffix summaries (_SuffixSummaries), from one
+    accepted_words generator taken no further than a fold needs.  A
+    candidate must never accept outside the correspondence language (all
+    lengths), and must match the machine on every accepted word up to
+    the length: verify checks this exactly on joint suffix classes, with
+    no word built.  Success is Definable with verify_length, or Unknown
+    naming the length reached when the word budget stopped short of it.
+    Only when the sample's fold or candidate fails is the rest of the
+    words read, each once, for the fold of all of them and then for
+    pump_search; a replayable pump certificate gives NotDefinable.
+    Everything else is Unknown with a report.
+
+    The report counts the accepted words (words), the summaries kept
+    (summaries), the plans and reads compiled (plans), and the classes
+    walked and pairs checked by verify (classes, pairs).  It names the
+    sample the candidate was folded from (folded_length, folded_words)
+    and the failed folds (synthesis).  The result is a pure function of
+    the machine and the budget.  A machine that does not walk on its
+    rule table has no summaries and is refused (NotApplicable).
     """
+    if not tw.att.walks_on_table:
+        raise NotApplicable("%r is not deterministic with monadic output; "
+                            "the oracle reads its words over crossing "
+                            "summaries" % tw.name)
     budget = DefinabilityBudget.coerce(budget)
     report = {"budget": asdict(budget)}
     if budget.verify_length <= 0 or budget.max_words <= 0:
@@ -498,53 +485,49 @@ def one_way_definability(tw, budget=None):
     if cache_length == 0:
         report["reason"] = "word budget too small for any length"
         return Unknown(report)
-    cache, summaries = _word_cache(tw, cache_length,
-                                   StepBudget(max_steps=budget.max_steps))
-    exhausted = [w for w, o in cache.items() if o is _EXHAUSTED]
-    for w in exhausted:
-        cache[w] = None
-    report["words"] = len(cache)
-    report["summaries"] = summaries.built
-    report["plans"] = len(summaries.plans) + len(summaries.reads)
+    report["words"] = cumulative
     report["cache_length"] = cache_length
-    if exhausted:
-        report["budget_exhausted_words"] = len(exhausted)
-    levels = Counter(map(len, cache))
-    words = None    # the cache sorted, once a candidate needs it
+    summaries = _SuffixSummaries(tw.att)
+    words = accepted_words(aut, cache_length)
+    cache = {}      # the words read so far, shortest first
+    report.update(classes=0, pairs=0)
+
+    def done(verdict):
+        report["summaries"] = summaries.built
+        report["plans"] = len(summaries.plans) + len(summaries.reads)
+        return verdict
     failures = []
-    for length in _fold_lengths(levels, cache_length):
-        folded = sum(levels[k] for k in range(1, length + 1))
-        # the cache lists its words shortest first
-        sample = cache if length == cache_length else \
-            dict(islice(cache.items(), folded))
+    for length in _fold_lengths(counts, cache_length):
+        folded = sum(counts[1:length + 1])
+        for w, _ in islice(words, folded - len(cache)):
+            cache[w] = summaries.word(w)
         sampled = {"folded_length": length, "folded_words": folded}
-        cand, why = synthesize(sample, aut.input, tw.att.output,
-                                tw.name + "_1way", budget.state_bound)
+        cand, why = synthesize(cache, aut.input, tw.att.output,
+                               tw.name + "_1way", budget.state_bound)
         if cand is None:
             failures.append(dict(sampled, reason=why))
             continue
         cand = restrict_to_language(cand, aut)
-        if words is None:
-            words = sorted(cache)
-        failure = verify(cand, cache, words, aut)
+        failure = verify(cand, summaries, aut, cache_length, report)
         if failure is None:
             report.update(sampled)
-            if exhausted:
-                report["reason"] = "evaluation budget ran out on some words"
-                return Unknown(report)
+            if failures:
+                report["synthesis"] = failures
             if cache_length < budget.verify_length:
                 report["reason"] = ("word budget reached length %d of the "
                                     "requested %d" % (cache_length,
                                                       budget.verify_length))
-                return Unknown(report)
-            return Definable(cand, cache_length, report)
+                return done(Unknown(report))
+            return done(Definable(cand, cache_length, report))
         failures.append(dict(failure, **sampled))
     report["synthesis"] = failures
+    for w, _ in words:
+        cache[w] = summaries.word(w)
     cert = pump_search(cache, budget)
     if cert is not None:
         return NotDefinable(cert)
     report["reason"] = "no candidate verified and no pump refutation found"
-    return Unknown(report)
+    return done(Unknown(report))
 
 
 def replay_certificate(tw, cert):
@@ -556,7 +539,7 @@ def replay_certificate(tw, cert):
         for n in cert.counts:
             got = _eval_word(tw, tuple(cert.prefix) + tuple(cert.loop) * n
                              + tuple(v))
-            if got is None or got is _EXHAUSTED:
+            if got is None:
                 return False
             row.append(got)
         rows.append(tuple(row))

@@ -1,18 +1,22 @@
-"""The oracle's word cache, composed from suffix summaries, against the
-walk from scratch it replaces.
+"""The oracle's words, read over suffix summaries, against the walk
+from scratch they replace, and its check on suffix classes against the
+word-by-word loop it replaces.
 
-_word_cache summarizes how each proper suffix of a word crosses its
-first letter and reads the word's output at its first letter and the
-root marker over the summary of the rest; _eval_word walks every word
-on its own and stays the reference.  Words
-the step budget does not cover, and machines that do not walk on their
-rule table, take the reference route inside _word_cache too.  The
-fold's onward prefixes, merged a prefix-tree level at a time, are
-checked against the per-word loop they replaced, kept here, and the
-oracle's quarter sample against the fixed sample length it replaced.
+_SuffixSummaries.word summarizes how each proper suffix of a word
+crosses its first letter and reads the word's output at its first
+letter and the root marker over the summary of the rest; _eval_word
+walks every word on its own and stays the reference.  verify walks
+joint suffix classes; the per-word loop it replaced is kept here as
+reference_verify.  The fold's onward prefixes, merged a prefix-tree
+level at a time, are checked against the per-word loop they replaced,
+kept here, and the oracle's quarter sample against the fixed sample
+length it replaced.
 """
 
 import functools
+import random
+from collections import Counter
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -24,14 +28,18 @@ from ttdef.constructions import (associate, normalize_domain_into_range,
                                  normalize_ground_rhs)
 from ttdef.errors import NotApplicable
 from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
-                         RelabelingSpec, occ_pattern, render_spec)
-from ttdef.one_way import _lcp, _onward_prefixes
-from ttdef.semantics import LSI_VIOLATIONS, StepBudget
+                         RelabelingSpec, TdttRule, occ_pattern, render_spec)
+from ttdef.one_way import (_dom_within, _lcp, _not_word_shaped,
+                           _onward_prefixes, _word_steps,
+                           restrict_to_language, synthesize, verify)
+from ttdef.semantics import LSI_VIOLATIONS
 from ttdef.trees import RankedAlphabet, Tree
 from ttdef.word_transducers import (Definable, DefinabilityBudget,
                                     NotDefinable, TwoWayWord, Unknown,
-                                    _eval_word, _word_cache, accepted_words,
-                                    build_two_way, one_way_definability)
+                                    _eval_word, _fold_lengths,
+                                    _SuffixSummaries, accepted_counts,
+                                    accepted_words, build_two_way,
+                                    one_way_definability)
 
 import fixtures
 from fixtures import parse_spec
@@ -43,16 +51,27 @@ STATES = ("p0", "p1", "p2")
 SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
 
 
-def caches_agree(tw, length, budget):
-    """The summary-built cache equals the word-by-word one, and both
-    routes record the same linear-size-increase violations.  Returns
-    the number of summaries built and of reads compiled."""
+def read_words(tw, length):
+    """({word: output labels, None where undefined} over every accepted
+    word up to the length, read one by one over suffix summaries; the
+    _SuffixSummaries that read them)."""
+    summaries = _SuffixSummaries(tw.att)
+    return ({w: summaries.word(w)
+             for w, _ in accepted_words(tw.correspondence, length)},
+            summaries)
+
+
+def caches_agree(tw, length):
+    """The words read over summaries give what the walk from scratch
+    gives, and both routes record the same linear-size-increase
+    violations.  Returns the number of summaries built and of reads
+    compiled."""
     mark = len(LSI_VIOLATIONS)
     try:
-        got, summaries = _word_cache(tw, length, budget)
+        got, summaries = read_words(tw, length)
         got_lsi = LSI_VIOLATIONS[mark:]
         del LSI_VIOLATIONS[mark:]
-        want = {w: _eval_word(tw, w, budget)
+        want = {w: _eval_word(tw, w)
                 for w, _ in accepted_words(tw.correspondence, length)}
         assert got == want
         assert list(got) == list(want)
@@ -121,17 +140,11 @@ def word_machines(draw):
     return TwoWayWord("W", att, draw(automata()))
 
 
-# max_steps from 1 upward: short budgets leave the longer words to the
-# reference route, and some of those run out of steps
-budgets = st.builds(StepBudget, max_steps=st.integers(1, 40)) | st.just(
-    StepBudget(max_steps=10000))
-
-
 @settings(max_examples=200, deadline=None)
-@given(word_machines(), st.integers(1, 5), budgets)
-def test_summaries_match_the_walk_on_random_machines(tw, length, budget):
+@given(word_machines(), st.integers(1, 5))
+def test_summaries_match_the_walk_on_random_machines(tw, length):
     assert tw.att.walks_on_table
-    caches_agree(tw, length, budget)
+    caches_agree(tw, length)
 
 
 @pytest.fixture(scope="module")
@@ -139,25 +152,23 @@ def a2_walk():
     return build_two_way(associate(fixtures.a2()))
 
 
-def test_both_routes_run_inside_one_cache(a2_walk):
-    """A2's two-way machine has at most 9 rules per letter, so 27 steps
-    cover words of length 2 and leave length 3 to the reference route.
-    A covered word is read over the summary of the rest of it, so only
-    the last letters of the words of length 2 are summarized."""
+def test_a_word_is_read_over_the_summary_of_its_rest(a2_walk):
+    """A word is read over the summary of the rest of it, so the words
+    up to length 2 summarize only the last letters of those of length
+    2, and the words of length 1 summarize nothing."""
     tw = a2_walk
-    words = [w for w, _ in accepted_words(tw.correspondence, 3)]
-    built, _ = caches_agree(tw, 3, StepBudget(max_steps=27))
+    words = [w for w, _ in accepted_words(tw.correspondence, 2)]
+    built, _ = caches_agree(tw, 2)
     assert built == len({w[1:] for w in words if len(w) == 2}) == 2
-    assert caches_agree(tw, 3, StepBudget(max_steps=1)) == (0, 0)
+    assert caches_agree(tw, 1)[0] == 0
 
 
 def test_a_wide_machine_outgrows_the_size_bound_on_both_routes():
     """On the word e this machine applies five rules, one more than its
-    attributes times its nodes (the root marker and e), so 4 steps run
-    out; up to 5 steps the word is left to the reference route, which
-    the widest symbol's 3 rules times 2 nodes decide, and from 6 steps
-    on it is read at e over no summary.  Its output of
-    size 6 breaks the linear bound 2 * 2 * 1, on both routes alike."""
+    attributes times its nodes (the root marker and e); the word is
+    read at e over no summary.  Its output of size 6 breaks the linear
+    bound 2 * 2 * 1, on both routes alike, and verify records it once,
+    on the one pair it checks."""
     def chain(tip):
         return Tree("u", [Tree(tip)])
     a = AttSpec(name="WIDE", input=RankedAlphabet({"e": 0}), output=OUT,
@@ -170,18 +181,17 @@ def test_a_wide_machine_outgrows_the_size_bound_on_both_routes():
     corr = RelabelingSpec("e_only", a.input, a.input, ("ok",),
                           (RelabelingRule("e", (), "ok", "e"),))
     tw = TwoWayWord("wide_w", a, corr)
-    seen = {}
-    for steps in range(1, 9):
-        seen[steps] = (caches_agree(tw, 1, StepBudget(max_steps=steps)),
-                       _eval_word(tw, ("e",), StepBudget(steps)))
-    assert [work for work, _ in seen.values()] == [(0, 0)] * 5 + [(0, 1)] * 3
-    assert seen[4][1] is word_transducers._EXHAUSTED
-    assert seen[5][1] == ("u",) * 5 + ("c",)
+    assert caches_agree(tw, 1) == (0, 1)
+    assert _eval_word(tw, ("e",)) == ("u",) * 5 + ("c",)
+    violation = {"att": "WIDE", "input": "e", "output_size": 6, "bound": 4}
     mark = len(LSI_VIOLATIONS)
     try:
-        _word_cache(tw, 1, StepBudget())
-        assert LSI_VIOLATIONS[mark:] == [{"att": "WIDE", "input": "e",
-                                          "output_size": 6, "bound": 4}]
+        read_words(tw, 1)
+        assert LSI_VIOLATIONS[mark:] == [violation]
+        del LSI_VIOLATIONS[mark:]
+        got = one_way_definability(tw, DefinabilityBudget(verify_length=1))
+        assert got.report["pairs"] == 1
+        assert LSI_VIOLATIONS[mark:] == [violation] * 2
     finally:
         del LSI_VIOLATIONS[mark:]
 
@@ -200,8 +210,8 @@ def test_the_root_marker_has_no_synthesized_occurrence():
         RelabelingRule("e", (), "ok", "e"),
         RelabelingRule("g", ("ok",), "ok", "g")))
     tw = TwoWayWord("off_w", a, corr)
-    assert caches_agree(tw, 3, StepBudget()) == (2, 2)
-    assert _word_cache(tw, 3, StepBudget())[0] == {
+    assert caches_agree(tw, 3) == (2, 2)
+    assert read_words(tw, 3)[0] == {
         ("e",): None, ("g", "e"): None, ("g", "g", "e"): None}
 
 
@@ -214,7 +224,7 @@ def test_non_final_suffixes_are_summarized_on_demand():
              RelabelingRule("g", ("even",), "odd", "g"))
     corr = RelabelingSpec("parity", idw.input, idw.input, ("odd",), moves)
     tw = TwoWayWord("odd_w", idw, corr)
-    assert caches_agree(tw, 7, StepBudget()) == (6, 2)
+    assert caches_agree(tw, 7) == (6, 2)
     got = one_way_definability(tw, DefinabilityBudget(verify_length=7))
     assert isinstance(got, Definable)
     assert (got.report["words"], got.report["summaries"]) == (4, 6)
@@ -232,12 +242,14 @@ def test_a_long_run_of_unaccepted_suffixes():
                           tuple(moves))
     tw = TwoWayWord("far_w", idw, corr)
     word = ("g",) * n + ("e",)
-    assert caches_agree(tw, n + 1, StepBudget()) == (n, 1)
-    assert _word_cache(tw, n + 1, StepBudget())[0] == {word: word}
+    assert caches_agree(tw, n + 1) == (n, 1)
+    assert read_words(tw, n + 1)[0] == {word: word}
 
 
 def test_machines_off_the_table_take_the_reference_route():
-    """Two rules for a at e, both ending in output e."""
+    """Two rules for a at e, both ending in output e.  The oracle has no
+    summaries for such a machine and refuses it; a certificate replays
+    on the walk from scratch, which runs it."""
     nd = parse_spec(IDW_TEXT.replace("syn a\n", "syn a\ninh b\n") + """\
 rule e: a(pi) -> b(pi)
 rule g: b(pi 1) -> b(pi)
@@ -248,7 +260,8 @@ rule #: b(pi 1) -> e
         RelabelingRule("g", ("ok",), "ok", "g")))
     tw = TwoWayWord("nd_w", nd, corr)
     assert not tw.att.walks_on_table
-    assert caches_agree(tw, 4, StepBudget()) == (0, 0)
+    with pytest.raises(NotApplicable):
+        one_way_definability(tw)
     assert _eval_word(tw, ("g", "g", "e")) == ("g", "g", "e")
 
 
@@ -282,7 +295,7 @@ def test_summaries_match_the_walk_on_the_bench_machines(name, length):
     tw = bench_two_way(name)
     suffixes = {w[k:] for w, _ in accepted_words(tw.correspondence, length)
                 for k in range(1, len(w))}
-    built, _ = caches_agree(tw, length, StepBudget(max_steps=10000))
+    built, _ = caches_agree(tw, length)
     assert built == len(suffixes) == {"a2": 1170, "lme": 2, "rev": 511,
                                       "copy": 9, "half": 9, "idw": 9}[name]
 
@@ -306,7 +319,34 @@ def test_the_a2_oracle_walks_no_cache_word_from_scratch(a2_walk,
     assert isinstance(got, Definable) and got.verified_length == 5
     assert calls == []
     assert (got.report["words"], got.report["summaries"],
-            got.report["plans"]) == (9362, 1170, 174)
+            got.report["plans"], got.report["classes"],
+            got.report["pairs"]) == (9362, 146, 174, 60, 482)
+
+
+@pytest.fixture
+def yielded(monkeypatch):
+    """Every word accepted_words yields to the oracle, in order."""
+    seen = []
+    real = word_transducers.accepted_words
+
+    def counted(aut, max_length):
+        for w, state in real(aut, max_length):
+            seen.append(w)
+            yield w, state
+    monkeypatch.setattr(word_transducers, "accepted_words", counted)
+    return seen
+
+
+def test_the_a2_oracle_builds_no_word_past_its_sample(a2_walk, yielded):
+    """A2's words up to length 4 are read one by one, and the candidate
+    folded from them is checked on the 9 362 words up to length 5 as
+    482 (letter, class) pairs: accepted_words, which builds a length
+    only once the one before it is taken, builds no word of length 5."""
+    got = one_way_definability(a2_walk, DefinabilityBudget(verify_length=5))
+    assert isinstance(got, Definable) and got.verified_length == 5
+    assert len(yielded) <= 1170
+    assert max(map(len, yielded)) == 4
+    assert got.report["pairs"] <= 500
 
 
 @pytest.fixture
@@ -334,13 +374,38 @@ def test_the_a2_oracle_folds_a_quarter_of_its_cache(a2_walk, folds):
             got.report["folded_words"]) == (9362, 4, 1170)
 
 
-def test_a_failing_quarter_sample_falls_back_to_the_whole_cache(folds):
+def test_a_failing_quarter_sample_falls_back_to_the_whole_cache(
+        folds, yielded, monkeypatch):
     """REV's 255 words up to length 8 are the quarter sample; its
-    candidate fails, and so does the fold of all 1 023 words."""
+    candidate fails, and so does the fold of all 1 023 words, which
+    reads the rest of them: each word is read once."""
+    read = []
+    real = _SuffixSummaries.word
+
+    def counted(self, w):
+        read.append(w)
+        return real(self, w)
+    monkeypatch.setattr(_SuffixSummaries, "word", counted)
     got = one_way_definability(bench_two_way("rev"),
                                DefinabilityBudget(verify_length=10))
     assert isinstance(got, NotDefinable)
     assert folds == [(8, 255), (10, 1023)]
+    assert read == yielded and len(set(read)) == len(read) == 1023
+
+
+def test_a_yes_after_a_failed_sample_keeps_its_failure(folds):
+    """HALF's quarter sample, its 2 words up to length 2, folds into a
+    candidate that fails on g g e; the fold of all 10 words verifies,
+    and the report keeps what failed."""
+    got = one_way_definability(bench_two_way("half"),
+                               DefinabilityBudget(verify_length=10))
+    assert isinstance(got, Definable) and got.verified_length == 10
+    assert folds == [(2, 2), (10, 10)]
+    g = "g_<r0>@1"
+    assert got.report["synthesis"] == [{
+        "reason": "candidate disagrees with the machine",
+        "word": [g, g, "e"], "machine": ["g", "e"], "candidate": ["e"],
+        "folded_length": 2, "folded_words": 2}]
 
 
 def test_a_short_word_budget_is_unknown(a2_walk):
@@ -434,10 +499,7 @@ def reference_onward_prefixes(sample):
     ("idw", 10)])
 def test_onward_prefixes_keep_their_values(name, length):
     """On the whole word cache, rejected words included."""
-    cache, _ = _word_cache(bench_two_way(name), length,
-                           StepBudget(max_steps=10000))
-    cache = {w: None if o is word_transducers._EXHAUSTED else o
-             for w, o in cache.items()}
+    cache, _ = read_words(bench_two_way(name), length)
     assert _onward_prefixes(cache) == reference_onward_prefixes(cache)
 
 
@@ -516,3 +578,99 @@ def test_the_quarter_sample_decides_like_the_fixed_one_on_random_atts(
     tw = two_way_of(a)
     assume(tw is not None)
     same_verdict_as_fixed_sample(tw, DefinabilityBudget(verify_length=length))
+
+
+# ---------------------------------------------------------------------------
+# verify on suffix classes against the per-word loop it replaced
+
+def _run_one_way(steps, init, word):
+    q = init
+    out = []
+    for letter in word:
+        got = steps.get((q, letter))
+        if got is None:
+            return None
+        chunk, q = got
+        out.extend(chunk)
+    return tuple(out) if q is None else None
+
+
+def reference_verify(cand, cache, words, aut):
+    """None when the candidate matches the cached machine behavior on
+    every accepted word and never accepts outside the correspondence
+    language; otherwise a failure report.  words are the cache's words
+    in the order to try them, sorted by the caller, which sorts once
+    however many candidates it checks; the report names the first word
+    that fails."""
+    why = _not_word_shaped(cand)
+    if why is not None:
+        return {"reason": why}
+    steps = _word_steps(cand)
+    stray = _dom_within(cand, aut, steps)
+    if stray is not None:
+        return {"reason": "candidate accepts a word outside the "
+                          "correspondence language", "word": list(stray)}
+    for w in words:
+        want = cache[w]
+        got = _run_one_way(steps, cand.init, w)
+        if got != want:
+            return {"reason": "candidate disagrees with the machine",
+                    "word": list(w),
+                    "machine": None if want is None else list(want),
+                    "candidate": None if got is None else list(got)}
+    return None
+
+
+def perturbed(cand, rng):
+    """The candidate with one rule's output chunk one letter shorter, or
+    one letter longer when it has none to drop."""
+    if not cand.rules:
+        return cand
+    rules = list(cand.rules)
+    k = rng.randrange(len(rules))
+    r = rules[k]
+    unary = sorted(sym for sym, rank in cand.output.items() if rank == 1)
+    if r.rhs.children:
+        rhs = r.rhs.children[0]
+    elif unary:
+        rhs = Tree(rng.choice(unary), [r.rhs])
+    else:
+        return cand
+    rules[k] = TdttRule(r.state, r.symbol, rhs)
+    return replace(cand, rules=tuple(rules))
+
+
+def verify_agrees(tw, length, seed):
+    """The class walk and the per-word loop give the same result on the
+    candidates folded from the oracle's quarter sample and from all the
+    words, and on one seeded perturbation of each.  Returns the number
+    of candidates compared."""
+    aut = tw.correspondence
+    cache, summaries = read_words(tw, length)
+    words = sorted(cache)
+    rng = random.Random(seed)
+    compared = 0
+    for n in _fold_lengths(accepted_counts(aut, length), length):
+        sample = {w: o for w, o in cache.items() if len(w) <= n}
+        # a bound no fold reaches, so that REV folds too
+        cand, _ = synthesize(sample, aut.input, tw.att.output, "C",
+                             len(sample) * length)
+        cand = restrict_to_language(cand, aut)
+        for c in (cand, perturbed(cand, rng)):
+            assert verify(c, summaries, aut, length, Counter()) == \
+                reference_verify(c, cache, words, aut)
+            compared += 1
+    return compared
+
+
+@pytest.mark.parametrize("name, length", [
+    ("a2", 3), ("a2", 5), ("lme", 2), ("rev", 6), ("copy", 10),
+    ("half", 10), ("idw", 10)])
+def test_verify_matches_the_word_loop_on_the_bench_machines(name, length):
+    assert verify_agrees(bench_two_way(name), length, 0) >= 2
+
+
+@settings(max_examples=200, deadline=None)
+@given(word_machines(), st.integers(1, 6), st.integers(0, 2 ** 16))
+def test_verify_matches_the_word_loop_on_random_machines(tw, length, seed):
+    verify_agrees(tw, length, seed)

@@ -1,11 +1,12 @@
 """Prefix-encoding words, the walking word machine, and the one-way
 definability check with its certificates."""
 
+from collections import Counter
+
 import pytest
 
 from ttdef.constructions import AssociatedAttR, associate
-from ttdef.errors import (NoSuchNode, NotApplicable, NotFunctionalInput,
-                          SpecSyntaxError)
+from ttdef.errors import NoSuchNode, NotApplicable, SpecSyntaxError
 from ttdef.model import (ROOT, PairedSpec, RelabelingRule, RelabelingSpec,
                          TdttRule, TdttSpec, call_label, check_monadic,
                          render_spec)
@@ -322,7 +323,7 @@ def test_oracle_finds_a_one_way_equivalent(verdict2):
     assert len(cand.states) <= 16
     assert set(verdict2.report) == {"budget", "words", "summaries",
                                     "plans", "cache_length", "folded_length",
-                                    "folded_words"}
+                                    "folded_words", "classes", "pairs"}
     assert verdict2.report["cache_length"] == 5
     assert (verdict2.report["folded_length"],
             verdict2.report["folded_words"]) == (4, 1170)
@@ -363,9 +364,9 @@ rule s1 d: s1(d) -> c
 rule s2 h: s2(h(x1)) -> s3(x1)
 rule s3 d: s3(d) -> c
 """)
-    assert verify(cand, {}, (), words)["word"] == ["g", "d"]
-    assert verify(restrict_to_language(cand, words), {}, (),
-                  words) is None
+    assert verify(cand, None, words, 0, Counter())["word"] == ["g", "d"]
+    assert verify(restrict_to_language(cand, words), None, words, 0,
+                  Counter()) is None
 
 
 @pytest.mark.parametrize("rules, why", [
@@ -385,7 +386,7 @@ def test_verify_refuses_what_is_no_one_way_machine(rules, why):
         RelabelingRule("g", ("p",), "p", "g")))
     cand = parse_spec("dt C\ninput g:1 e:0\noutput k:1 m:2 c:0\ninit s0\n"
                       + "".join("rule s0 %s: %s\n" % (r[3], r) for r in rules))
-    got = verify(cand, {}, (), words)
+    got = verify(cand, None, words, 0, Counter())
     assert (got and got["reason"]) == why
 
 
@@ -512,7 +513,7 @@ rule e: a(pi) -> d
 rule #: b(pi 1) -> e
 """)
     tw = TwoWayWord("nw", branchy, accept_all(branchy))
-    with pytest.raises(NotFunctionalInput):
+    with pytest.raises(NotApplicable):
         one_way_definability(tw)
 
 
