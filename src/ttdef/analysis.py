@@ -29,7 +29,11 @@ chi, so it is split into chi-free segments (local_run), and a walk under
 a given chi chains them through chi's answers (stitch).  The segments
 from each synthesized attribute at the node are the ones that build the
 node's tail map, so each production keeps them from the shape build
-(Prod.runs).  A walk that stops at a child, which is how a child's chi
+(Prod.runs).  A tail map has two forms only: the shape's key, the map
+sorted, and its ends as a child (Shapes.ends).  Whether a configuration
+is valid, and its visiting pairs, come from stitch over the segments of
+one production of its shape, every "up" exit paired with the attribute
+that entered.  A walk that stops at a child, which is how a child's chi
 is found, reads that child as "enter" ends, never its tail map: its
 segments, and the chi they give the child, are memoized without it (by
 symbol, child, the other children's shapes and start or chi) and shared
@@ -288,12 +292,18 @@ def _require_walkable(att):
         raise NotApplicable("circular")
 
 
-def _tau_key(tau):
-    return tuple(sorted(tau.items()))
+def _key_of_runs(runs):
+    """The shape key of a production from its segments: its tail map, per
+    synthesized attribute whose walk leaves or finishes ("up", b) or
+    ("ground",), sorted."""
+    return tuple(sorted((a, ("up", attr) if kind == "up" else ("ground",))
+                        for a, (kind, attr, _, _) in runs.items()
+                        if kind in ("up", "ground")))
 
 
-def _isd_of_tau(tau):
-    return frozenset((out[1], a) for a, out in tau.items() if out[0] == "up")
+def _isd_of_tau(key):
+    """The is-dependency of a shape, read off its key."""
+    return frozenset((out[1], a) for a, out in key if out[0] == "up")
 
 
 @dataclass
@@ -313,7 +323,6 @@ class Shapes:
     def __init__(self, att):
         self.att = att
         self.crossings = Crossings(att)
-        self.tau = {}        # key -> tail map dict
         self.ends = {}       # key -> the tail map as a child's ends
         self.rep = {}        # key -> representative Tree
         self.prods = []
@@ -332,13 +341,11 @@ class Shapes:
     def _build(self):
         def step(sym, combo):
             runs = self._runs(sym, combo)
-            tau = _tau_of(runs)
-            key = _tau_key(tau)
+            key = _key_of_runs(runs)
             prod = Prod(sym, combo, key, runs)
             self.prods.append(prod)
             self.by_out.setdefault(key, []).append(prod)
-            if key not in self.tau:
-                self.tau[key] = tau
+            if key not in self.ends:
                 self.ends[key] = tuple(
                     (_ENDS.get(kind, "stuck"), attr, True)
                     for kind, attr, _, _ in runs.values())
@@ -357,7 +364,7 @@ class Shapes:
 
     def key_of(self, s):
         child_keys = tuple(self.key_of(c) for c in s.children)
-        return _tau_key(_tau_of(self._runs(s.label, child_keys)))
+        return _key_of_runs(self._runs(s.label, child_keys))
 
     def bounded(self, sigma, child_keys, i):
         """The chi-free segments at a sigma-node that stop at child i, as a
@@ -376,17 +383,6 @@ class Shapes:
                                               start)
             return seg
         return segment
-
-
-def _tau_of(runs):
-    """Tail map of a production from its segments."""
-    tau = {}
-    for a, (kind, attr, _, _) in runs.items():
-        if kind == "up":
-            tau[a] = ("up", attr)
-        elif kind == "ground":
-            tau[a] = ("ground",)
-    return tau
 
 
 # ---------------------------------------------------------------------------
@@ -410,33 +406,6 @@ class Config:
 
     def chi_map(self):
         return dict(self.chi)
-
-
-def _chain(tau, entry, chi_map):
-    """Visit chain at a node: entering attributes in order and the visiting
-    pairs they realize, or None if the run would die here."""
-    attrs = []
-    pairs = []
-    a = entry
-    seen = set()
-    while True:
-        if a in seen:
-            return None
-        seen.add(a)
-        attrs.append(a)
-        out = tau.get(a)
-        if out is None:
-            return None
-        if out[0] == "ground":
-            return tuple(attrs), frozenset(pairs)
-        b = out[1]
-        pairs.append((b, a))
-        ans = chi_map.get(b, HALT_DEAD)
-        if ans == HALT_DEAD:
-            return None
-        if ans == HALT_OK:
-            return tuple(attrs), frozenset(pairs)
-        a = ans
 
 
 class TopDown:
@@ -464,12 +433,22 @@ class TopDown:
         self.configs = list(self.parent)
 
     def _valid(self, cfg):
-        """Whether cfg's chain completes; keeps its visiting pairs."""
+        """Whether cfg's walk completes, stitched from the segments of one
+        production of its shape (all of them share its tail map); keeps
+        its visiting pairs, each exit with the attribute that entered."""
         if cfg not in self.psi:
-            got = _chain(self.shapes.tau[cfg.key], cfg.entry, cfg.chi_map())
-            if got is None:
+            runs = self.shapes.by_out[cfg.key][0].runs
+            pairs = set()
+
+            def segment(start):
+                seg = runs[start[0]]
+                if seg[0] == "up":
+                    pairs.add((seg[1], start[0]))
+                return seg
+            kind = stitch(segment, cfg.chi_map(), (cfg.entry, 0))[0]
+            if kind not in ("ground", "halt_ok"):
                 return False
-            self.psi[cfg] = got[1]
+            self.psi[cfg] = frozenset(pairs)
         return True
 
     def _expand(self, cfg):
@@ -522,7 +501,7 @@ def _root_configs(att, shapes):
     chi reflects the root rules.  The root rules never read the shape
     below them, so every shape gets the same chi."""
     chi = _child_chi(shapes, ROOT, (None,), 1, ())
-    return [Config(key, att.init, chi) for key in sorted(shapes.tau)]
+    return [Config(key, att.init, chi) for key in sorted(shapes.ends)]
 
 
 def _allok_configs(att, shapes):
@@ -530,9 +509,9 @@ def _allok_configs(att, shapes):
     with a defined tail, any exit ending the walk."""
     chi = tuple(sorted((b, HALT_OK) for b in att.inh))
     roots = []
-    for key in sorted(shapes.tau):
-        for a in att.syn:
-            if a in shapes.tau[key]:
+    for key in sorted(shapes.ends):
+        for a, (end, _, _) in zip(att.syn, shapes.ends[key]):
+            if end != "stuck":
                 roots.append(Config(key, a, chi))
     return roots
 
@@ -547,7 +526,7 @@ def _wants(psi, isd, cfg):
 def _targets(att, shapes, family):
     """The bare-walk configurations that some visiting pair set of family
     reads, in _allok_configs order."""
-    isds = {key: _isd_of_tau(tau) for key, tau in shapes.tau.items()}
+    isds = {key: _isd_of_tau(key) for key in shapes.ends}
     return [cfg for cfg in _allok_configs(att, shapes)
             if any(_wants(psi, isds[cfg.key], cfg) for psi in family)]
 
@@ -781,7 +760,7 @@ class VariationVerdict:
 def _variation_core(growth, psi):
     shapes = growth.shapes
     targets = [cfg for cfg in growth.targets
-               if _wants(psi, _isd_of_tau(shapes.tau[cfg.key]), cfg)]
+               if _wants(psi, _isd_of_tau(cfg.key), cfg)]
     unb = [cfg for cfg in targets if cfg in growth.unb]
     if unb:
         target = unb[0]
@@ -790,7 +769,7 @@ def _variation_core(growth, psi):
         lengths = []
         for n in range(3):
             t = w.tree(n)
-            assert _isd_of_tau(shapes.tau[shapes.key_of(t)]) >= psi
+            assert _isd_of_tau(shapes.key_of(t)) >= psi
             lengths.append(_bare_nf_size(shapes, t, target.entry))
         w.lengths = tuple(lengths)
         assert lengths[0] < lengths[1] < lengths[2], lengths

@@ -18,7 +18,7 @@ from .model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
                     fresh_name, is_occurrence, mangle_literal, mangle_parts,
                     occ_node, occ_pattern)
 from . import semantics
-from .semantics import Crossings, _chain_tree
+from .semantics import Crossings, _chain_tree, _join
 from .trees import (RankedAlphabet, Tree, breadth_first, explore_bottom_up,
                     settle_representatives)
 
@@ -119,39 +119,6 @@ class AssociatedAttR:
         return PairedSpec("attR", self.name, self.relabeling, self.att)
 
 
-def _reduce(a, sym, tables, chain, built):
-    """The rule chain with every precomputed child walk inlined, as a
-    right-hand side built once per result, or None when the walk strands
-    at a child with no applicable rule (then the translation is undefined
-    whenever the rule fires, and dropping it reproduces exactly that).
-    tables[i - 1] maps the attributes child i finishes to (chunk, end,
-    name)."""
-    labels, tip, leaf = chain
-    labels = list(labels)
-    path = set()
-    while tip is not None and tip[1] >= 1:
-        attr, pos = tip
-        if a.is_syn(attr):
-            got = tables[pos - 1].get(attr)
-            if got is None:
-                break       # not precomputed; the reduced att walks the child
-            chunk, end, name = got
-            tip, leaf = ((name, pos), None) if end == "up" else (None, name)
-        else:
-            chains = a.rule_table.get((sym, attr, pos))
-            if chains is None:
-                return None
-            chunk, tip, leaf = chains[0]
-        assert (attr, pos) not in path, "reduction revisits %s" % (attr, pos)
-        path.add((attr, pos))
-        labels.extend(chunk)
-    key = tuple(labels), tip, leaf
-    if key not in built:
-        built[key] = _chain_tree(labels, leaf if tip is None else
-                                 occ_pattern(*tip))
-    return built[key]
-
-
 def associate(a):
     """Split an att into a precomputing bottom-up relabeling plus an att
     over the annotated alphabet, jointly equivalent to the input.
@@ -169,6 +136,14 @@ def associate(a):
     nf under the default StepBudget of 1 000 000 steps agrees with them
     except on a first tree of more than 1e6 / width nodes (width as in
     Crossings), where the budget drops a pair that is precomputed here.
+
+    A rule is reduced by the node walk from its left-hand side
+    (Crossings.walk), over its children's states as ends: a finished walk
+    as its first tree's summary gives it, any other synthesized b of
+    child i as ("enter", (b, i), False), where the reduced att takes over
+    and walks the child.  The pieces, joined, are the right-hand side.  A
+    walk stuck at a node with no applicable rule drops the rule: the
+    translation is undefined whenever it fires.
     """
     _require_walkable(a)
     cap = kappa(a)
@@ -206,13 +181,24 @@ def associate(a):
         if a.input.rank(sym) == 0:
             continue
         alpha2.append((out, a.input.rank(sym)))
-        child_tables = [firsts[c][1] for c in combo]
+        summaries = [firsts[c][0] for c in combo]
+        below = [tuple(e if attr in firsts[c][1] else
+                       ("enter", (attr, i), False)
+                       for attr, e in zip(a.syn, firsts[c][0][0]))
+                 for i, c in enumerate(combo, start=1)]
         bucket = []
         for r in a.rules_at(sym):
-            eta = _reduce(a, sym, child_tables,
-                          a.rule_table[sym, r.attr, r.pos][0], built)
-            if eta is not None:
-                bucket.append(AttRule(r.attr, r.pos, eta))
+            pieces, end, x = crossings.walk(sym, below, (r.attr, r.pos))
+            assert end not in ("silent", "productive"), \
+                "reduction revisits an occurrence at %s" % sym
+            if end == "stuck":
+                continue
+            key = _join(pieces, summaries), end, x
+            if key not in built:
+                built[key] = _chain_tree(key[0], x if end == "leaf" else
+                                         occ_pattern(*x) if end == "enter"
+                                         else occ_pattern(x, 0))
+            bucket.append(AttRule(r.attr, r.pos, built[key]))
         rules2[out] = tuple(bucket)
     annotated = RankedAlphabet(alpha2)
     relab = RelabelingSpec(name=a.name + "_pre", input=a.input,

@@ -54,8 +54,6 @@ class FunctionalityBudget:
             return cls()
         if isinstance(value, cls):
             return value
-        if isinstance(value, int) and not isinstance(value, bool):
-            return cls(depth=value)
         raise SpecSyntaxError("not a functionality budget: %r" % (value,))
 
 

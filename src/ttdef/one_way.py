@@ -55,9 +55,11 @@ def _onward_prefixes(sample):
     first and in order within a length, and for each one below a defined
     word the longest output prefix shared by the defined words below it,
     clamped so that every word's final rule keeps at least its last
-    output letter.  Words and prefixes merge into their parents one
-    length at a time, each once; a rejected word only adds its
-    prefixes, and each length's prefixes are sorted once."""
+    output letter.  The empty prefix gets the empty output, since a
+    one-way machine emits nothing before its first letter.  Words and
+    prefixes merge into their parents one length at a time, each once; a
+    rejected word only adds its prefixes, and each length's prefixes are
+    sorted once."""
     words = {}
     for w, o in sample.items():
         words.setdefault(len(w), []).append(
@@ -72,7 +74,7 @@ def _onward_prefixes(sample):
                 up[parent] = have or got
             else:
                 up[parent] = _lcp(have[0], got[0]), min(have[1], got[1])
-        out.update((p, got[0][:got[1]]) for p, got in up.items()
+        out.update((p, got[0][:got[1]] if p else ()) for p, got in up.items()
                    if got is not None)
         levels.append(sorted(up))
     return [p for level in reversed(levels) for p in level], out
@@ -450,17 +452,23 @@ def drifts_apart(row1, row2):
     return True
 
 
-def pump_search(cache, budget):
+# pump_search pumps a loop these many times, tries suffixes up to this
+# length, and gives up past this many candidates
+PUMP_COUNTS = (1, 2, 3, 4)
+PUMP_SUFFIX_LENGTH = 3
+MAX_PUMP_CANDIDATES = 20000
+
+
+def pump_search(cache):
     """A pump certificate refuting one-way realizability from the cached
     outputs, or None.  Deterministic: loops, prefixes and suffixes are
     scanned in sorted order."""
-    counts = budget.pump_counts
     defined = {w: o for w, o in cache.items() if o is not None}
     if not defined:
         return None
     letters = sorted({c for w in cache for c in w[:-1]})
     suffixes = sorted({w[-j:] for w in defined
-                       for j in range(1, min(len(w), budget.pump_suffix_length) + 1)})
+                       for j in range(1, min(len(w), PUMP_SUFFIX_LENGTH) + 1)})
     examined = 0
     for u in [()] + [(c,) for c in letters]:
         for a in letters:
@@ -468,23 +476,23 @@ def pump_search(cache, budget):
             rows = {}
             for v in suffixes:
                 examined += 1
-                if examined > budget.max_pump_candidates:
+                if examined > MAX_PUMP_CANDIDATES:
                     return None
-                outs = [defined.get(u + loop * n + v) for n in counts]
+                outs = [defined.get(u + loop * n + v) for n in PUMP_COUNTS]
                 if any(o is None for o in outs):
                     continue
-                if not affine_family_ok(tuple(outs), counts):
-                    return PumpCertificate("affine", u, loop, (v,), counts,
-                                           (tuple(outs),))
+                if not affine_family_ok(tuple(outs), PUMP_COUNTS):
+                    return PumpCertificate("affine", u, loop, (v,),
+                                           PUMP_COUNTS, (tuple(outs),))
                 rows[v] = tuple(outs)
             vs = sorted(rows)
             for i in range(len(vs)):
                 for j in range(i + 1, len(vs)):
                     examined += 1
-                    if examined > budget.max_pump_candidates:
+                    if examined > MAX_PUMP_CANDIDATES:
                         return None
                     if drifts_apart(rows[vs[i]], rows[vs[j]]):
                         return PumpCertificate("shared_prefix", u, loop,
-                                               (vs[i], vs[j]), counts,
+                                               (vs[i], vs[j]), PUMP_COUNTS,
                                                (rows[vs[i]], rows[vs[j]]))
     return None

@@ -681,12 +681,15 @@ class Crossings:
     A word is the monadic case: a letter has one child, the last none.
 
     walk runs one walk at a node over any ends of its children, and the
-    walk analysis (analysis.local_run) reads it over two more kinds of
-    ends.  A tail map gives, per synthesized attribute, ("up", b, True),
-    ("leaf", None, True) or ("stuck", None, True), so that every child
-    visit is a piece.  A child the walk must stop at gives ("enter", a,
-    False) for each synthesized a: only "up" goes on through a child, so
-    the walk ends there, with end "enter" and the entering attribute.
+    walk analysis (analysis.local_run) and constructions.associate read
+    it over more kinds of ends.  A tail map gives, per synthesized
+    attribute, ("up", b, True), ("leaf", None, True) or ("stuck", None,
+    True), so that every child visit is a piece.  A child the walk must
+    stop at gives ("enter", name, False) for each synthesized a: only
+    "up" goes on through a child, so the walk ends there, with end
+    "enter" and the name passed through; the analysis names the entering
+    attribute a, and associate the occurrence (a, i) where its reduced
+    att takes over.
 
     width is the largest number of rules of one symbol.  A walk applies a
     rule at most once per node, so over #(s) it takes at most width *

@@ -15,8 +15,7 @@ from dataclasses import asdict, dataclass, field
 from itertools import islice
 
 from .constructions import normalize_ground_rhs
-from .errors import (NoSuchNode, NotApplicable, NotFunctionalInput,
-                     SpecSyntaxError)
+from .errors import NotApplicable, NotFunctionalInput, SpecSyntaxError
 from .model import (ROOT, AttRule, AttSpec, RelabelingRule, RelabelingSpec,
                     TdttRule, TdttSpec, call_info, call_label, fresh_name,
                     mangle_child, mangle_parts, occ_pattern,
@@ -25,7 +24,7 @@ from .one_way import (PumpCertificate, affine_family_ok, drifts_apart,
                       pump_search, restrict_to_language, synthesize, verify)
 from .semantics import (Crossings, Output, _chain_tree, _check_lsi,
                         enumerate_outputs, evaluate, tree_of)
-from .trees import RankedAlphabet, Tree, format_address
+from .trees import RankedAlphabet, Tree
 
 
 # ---------------------------------------------------------------------------
@@ -69,31 +68,6 @@ def base_of_encoding(enc):
                 raise SpecSyntaxError(
                     "letter %s is missing from the encoding" % mangle_child(base, i))
     return RankedAlphabet([(b, ranks[b]) for b in order])
-
-
-def encode_prefix(s, path):
-    """Word for the root-to-leaf walk of s along the given address.
-
-    Each step into child i of a sym node contributes the letter sym@i;
-    the addressed node must be a leaf and ends the word.  Subtrees off
-    the path are forgotten (they become the holes of the decoded
-    prefix).
-    """
-    labels = []
-    node = s
-    for depth, i in enumerate(path):
-        if not 1 <= i <= len(node.children):
-            raise NoSuchNode("no child %d at address %s"
-                             % (i, format_address(tuple(path[:depth]))))
-        labels.append(mangle_child(node.label, i))
-        node = node.children[i - 1]
-    if node.children:
-        raise NoSuchNode("the path stops at inner node %r; prefix words "
-                         "end at a leaf" % node.label)
-    word = Tree(node.label)
-    for lab in reversed(labels):
-        word = Tree(lab, [word])
-    return word
 
 
 def word_of(t):
@@ -325,13 +299,10 @@ class DefinabilityBudget:
     quarter of them at most, and all of them are folded only when that
     sample fails; either fold stops past state_bound states.  Words are
     read over crossing summaries, which settle every walk however long,
-    so no step budget binds.  The pump fields bound pump_search."""
+    so no step budget binds."""
     verify_length: int = 10
     state_bound: int = 16
     max_words: int = 150000
-    pump_counts: tuple = (1, 2, 3, 4)
-    pump_suffix_length: int = 3
-    max_pump_candidates: int = 20000
 
     @classmethod
     def coerce(cls, budget):
@@ -339,9 +310,7 @@ class DefinabilityBudget:
             return cls()
         if isinstance(budget, cls):
             return budget
-        if isinstance(budget, int):
-            return cls(verify_length=budget)
-        raise SpecSyntaxError("budget must be a DefinabilityBudget or an int")
+        raise SpecSyntaxError("budget must be a DefinabilityBudget")
 
 
 @dataclass
@@ -523,7 +492,7 @@ def one_way_definability(tw, budget=None):
     report["synthesis"] = failures
     for w, _ in words:
         cache[w] = summaries.word(w)
-    cert = pump_search(cache, budget)
+    cert = pump_search(cache)
     if cert is not None:
         return NotDefinable(cert)
     report["reason"] = "no candidate verified and no pump refutation found"

@@ -1,16 +1,17 @@
 import gc
 import weakref
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 
 from ttdef import analysis
-from ttdef.analysis import (Shapes, TopDown, _allok_configs, _Growth,
-                            _family, _isd_of_tau, _require_walkable,
-                            _root_configs, _theta_step, _tip_edges,
-                            _variation_core, all_isds, is_circular, kappa,
-                            single_path)
+from ttdef.analysis import (HALT_DEAD, HALT_OK, Shapes, TopDown,
+                            _allok_configs, _family, _Growth, _isd_of_tau,
+                            _require_walkable, _root_configs, _theta_step,
+                            _tip_edges, _variation_core, all_isds,
+                            is_circular, kappa, single_path)
 from ttdef.constructions import normalize_domain_into_range, normalize_ground_rhs
 from ttdef.errors import NotApplicable, UnknownAttribute
 from ttdef.model import PairedSpec, occ_node, occ_node_info, occ_pattern_info
@@ -23,6 +24,7 @@ from fixtures import parse_spec
 from string_forms import rules_for
 from test_walk_table import NONMONADIC_TEXT, atts, derivation_forms
 
+SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
 FE = RankedAlphabet({"f": 2, "e": 0})
 FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
 
@@ -440,7 +442,7 @@ def check_growth_on_targets(a, same_witnesses, every_isd=False):
     shapes = Shapes(a)
     family = _family(TopDown(a, shapes, _root_configs(a, shapes)))
     if every_isd:
-        isds = {_isd_of_tau(tau) for tau in shapes.tau.values()}
+        isds = {_isd_of_tau(key) for key in shapes.ends}
         family |= isds | {frozenset([p]) for isd in isds for p in isd}
     got = _Growth(a, shapes, family)
     ref = AllRootsGrowth(a, shapes)
@@ -480,6 +482,102 @@ def test_growth_on_targets_matches_all_roots_on_random_atts():
 
     check()
     assert counts["unbounded"] >= PUMPED, counts
+
+
+# ---------------------------------------------------------------------------
+# configuration validity: stitch over one production's segments, against
+# the visit chain over the shape's tail map that it replaced
+
+def _chain(tau, entry, chi_map):
+    """Visit chain at a node: entering attributes in order and the visiting
+    pairs they realize, or None if the run would die here."""
+    attrs = []
+    pairs = []
+    a = entry
+    seen = set()
+    while True:
+        if a in seen:
+            return None
+        seen.add(a)
+        attrs.append(a)
+        out = tau.get(a)
+        if out is None:
+            return None
+        if out[0] == "ground":
+            return tuple(attrs), frozenset(pairs)
+        b = out[1]
+        pairs.append((b, a))
+        ans = chi_map.get(b, HALT_DEAD)
+        if ans == HALT_DEAD:
+            return None
+        if ans == HALT_OK:
+            return tuple(attrs), frozenset(pairs)
+        a = ans
+
+
+class MetTopDown(TopDown):
+    """TopDown recording every configuration it checks: its roots and
+    every child configuration of an expansion."""
+
+    def __init__(self, *args):
+        self.met = {}
+        super().__init__(*args)
+
+    def _valid(self, cfg):
+        self.met[cfg] = None
+        return super()._valid(cfg)
+
+
+def valid_as_chain(a):
+    """Every configuration the root system and the bare-walk system of a
+    meet is valid exactly when _chain completes over its shape's tail
+    map (the key, as a dict), and then has _chain's visiting pairs.
+    Returns the counts of valid and invalid configurations, and of
+    valid ones with some visiting pair."""
+    shapes = Shapes(a)
+    counts = Counter()
+    for roots in (_root_configs(a, shapes), _allok_configs(a, shapes)):
+        sys = MetTopDown(a, shapes, roots)
+        for cfg in sys.met:
+            want = _chain(dict(cfg.key), cfg.entry, cfg.chi_map())
+            assert (cfg in sys.psi) == (want is not None), cfg
+            if want is not None:
+                assert sys.psi[cfg] == want[1], cfg
+            counts["valid" if want else "invalid"] += 1
+            counts["pairs"] += bool(want and want[1])
+    return counts
+
+
+def bench_att(name):
+    """The att the pipeline analyses for a spec of the benchmark."""
+    spec = parse_spec((SPECS / ("%s.att" % name)).read_text())
+    if isinstance(spec, PairedSpec):
+        spec = normalize_domain_into_range(spec.first, spec.second).second
+    return normalize_ground_rhs(spec)
+
+
+@pytest.mark.parametrize("name", ["a2", "lme", "rev", "copy", "half", "idw",
+                                  "a1"])
+def test_valid_configurations_match_the_chain_on_the_bench_specs(name):
+    counts = valid_as_chain(bench_att(name))
+    assert counts["valid"] and counts["pairs"], counts
+    if name == "lme":
+        assert counts["invalid"], counts
+
+
+def test_valid_configurations_match_the_chain_on_random_atts():
+    counts = Counter()
+
+    @settings(max_examples=200, deadline=None)
+    @given(atts())
+    def check(a):
+        assume(not is_circular(a)[0])
+        counts.update(valid_as_chain(a))
+        counts["atts"] += 1
+
+    check()
+    assert counts["atts"] >= 200 and counts["invalid"] and counts["pairs"], \
+        counts
 
 
 @pytest.mark.parametrize("make, yes", [(fixtures.a1, False),

@@ -1,7 +1,7 @@
 """The look-around front end against the string-form code it replaced.
 
 associate reads each state's finished walks off the crossing summary of
-its first tree and reduces rules by joining rule_table chains;
+its first tree and reduces rules by the node walk, Crossings.walk;
 build_two_way projects each rule per letter from its chain; all_isds and
 is_circular read one tip-edge map per spec.  The code they replace is
 kept here as the reference: reference_associate (with _finished_pairs,

@@ -255,7 +255,8 @@ def test_functional_with_look_around():
     pair = PairedSpec(kind="attU", name="a2_u",
                       first=fixtures.identity_lookaround(a2.input, "idfed"),
                       second=a2)
-    assert is_functional(pair, 3) == FunctionalUpTo(3)
+    assert is_functional(pair, FunctionalityBudget(depth=3)) == \
+        FunctionalUpTo(3)
 
 
 def test_functional_with_look_around_finds_two_outputs():
@@ -263,7 +264,7 @@ def test_functional_with_look_around_finds_two_outputs():
     pair = PairedSpec(kind="attU", name="n1_u",
                       first=fixtures.identity_lookaround(n1.input, "idfe"),
                       second=n1)
-    verdict = is_functional(pair, 3)
+    verdict = is_functional(pair, FunctionalityBudget(depth=3))
     assert verdict == NotFunctional(parse_tree("e"), parse_tree("e"),
                                     parse_tree("g(e)"))
     outs, exhaustive = enumerate_outputs(pair, verdict.input)
@@ -275,7 +276,7 @@ def test_functional_with_look_around_reports_cycles():
     pair = PairedSpec(kind="attU", name="p0_u",
                       first=fixtures.identity_lookaround(p0.input, "ide"),
                       second=p0)
-    verdict = is_functional(pair, 2)
+    verdict = is_functional(pair, FunctionalityBudget(depth=2))
     assert isinstance(verdict, ProductiveCycle)
     # the cycle witness names the relabeled tree and replays against the
     # att side of the pair
@@ -304,7 +305,7 @@ def test_functional_lists_its_inputs_once(make, paired, monkeypatch):
     for name in calls:
         monkeypatch.setattr(functionality, name,
                             counted(getattr(functionality, name)))
-    is_functional(a, 3)
+    is_functional(a, FunctionalityBudget(depth=3))
     enumerates = make is not fixtures.p0
     assert calls == {"_inputs": 1,
                      "enumerate_shared": int(paired) + enumerates}
@@ -326,7 +327,7 @@ def test_functional_compiles_each_plan_once(monkeypatch):
     a2 = fixtures.a2()
     a = PairedSpec(kind="attU", name="u", second=a2,
                    first=fixtures.identity_lookaround(a2.input, "id"))
-    assert is_functional(a, 3) == FunctionalUpTo(3)
+    assert is_functional(a, FunctionalityBudget(depth=3)) == FunctionalUpTo(3)
     assert [len(c.plans) for c in made] == [44]
 
 
@@ -343,11 +344,11 @@ def test_functional_needs_word_output():
 
 def test_budget_coercion():
     assert FunctionalityBudget.coerce(None) == FunctionalityBudget()
-    assert FunctionalityBudget.coerce(2).depth == 2
     budget = FunctionalityBudget(depth=3, max_steps=10)
     assert FunctionalityBudget.coerce(budget) is budget
-    with pytest.raises(SpecSyntaxError):
-        FunctionalityBudget.coerce("plenty")
+    for value in ("plenty", 2):
+        with pytest.raises(SpecSyntaxError):
+            FunctionalityBudget.coerce(value)
 
 
 @pytest.mark.parametrize("make", [
@@ -427,7 +428,7 @@ def check_verdict(subject, a, depth):
     look-around, which shows each tree as itself) against ground_forms.
     A cycle found first decides the verdict; otherwise it names the
     first tree with two outputs, or there is none."""
-    verdict = is_functional(subject, depth)
+    verdict = is_functional(subject, FunctionalityBudget(depth=depth))
     cycle = string_forms.detect_productive_cycle(a, depth)
     if cycle is not None:
         if isinstance(verdict, ProductiveCycle):
@@ -462,7 +463,8 @@ def test_verdicts_on_random_nondeterministic_atts(a, depth):
 def test_verdicts_behind_an_identity_lookaround(a, depth):
     pair = PairedSpec(kind="attU", name="r_u",
                       first=fixtures.identity_lookaround(IN, "idr"), second=a)
-    assert check_verdict(pair, a, depth) == is_functional(a, depth)
+    assert check_verdict(pair, a, depth) == \
+        is_functional(a, FunctionalityBudget(depth=depth))
 
 
 # ---------------------------------------------------------------------------

@@ -25,9 +25,7 @@ BENCH = PACKAGE.parent.parent / "bench"
 
 # Top-level names no caller reads, each with the ROADMAP item that will
 # call it or the reason it stays.
-UNREAD_ALLOWED = {
-    "encode_prefix": "item 1(c), words from counterexample trees",
-}
+UNREAD_ALLOWED = {}
 
 
 def unused_imports(source):

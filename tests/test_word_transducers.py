@@ -9,17 +9,18 @@ from ttdef.constructions import AssociatedAttR, associate
 from ttdef.errors import NoSuchNode, NotApplicable, SpecSyntaxError
 from ttdef.model import (ROOT, PairedSpec, RelabelingRule, RelabelingSpec,
                          TdttRule, TdttSpec, call_label, check_monadic,
-                         render_spec)
+                         mangle_child, render_spec)
 from ttdef.one_way import restrict_to_language, verify
 from ttdef.semantics import Output, Reject, evaluate, run_relabeling
-from ttdef.trees import RankedAlphabet, Tree, parse_tree, trees_up_to_height
+from ttdef.trees import (RankedAlphabet, Tree, format_address, parse_tree,
+                         trees_up_to_height)
 from ttdef.word_transducers import (Definable, DefinabilityBudget,
                                     NotDefinable, TwoWayWord, Unknown,
                                     accepted_counts, accepted_words,
                                     back_convert, base_of_encoding,
                                     build_correspondence_automaton,
                                     build_two_way, certificate_from_json,
-                                    certificate_to_json, encode_prefix,
+                                    certificate_to_json,
                                     encoding_alphabet, one_way_definability,
                                     range_automaton, replay_certificate,
                                     tree_of, word_of)
@@ -34,6 +35,31 @@ FED = RankedAlphabet({"f": 2, "e": 0, "d": 0})
 # of f_<r0,r1> holds a d-subtree, the first an e-subtree
 INSIDE = ("f_<r0,r1>@2", "d")
 OUTSIDE = ("f_<r0,r1>@1", "d")
+
+
+def encode_prefix(s, path):
+    """Word for the root-to-leaf walk of s along the given address.
+
+    Each step into child i of a sym node contributes the letter sym@i;
+    the addressed node must be a leaf and ends the word.  Subtrees off
+    the path are forgotten (they become the holes of the decoded
+    prefix).
+    """
+    labels = []
+    node = s
+    for depth, i in enumerate(path):
+        if not 1 <= i <= len(node.children):
+            raise NoSuchNode("no child %d at address %s"
+                             % (i, format_address(tuple(path[:depth]))))
+        labels.append(mangle_child(node.label, i))
+        node = node.children[i - 1]
+    if node.children:
+        raise NoSuchNode("the path stops at inner node %r; prefix words "
+                         "end at a leaf" % node.label)
+    word = Tree(node.label)
+    for lab in reversed(labels):
+        word = Tree(lab, [word])
+    return word
 
 
 def same_outcome(x, y):
@@ -416,14 +442,14 @@ rule e: a(pi) -> e
 
 
 def test_oracle_without_budget_is_unknown(tw2):
-    got = one_way_definability(tw2, 0)
+    got = one_way_definability(tw2, DefinabilityBudget(verify_length=0))
     assert isinstance(got, Unknown)
     assert got.report["reason"] == "no word budget"
-    b = DefinabilityBudget.coerce(5)
-    assert b == DefinabilityBudget(verify_length=5)
+    b = DefinabilityBudget(verify_length=5)
     assert DefinabilityBudget.coerce(b) is b
-    with pytest.raises(SpecSyntaxError):
-        DefinabilityBudget.coerce("plenty")
+    for value in ("plenty", 5):
+        with pytest.raises(SpecSyntaxError):
+            DefinabilityBudget.coerce(value)
 
 
 HALF_TEXT = """\
