@@ -204,14 +204,9 @@ def _cmd_associate(args):
     return 0
 
 
-def _to_two_way(a):
-    h = associate(normalize_ground_rhs(a))
-    return build_two_way(h)
-
-
 def _cmd_to_two_way(args):
     a = _plain_att(_subject(_load_decls(args.file), args.spec), "to-two-way")
-    tw = _to_two_way(a)
+    tw = build_two_way(associate(normalize_ground_rhs(a)))
     text = render_spec(tw.att) + "\n" + render_spec(tw.correspondence)
     path = ArtifactSink(args.out).write_spec("two-way", text)
     _emit(args, {"schema": SCHEMA, "two_way": tw.name, "spec": path},
@@ -221,12 +216,12 @@ def _cmd_to_two_way(args):
 
 def _cmd_definable(args):
     a = _plain_att(_subject(_load_decls(args.file), args.spec), "definable")
-    sp = single_path(normalize_ground_rhs(a))
-    if not sp.yes:
+    grounded = normalize_ground_rhs(a)
+    if not single_path(grounded).yes:
         raise SpecSyntaxError(
             "%r has two unbounded-variation nodes off one path; the word "
             "route does not apply" % a.name)
-    tw = _to_two_way(a)
+    tw = build_two_way(associate(grounded))
     if args.replay:
         try:
             obj = json.loads(Path(args.replay).read_text())

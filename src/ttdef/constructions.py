@@ -7,12 +7,19 @@ reduced att, rewriting a look-around pair so the att stage on its own
 rejects trees the look-around could not have produced, composing two
 top-down transducers with look-ahead, and extracting a deterministic
 transducer from a functional nondeterministic one.
+
+The last three are the classic refinements of a look-ahead (Engelfriet,
+Top-down tree transducers with regular look-ahead, 1977): the fused
+look-around, compose_dtR and uniformize each pair the look-ahead's state
+with a table of what the next stage reads below, and relabel each node
+with its table's key.  They share one bottom-up builder, _refine, and
+keep only their table, their key and how they read it.
 """
 
 from dataclasses import dataclass
 
 from .analysis import _require_walkable, is_circular, kappa
-from .errors import AlphabetMismatch, NotApplicable, NotTrimmable, SpecSyntaxError
+from .errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from .model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
                     RelabelingSpec, TdttRule, TdttSpec, call_info, call_label,
                     fresh_name, is_occurrence, mangle_literal, mangle_parts,
@@ -216,12 +223,65 @@ def associate(a):
 
 
 # ---------------------------------------------------------------------------
+# refining a look-ahead
+
+def _first_rhs(td):
+    """(state, symbol) -> the right-hand side of the first rule of the
+    top-down stage td with that left-hand side."""
+    return {(r.state, r.symbol): r.rhs for r in reversed(td.rules)}
+
+
+def _refine(rel, name, track, annotate, prefixes, accept=lambda table: True):
+    """A bottom-up relabeling that refines rel's look-ahead by a table,
+    and the map from annotation key to annotated symbol, in the order
+    found.
+
+    Its states are the pairs (rel's state, track(mid, child tables)) at a
+    node rel relabels to mid, named prefixes[0] and a number in the order
+    explore_bottom_up finds them; such a state is final when rel's state
+    is and accept(table) holds.  A node is relabeled to the symbol of its
+    key annotate(sym, mid, child tables): the key's first item, mangled
+    with prefixes[1] and a number in the order the keys are found.  The
+    relabeling is named name + "_la"."""
+    states = {}     # (rel state, table) -> name
+    anns = {}       # annotation key -> annotated symbol
+    ranked = []     # (annotated symbol, rank)
+    rules = []
+
+    def step(sym, combo):
+        rr = rel.rule_for(sym, tuple(p for p, _ in combo))
+        if rr is None:
+            return None
+        tables = tuple(table for _, table in combo)
+        key = (rr.state, track(rr.out_symbol, tables))
+        state = states.setdefault(key, prefixes[0] + str(len(states)))
+        akey = annotate(sym, rr.out_symbol, tables)
+        ann = anns.get(akey)
+        if ann is None:
+            tag = prefixes[1] + str(len(anns))
+            ann = anns[akey] = mangle_parts(akey[0], (tag,))
+            ranked.append((ann, len(combo)))
+        rules.append(RelabelingRule(sym, tuple(states[c] for c in combo),
+                                    state, ann))
+        return key
+
+    order = explore_bottom_up(rel.input, step)
+    refined = RelabelingSpec(name=name + "_la", input=rel.input,
+                             output=RankedAlphabet(ranked),
+                             final=tuple(states[key] for key in order
+                                         if key[0] in rel.final
+                                         and accept(key[1])),
+                             rules=tuple(rules))
+    return refined, anns
+
+
+# ---------------------------------------------------------------------------
 # pushing a look-around's range into the att stage's own domain
 
-def _relabel_out(rule):
-    """(produced symbol, child state tuple) of a top-down relabeling rule."""
-    return rule.rhs.label, tuple(call_info(c.label)[0]
-                                 for c in rule.rhs.children)
+def _relabel_out(rhs):
+    """(produced symbol, child state tuple) of a top-down relabeling
+    rule's right-hand side."""
+    return rhs.label, tuple(call_info(c.label)[0] for c in rhs.children)
 
 
 def _range_automaton(u):
@@ -234,7 +294,7 @@ def _range_automaton(u):
     rel, top = u.first, u.second
     by_out = {}
     for r in top.rules:
-        out, qs = _relabel_out(r)
+        out, qs = _relabel_out(r.rhs)
         by_out.setdefault(out, []).append((r.state, r.symbol, qs))
     alpha = top.output
     names = {}      # frozenset of pairs -> name
@@ -274,19 +334,17 @@ def _fuse_lookaround(u, annot):
     """One look-around equivalent to running u and then the bottom-up
     relabeling annot on u's output.
 
-    The fused look-ahead tracks, besides u's bottom state, a table sending
-    each top state q to the state annot reaches on the subtree u would
-    emit from q (None when u or annot is undefined there); the fused top
-    stage then has everything it needs to emit annot's symbols directly.
+    The shared refinement (_refine) pairs u's bottom state with a table
+    sending each top state q to the state annot reaches on the subtree u
+    would emit from q (None when u or annot is undefined there), states
+    l0, l1, ...; each node is annotated w0, w1, ... by its source symbol,
+    u's symbol and its children's tables, so the fused top stage has
+    everything it needs to emit annot's symbols directly.
     """
     rel, top = u.first, u.second
     qtop = list(top.states)
     qindex = {q: i for i, q in enumerate(qtop)}
-    # the first rule of each (state, symbol) wins
-    tops = {(r.state, r.symbol): _relabel_out(r) for r in reversed(top.rules)}
-    states = {}     # (bottom state, phi table) -> name
-    anns = {}       # (source symbol, mid symbol, child phi tables) -> name
-    rrules = []
+    tops = {key: _relabel_out(rhs) for key, rhs in _first_rhs(top).items()}
 
     def annotated(q, mid, phis):
         """(annot's rule at what u emits from q over mid, or None; u's
@@ -296,28 +354,12 @@ def _fuse_lookaround(u, annot):
         ar = None if out is None or None in bs else annot.rule_for(out, bs)
         return ar, qs
 
-    def step(sym, combo):
-        rr = rel.rule_for(sym, tuple(p for p, _ in combo))
-        if rr is None:
-            return None
-        mid = rr.out_symbol
-        phis = tuple(phi for _, phi in combo)
-        phi = []
-        for q in qtop:
-            ar, _ = annotated(q, mid, phis)
-            phi.append(None if ar is None else ar.state)
-        key = (rr.state, tuple(phi))
-        states.setdefault(key, "l%d" % len(states))
-        akey = (sym, mid, phis)
-        if akey not in anns:
-            anns[akey] = mangle_parts(sym, ("w%d" % len(anns),))
-        rrules.append(RelabelingRule(
-            sym, tuple(states[c] for c in combo), states[key], anns[akey]))
-        return key
+    def track(mid, phis):
+        return tuple(None if ar is None else ar.state
+                     for ar, _ in (annotated(q, mid, phis) for q in qtop))
 
-    order = explore_bottom_up(rel.input, step)
-    ann_alpha = RankedAlphabet([(name, rel.input.rank(sym))
-                                for (sym, _, _), name in anns.items()])
+    name = u.name + "_ranged"
+    fused_rel, anns = _refine(rel, name, track, lambda *key: key, ("l", "w"))
     trules = []
     for (sym, mid, phis), ann in anns.items():
         for q in qtop:
@@ -325,13 +367,7 @@ def _fuse_lookaround(u, annot):
             if ar is not None:
                 trules.append(TdttRule(q, ann, Tree(ar.out_symbol, [
                     Tree(call_label(qc, i)) for i, qc in enumerate(qs, 1)])))
-    name = u.name + "_ranged"
-    fused_rel = RelabelingSpec(name=name + "_la", input=rel.input,
-                               output=ann_alpha,
-                               final=tuple(states[key] for key in order
-                                           if key[0] in rel.final),
-                               rules=tuple(rrules))
-    fused_top = TdttSpec(name=name + "_td", input=ann_alpha,
+    fused_top = TdttSpec(name=name + "_td", input=fused_rel.output,
                          output=annot.output, init=top.init,
                          rules=tuple(trules))
     return PairedSpec("lookaround", name, fused_rel, fused_top)
@@ -445,12 +481,17 @@ def compose_dtR(t1, t2):
     """One transducer with look-ahead computing t2 after t1, undefined
     exactly where either stage is.
 
-    The fused look-ahead pairs t1's look-ahead state with a table sending
-    each state of t1's top stage to the state t2's look-ahead reaches on
-    the output produced from there. The fused top stage runs the pairs of
-    states that breadth_first reaches from the initial pair, symbolically
-    pushing t2's rules through t1's right-hand sides; a combination with
-    no complete continuation yields no rule.
+    The shared refinement (_refine) pairs t1's look-ahead state with a
+    table sending each state of t1's top stage to the state t2's
+    look-ahead reaches on the output produced from there, states m0, m1,
+    ...; each node is annotated k0, k1, ... by its source symbol, t1's
+    symbol and its children's tables, and a state is final only when t2's
+    look-ahead accepts what t1 emits from its initial state.  The fused
+    top stage runs the pairs of states that breadth_first reaches from
+    the initial pair, symbolically pushing t2's rules through t1's
+    right-hand sides; a combination with no complete continuation yields
+    no rule.  Each stage's first rule at a (state, symbol) is the one
+    read.
     """
     for t in (t1, t2):
         if not isinstance(t, PairedSpec) or t.kind not in ("dtR", "lookaround"):
@@ -463,37 +504,19 @@ def compose_dtR(t1, t2):
             % (t1.name, t2.name))
     r1, d1 = t1.first, t1.second
     r2, d2 = t2.first, t2.second
+    first1, first2 = _first_rhs(d1), _first_rhs(d2)
     qt1 = list(d1.states)
     q1index = {q: i for i, q in enumerate(qt1)}
-    states = {}     # (r1 state, lambda table) -> name
-    anns = {}       # (source symbol, mid symbol, child tables) -> name
-    ann_info = []   # (name, source symbol, mid symbol, child tables)
-    rrules = []
 
-    def step(sym, combo):
-        rr = r1.rule_for(sym, tuple(p for p, _ in combo))
-        if rr is None:
-            return None
-        mid = rr.out_symbol
-        lams = tuple(lam for _, lam in combo)
-        lam = []
-        for q in qt1:
-            rules = d1.rules_for(q, mid)
-            lam.append(None if not rules else
-                       _rhs_state(rules[0].rhs, lams, q1index, r2))
-        key = (rr.state, tuple(lam))
-        states.setdefault(key, "m%d" % len(states))
-        akey = (sym, mid, lams)
-        if akey not in anns:
-            anns[akey] = mangle_parts(sym, ("k%d" % len(anns),))
-            ann_info.append((anns[akey], sym, mid, lams))
-        rrules.append(RelabelingRule(
-            sym, tuple(states[c] for c in combo), states[key], anns[akey]))
-        return key
+    def track(mid, lams):
+        rhss = (first1.get((q, mid)) for q in qt1)
+        return tuple(None if rhs is None else
+                     _rhs_state(rhs, lams, q1index, r2) for rhs in rhss)
 
-    order = explore_bottom_up(r1.input, step)
-    ann_alpha = RankedAlphabet([(name, r1.input.rank(sym))
-                                for name, sym, _, _ in ann_info])
+    init_i = q1index[d1.init]
+    name = t1.name + "_" + t2.name
+    fused_rel, anns = _refine(r1, name, track, lambda *key: key, ("m", "k"),
+                              lambda lam: lam[init_i] in r2.final)
 
     def build(t, q2, lams, needed):
         info = call_info(t.label)
@@ -510,10 +533,10 @@ def compose_dtR(t1, t2):
         rr2 = r2.rule_for(t.label, tuple(sts))
         if rr2 is None:
             raise _Dead
-        rules2 = d2.rules_for(q2, rr2.out_symbol)
-        if not rules2:
+        rhs2 = first2.get((q2, rr2.out_symbol))
+        if rhs2 is None:
             raise _Dead
-        return subst(rules2[0].rhs, t, lams, needed)
+        return subst(rhs2, t, lams, needed)
 
     def subst(rhs2, t, lams, needed):
         info = call_info(rhs2.label)
@@ -527,13 +550,13 @@ def compose_dtR(t1, t2):
 
     def fuse(pair):
         q1, q2 = pair
-        for ann, _, mid, lams in ann_info:
-            rules1 = d1.rules_for(q1, mid)
-            if not rules1:
+        for (_, mid, lams), ann in anns.items():
+            rhs1 = first1.get((q1, mid))
+            if rhs1 is None:
                 continue
             needed = []
             try:
-                rhs = build(rules1[0].rhs, q2, lams, needed)
+                rhs = build(rhs1, q2, lams, needed)
             except _Dead:
                 continue
             trules.append(TdttRule(_pair_state(q1, q2), ann, rhs))
@@ -541,16 +564,8 @@ def compose_dtR(t1, t2):
                 yield None, called
 
     breadth_first([(d1.init, d2.init)], fuse)
-    init_i = q1index[d1.init]
-    final = tuple(states[key] for key in order
-                  if key[0] in r1.final and key[1][init_i] is not None
-                  and key[1][init_i] in r2.final)
-    name = t1.name + "_" + t2.name
-    fused_rel = RelabelingSpec(name=name + "_la", input=r1.input,
-                               output=ann_alpha, final=final,
-                               rules=tuple(rrules))
-    fused_top = TdttSpec(name=name + "_td", input=ann_alpha, output=d2.output,
-                         init=_pair_state(d1.init, d2.init),
+    fused_top = TdttSpec(name=name + "_td", input=fused_rel.output,
+                         output=d2.output, init=_pair_state(d1.init, d2.init),
                          rules=tuple(trules))
     return PairedSpec("dtR", name, fused_rel, fused_top)
 
@@ -559,17 +574,19 @@ def compose_dtR(t1, t2):
 # deterministic extraction from a functional transducer
 
 def _calls(rhs):
-    return [call_info(leaf.label) for _, leaf in rhs.leaves()
-            if call_info(leaf.label) is not None]
+    return [info for _, leaf in rhs.leaves()
+            if (info := call_info(leaf.label)) is not None]
 
 
 def uniformize(n):
     """A deterministic transducer with the same translation as a
     functional nondeterministic one with look-ahead.
 
-    The look-ahead is refined to track, per top-stage state, whether a
-    complete output exists from that state on the subtree. At each node
-    only rules all of whose calls stay completable survive, and the first
+    The shared refinement (_refine) pairs the look-ahead's state with the
+    set of top-stage states from which a complete output exists on the
+    subtree, states n0, n1, ...; each node is annotated u0, u1, ... by
+    the look-ahead's symbol and its children's sets.  At each node only
+    rules all of whose calls stay completable survive, and the first
     survivor in right-hand-side text order is kept. Functionality is the
     caller's promise; under it any consistent choice of survivors
     computes the one translation, and the choice made here is fixed so
@@ -583,58 +600,25 @@ def uniformize(n):
     by_symbol = {}
     for r in td.rules:
         by_symbol.setdefault(r.symbol, []).append(r)
+    alive = {}      # (mid symbol, child done sets) -> the completable rules
 
-    def derive(mid, ds):
-        out = set()
-        for r in by_symbol.get(mid, ()):
-            if all(st in ds[i - 1] for st, i in _calls(r.rhs)):
-                out.add(r.state)
-        return frozenset(out)
+    def done(mid, ds):
+        rules = alive.get((mid, ds))
+        if rules is None:
+            rules = alive[mid, ds] = [
+                r for r in by_symbol.get(mid, ())
+                if all(st in ds[i - 1] for st, i in _calls(r.rhs))]
+        return frozenset(r.state for r in rules)
 
-    states = {}     # (rel state, done set) -> name
-    anns = {}       # (mid symbol, child done sets) -> name
-    ann_info = []
-    rrules = []
-
-    def step(sym, combo):
-        rr = rel.rule_for(sym, tuple(p for p, _ in combo))
-        if rr is None:
-            return None
-        mid = rr.out_symbol
-        ds = tuple(d for _, d in combo)
-        key = (rr.state, derive(mid, ds))
-        states.setdefault(key, "n%d" % len(states))
-        akey = (mid, ds)
-        if akey not in anns:
-            anns[akey] = mangle_parts(mid, ("u%d" % len(anns),))
-            ann_info.append((anns[akey], mid, ds))
-        rrules.append(RelabelingRule(
-            sym, tuple(states[c] for c in combo), states[key], anns[akey]))
-        return key
-
-    order = explore_bottom_up(rel.input, step)
-    ann_alpha = RankedAlphabet([(name, td.input.rank(mid))
-                                for name, mid, _ in ann_info])
-    trules = []
-    for ann, mid, ds in ann_info:
-        derived = derive(mid, ds)
-        for q in td.states:
-            survivors = [r for r in by_symbol.get(mid, ()) if r.state == q
-                         and all(st in ds[i - 1] for st, i in _calls(r.rhs))]
-            if not survivors:
-                if q in derived:
-                    raise NotTrimmable(
-                        "state %r at %r is completable but no rule survives"
-                        % (q, ann))
-                continue
-            chosen = min(survivors, key=lambda r: r.rhs.render())
-            trules.append(TdttRule(q, ann, chosen.rhs))
     name = n.name + "_det"
-    det_rel = RelabelingSpec(name=name + "_la", input=rel.input,
-                             output=ann_alpha,
-                             final=tuple(states[key] for key in order
-                                         if key[0] in rel.final),
-                             rules=tuple(rrules))
-    det_top = TdttSpec(name=name + "_td", input=ann_alpha, output=td.output,
-                       init=td.init, rules=tuple(trules))
+    det_rel, anns = _refine(rel, name, done, lambda _, *key: key, ("n", "u"))
+    trules = []
+    for key, ann in anns.items():
+        for q in td.states:
+            survivors = [r for r in alive[key] if r.state == q]
+            if survivors:
+                chosen = min(survivors, key=lambda r: r.rhs.render())
+                trules.append(TdttRule(q, ann, chosen.rhs))
+    det_top = TdttSpec(name=name + "_td", input=det_rel.output,
+                       output=td.output, init=td.init, rules=tuple(trules))
     return PairedSpec("dtR", name, det_rel, det_top)

@@ -49,9 +49,5 @@ class AlphabetMismatch(TtdefError):
     pass
 
 
-class NotTrimmable(TtdefError):
-    """Uniformization found a reachable combination with no surviving rule."""
-
-
 class NotFunctionalInput(TtdefError):
     """A caller-certified-functional transducer produced two outputs on one input."""

@@ -368,10 +368,6 @@ class TdttSpec:
     init: str
     rules: tuple  # of TdttRule
 
-    def rules_for(self, state, symbol):
-        return tuple(r for r in self.rules
-                     if r.state == state and r.symbol == symbol)
-
     # As for AttSpec, the properties below are computed once per spec.
 
     @cached_property

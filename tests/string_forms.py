@@ -291,7 +291,8 @@ def tdtt_successors(t, s, form):
         if sym is None:
             return faddr, []
         return faddr, [ground_calls(rhs, v) for rhs in
-                       dict.fromkeys(r.rhs for r in t.rules_for(state, sym))]
+                       dict.fromkeys(r.rhs for r in t.rules
+                                     if (r.state, r.symbol) == (state, sym))]
     return None, None
 
 

@@ -19,6 +19,7 @@ from ttdef.cli import main
 from ttdef.model import render_spec
 
 import fixtures
+from test_constructions import GROUND_TEXT
 from test_walk_table import NONMONADIC_TEXT
 
 
@@ -87,6 +88,24 @@ def test_analyze_reads_the_one_walk_analysis(tmp_path, capsys, monkeypatch):
                             spec_file(tmp_path, fixtures.a2())])
     assert len(got["visiting_pair_sets"]) == 7
     assert growths == ["A2"]
+
+
+def test_definable_runs_the_walk_analysis_once(tmp_path, capsys, monkeypatch):
+    """`definable` grounds G2's right-hand sides once, so single_path and
+    the associate behind the two-way machine read one walk analysis."""
+    calls = []
+    walk_analysis = analysis._single_path_and_kappa
+
+    def counted(a):
+        calls.append(a.name)
+        return walk_analysis(a)
+
+    monkeypatch.setattr(analysis, "_single_path_and_kappa", counted)
+    spec = tmp_path / "g2.att"
+    spec.write_text(GROUND_TEXT)
+    got = run_json(capsys, ["definable", "--json", str(spec)])
+    assert got["verdict"] == "definable"
+    assert calls == ["G2_rooted"]
 
 
 @pytest.mark.parametrize("name, kappa, basename", [

@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 
 import pytest
@@ -310,15 +311,19 @@ def test_compose_relabelings_stay_relabelings():
     assert c.kind == "dtR" and c.second.relabeling
 
 
-def test_compose_propagates_partiality():
-    # second stage undefined on trees containing d
+def partial_pair():
+    """The identity on trees without d, undefined on trees containing d."""
     top = TdttSpec(name="pt_td", input=FED, output=FED, init="q",
                    rules=(TdttRule("q", "f",
                                    Tree("f", [Tree(call_label("q", 1)),
                                               Tree(call_label("q", 2))])),
                           TdttRule("q", "e", Tree("e"))))
-    partial = PairedSpec("dtR", "pt",
-                         fixtures.identity_relabeling(FED, "pt_la"), top)
+    return PairedSpec("dtR", "pt", fixtures.identity_relabeling(FED, "pt_la"),
+                      top)
+
+
+def test_compose_propagates_partiality():
+    partial = partial_pair()
     mirror = fixtures.mirror_dtR(FED)
     c = compose_dtR(mirror, partial)
     for s in trees_up_to_height(FED, 3):
@@ -361,13 +366,18 @@ def test_uniformize_keeps_deterministic_behaviour():
     assert_equivalent(mirror, u, FED, 3)
 
 
+def doubled_mirror():
+    """The mirror with its last rule repeated verbatim."""
+    mirror = fixtures.mirror_dtR(FED)
+    return PairedSpec("dtR", "red", mirror.first,
+                      TdttSpec(name="red_td", input=FED, output=FED, init="q",
+                               rules=mirror.second.rules
+                               + mirror.second.rules[-1:]))
+
+
 def test_uniformize_collapses_duplicate_rules():
     mirror = fixtures.mirror_dtR(FED)
-    doubled = PairedSpec("dtR", "red", mirror.first,
-                         TdttSpec(name="red_td", input=FED, output=FED,
-                                  init="q",
-                                  rules=mirror.second.rules
-                                  + mirror.second.rules[-1:]))
+    doubled = doubled_mirror()
     # a rule repeated verbatim counts once
     assert doubled.second.deterministic
     u = uniformize(doubled)
@@ -420,3 +430,42 @@ def test_constructed_machines_round_trip(assoc2, ranged_id):
     ]
     for m in machines:
         assert parse_spec(render_spec(m)) == m, m.name
+
+
+# ---------------------------------------------------------------------------
+# the look-ahead refinements render byte for byte as they did when pinned
+
+REFINED = {
+    "compose mirror mirror": (
+        lambda: compose_dtR(fixtures.mirror_dtR(FED),
+                            fixtures.mirror_dtR(FED)),
+        "8aa68d90b3b0e05f164c04cc8301be74fa7e9c87383e962ea13de90316f8eff0"),
+    "compose ident mirror": (
+        lambda: compose_dtR(fixtures.identity_dtR(FED),
+                            fixtures.mirror_dtR(FED)),
+        "a0770ef7c7b592b03cfd91d068528b99f33203b3b2c83ae4ae12e6a258d91460"),
+    "compose mirror partial": (
+        lambda: compose_dtR(fixtures.mirror_dtR(FED), partial_pair()),
+        "c36a7e7f2cc4a8ca98302b215ec9097f8aa062e7838ad31bc87aa393d895bcef"),
+    "uniformize nondet": (
+        lambda: uniformize(nondet_pair()),
+        "0e29494155930d4a8a55a00ee5da6fd29dadf7b796bb1c96acd53ec0f81d204d"),
+    "uniformize doubled mirror": (
+        lambda: uniformize(doubled_mirror()),
+        "3d400ef4c8aa066c4d32f9d6b57923505cb82c488a333d2eb5ebd80e2489aa1f"),
+    "ranged identity": (
+        lambda: normalize_domain_into_range(fixtures.identity_lookaround(FED),
+                                            fixtures.a2()),
+        "084259cb05eb3e01c899c24f8f4dfa961e3a8e123aebc2949ef6c68c9acc78d7"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(REFINED))
+def test_refined_machines_keep_their_text(name):
+    """State names, annotation names, rule order and final order of each
+    construction on a look-ahead refinement, pinned as the sha256 of its
+    rendered spec: a change to any of them changes the artifacts and the
+    report hashes built on them."""
+    build, digest = REFINED[name]
+    text = render_spec(build())
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == digest

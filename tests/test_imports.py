@@ -1,7 +1,8 @@
 """Every name a module of the package imports is used in that module,
 and every top-level function and class of the package, and every method
 and property of its classes, is read by the package or the benchmark.
-No module pops the head of a list.
+No module pops the head of a list, and only the functions named in
+BOTTOM_UP_CALLERS explore a product bottom-up.
 
 Every field of a budget class is read by the package outside the
 class.
@@ -11,8 +12,10 @@ unused-import and dead-code checks: an import nothing reads is either
 dead code or a sign that a caller was rewired and the old dependency
 left behind, and a function only tests call belongs with the tests.  A
 list popped at its head is a hand-rolled queue; a search goes through
-trees.breadth_first, whose order every artifact depends on.  A budget
-field nothing reads is a knob that bounds nothing.
+trees.breadth_first, whose order every artifact depends on.  A
+construction that calls trees.explore_bottom_up itself hand-rolls the
+step the look-ahead refinements share in constructions._refine.  A
+budget field nothing reads is a knob that bounds nothing.
 """
 
 import ast
@@ -79,6 +82,54 @@ def test_the_scan_sees_a_queue():
               "while queue:\n    x = queue.pop(0)\n"
               "seen.pop(0, None)\nqueue.pop(1)\nhead = [queue.pop(0)]\n")
     assert queue_pops(source) == [5, 8]
+
+
+# The functions that may call trees.explore_bottom_up: the walk analysis's
+# two fixpoints, the two bottom-up constructions whose states are not a
+# look-ahead state with a table, and the look-ahead refinement the others
+# share.
+BOTTOM_UP_CALLERS = {"analysis.all_isds", "analysis.Shapes._build",
+                     "constructions.associate",
+                     "constructions._range_automaton",
+                     "constructions._refine"}
+
+
+def bottom_up_callers(source, module):
+    """module.name of every top-level function and module.Class.name of
+    every method of source that reads explore_bottom_up, nested functions
+    included; module.Class for the rest of a class body and
+    module.<module> for the rest of the module."""
+    units = []
+    for stmt in ast.parse(source).body:
+        if isinstance(stmt, ast.ClassDef):
+            units += [("%s.%s" % (stmt.name, sub.name)
+                       if isinstance(sub, ast.FunctionDef) else stmt.name, sub)
+                      for sub in stmt.body]
+        else:
+            units.append((stmt.name if isinstance(stmt, ast.FunctionDef)
+                          else "<module>", stmt))
+    return sorted({"%s.%s" % (module, name) for name, node in units
+                   if "explore_bottom_up" in _reads(node)})
+
+
+def test_only_the_allowed_functions_explore_bottom_up():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += bottom_up_callers(path.read_text(), path.stem)
+    assert sorted(found) == sorted(BOTTOM_UP_CALLERS)
+
+
+def test_the_scan_sees_a_bottom_up_caller():
+    source = ("from .trees import explore_bottom_up\nfrom . import trees\n"
+              "def fuse(rel):\n    def step(sym, combo):\n        return 1\n"
+              "    return explore_bottom_up(rel.input, step)\n"
+              "class Shapes:\n    def build(self):\n"
+              "        return trees.explore_bottom_up(self.alpha, self.step)\n"
+              "    def plug(self):\n        return 1\n"
+              "def other():\n    return breadth_first([], None)\n"
+              "ORDER = explore_bottom_up(ALPHA, step)\n")
+    assert bottom_up_callers(source, "m") == ["m.<module>", "m.Shapes.build",
+                                              "m.fuse"]
 
 
 def _reads(node):

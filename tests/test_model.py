@@ -146,7 +146,8 @@ def test_dt_parses_and_roundtrips():
     assert d.states == ("q0", "q1")
     assert d.deterministic
     assert not d.relabeling
-    assert d.rules_for("q0", "f")[0].rhs == Tree("g", [Tree(call_label("q1", 2))])
+    assert [r.rhs for r in d.rules if (r.state, r.symbol) == ("q0", "f")] \
+        == [Tree("g", [Tree(call_label("q1", 2))])]
     assert parse_spec(render_spec(d)) == d
 
 
@@ -160,7 +161,7 @@ def test_dt_lhs_shape_checked():
 def test_dt_nondeterministic_allowed():
     d = parse_spec(DT_TEXT + "rule q0 e: q0(e) -> g(e)\n")
     assert not d.deterministic
-    assert len(d.rules_for("q0", "e")) == 2
+    assert len([r for r in d.rules if (r.state, r.symbol) == ("q0", "e")]) == 2
 
 
 RELABEL_TEXT = """\
