@@ -20,16 +20,17 @@ One pass of strongly connected components over that graph finds the
 cycle.  An att whose output is not monadic is refused.
 """
 
+import itertools
 from dataclasses import dataclass, fields
 
 from .errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from .analysis import _components
 from .model import PairedSpec, check_monadic, input_alphabet, occ_node
-from .semantics import (StepBudget, _chain_tree, _occurrence_steps, _shared,
-                        _word_output, enumerate_outputs, enumerate_shared,
-                        tree_of)
-from .trees import (Tree, breadth_first, canonical_key, path_to,
-                    trees_up_to_height)
+from .semantics import (StepBudget, _chain_tree, _class_step,
+                        _occurrence_steps, _shared, _word_output,
+                        enumerate_outputs, enumerate_shared, tree_of)
+from .trees import (Tree, breadth_first, canonical_key, explore_bottom_up,
+                    path_to, trees_up_to_height)
 
 
 @dataclass(frozen=True)
@@ -186,6 +187,50 @@ def _smallest_difference(mine, theirs, as_tree):
     return min(extra, key=canonical_key, default=None)
 
 
+def _largest_size(alphabet, depth):
+    """The number of nodes of the largest tree over the alphabet of
+    height at most depth; 1, a leaf, for a depth of 1 or less."""
+    rank = max((k for _, k in alphabet.items()), default=0)
+    size = 1
+    for _ in range(1, depth):
+        size = 1 + rank * size
+    return size
+
+
+def _equal_on_classes(d1, d2, alphabet, depth, budget):
+    """Whether the class route shows that d1 and d2 agree on every tree
+    over the alphabet up to the depth; False where it cannot tell.
+
+    Each machine steps its classes (semantics._class_step), and a tree's
+    joint class is the pair of its classes.  The joint classes of the
+    trees up to height depth - 1 are explored height by height
+    (explore_bottom_up), and each root combination, a symbol over a
+    tuple of them, is checked once: both runs finish and give the same
+    words.  Every tree up to the depth is such a combination, so when all
+    agree, all trees do."""
+    size = _largest_size(alphabet, depth)
+    sides = []
+    for d in (d1, d2):
+        sides.append(_class_step(d, budget, size))
+        if sides[-1] is None:
+            return False
+    (step1, root1), (step2, root2) = sides
+
+    def step(sym, below):
+        return (step1(sym, [c[0] for c in below]),
+                step2(sym, [c[1] for c in below]))
+
+    classes = explore_bottom_up(alphabet, step, depth - 1) if depth > 1 \
+        else []
+    for sym, k in alphabet.items():
+        for below in itertools.product(classes, repeat=k):
+            got1, done1 = root1(sym, [c[0] for c in below])
+            got2, done2 = root2(sym, [c[1] for c in below])
+            if not (done1 and done2 and got1 == got2):
+                return False
+    return True
+
+
 def bounded_equivalence(d1, d2, depth, budget=None):
     """Equal when the two machines agree on every input tree up to the
     depth, else the first differing input in canonical order, or
@@ -194,11 +239,20 @@ def bounded_equivalence(d1, d2, depth, budget=None):
 
     The machines are compared output set against output set over their
     common input alphabet; a side with no output at the differing input
-    is reported as None.  Each machine's outputs are enumerated as
-    enumerate_outputs does under the budget, but with work shared across
-    the trees (semantics._shared): each distinct subtree is summarized,
-    relabeled or transduced once for the whole call, and of each tree
-    only the root is stepped.  When both machines have monadic output
+    is reported as None.  When both machines have a class step
+    (semantics._class_step: a deterministic att that walks its rule
+    table within the budget, or a relabeling followed by a
+    deterministic top-down transducer with monadic output), each root
+    combination of their behaviour classes is checked once
+    (_equal_on_classes), and if all agree the answer is Equal with no
+    input tree built.  Otherwise, and whenever some combination
+    disagrees or does not finish, the trees are scanned in canonical
+    order, so a Witness or Unfinished names the first such tree.  The
+    scan enumerates each machine's outputs as enumerate_outputs does
+    under the budget, but with work shared across the trees
+    (semantics._shared): each distinct subtree is summarized, relabeled
+    or transduced once for the whole call, and of each tree only the
+    root is stepped.  When both machines have monadic output
     (semantics._word_output) the outputs are compared as words, the
     tuples of their labels, and only the outputs a witness is picked
     from become trees; otherwise they are compared as trees."""
@@ -207,6 +261,8 @@ def bounded_equivalence(d1, d2, depth, budget=None):
     if in1 != in2:
         raise AlphabetMismatch("cannot compare %r and %r over different "
                                "input alphabets" % (d1.name, d2.name))
+    if _equal_on_classes(d1, d2, in1, depth, budget):
+        return Equal(depth)
     if _word_output(d1) and _word_output(d2):
         shared, as_tree = _shared, tree_of
     else:

@@ -23,15 +23,20 @@ from .trees import breadth_first, path_to
 
 @dataclass(frozen=True)
 class PumpCertificate:
-    """Replayable refutation of one-way realizability.
+    """Sampled evidence against one-way realizability, which replays.
 
-    A one-way machine on u a^n v emits a fixed prefix p, then a loop
-    output x per iteration, then a suffix part that depends on v alone,
-    so the outputs must take the shape p x^n s_v with p and x shared
-    across suffixes.  kind "affine" exhibits one suffix whose sampled
-    outputs admit no such split at all; kind "shared_prefix" exhibits
-    two suffixes whose outputs grow while their common prefix stays
-    fixed, leaving no room for a shared p x^n.
+    The certificate tests the outputs on u a^n v at the sampled counts
+    (1 to 4) against the shape p x^n s_v, p and x shared across the
+    suffixes v.  kind "affine" exhibits one suffix whose sampled outputs
+    admit no such split; kind "shared_prefix" exhibits two suffixes
+    whose outputs grow while their common prefix stays fixed, leaving
+    no room for a shared p x^n.  That shape is not forced from n = 1:
+    a one-way machine may run a transient through its first
+    iterations, and only from some count on does each iteration repeat
+    one state's loop output.  Sampled counts inside that transient can
+    break the shape, so a certificate is evidence, not a proof: the
+    definable att W107 of the tests gets an "affine" certificate this
+    way, its outputs hkc, hkhkc, hkhkc, hkhkc at counts 1 to 4.
     """
     kind: str
     prefix: tuple

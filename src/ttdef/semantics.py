@@ -53,6 +53,12 @@ word.  Relabelings and other top-down transducers give trees, and a pair
 hands trees from its first stage to its second.  enumerate_shared,
 enumerate_outputs and run_tdtt still return trees, each built once at
 that boundary; functionality.bounded_equivalence compares the words.
+It first tries behaviour classes with no tree at all (_class_step): an
+att's class is its crossing summary, a relabeling followed by a
+deterministic monadic top-down transducer has for class its look-ahead
+state with each top-down state's word and rule count, and each root
+combination of classes is checked once.  It scans trees through
+_shared when a machine has no class step or a combination disagrees.
 
 No derivation here rewrites string sentential forms.  The derivations
 on string forms, of atts and of top-down transducers, are kept with the
@@ -62,6 +68,7 @@ included, and so they do on a deterministic top-down transducer; on a
 nondeterministic one they give the same outputs when neither runs out.
 """
 
+import functools
 import itertools
 from collections import Counter
 from dataclasses import dataclass
@@ -579,7 +586,11 @@ def _shared(d, budget):
     A nondeterministic att searches its chain forms (_enumerate_att),
     tree by tree; an att without monadic output is refused.  Trees may
     come in any order: of a tree whose subtrees are all kept, only the
-    root is stepped."""
+    root is stepped.  bounded_equivalence scans trees with these runs
+    only where its class route (_class_step) cannot answer: a machine
+    without a class step, a budget that could bind an att's walk on the
+    largest tree, or a root combination of classes that disagrees or
+    does not finish; the scan then names the first such tree."""
     if isinstance(d, PairedSpec):
         first = enumerate_shared(d.first, budget)
         second = _shared(d.second, budget)
@@ -614,19 +625,15 @@ def _shared(d, budget):
             return crossings.summary(t.label, below)
 
         def run(s):
-            bound = crossings.width * (s.size + 1)
-            if bound > budget.max_steps or bound >= budget.max_enumeration:
-                kind, chunk, leaf = _walk_table(d, s, budget.max_steps,
-                                                budget.max_enumeration)
-                end = "leaf" if kind == "output" else kind
-                chunk = tuple(chunk)
-            else:
-                chunk, end, leaf = crossings.read(
-                    s.label, [_bottom_up(c, memo, summarize)
-                              for c in s.children])
-            if end == "leaf":
-                return {chunk + (leaf,)}, True
-            return set(), end in ("stuck", "silent")
+            if _fits(crossings, s.size, budget):
+                return _read_outputs(crossings, s.label,
+                                     [_bottom_up(c, memo, summarize)
+                                      for c in s.children])
+            kind, chunk, leaf = _walk_table(d, s, budget.max_steps,
+                                            budget.max_enumeration)
+            if kind == "output":
+                return {tuple(chunk) + (leaf,)}, True
+            return set(), kind in ("stuck", "silent")
         return run
     if isinstance(d, TdttSpec):
         rules = _top_down_rules(d)
@@ -640,6 +647,98 @@ def _shared(d, budget):
             return set(outs), True
         return run
     raise TypeError("cannot enumerate %r" % type(d).__name__)
+
+
+def _fits(crossings, size, budget):
+    """Whether no budget can bind the att's walk over a tree of size
+    nodes: it takes at most width * (size + 1) steps (Crossings)."""
+    bound = crossings.width * (size + 1)
+    return bound <= budget.max_steps and bound < budget.max_enumeration
+
+
+def _read_outputs(crossings, label, below):
+    """(outputs as words, exhaustive flag) of the att's walk over a tree
+    with the root label over children whose summaries are below."""
+    chunk, end, leaf = crossings.read(label, below)
+    if end == "leaf":
+        return {chunk + (leaf,)}, True
+    return set(), end in ("stuck", "silent")
+
+
+def _class_step(d, budget, size):
+    """(step, root) of d on behaviour classes, or None where d has none.
+
+    A class stands for the subtrees it is the class of: step(label,
+    below) gives the class of a node over its children's classes, and
+    root(label, below) what _shared's run of d gives, under the budget,
+    on every tree with that root over subtrees of those classes.  So
+    one root check answers for all of them
+    (functionality.bounded_equivalence).
+    - An att that walks its rule table: the class of a subtree is its
+      Crossings summary, and root reads it through the root marker
+      (Crossings.read).  Only where no tree of up to size nodes lets a
+      budget bind the walk (_fits), as _shared only then reads summaries.
+    - A pair of a relabeling and a deterministic top-down transducer
+      with monadic output: the class is the relabeling's state, None once
+      it is stuck, and per top-down state the word it outputs on the
+      relabeled subtree, None for none, and the rules applied, so that
+      root reads the step budget off the initial state's count as
+      _top_down's count would give it.
+    A relabeling on its own, a nondeterministic att and a look-around
+    pair have no class step."""
+    if isinstance(d, AttSpec):
+        if not d.walks_on_table:
+            return None
+        crossings = Crossings(d)
+        if not _fits(crossings, size, budget):
+            return None
+        return crossings.summary, functools.partial(_read_outputs, crossings)
+    if not (isinstance(d, PairedSpec) and isinstance(d.first, RelabelingSpec)
+            and isinstance(d.second, TdttSpec) and d.second.deterministic
+            and check_monadic(d.second)):
+        return None
+    rel, t = d.first, d.second
+    rules = _top_down_rules(t)
+    index = {q: k for k, q in enumerate(t.states)}
+
+    def relabel(label, below):
+        if None in below:
+            return None
+        return rel.rule_for(label, tuple([c[0] for c in below]))
+
+    def output(q, label, below):
+        """(word or None, rules applied) of state q at a node with the
+        relabeled label over children of the classes below: the one rule
+        for (q, label) and its call, counted as _top_down_step counts."""
+        if (q, label) not in rules:
+            return None, 0
+        ((calls, build),) = rules[q, label]
+        count, parts = 1, []
+        for p, i in calls:
+            got, n = below[i - 1][1][index[p]] \
+                if 1 <= i <= len(below) else (None, 0)
+            count += n
+            if got is None:
+                return None, count
+            parts.append(got)
+        return build(parts), count
+
+    def step(label, below):
+        rule = relabel(label, below)
+        if rule is None:
+            return None
+        return rule.state, tuple([output(q, rule.out_symbol, below)
+                                  for q in t.states])
+
+    def root(label, below):
+        rule = relabel(label, below)
+        if rule is None or rule.state not in rel.final:
+            return set(), True
+        word, count = output(t.init, rule.out_symbol, below)
+        if count > budget.max_steps or count >= budget.max_enumeration:
+            return set(), False
+        return ({word} if word is not None else set()), True
+    return step, root
 
 
 def _enumerate_att(a, s, budget):

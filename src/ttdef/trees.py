@@ -59,7 +59,7 @@ class RankedAlphabet:
         return "RankedAlphabet(%r)" % (self._ranks,)
 
 
-def explore_bottom_up(alphabet, step):
+def explore_bottom_up(alphabet, step, height=None):
     """States reachable bottom-up, in the order they were found.
 
     step(symbol, child_states) is called once for each symbol of the
@@ -69,7 +69,10 @@ def explore_bottom_up(alphabet, step):
     itertools.product order, the tuples over the states known when it
     began that contain a state found in the round before (the first
     round visits the nullary symbols).  Callers name their states in
-    this order, so it is part of every artifact built on it."""
+    this order, so it is part of every artifact built on it.  Round h
+    finds the states of the trees of height h that no lower tree has,
+    so given a height, the rounds stop after that one, with the states
+    of all trees up to that height."""
     found = []
     known = set()
 
@@ -82,8 +85,9 @@ def explore_bottom_up(alphabet, step):
     for sym, k in alphabet.items():
         if k == 0:
             visit(sym, ())
-    start = 0
-    while start < len(found):
+    start, rounds = 0, 1
+    while start < len(found) and (height is None or rounds < height):
+        rounds += 1
         pool = list(found)
         for sym, k in alphabet.items():
             if k == 0:

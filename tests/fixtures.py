@@ -9,6 +9,9 @@ C0: circular but produces no output along the cycle.
 P0: circular and grows output along the cycle (empty domain).
 REV: monadic att emitting the reverse of its input word.
 X0_TEXT: an att whose output symbol x0 is named like a dt variable.
+W107, T2, D65: definable atts the decision gets wrong today (tests pin
+    them as strict xfails): W107 reads its inherited attribute nowhere
+    and T2 and D65 have none, so each is a top-down transducer.
 """
 
 from ttdef.model import (PairedSpec, RelabelingRule, RelabelingSpec, TdttRule,
@@ -117,6 +120,49 @@ syn a
 init a
 rule g: a(pi) -> x0(a(pi 1))
 rule e: a(pi) -> e
+"""
+
+# probe draw 107: b0 is defined but no rule reads it
+W107_TEXT = """\
+att W107
+input f:2 g:1 e:0
+output h:1 k:1 c:0
+syn a0 a1
+inh b0
+init a1
+rule f: a0(pi) -> h(k(c))
+rule f: a1(pi) -> h(k(a0(pi 1)))
+rule f: b0(pi 1) -> a0(pi 1)
+rule f: b0(pi 2) -> h(k(c))
+rule g: a0(pi) -> h(k(a1(pi 1)))
+rule e: a0(pi) -> c
+"""
+
+T2_TEXT = """\
+att T2
+input f:2 g:1 e:0
+output h:1 k:1 c:0
+syn a0 a1
+init a1
+rule f: a0(pi) -> a1(pi 1)
+rule f: a1(pi) -> c
+rule g: a0(pi) -> h(a1(pi 1))
+rule g: a1(pi) -> a0(pi 1)
+rule e: a0(pi) -> h(c)
+rule e: a1(pi) -> c
+"""
+
+# probe draw 65
+D65_TEXT = """\
+att D65
+input f:2 g:1 e:0
+output h:1 k:1 c:0
+syn a0 a1
+init a0
+rule f: a0(pi) -> h(k(a0(pi 2)))
+rule f: a1(pi) -> h(a0(pi 2))
+rule g: a0(pi) -> h(c)
+rule e: a0(pi) -> h(k(c))
 """
 
 

@@ -11,6 +11,7 @@ with replay_cycle, or the outputs in the closure of derive_step, on the
 bare att and behind an identity look-around.
 """
 
+import itertools
 from dataclasses import replace
 
 import pytest
@@ -22,18 +23,20 @@ from ttdef.errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from ttdef.functionality import (Equal, FunctionalUpTo, FunctionalityBudget,
                                  NotFunctional, ProductiveCycle, Unfinished,
                                  Witness, bounded_equivalence, is_functional)
-from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec, occ_node,
+from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
+                         RelabelingSpec, input_alphabet, occ_node,
                          occ_node_info, rhs_chain)
 from ttdef.semantics import (StepBudget, _chain_tree, _occurrence_steps,
                              enumerate_outputs)
-from ttdef.trees import Tree, canonical_key, parse_tree, trees_up_to_height
+from ttdef.trees import (RankedAlphabet, Tree, canonical_key, parse_tree,
+                         trees_up_to_height)
 
 import fixtures
 from fixtures import parse_spec
 import string_forms
 from string_forms import derive_step, replay_cycle
-from test_walk_table import (IN, OUT, SMALL_BUDGETS, atts, budgets, rhs_at,
-                             trees)
+from test_walk_table import (IN, OUT, SMALL_BUDGETS, a2_dtr, atts, budgets,
+                             chains_only, rhs_at, tdtts, trees)
 
 # the productive cycle can also escape, so two outputs exist
 ESCAPE_TEXT = """\
@@ -173,7 +176,7 @@ def reference_equivalence(d1, d2, depth, budget):
             return extra[0]
         return min(mine, key=canonical_key) if mine else None
 
-    for s in trees_up_to_height(IN, depth):
+    for s in trees_up_to_height(input_alphabet(d1), depth):
         got1, done1 = enumerate_outputs(d1, s, budget)
         got2, done2 = enumerate_outputs(d2, s, budget)
         if not (done1 and done2):
@@ -202,6 +205,91 @@ def att_pairs(draw):
 def test_equivalence_matches_the_tree_reference_on_random_atts(pair, budget):
     """Words compared, and the witness picked, as the tree reference
     does, with the sides either way round."""
+    a, b = pair
+    for d1, d2 in ((a, b), (b, a)):
+        assert bounded_equivalence(d1, d2, 3, budget) == \
+            reference_equivalence(d1, d2, 3, budget)
+
+
+@pytest.mark.parametrize("budget", [
+    StepBudget(max_steps=m, max_enumeration=e)
+    for m in range(1, 6) for e in range(1, 7)], ids=str)
+def test_the_class_route_reads_the_step_budget_exactly(a2_dtr, budget):
+    """A2's dtR against itself and against A2 under budgets that bind
+    on some trees of depth 4 and not on others: the class route answers
+    Equal only where no tree's run reaches the budget."""
+    for d1, d2 in ((a2_dtr, a2_dtr), (a2_dtr, fixtures.a2())):
+        assert bounded_equivalence(d1, d2, 4, budget) == \
+            reference_equivalence(d1, d2, 4, budget)
+
+
+def first_chains(t):
+    """chains_only(t) with the first rule of each left-hand side only, so
+    that it is deterministic with monadic output."""
+    t = chains_only(t)
+    rules = {}
+    for r in t.rules:
+        rules.setdefault((r.state, r.symbol), r)
+    return replace(t, rules=tuple(rules.values()))
+
+
+MARKED = RankedAlphabet({sym + mark: k for sym, k in IN.items()
+                         for mark in "01"})
+
+
+@st.composite
+def dtrs(draw):
+    """A relabeling followed by a deterministic top-down transducer with
+    monadic output, from draws of tdtts: the identity relabeling and one
+    draw, or a deterministic relabeling with two states, some of its
+    rules missing and any of them final, that marks each symbol with
+    the number of the state it reaches, and one draw for each mark."""
+    t = first_chains(draw(tdtts()))
+    if draw(st.booleans()):
+        return PairedSpec("dtR", "D", fixtures.identity_relabeling(IN), t)
+    u = first_chains(draw(tdtts()))
+    states = ("p0", "p1")
+    rules = []
+    for sym, k in IN.items():
+        for below in itertools.product(states, repeat=k):
+            if draw(st.integers(0, 5)):
+                p = draw(st.sampled_from(states))
+                rules.append(RelabelingRule(sym, below, p, sym + p[1]))
+    final = draw(st.lists(st.sampled_from(states), unique=True, min_size=1))
+    rel = RelabelingSpec(name="L", input=IN, output=MARKED,
+                         final=tuple(final), rules=tuple(rules))
+    top = replace(t, input=MARKED, rules=tuple(
+        replace(r, symbol=r.symbol + mark)
+        for mark, machine in (("0", t), ("1", u)) for r in machine.rules))
+    return PairedSpec("dtR", "D", rel, top)
+
+
+@st.composite
+def dtr_pairs(draw):
+    """A dtR from dtrs with an att from atts, with itself minus one rule
+    of either stage, or with itself under other final states."""
+    d = draw(dtrs())
+    stage = draw(st.sampled_from(["att", "first", "second", "final"]))
+    if stage == "att":
+        return d, draw(atts())
+    if stage == "final":
+        final = draw(st.lists(st.sampled_from(d.first.states), unique=True))
+        return d, replace(d, first=replace(d.first, final=tuple(final)))
+    machine = getattr(d, stage)
+    if not machine.rules:
+        return d, d
+    i = draw(st.integers(0, len(machine.rules) - 1))
+    fewer = replace(machine, rules=machine.rules[:i] + machine.rules[i + 1:])
+    return d, replace(d, **{stage: fewer})
+
+
+@settings(max_examples=200, deadline=None)
+@given(dtr_pairs(), budgets | st.just(StepBudget()))
+def test_equivalence_matches_the_tree_reference_on_random_dtrs(pair, budget):
+    """The class route and the scan it falls back to answer as the tree
+    reference does, on a dtR against an att, against itself with a rule
+    less or under other final states, with the sides either way
+    round."""
     a, b = pair
     for d1, d2 in ((a, b), (b, a)):
         assert bounded_equivalence(d1, d2, 3, budget) == \

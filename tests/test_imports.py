@@ -86,12 +86,14 @@ def test_the_scan_sees_a_queue():
 
 # The functions that may call trees.explore_bottom_up: the walk analysis's
 # two fixpoints, the two bottom-up constructions whose states are not a
-# look-ahead state with a table, and the look-ahead refinement the others
-# share.
+# look-ahead state with a table, the look-ahead refinement the others
+# share, and bounded_equivalence's behaviour classes, explored up to a
+# height.
 BOTTOM_UP_CALLERS = {"analysis.all_isds", "analysis.Shapes._build",
                      "constructions.associate",
                      "constructions._range_automaton",
-                     "constructions._refine"}
+                     "constructions._refine",
+                     "functionality._equal_on_classes"}
 
 
 def bottom_up_callers(source, module):

@@ -18,9 +18,10 @@ from ttdef import pipeline
 from ttdef.cli import main
 from ttdef.constructions import associate
 from ttdef.errors import NotApplicable
-from ttdef.model import PairedSpec
-from ttdef.pipeline import decide_dtR, report_to_json
-from ttdef.trees import Tree
+from ttdef.model import PairedSpec, parse_all
+from ttdef.pipeline import No, Yes, decide_dtR, report_to_json
+from ttdef.semantics import evaluate
+from ttdef.trees import Tree, parse_tree
 from ttdef.word_transducers import one_way_definability
 
 import fixtures
@@ -268,3 +269,36 @@ def test_the_reduced_att_is_freed_before_the_oracle(tmp_path, monkeypatch):
         gc.enable()
     assert alive == [False]
     assert Path(report.answer.spec_path).name == "dtr-29392332c3fc.att"
+
+
+# Known wrong answers on definable atts, pinned as strict xfails: each
+# must fail today, and passes once the defect it names is fixed.  A
+# sampled pump certificate says No on W107, fooled by a transient, and
+# on T2 at length 10 (ROADMAP item 2).
+WRONG_NO = {("W107", 6, 1), ("W107", 6, 2), ("W107", 6, 4),
+            ("W107", 10, 1), ("W107", 10, 2), ("W107", 10, 4),
+            ("T2", 10, 1), ("T2", 10, 2), ("T2", 10, 4)}
+
+
+@pytest.mark.parametrize("name,length,bound", [
+    pytest.param(name, length, bound, marks=[pytest.mark.xfail(
+        strict=True, reason="a sampled pump certificate says No")]
+        if (name, length, bound) in WRONG_NO else [])
+    for name in ("W107", "T2") for length in (6, 10)
+    for bound in (1, 2, 4, 16)])
+def test_a_definable_att_never_answers_no(name, length, bound, tmp_path):
+    a = parse_spec(getattr(fixtures, name + "_TEXT"))
+    report = decide_dtR(a, {"verify_word_length": length,
+                            "synth_state_bound": bound}, outdir=tmp_path)
+    assert not isinstance(report.answer, No)
+
+
+@pytest.mark.xfail(strict=True, reason="a wrong Yes: the dtR differs one "
+                   "letter past the verified length")
+def test_a_yes_on_d65_agrees_with_the_att(tmp_path):
+    a = parse_spec(fixtures.D65_TEXT)
+    report = decide_dtR(a, {"verify_word_length": 6}, outdir=tmp_path)
+    assert isinstance(report.answer, Yes)
+    dtr = parse_all(Path(report.answer.spec_path).read_text())[-1]
+    s = parse_tree("f(e,f(e,f(e,f(e,f(e,g(e))))))")
+    assert evaluate(dtr, s) == evaluate(a, s)

@@ -260,6 +260,23 @@ def test_explore_bottom_up_counts_tree_heights():
                      ("f", (3, 2)), ("f", (3, 3)), ("g", (3,))]
 
 
+@pytest.mark.parametrize("height,visits", [(1, 1), (2, 3), (3, 7), (4, 13)])
+def test_explore_bottom_up_stops_at_a_height(height, visits):
+    """Given a height, the rounds stop once every tree up to it has
+    been stepped, on a step whose states, tree heights, never run out."""
+    alpha = RankedAlphabet([("f", 2), ("g", 1), ("e", 0)])
+    calls = []
+
+    def step(sym, combo):
+        calls.append((sym, combo))
+        return 1 + max(combo, default=0)
+
+    assert explore_bottom_up(alpha, step, height) == \
+        list(range(1, height + 1))
+    assert len(calls) == visits
+    assert max(max(combo, default=0) for _, combo in calls) == height - 1
+
+
 # ---------------------------------------------------------------------------
 # reachable nodes breadth first
 

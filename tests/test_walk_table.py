@@ -716,9 +716,10 @@ def test_table_walk_matches_rewriting_on_the_a2_dtr(a2_dtr):
 
 
 def test_bounded_equivalence_walks_the_dtr_on_its_table(a2_dtr, monkeypatch):
-    """Each distinct subtree is evaluated once: at most one att summary
-    per input tree, and no walk from scratch or string form on either
-    side."""
+    """Both machines have a class step, so the check runs on behaviour
+    classes and builds no tree: no input tree is listed, each class step
+    makes one att summary, and each root combination is read once, with
+    no walk from scratch or string form on either side."""
     calls = Counter()
 
     def count(owner, name):
@@ -729,12 +730,22 @@ def test_bounded_equivalence_walks_the_dtr_on_its_table(a2_dtr, monkeypatch):
             return fn(*args)
         monkeypatch.setattr(owner, name, counted)
 
+    a2 = fixtures.a2()
     count(semantics, "_walk_table")
     count(semantics.Crossings, "summary")
+    count(semantics.Crossings, "read")
+    count(functionality, "trees_up_to_height")
+    count(Tree, "__init__")
     count(Tree, "replace_at")
-    assert bounded_equivalence(fixtures.a2(), a2_dtr, 4) == Equal(4)
-    # 1 446 input trees up to depth 4
-    assert 0 < calls["summary"] <= 1446
+    assert bounded_equivalence(a2, a2_dtr, 4) == Equal(4)
+    # The trees up to height 3 fall into 2 joint classes at height 1, 6
+    # up to height 2 and 22 up to height 3.  The class steps are the 2
+    # leaves, the 2 * 2 pairs under f, and the 6 * 6 - 2 * 2 pairs with
+    # a class new at height 2: 38.  The root combinations are the 2
+    # leaves and the 22 * 22 pairs under f: 486, where the scan reads
+    # each of the 1 446 trees up to height 4.
+    assert (calls["summary"], calls["read"]) == (38, 486)
+    assert (calls["trees_up_to_height"], calls["__init__"]) == (0, 0)
     assert (calls["replace_at"], calls["_walk_table"]) == (0, 0)
 
 
