@@ -34,10 +34,11 @@ sorted, and its ends as a child (Shapes.ends).  Whether a configuration
 is valid, and its visiting pairs, come from stitch over the segments of
 one production of its shape, every "up" exit paired with the attribute
 that entered.  A walk that stops at a child, which is how a child's chi
-is found, reads that child as "enter" ends, never its tail map: its
-segments, and the chi they give the child, are memoized without it (by
-symbol, child, the other children's shapes and start or chi) and shared
-by every shape of the child.  The output length of a pump witness's
+is found, reads that child as "enter" ends, never its tail map: the chi its
+segments give the child is memoized without it (by symbol, child, the
+other children's shapes and chi), and the walks behind the segments are
+memoized by Crossings.walk on what they read, so both are shared by
+every shape of the child.  The output length of a pump witness's
 walk is read off the crossing summary of its tree.
 
 The growth system and the circularity test explore only what a verdict
@@ -52,19 +53,24 @@ system that holds it.
 Circularity tries the products of the inclusion-maximal realizable
 is-dependencies first, since a cycle under smaller ones is a cycle under
 larger ones too, and tries all products only at a symbol with a cycle,
-so that its witness is the first in product order.
+so that its witness is the first in product order.  An att that walks
+its rule table realizes exactly the is-dependencies of its shapes, each
+read off a shape's key (the "up" ends of its tail map), so circularity
+reads them off Shapes; all_isds explores them for any other att.
 
 Circularity, the single path verdict, kappa and the variation verdict of
 each visiting pair set are computed once per spec and cached on it
 (AttSpec.circularity and AttSpec.walk_analysis): the pipeline asks for
 circularity in several stages, and single_path, kappa and variations come
-from one pass over the same shapes and configurations.  Only these
-small results are cached.  The tip-edge map of the is-dependency pass,
-and the shapes with their memos and the configuration systems, die with
-their pass as soon as it returns, since no reference cycle holds them;
-kept on the spec they would stay alive through associate and
-build_two_way, which raises the traced peak of one look-around fixture
-decision from 13 to 21 MB.
+from one pass over the same shapes and configurations.  When that pass
+starts on an att whose circularity is not known yet (_require_walkable),
+it reads circularity off the shapes it then analyses, so the att is
+explored bottom-up once.  Only these small results are cached.  The
+tip-edge map of the circularity test, and the shapes with their memos
+and the configuration systems, die with their pass as soon as it
+returns, since no reference cycle holds them; kept on the spec they
+would stay alive through associate and build_two_way, which raises the
+traced peak of one look-around fixture decision from 13 to 21 MB.
 """
 
 import itertools
@@ -241,15 +247,16 @@ def is_circular(a):
     return a.circularity
 
 
-def _circularity(a):
+def _circularity(a, shapes=None):
     """A graph under some child is-dependencies has every edge it has
     under subsets of them, so a symbol has a cycle under some combination
     of realizable is-dependencies exactly when it has one under some
     combination of inclusion-maximal ones (Knuth's circularity test).
     Only a symbol with such a cycle is searched over all combinations,
-    for the first witness in product order."""
+    for the first witness in product order.  shapes is passed on to
+    _realized."""
     edges = _tip_edges(a)
-    isds = sorted(all_isds(a, edges), key=lambda s: sorted(s))
+    isds = sorted(_realized(a, shapes, edges), key=lambda s: sorted(s))
     maximal = [s for s in isds if not any(s < t for t in isds)]
     symbols = [(sym, k) for sym, k in a.input.items()] + [(ROOT, 1)]
     for sym, k in symbols:
@@ -260,19 +267,33 @@ def _circularity(a):
     return False, None
 
 
+def _realized(a, shapes=None, edges=None):
+    """Every is-dependency realized by some input tree.  On an att that
+    walks its rule table, a shape's key holds the end of each walk up
+    from its root, and these are the is-dependency's pairs, so they are
+    read off the keys of shapes, Shapes(a) when not given.  Any other att
+    explores them with all_isds, over edges when given."""
+    if a.walks_on_table:
+        return {_isd_of_tau(key) for key in (shapes or Shapes(a)).ends}
+    return all_isds(a, edges)
+
+
 def _first_cycle(rule_edges, isds, k):
     """(combo, cycle) for the first combination of k child is-dependencies
     from isds, in product order, under which a rank-k node's rules with
-    the edges rule_edges close a cycle; None if none does."""
+    the edges rule_edges close a cycle; None if none does.  A product's
+    graph shares rule_edges' tip lists, but at (syn, j) for each child j,
+    where the child's edges follow the rules' ones."""
     rule_nodes = set(rule_edges).union(*rule_edges.values())
     for combo in itertools.product(isds, repeat=k):
-        edges_k = {src: list(tips) for src, tips in rule_edges.items()}
-        nodes = set(rule_nodes)
+        added = {}
         for j in range(1, k + 1):
             for b, syn in combo[j - 1]:
-                edges_k.setdefault((syn, j), []).append((b, j))
-                nodes.add((syn, j))
-                nodes.add((b, j))
+                added.setdefault((syn, j), []).append((b, j))
+        edges_k = dict(rule_edges)
+        for src, tips in added.items():
+            edges_k[src] = list(rule_edges.get(src, ())) + tips
+        nodes = rule_nodes.union(added, *added.values())
         cycle = _cycle_in(edges_k, sorted(nodes))
         if cycle is not None:
             return combo, cycle
@@ -283,10 +304,20 @@ def _first_cycle(rule_edges, isds, k):
 # deterministic layer: shapes (tail maps with representatives)
 
 def _require_walkable(att):
+    """Raise NotApplicable unless att is monadic, deterministic and not
+    circular.  When its circularity is not known yet, it is read off one
+    Shapes, and the walk analysis of a noncircular att runs on the same
+    Shapes: both results are cached on att (AttSpec.circularity and
+    AttSpec.walk_analysis), and the Shapes die here."""
     if not check_monadic(att):
         raise NotApplicable("nonmonadic")
     if not att.deterministic:
         raise NotApplicable("nondeterministic")
+    if "circularity" not in vars(att):
+        shapes = Shapes(att)
+        att.circularity = _circularity(att, shapes)
+        if not att.circularity[0] and "walk_analysis" not in vars(att):
+            att.walk_analysis = _single_path_and_kappa(att, shapes)
     circ, _ = is_circular(att)
     if circ:
         raise NotApplicable("circular")
@@ -318,7 +349,7 @@ class Prod:
 
 class Shapes:
     """All reachable tail maps, with smallest representative trees and the
-    productions connecting them, and the memo of boundary segments."""
+    productions connecting them, and the memo of child context answers."""
 
     def __init__(self, att):
         self.att = att
@@ -327,7 +358,6 @@ class Shapes:
         self.rep = {}        # key -> representative Tree
         self.prods = []
         self.by_out = {}     # key -> [Prod]
-        self._bounded = {}   # (sigma, i, other child keys) -> {start: segment}
         self._chis = {}      # (sigma, i, other child keys, chi) -> child's chi
         self._chi_values = {}   # child's chi -> the one copy kept
         self._entering = tuple(("enter", a, False) for a in att.syn)
@@ -368,21 +398,12 @@ class Shapes:
 
     def bounded(self, sigma, child_keys, i):
         """The chi-free segments at a sigma-node that stop at child i, as a
-        function of their start.  They never read child i's shape, so
-        they are memoized without it and shared by every shape of that
-        child."""
-        others = child_keys[:i - 1] + child_keys[i:]
-        memo = self._bounded.setdefault((sigma, i, others), {})
-
-        def segment(start):
-            seg = memo.get(start)
-            if seg is None:
-                below = [self.ends[k] for k in others]
-                below.insert(i - 1, self._entering)
-                seg = memo[start] = local_run(self.crossings, sigma, below,
-                                              start)
-            return seg
-        return segment
+        function of their start.  They read child i as "enter" ends, never
+        its shape, so Crossings.walk answers their walks for every shape
+        of that child from one memo."""
+        below = [self._entering if j == i else self.ends[key]
+                 for j, key in enumerate(child_keys, start=1)]
+        return lambda start: local_run(self.crossings, sigma, below, start)
 
 
 # ---------------------------------------------------------------------------
@@ -828,11 +849,12 @@ def single_path(a):
     return a.walk_analysis[0]
 
 
-def _single_path_and_kappa(a):
+def _single_path_and_kappa(a, shapes=None):
     """Decide the variation of every visiting pair set of a walkable att
-    over one set of shapes and configurations, and return the single path
-    verdict, kappa and the verdict per visiting pair set."""
-    shapes = Shapes(a)
+    over one set of shapes (Shapes(a) when not given) and configurations,
+    and return the single path verdict, kappa and the verdict per visiting
+    pair set."""
+    shapes = shapes or Shapes(a)
     sys = TopDown(a, shapes, _root_configs(a, shapes))
     family = _family(sys)
     growth = _Growth(a, shapes, family)

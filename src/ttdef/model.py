@@ -216,7 +216,8 @@ class AttSpec:
         first = {}
         for sym, rules in self.rules.items():
             for r in rules:
-                if first.setdefault((sym, r.attr, r.pos), r) != r:
+                got = first.setdefault((sym, r.attr, r.pos), r)
+                if got is not r and got != r:
                     return False
         return True
 
@@ -255,9 +256,14 @@ class AttSpec:
                 table[lhs] = shared[grown]
         return table
 
+    # analysis._require_walkable fills circularity and walk_analysis
+    # together from one Shapes when the walk analysis starts on a spec
+    # whose circularity is not known yet
+
     @cached_property
     def circularity(self):
-        """What analysis.is_circular answers: (flag, witness or None)."""
+        """What analysis.is_circular answers: (flag, witness or None),
+        read off the shapes of the spec when it walks its rule table."""
         from . import analysis   # analysis imports this module
         return analysis._circularity(self)
 
@@ -266,7 +272,8 @@ class AttSpec:
         """(SinglePathVerdict, kappa, {visiting pair set: VariationVerdict})
         from one pass of the walk analysis, for analysis.single_path,
         analysis.kappa and analysis.variations, which check first that the
-        spec is walkable."""
+        spec is walkable; the pass reads circularity off its own shapes
+        when it is not known yet."""
         from . import analysis
         return analysis._single_path_and_kappa(self)
 
@@ -744,9 +751,8 @@ def _build_att(name, off, body):
         else:
             raise UnknownAttribute("undeclared attribute %r" % attr, line_off)
         _validate_att_rhs(name, rhs, syn_set, inh_set, alpha_out, k, line_off)
-        rule = AttRule(attr, lhs_pos, rhs)
-        if rule not in rules.setdefault(sym, []):
-            rules[sym].append(rule)
+        # a rule repeated verbatim is kept once, in the order found
+        rules.setdefault(sym, {}).setdefault(AttRule(attr, lhs_pos, rhs))
     return AttSpec(name=name, input=alpha_in, output=alpha_out, syn=syn,
                    inh=inh, init=init,
                    rules={s: tuple(rs) for s, rs in rules.items()})
@@ -772,7 +778,7 @@ def _build_dt(name, off, body):
             if _XVAR.fullmatch(s):
                 raise SpecSyntaxError("symbol name %r is reserved" % s, off)
 
-    rules = []
+    rules = {}
     for toks in b.rules:
         line_off = toks[0][2]
         state, pos = _expect(toks, 1, "name", "a state after 'rule'")
@@ -807,9 +813,8 @@ def _build_dt(name, off, body):
                         "output symbol %r has rank %d, got %d children"
                         % (node.label, alpha_out.rank(node.label), len(node.children)),
                         line_off)
-        rule = TdttRule(state, sym, rhs)
-        if rule not in rules:
-            rules.append(rule)
+        # a rule repeated verbatim is kept once, in the order found
+        rules.setdefault(TdttRule(state, sym, rhs))
     return TdttSpec(name=name, input=alpha_in, output=alpha_out, init=init,
                     rules=tuple(rules))
 
@@ -896,9 +901,15 @@ def _render_decl(spec):
         if spec.inh:
             lines.append("inh %s" % " ".join(spec.inh))
         lines.append("init %s" % spec.init)
+        # rules share right-hand side objects: each distinct (attr, pos,
+        # right-hand side object) is rendered once
+        texts = {}
         for sym, rules in spec.rules.items():
             for r in rules:
-                lines.append(r.render(sym))
+                key = r.attr, r.pos, id(r.rhs)
+                if key not in texts:
+                    texts[key] = "%s -> %s" % (r.lhs_text(), r.rhs.render())
+                lines.append("rule %s: %s" % (sym, texts[key]))
     elif isinstance(spec, TdttSpec):
         lines.append("dt %s" % spec.name)
         lines.append(_alphabet_line("input", spec.input))

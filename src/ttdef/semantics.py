@@ -788,7 +788,9 @@ class Crossings:
     "up" goes on through a child, so the walk ends there, with end
     "enter" and the name passed through; the analysis names the entering
     attribute a, and associate the occurrence (a, i) where its reduced
-    att takes over.
+    att takes over.  walk is memoized on the children's ends it reads
+    (see walk), so the walks the walk analysis, associate's reductions
+    and the plans repeat each run once per Crossings.
 
     width is the largest number of rules of one symbol.  A walk applies a
     rule at most once per node, so over #(s) it takes at most width *
@@ -805,6 +807,7 @@ class Crossings:
                          default=0)
         self.plans = {}     # (label, children's ends) -> (ends, pieces)
         self.reads = {}     # (label, children's ends) -> (end, name, pieces)
+        self.walks = {}     # (label, tip, number of children) -> trie (walk)
 
     def summary(self, label, below):
         """The summary of a node labelled label over its children's."""
@@ -842,9 +845,38 @@ class Crossings:
         """(pieces, end, name) of the walk from tip, an (attr, pos) as
         rule_table gives it, read at this node; (a, 0) enters a
         synthesized a.  A piece is (None, labels) or (i, k), never empty:
-        a child's empty chunk is left out."""
+        a child's empty chunk is left out.
+
+        A walk reads below only at the child ends it passes, entry
+        below[i][k] at a time, and the number of children; so the walks
+        from tip at a label are kept in one trie under (label, tip,
+        len(below)), which branches on the value of each entry read, in
+        the order read, down to the outcome.  Two walks that read the same
+        values take the same steps, and the trie answers the second."""
+        slot, at = self.walks, (label, tip, len(below))
+        depth = 0
+        node = slot.get(at)
+        while node is not None:
+            if node.__class__ is not list:
+                return node
+            i, k, slot = node
+            at = below[i][k]
+            node = slot.get(at)
+            depth += 1
+        reads, outcome = self._walk(label, below, tip)
+        for i, k in reads[depth:]:
+            node = [i, k, {}]
+            slot[at] = node
+            slot, at = node[2], below[i][k]
+        slot[at] = outcome
+        return outcome
+
+    def _walk(self, label, below, tip):
+        """The entries (i, k) of below that the walk from tip reads, in
+        order, and its (pieces, end, name)."""
         root = label == ROOT
         pieces = []
+        reads = []
         seen = {}       # occurrence -> pieces emitted when it was reached
         while True:
             attr, pos = tip
@@ -855,32 +887,33 @@ class Crossings:
                     if not root:
                         occ = tip
                 elif pos <= len(below):
+                    reads.append((pos - 1, k))
                     end, name, full = below[pos - 1][k]
                     if full:
                         pieces.append((pos - 1, k))
                     if end != "up":
-                        return pieces, end, name
+                        return reads, (tuple(pieces), end, name)
                     occ = (name, pos)
             elif attr in self.inh_set:
                 if pos:
                     occ = tip
                 elif not root:
-                    return pieces, "up", attr
+                    return reads, (tuple(pieces), "up", attr)
             if occ is None:
-                return pieces, "stuck", None
+                return reads, (tuple(pieces), "stuck", None)
             if occ in seen:
-                return (pieces,
-                        "silent" if seen[occ] == len(pieces) else "productive",
-                        None)
+                return reads, (tuple(pieces),
+                               "silent" if seen[occ] == len(pieces)
+                               else "productive", None)
             seen[occ] = len(pieces)
             chains = self.table.get((label,) + occ)
             if chains is None:
-                return pieces, "stuck", None
+                return reads, (tuple(pieces), "stuck", None)
             emitted, tip, leaf = chains[0]
             if emitted:
                 pieces.append((None, emitted))
             if tip is None:
-                return pieces, "leaf", leaf
+                return reads, (tuple(pieces), "leaf", leaf)
 
 
 def _join(pieces, below):

@@ -244,17 +244,23 @@ def build_two_way(h):
     states = bbar.states
     up = {l: fresh_name(mangle_parts("up", (l,)), taken) for l in states}
     # one right-hand side object per distinct value, so that the word
-    # machine's rule_table looks each up by value once
-    down = Tree(occ_pattern(dn, 1))
+    # machine's rule_table looks each up by value once, and one rule per
+    # distinct projection and climb
+    down = AttRule(dn, 0, Tree(occ_pattern(dn, 1)))
     climb = {l: Tree(occ_pattern(up[l], 0)) for l in states}
+    moves = {}      # letter -> {child states: the word rule's state}
+    for wr in words.rules:
+        moves.setdefault(wr.symbol, {})[wr.child_states] = wr.state
     chains = {}
+    projected = {}  # (attr, pos, chain, child index) -> AttRule or None
+    climbs = {}     # (child state, state) -> AttRule
     rules = {}
     for sym, k in h.relabeling.output.items():
         if k == 0:
             bucket = list(a.rules_at(sym))
-            lr = words.rule_for(sym, ())
-            if lr is not None:
-                bucket.append(AttRule(dn, 0, climb[lr.state]))
+            state = moves.get(sym, {}).get(())
+            if state is not None:
+                bucket.append(AttRule(dn, 0, climb[state]))
             if bucket:
                 rules[sym] = tuple(bucket)
             continue
@@ -262,19 +268,20 @@ def build_two_way(h):
             letter = mangle_child(sym, i)
             bucket = []
             for r in a.rules_at(sym):
-                labels, tip, leaf = a.rule_table[sym, r.attr, r.pos][0]
-                if r.pos in (0, i) and (tip is None or tip[1] in (0, i)):
-                    end = leaf if tip is None else \
-                        occ_pattern(tip[0], min(tip[1], 1))
-                    if (labels, end) not in chains:
-                        chains[labels, end] = _chain_tree(labels, end)
-                    bucket.append(AttRule(r.attr, min(r.pos, 1),
-                                          chains[labels, end]))
-            bucket.append(AttRule(dn, 0, down))
+                chain = a.rule_table[sym, r.attr, r.pos][0]
+                key = r.attr, r.pos, chain, i
+                if key not in projected:
+                    projected[key] = _project(r, chain, i, chains)
+                if projected[key] is not None:
+                    bucket.append(projected[key])
+            bucket.append(down)
+            step = moves.get(letter, {})
             for l in states:
-                wr = words.rule_for(letter, (l,))
-                if wr is not None:
-                    bucket.append(AttRule(up[l], 1, climb[wr.state]))
+                state = step.get((l,))
+                if state is not None:
+                    if (l, state) not in climbs:
+                        climbs[l, state] = AttRule(up[l], 1, climb[state])
+                    bucket.append(climbs[l, state])
             rules[letter] = tuple(bucket)
     root = list(a.rules_at(ROOT))
     start = Tree(occ_pattern(a.init, 1))
@@ -286,6 +293,20 @@ def build_two_way(h):
                   inh=a.inh + tuple(up[l] for l in states),
                   init=dn, rules=rules)
     return TwoWayWord(name=h.name + "_walk", att=att, correspondence=words)
+
+
+def _project(r, chain, i, chains):
+    """The rule r, whose right-hand side is chain, on letter sym@i: kept
+    only if child i is the only child it mentions, that child becoming
+    the letter's single successor; None otherwise.  chains keeps one
+    right-hand side object per (labels, end)."""
+    labels, tip, leaf = chain
+    if r.pos not in (0, i) or (tip is not None and tip[1] not in (0, i)):
+        return None
+    end = leaf if tip is None else occ_pattern(tip[0], min(tip[1], 1))
+    if (labels, end) not in chains:
+        chains[labels, end] = _chain_tree(labels, end)
+    return AttRule(r.attr, min(r.pos, 1), chains[labels, end])
 
 
 # ---------------------------------------------------------------------------

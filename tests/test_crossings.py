@@ -8,9 +8,14 @@ marker's plan composed with the node's.  reference_cross,
 kept here, walks over the children's chunks themselves at every node
 and stays the reference: a reference summary maps each synthesized
 attribute to (chunk, end, name).
+
+Crossings.walk memoizes each walk on what it reads of the children's
+ends.  reference_walk, the walk as it ran before the memo and kept here,
+is its reference over random atts and random children's ends of every
+kind, the "enter" ends the walk analysis and associate pass included.
 """
 
-from hypothesis import given, settings
+from hypothesis import given, settings, strategies as st
 
 from ttdef.model import ROOT, AttRule, AttSpec, occ_pattern
 from ttdef.semantics import Crossings
@@ -62,6 +67,103 @@ def reference_cross(att, label, below, tip):
         out.extend(emitted)
         if tip is None:
             return tuple(out), "leaf", leaf
+
+
+def reference_walk(crossings, label, below, tip):
+    """Crossings.walk without the memo: (pieces, end, name) of the walk
+    from tip at a node labelled label over children with the ends
+    below."""
+    root = label == ROOT
+    pieces = []
+    seen = {}       # occurrence -> pieces emitted when it was reached
+    while True:
+        attr, pos = tip
+        occ = None      # the occurrence the walk goes on at, if any
+        k = crossings.index.get(attr)
+        if k is not None:
+            if pos == 0:
+                if not root:
+                    occ = tip
+            elif pos <= len(below):
+                end, name, full = below[pos - 1][k]
+                if full:
+                    pieces.append((pos - 1, k))
+                if end != "up":
+                    return pieces, end, name
+                occ = (name, pos)
+        elif attr in crossings.inh_set:
+            if pos:
+                occ = tip
+            elif not root:
+                return pieces, "up", attr
+        if occ is None:
+            return pieces, "stuck", None
+        if occ in seen:
+            return (pieces,
+                    "silent" if seen[occ] == len(pieces) else "productive",
+                    None)
+        seen[occ] = len(pieces)
+        chains = crossings.table.get((label,) + occ)
+        if chains is None:
+            return pieces, "stuck", None
+        emitted, tip, leaf = chains[0]
+        if emitted:
+            pieces.append((None, emitted))
+        if tip is None:
+            return pieces, "leaf", leaf
+
+
+@st.composite
+def child_ends(draw, att):
+    """One child's ends, one per synthesized attribute, of any kind a
+    walk meets: "up" into an inherited attribute, a leaf, stuck, a
+    cycle, or "enter" as the walk analysis and associate name it."""
+    kinds = [st.tuples(st.just("up"), st.sampled_from(att.inh), st.booleans())
+             ] if att.inh else []
+    kinds += [st.tuples(st.just("leaf"), st.just("c"), st.booleans()),
+              st.tuples(st.sampled_from(["stuck", "silent", "productive"]),
+                        st.none(), st.booleans()),
+              st.tuples(st.just("enter"), st.sampled_from(att.syn),
+                        st.just(False)),
+              st.tuples(st.just("enter"), st.tuples(
+                  st.sampled_from(att.syn), st.integers(1, 2)),
+                  st.just(False))]
+    return tuple(draw(st.one_of(kinds)) for _ in att.syn)
+
+
+@st.composite
+def walks(draw):
+    """A random att and a list of walks on it: (label, below, tip), with
+    below of any length from nothing to three children, so that some
+    walks read past their children.  The walks start at a few (label,
+    tip) pairs over a few distinct children's ends, so that many of them
+    share some of what they read."""
+    att = draw(atts())
+    pool = draw(st.lists(child_ends(att), min_size=1, max_size=4))
+    tips = [(a, 0) for a in att.syn] + [
+        (b, j) for b in att.inh for j in range(3)] + [
+        (a, j) for a in att.syn for j in (1, 2, 3)]
+    starts = draw(st.lists(st.tuples(st.sampled_from(list(IN) + [ROOT]),
+                                     st.sampled_from(tips)),
+                           min_size=1, max_size=3))
+    queries = draw(st.lists(st.tuples(
+        st.sampled_from(starts),
+        st.lists(st.sampled_from(pool), max_size=3).map(tuple)),
+        min_size=1, max_size=40))
+    return att, [(label, below, tip) for (label, tip), below in queries]
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_the_memoized_walk_matches_the_walk_it_replaced(case):
+    """One Crossings answers every walk of the list, in order, as the
+    walk without the memo does, whatever was asked before."""
+    att, queries = case
+    crossings = Crossings(att)
+    for label, below, tip in queries:
+        pieces, end, name = reference_walk(crossings, label, below, tip)
+        assert crossings.walk(label, below, tip) == \
+            (tuple(pieces), end, name), (label, below, tip)
 
 
 def plans_match_the_walk(att, trees):

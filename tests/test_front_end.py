@@ -9,14 +9,17 @@ which runs nf on whole trees, and _reduce, which chases rule trees
 through occ_pattern_info), reference_build_two_way (with _child_refs and
 _shift), and reference_all_isds and reference_circularity (with the
 _theta_step that reads rules_for).  The compiled forms must render
-byte-identical artifacts and answer exactly as the references do.
+byte-identical artifacts and answer exactly as the references do.  An
+att that walks its rule table reads its is-dependencies off its shapes
+(analysis._realized), which must give reference_all_isds's, circular
+atts included.
 """
 
 import itertools
 import sys
 from collections import Counter
 
-from hypothesis import assume, given, settings, strategies as st
+from hypothesis import assume, given, seed, settings, strategies as st
 
 from ttdef import analysis, model, pipeline
 from ttdef.analysis import (CircularityWitness, _cycle_in, _require_walkable,
@@ -30,7 +33,7 @@ from ttdef.model import (ROOT, AttRule, AttSpec, PairedSpec, RelabelingRule,
                          occ_node_info, occ_pattern, occ_pattern_info,
                          render_spec)
 from ttdef.pipeline import decide_dtR
-from ttdef.semantics import nf
+from ttdef.semantics import Crossings, nf
 from ttdef.trees import (RankedAlphabet, Tree, explore_bottom_up,
                          settle_representatives)
 from ttdef.word_transducers import (TwoWayWord, _trimmed,
@@ -339,6 +342,38 @@ def same_dependencies(a):
     assert is_circular(a) == reference_circularity(a)
 
 
+def same_isds_off_the_shapes(a):
+    """An att that walks its rule table reads its realizable
+    is-dependencies off the keys of its shapes: they are all_isds's, and
+    circularity read off them answers with the reference's witness."""
+    assert a.walks_on_table
+    shapes = analysis.Shapes(a)
+    assert analysis._realized(a, shapes) == reference_all_isds(a)
+    assert analysis._circularity(a, shapes) == reference_circularity(a)
+    return analysis._circularity(a, shapes)[0]
+
+
+@settings(max_examples=300, deadline=None)
+@given(atts())
+def test_isds_off_the_shapes_match_all_isds_on_random_atts(a):
+    same_isds_off_the_shapes(a)
+
+
+def test_random_atts_include_circular_ones():
+    """The draws above meet circular atts too: over the examples of a
+    fixed seed, some are circular and some are not."""
+    seen = []
+
+    @seed(1)
+    @settings(max_examples=100, deadline=None, database=None)
+    @given(atts())
+    def draw(a):
+        seen.append(same_isds_off_the_shapes(a))
+
+    draw()
+    assert True in seen and False in seen
+
+
 @settings(max_examples=300, deadline=None)
 @given(atts())
 def test_front_end_matches_the_references_on_random_atts(a):
@@ -350,9 +385,11 @@ def test_front_end_matches_the_references_on_random_atts(a):
 def test_front_end_matches_the_references_on_fixtures():
     for a in (fixtures.a1(), fixtures.a2(), fixtures.rev(), lme_att()):
         same_dependencies(a)
+        assert not same_isds_off_the_shapes(a)
         same_front_end(a)
     for a in (fixtures.c0(), fixtures.p0(), fixtures.n1()):
         same_dependencies(a)
+    assert same_isds_off_the_shapes(fixtures.c0())
 
 
 WIDE_OUT = RankedAlphabet({"h": 1, "m": 2, "c": 0})
@@ -414,7 +451,12 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
     side object up by value once, and build_two_way makes one object per
     distinct right-hand side, so the compiles of the whole decision
     compare 162 trees (32 044 when every rule was looked up twice and
-    the word machine's rules had a tree each)."""
+    the word machine's rules had a tree each).  Each walkable att the
+    decision analyses is explored by one Shapes: A2 for its circularity,
+    and the grounded look-around att for its circularity and its walk
+    analysis both, so no all_isds step runs.  Crossings.walk answers
+    25 604 of its 28 380 walks from its memo, and build_two_way reads the
+    word automaton's rules by letter, never through rule_for."""
     made, counts, inside, growths = [], Counter(), [], []
 
     class Counted(analysis.Shapes):
@@ -430,6 +472,9 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
 
     child_chi = analysis._child_chi
     cycle_in = analysis._cycle_in
+    theta_step = analysis._theta_step
+    walk, fresh = Crossings.walk, Crossings._walk
+    rule_for = RelabelingSpec.rule_for
     tree_eq = Tree.__eq__
 
     def counted_chi(*args):
@@ -439,6 +484,23 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
     def counted_cycle_in(*args):
         counts["cycle_in"] += 1
         return cycle_in(*args)
+
+    def counted_theta_step(*args):
+        counts["theta_step"] += 1
+        return theta_step(*args)
+
+    def counted_walk(*args):
+        counts["walks"] += 1
+        return walk(*args)
+
+    def counted_fresh(*args):
+        counts["fresh walks"] += 1
+        return fresh(*args)
+
+    def counted_rule_for(*args):
+        if sys._getframe(1).f_code.co_name == "build_two_way":
+            counts["rule_for"] += 1
+        return rule_for(*args)
 
     def counted_eq(self, other):
         if sys._getframe(1).f_code.co_name == "rule_table":
@@ -470,6 +532,10 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
     monkeypatch.setattr(analysis, "_Growth", CountedGrowth)
     monkeypatch.setattr(analysis, "_child_chi", counted_chi)
     monkeypatch.setattr(analysis, "_cycle_in", counted_cycle_in)
+    monkeypatch.setattr(analysis, "_theta_step", counted_theta_step)
+    monkeypatch.setattr(Crossings, "walk", counted_walk)
+    monkeypatch.setattr(Crossings, "_walk", counted_fresh)
+    monkeypatch.setattr(RelabelingSpec, "rule_for", counted_rule_for)
     monkeypatch.setattr(Tree, "__eq__", counted_eq)
     monkeypatch.setattr(model, "_split_parens", counted_split)
     monkeypatch.setattr(pipeline, "associate", staged(associate))
@@ -479,10 +545,14 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
     report = decide_dtR(pair, {"equivalence_depth": 4,
                                "verify_word_length": 2}, outdir=tmp_path)
     assert report.answer.stage == "bounded_equivalence"
-    assert [len(shapes._chis) for shapes in made] == [169]
+    assert [shapes.att.name for shapes in made] == ["A2", "A2_checked"]
+    assert [len(shapes._chis) for shapes in made] == [0, 169]
     assert counts["asks"] == 1351
     assert growths == [(99, 627)]
     assert counts["cycle_in"] == 288
     assert counts["compared"] == 162
     assert counts["parsed"] == 0
     assert counts["compile"] == 29
+    assert counts["theta_step"] == 0
+    assert counts["rule_for"] == 0
+    assert (counts["walks"], counts["fresh walks"]) == (28380, 2776)

@@ -4,7 +4,7 @@ from ttdef.errors import (AlphabetMismatch, ArityMismatch,
                           DuplicateLhsInDeterministic, RootMarkerSynRule,
                           SpecSyntaxError, UnknownAttribute, UnknownSymbol)
 from ttdef.model import (AttRule, AttSpec, PairedSpec, RelabelingSpec,
-                         TdttSpec, call_info, call_label, check_monadic,
+                         TdttRule, TdttSpec, call_info, call_label, check_monadic,
                          is_occurrence, mangle_child, mangle_literal,
                          mangle_parts, occ_node, occ_node_info, occ_pattern,
                          occ_pattern_info, parse_all, render_spec,
@@ -301,3 +301,70 @@ def test_comments_and_blank_lines_ignored():
     text = "% a machine\n\n" + fixtures.A1_TEXT.replace(
         "rule e:", "% emit\nrule e:")
     assert parse_spec(text) == fixtures.a1()
+
+
+def written_twice(text):
+    """text with every rule line of an att or a dt repeated: once right
+    after itself, and all of them once more at the end of its
+    declaration.  A relabeling refuses a repeated rule, so its rules are
+    left as they are."""
+    out, rules, kind = [], [], None
+    for line in text.splitlines() + [""]:
+        if kind in ("att", "dt") and not line.strip():
+            out += rules
+            rules = []
+        if line and not line.startswith((" ", "#", "rule ")):
+            kind = line.split()[0]
+        out.append(line)
+        if kind in ("att", "dt") and line.startswith("rule "):
+            out.append(line)
+            rules.append(line)
+    return "\n".join(out) + "\n"
+
+
+def a2_dtr_text(tmp_path):
+    """The text of the dtR the decision builds for A2 at word length 5:
+    its look-ahead, its top-down stage and the pair, 88 rules in all."""
+    from ttdef.pipeline import Yes, decide_dtR
+    report = decide_dtR(fixtures.a2(), {"equivalence_depth": 4,
+                                        "verify_word_length": 5},
+                        outdir=tmp_path)
+    assert isinstance(report.answer, Yes)
+    with open(report.answer.spec_path) as f:
+        return f.read()
+
+
+def test_repeated_rules_parse_as_written_once(tmp_path):
+    """The parser keeps each rule once, at its first line: every fixture,
+    and A2's dtR, parse with each rule line repeated into the specs they
+    parse into without."""
+    texts = [fixtures.A1_TEXT, fixtures.A2_TEXT, fixtures.N1_TEXT,
+             fixtures.C0_TEXT, fixtures.P0_TEXT, fixtures.REV_TEXT,
+             fixtures.W107_TEXT, fixtures.T2_TEXT,
+             fixtures.D65_TEXT, DT_TEXT, a2_dtr_text(tmp_path)]
+    for text in texts:
+        assert parse_all(written_twice(text)) == parse_all(text)
+    for make in (fixtures.a1, fixtures.a2, fixtures.rev,
+                 fixtures.leftmost_e_lookaround):
+        spec = make()
+        assert parse_all(written_twice(render_spec(spec)))[-1] == spec
+
+
+def test_parsing_compares_no_rules(monkeypatch, tmp_path):
+    """Rules seen are kept in a dict, not looked up in a list: parsing A2
+    and its dtR compares no two rules (2 415 TdttRule comparisons per
+    parse of the dtR's 70 top-down rules when each was looked up in the
+    list of those before it)."""
+    text = a2_dtr_text(tmp_path)
+    compared = []
+    for cls in (AttRule, TdttRule):
+        eq = cls.__eq__
+
+        def counted(self, other, eq=eq):
+            compared.append(type(self).__name__)
+            return eq(self, other)
+        monkeypatch.setattr(cls, "__eq__", counted)
+    dtr = parse_spec(text)
+    a2 = parse_spec(fixtures.A2_TEXT)
+    assert len(dtr.second.rules) == 70 and len(a2.rules["f"]) > 1
+    assert compared == []

@@ -144,7 +144,7 @@ def test_a_step_budget_that_bites_is_unknown_at_bounded_equivalence(
 def test_lookaround_pair_is_unknown_at_bounded_equivalence(tmp_path):
     """A2 behind the leftmost-e look-around, as the benchmark's
     lookaround-lme workload runs it.  The composed candidate disagrees
-    with the pair, so the answer is Unknown (ROADMAP item 4)."""
+    with the pair, so the answer is Unknown (ROADMAP item 9)."""
     pair = PairedSpec("attU", "LME", fixtures.leftmost_e_lookaround(),
                       fixtures.a2())
     report = decide_dtR(pair, {"equivalence_depth": 4,
