@@ -29,8 +29,9 @@ chi, so it is split into chi-free segments (local_run), and a walk under
 a given chi chains them through chi's answers (stitch).  The segments
 from each synthesized attribute at the node are the ones that build the
 node's tail map, so each production keeps them from the shape build
-(Prod.runs).  A tail map has two forms only: the shape's key, the map
-sorted, and its ends as a child (Shapes.ends).  Whether a configuration
+(Prod.runs).  A shape is named by a number, and its tail map has two
+forms only: its key, the map sorted (Shapes.keys), and its ends as a
+child (Shapes.ends).  Whether a configuration
 is valid, and its visiting pairs, come from stitch over the segments of
 one production of its shape, every "up" exit paired with the attribute
 that entered.  A walk that stops at a child, which is how a child's chi
@@ -40,6 +41,19 @@ other children's shapes and chi), and the walks behind the segments are
 memoized by Crossings.walk on what they read, so both are shared by
 every shape of the child.  The output length of a pump witness's
 walk is read off the crossing summary of its tree.
+
+One pass does each piece of this work once.  Its memos:
+- Crossings.walk answers equal walks with one outcome, and local_run
+  builds the segment of each outcome once (Crossings.segments);
+- Shapes keeps each production under its symbol and child shapes
+  (Shapes.by_in), so the shape of a pump tree is read off them, not
+  walked (Shapes.key_of), and the is-dependency of each shape is
+  computed once (Shapes.isd) for circularity, the targets and the
+  variations;
+- the chi of a child is memoized as above (Shapes._chis), and each chi
+  is named by a number (Shapes.chis), as each shape is, so that
+  configurations and memo keys are tuples of small values.
+All of them live on the Shapes and its Crossings, and die with them.
 
 The growth system and the circularity test explore only what a verdict
 reads.  The variation of a visiting pair set psi reads the bare-walk
@@ -56,25 +70,31 @@ larger ones too, and tries all products only at a symbol with a cycle,
 so that its witness is the first in product order.  An att that walks
 its rule table realizes exactly the is-dependencies of its shapes, each
 read off a shape's key (the "up" ends of its tail map), so circularity
-reads them off Shapes; all_isds explores them for any other att.
+reads them off Shapes; all_isds explores them for any other att.  In
+such an att every occurrence has one successor at most, so its first
+try follows successors (_closes_cycle) instead of searching graphs.
 
 Circularity, the single path verdict, kappa and the variation verdict of
 each visiting pair set are computed once per spec and cached on it
 (AttSpec.circularity and AttSpec.walk_analysis): the pipeline asks for
 circularity in several stages, and single_path, kappa and variations come
-from one pass over the same shapes and configurations.  When that pass
-starts on an att whose circularity is not known yet (_require_walkable),
-it reads circularity off the shapes it then analyses, so the att is
-explored bottom-up once.  Only these small results are cached.  The
-tip-edge map of the circularity test, and the shapes with their memos
-and the configuration systems, die with their pass as soon as it
-returns, since no reference cycle holds them; kept on the spec they
-would stay alive through associate and build_two_way, which raises the
-traced peak of one look-around fixture decision from 13 to 21 MB.
+from one pass over the same shapes and configurations.  The circularity
+of an att that walks its rule table is read off one Shapes, and a
+noncircular att keeps them until its walk analysis takes them, so the
+att is explored bottom-up once, whichever is asked first.  Only these
+small results are cached.  The tip-edge map of the circularity test,
+and the shapes with their memos and the configuration systems, die with
+the walk analysis as soon as it returns, since no reference cycle holds
+them; kept on the spec they would stay alive through associate and
+build_two_way, which raises the traced peak of one look-around fixture
+decision from 13 to 21 MB.  A spec whose walk analysis is never asked
+for, such as the att behind a look-around, keeps the Shapes of its
+circularity, with no configuration system.
 """
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import NotApplicable
 from .model import ROOT, check_monadic, occ_pattern_info
@@ -104,13 +124,28 @@ def local_run(crossings, sigma, below, start):
     "enter" (attr the attribute entering the child it stops at) or
     "dead" (stuck or cycling).  emit counts the labels of the node's own
     rules, and visits are the children's pieces in order, as (child,
-    attr); neither is read when the segment is dead."""
-    pieces, end, name = crossings.walk(sigma, below, start)
+    attr); neither is read when the segment is dead.
+
+    Crossings.walk answers equal walks with the one outcome object its
+    memo keeps, so the segment is built once per outcome and kept in
+    crossings.segments under the outcome's id: the memo holds every
+    outcome as long as the crossings live, so no id is reused."""
+    outcome = crossings.walk(sigma, below, start)
+    segment = crossings.segments.get(id(outcome))
+    if segment is None:
+        segment = crossings.segments[id(outcome)] = _segment(crossings.syn,
+                                                             outcome)
+    return segment
+
+
+def _segment(syn, outcome):
+    """local_run's segment of a walk outcome (pieces, end, name) of
+    Crossings.walk, syn the att's synthesized attributes."""
+    pieces, end, name = outcome
     kind = _KINDS.get(end, "dead")
     return (kind, name if kind in ("up", "enter") else None,
             sum(len(x) for i, x in pieces if i is None),
-            tuple((i + 1, crossings.syn[x]) for i, x in pieces
-                  if i is not None))
+            tuple((i + 1, syn[x]) for i, x in pieces if i is not None))
 
 
 def stitch(segment, chi, start):
@@ -247,35 +282,84 @@ def is_circular(a):
     return a.circularity
 
 
-def _circularity(a, shapes=None):
+def _circularity(a):
     """A graph under some child is-dependencies has every edge it has
     under subsets of them, so a symbol has a cycle under some combination
     of realizable is-dependencies exactly when it has one under some
     combination of inclusion-maximal ones (Knuth's circularity test).
     Only a symbol with such a cycle is searched over all combinations,
-    for the first witness in product order.  shapes is passed on to
-    _realized."""
-    edges = _tip_edges(a)
-    isds = sorted(_realized(a, shapes, edges), key=lambda s: sorted(s))
+    for the first witness in product order (_first_cycle).
+
+    An att that walks its rule table realizes exactly the
+    is-dependencies of its shapes (Shapes.isd): a shape's key holds the
+    end of each walk up from its root, and these are the pairs.  Its
+    pre-check follows each occurrence's one successor (_closes_cycle),
+    copying no graph.  A noncircular one keeps the Shapes for its walk
+    analysis, which takes them (_single_path_and_kappa), so that the att
+    is explored bottom-up once.  Any other att explores its
+    is-dependencies with all_isds and pre-checks with _first_cycle."""
+    walks = a.walks_on_table
+    if walks:
+        shapes = Shapes(a)
+        isds = set(shapes.isd.values())
+        edges = None
+    else:
+        edges = _tip_edges(a)
+        isds = all_isds(a, edges)
+    isds = sorted(isds, key=lambda s: sorted(s))
     maximal = [s for s in isds if not any(s < t for t in isds)]
-    symbols = [(sym, k) for sym, k in a.input.items()] + [(ROOT, 1)]
-    for sym, k in symbols:
-        rule_edges = edges.get(sym, {})
-        if _first_cycle(rule_edges, maximal, k) is not None:
-            combo, cycle = _first_cycle(rule_edges, isds, k)
+    if walks:
+        succ = _successors(a)
+        ups = [{syn: b for b, syn in s} for s in maximal]
+    for sym, k in list(a.input.items()) + [(ROOT, 1)]:
+        if walks:
+            closes = any(_closes_cycle(succ.get(sym, {}), combo)
+                         for combo in itertools.product(ups, repeat=k))
+        else:
+            closes = _first_cycle(edges.get(sym, {}), maximal, k) is not None
+        if closes:
+            combo, cycle = _first_cycle(
+                (edges or _tip_edges(a)).get(sym, {}), isds, k)
             return True, CircularityWitness(sym, combo, cycle)
+    if walks:
+        a._walk_shapes = shapes
     return False, None
 
 
-def _realized(a, shapes=None, edges=None):
-    """Every is-dependency realized by some input tree.  On an att that
-    walks its rule table, a shape's key holds the end of each walk up
-    from its root, and these are the is-dependency's pairs, so they are
-    read off the keys of shapes, Shapes(a) when not given.  Any other att
-    explores them with all_isds, over edges when given."""
-    if a.walks_on_table:
-        return {_isd_of_tau(key) for key in (shapes or Shapes(a)).ends}
-    return all_isds(a, edges)
+def _successors(a):
+    """symbol -> {occurrence: the tip of its rule} for an att that walks
+    its rule table, where every occurrence has one rule at most, whose
+    right-hand side names one occurrence at most."""
+    succ = {}
+    for (sym, attr, pos), chains in a.rule_table.items():
+        tip = chains[0][1]
+        if tip is not None:
+            succ.setdefault(sym, {})[attr, pos] = tip
+    return succ
+
+
+def _closes_cycle(succ, ups):
+    """Whether the occurrences at a node close a cycle, when each goes on
+    to its one successor: its rule's tip (succ), or at a child's
+    synthesized attribute, the inherited attribute that the child's
+    is-dependency ups[child - 1] (synthesized -> inherited) names.  A
+    cycle passes some rule's left-hand side, so the successor chains
+    start at those, and a chain that meets one already followed ends."""
+    done = set()
+    for node in succ:
+        path = set()
+        while node is not None and node not in done:
+            if node in path:
+                return True
+            path.add(node)
+            nxt = succ.get(node)
+            if nxt is None:
+                attr, pos = node
+                if 0 < pos <= len(ups) and attr in ups[pos - 1]:
+                    nxt = ups[pos - 1][attr], pos
+            node = nxt
+        done |= path
+    return False
 
 
 def _first_cycle(rule_edges, isds, k):
@@ -305,19 +389,11 @@ def _first_cycle(rule_edges, isds, k):
 
 def _require_walkable(att):
     """Raise NotApplicable unless att is monadic, deterministic and not
-    circular.  When its circularity is not known yet, it is read off one
-    Shapes, and the walk analysis of a noncircular att runs on the same
-    Shapes: both results are cached on att (AttSpec.circularity and
-    AttSpec.walk_analysis), and the Shapes die here."""
+    circular."""
     if not check_monadic(att):
         raise NotApplicable("nonmonadic")
     if not att.deterministic:
         raise NotApplicable("nondeterministic")
-    if "circularity" not in vars(att):
-        shapes = Shapes(att)
-        att.circularity = _circularity(att, shapes)
-        if not att.circularity[0] and "walk_analysis" not in vars(att):
-            att.walk_analysis = _single_path_and_kappa(att, shapes)
     circ, _ = is_circular(att)
     if circ:
         raise NotApplicable("circular")
@@ -339,52 +415,79 @@ def _isd_of_tau(key):
 
 @dataclass
 class Prod:
-    """One way to build a shape: sigma applied to child shapes.  runs maps
-    each synthesized attribute a to the chi-free segment from (a, 0)."""
+    """One way to build a shape: sigma applied to child shapes, shapes
+    given by their numbers.  runs maps each synthesized attribute a to the
+    chi-free segment from (a, 0)."""
     sigma: str
     child_keys: tuple
-    out_key: tuple
+    out_key: int
     runs: dict
 
 
 class Shapes:
     """All reachable tail maps, with smallest representative trees and the
-    productions connecting them, and the memo of child context answers."""
+    productions connecting them, and the memo of child context answers.
+
+    A shape is named by a number, in the order found, and keys[n] is its
+    key; order lists the shapes by key.  Each production is kept under
+    its symbol and child shapes too, so the shape of any tree is read off
+    them (key_of), and each shape's is-dependency is computed once (isd).
+    A context answer is named by a number too, and chis[n] is its map.
+    So configurations, and the keys of the child answer memo, are tuples
+    of small values."""
 
     def __init__(self, att):
         self.att = att
         self.crossings = Crossings(att)
-        self.ends = {}       # key -> the tail map as a child's ends
-        self.rep = {}        # key -> representative Tree
+        self.keys = []       # shape -> its key, the tail map sorted
+        self.ends = {}       # shape -> the tail map as a child's ends
+        self.isd = {}        # shape -> its is-dependency (_isd_of_tau)
+        self.rep = {}        # shape -> representative Tree
         self.prods = []
-        self.by_out = {}     # key -> [Prod]
-        self._chis = {}      # (sigma, i, other child keys, chi) -> child's chi
-        self._chi_values = {}   # child's chi -> the one copy kept
+        self.by_in = {}      # (sigma, child shapes) -> Prod
+        self.by_out = {}     # shape -> [Prod]
+        self.chis = []       # chi -> {inherited attr: answer}
+        self._chi_numbers = {}  # chi as sorted pairs -> chi
+        self._chis = {}      # (sigma, i, other child shapes, chi) -> child's chi
         self._entering = tuple(("enter", a, False) for a in att.syn)
         self._build()
-
-    def _runs(self, sym, child_keys):
-        below = [self.ends[k] for k in child_keys]
-        return {a: local_run(self.crossings, sym, below, (a, 0))
-                for a in self.att.syn}
+        self.order = sorted(self.ends, key=self.keys.__getitem__)
 
     def _build(self):
+        numbers = {}         # key -> shape
+
         def step(sym, combo):
-            runs = self._runs(sym, combo)
+            below = [self.ends[k] for k in combo]
+            runs = {a: local_run(self.crossings, sym, below, (a, 0))
+                    for a in self.att.syn}
             key = _key_of_runs(runs)
-            prod = Prod(sym, combo, key, runs)
-            self.prods.append(prod)
-            self.by_out.setdefault(key, []).append(prod)
-            if key not in self.ends:
-                self.ends[key] = tuple(
+            n = numbers.get(key)
+            if n is None:
+                n = numbers[key] = len(self.keys)
+                self.keys.append(key)
+                self.ends[n] = tuple(
                     (_ENDS.get(kind, "stuck"), attr, True)
                     for kind, attr, _, _ in runs.values())
-                self.rep[key] = Tree(sym, [self.rep[c] for c in combo])
-            return key
+                self.isd[n] = _isd_of_tau(key)
+                self.rep[n] = Tree(sym, [self.rep[c] for c in combo])
+            prod = Prod(sym, combo, n, runs)
+            self.prods.append(prod)
+            self.by_in[sym, combo] = prod
+            self.by_out.setdefault(n, []).append(prod)
+            return n
 
         explore_bottom_up(self.att.input, step)
         settle_representatives(
             [(p.sigma, p.child_keys, p.out_key) for p in self.prods], self.rep)
+
+    def chi(self, pairs):
+        """The number of the context answer given as sorted (inherited
+        attr, answer) pairs."""
+        n = self._chi_numbers.get(pairs)
+        if n is None:
+            n = self._chi_numbers[pairs] = len(self.chis)
+            self.chis.append(dict(pairs))
+        return n
 
     def plug(self, prod, subs):
         """prod's symbol over the representatives of its child shapes,
@@ -393,8 +496,10 @@ class Shapes:
                                  in enumerate(prod.child_keys, start=1)])
 
     def key_of(self, s):
-        child_keys = tuple(self.key_of(c) for c in s.children)
-        return _key_of_runs(self._runs(s.label, child_keys))
+        """The shape of the input tree s, read off the production at each
+        of its nodes."""
+        return self.by_in[s.label, tuple([self.key_of(c)
+                                          for c in s.children])].out_key
 
     def bounded(self, sigma, child_keys, i):
         """The chi-free segments at a sigma-node that stop at child i, as a
@@ -409,24 +514,12 @@ class Shapes:
 # ---------------------------------------------------------------------------
 # node configurations
 
-@dataclass(frozen=True)
-class Config:
-    key: tuple        # subtree shape
+class Config(NamedTuple):
+    # configurations key every table of the analysis, so they are tuples
+    # of small values, hashed and compared without a Python call
+    key: int          # subtree shape, a number of Shapes
     entry: str        # first synthesized attribute entering the node
-    chi: tuple        # sorted (inherited attr, answer) pairs
-    # configurations key every table of the analysis: hash the nested
-    # tuples once, not on every lookup
-    _hash: int = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        object.__setattr__(self, "_hash",
-                           hash((self.key, self.entry, self.chi)))
-
-    def __hash__(self):
-        return self._hash
-
-    def chi_map(self):
-        return dict(self.chi)
+    chi: int          # context answer, a number of Shapes (Shapes.chis)
 
 
 class TopDown:
@@ -466,7 +559,8 @@ class TopDown:
                 if seg[0] == "up":
                     pairs.add((seg[1], start[0]))
                 return seg
-            kind = stitch(segment, cfg.chi_map(), (cfg.entry, 0))[0]
+            kind = stitch(segment, self.shapes.chis[cfg.chi],
+                          (cfg.entry, 0))[0]
             if kind not in ("ground", "halt_ok"):
                 return False
             self.psi[cfg] = frozenset(pairs)
@@ -474,7 +568,7 @@ class TopDown:
 
     def _expand(self, cfg):
         out = []
-        chi = cfg.chi_map()
+        chi = self.shapes.chis[cfg.chi]
         for prod in self.shapes.by_out.get(cfg.key, []):
             kind, _, emit, visits = stitch(
                 lambda start: prod.runs[start[0]], chi, (cfg.entry, 0))
@@ -497,12 +591,12 @@ class TopDown:
 
 def _child_chi(shapes, sigma, child_keys, i, chi):
     """The context answer of child i of a sigma-node whose own context
-    answer is chi, both as sorted (inherited attr, answer) pairs; memoized
-    on shapes without child i's shape, which it never reads."""
+    answer is chi, both numbers of shapes; memoized on shapes without
+    child i's shape, which it never reads."""
     key = (sigma, i, child_keys[:i - 1] + child_keys[i:], chi)
     if key not in shapes._chis:
         segment = shapes.bounded(sigma, child_keys, i)
-        chi_map = dict(chi)
+        chi_map = shapes.chis[chi]
         answers = []
         for b in shapes.att.inh:
             kind, attr, _, _ = stitch(segment, chi_map, (b, i))
@@ -512,8 +606,7 @@ def _child_chi(shapes, sigma, child_keys, i, chi):
                 answers.append((b, HALT_OK))
             else:
                 answers.append((b, HALT_DEAD))
-        got = tuple(sorted(answers))
-        shapes._chis[key] = shapes._chi_values.setdefault(got, got)
+        shapes._chis[key] = shapes.chi(tuple(sorted(answers)))
     return shapes._chis[key]
 
 
@@ -521,16 +614,16 @@ def _root_configs(att, shapes):
     """Valid whole-input configurations: entry is the initial attribute and
     chi reflects the root rules.  The root rules never read the shape
     below them, so every shape gets the same chi."""
-    chi = _child_chi(shapes, ROOT, (None,), 1, ())
-    return [Config(key, att.init, chi) for key in sorted(shapes.ends)]
+    chi = _child_chi(shapes, ROOT, (None,), 1, shapes.chi(()))
+    return [Config(key, att.init, chi) for key in shapes.order]
 
 
 def _allok_configs(att, shapes):
     """Bare-subtree configurations: one per shape and synthesized attribute
     with a defined tail, any exit ending the walk."""
-    chi = tuple(sorted((b, HALT_OK) for b in att.inh))
+    chi = shapes.chi(tuple(sorted((b, HALT_OK) for b in att.inh)))
     roots = []
-    for key in sorted(shapes.ends):
+    for key in shapes.order:
         for a, (end, _, _) in zip(att.syn, shapes.ends[key]):
             if end != "stuck":
                 roots.append(Config(key, a, chi))
@@ -541,15 +634,14 @@ def _wants(psi, isd, cfg):
     """Whether the variation of psi reads the bare-walk configuration cfg,
     whose shape realizes the is-dependency isd: the walk enters the node
     by one of psi's synthesized attributes, and the shape realizes psi."""
-    return any(cfg.entry == a for _, a in psi) and isd >= psi
+    return isd >= psi and any(cfg.entry == a for _, a in psi)
 
 
 def _targets(att, shapes, family):
     """The bare-walk configurations that some visiting pair set of family
     reads, in _allok_configs order."""
-    isds = {key: _isd_of_tau(key) for key in shapes.ends}
     return [cfg for cfg in _allok_configs(att, shapes)
-            if any(_wants(psi, isds[cfg.key], cfg) for psi in family)]
+            if any(_wants(psi, shapes.isd[cfg.key], cfg) for psi in family)]
 
 
 # ---------------------------------------------------------------------------
@@ -781,7 +873,7 @@ class VariationVerdict:
 def _variation_core(growth, psi):
     shapes = growth.shapes
     targets = [cfg for cfg in growth.targets
-               if _wants(psi, _isd_of_tau(cfg.key), cfg)]
+               if _wants(psi, shapes.isd[cfg.key], cfg)]
     unb = [cfg for cfg in targets if cfg in growth.unb]
     if unb:
         target = unb[0]
@@ -790,7 +882,7 @@ def _variation_core(growth, psi):
         lengths = []
         for n in range(3):
             t = w.tree(n)
-            assert _isd_of_tau(shapes.key_of(t)) >= psi
+            assert shapes.isd[shapes.key_of(t)] >= psi
             lengths.append(_bare_nf_size(shapes, t, target.entry))
         w.lengths = tuple(lengths)
         assert lengths[0] < lengths[1] < lengths[2], lengths
@@ -849,12 +941,13 @@ def single_path(a):
     return a.walk_analysis[0]
 
 
-def _single_path_and_kappa(a, shapes=None):
+def _single_path_and_kappa(a):
     """Decide the variation of every visiting pair set of a walkable att
-    over one set of shapes (Shapes(a) when not given) and configurations,
-    and return the single path verdict, kappa and the verdict per visiting
-    pair set."""
-    shapes = shapes or Shapes(a)
+    over one set of shapes and configurations, and return the single path
+    verdict, kappa and the verdict per visiting pair set.  The shapes are
+    the ones a's circularity was read off, which this takes from a (see
+    _circularity), or Shapes(a) when a holds none."""
+    shapes = vars(a).pop("_walk_shapes", None) or Shapes(a)
     sys = TopDown(a, shapes, _root_configs(a, shapes))
     family = _family(sys)
     growth = _Growth(a, shapes, family)

@@ -256,9 +256,9 @@ class AttSpec:
                 table[lhs] = shared[grown]
         return table
 
-    # analysis._require_walkable fills circularity and walk_analysis
-    # together from one Shapes when the walk analysis starts on a spec
-    # whose circularity is not known yet
+    # a noncircular spec that walks its rule table keeps the shapes its
+    # circularity was read off (_walk_shapes) until its walk analysis
+    # takes them, so one Shapes serves both
 
     @cached_property
     def circularity(self):
@@ -272,8 +272,8 @@ class AttSpec:
         """(SinglePathVerdict, kappa, {visiting pair set: VariationVerdict})
         from one pass of the walk analysis, for analysis.single_path,
         analysis.kappa and analysis.variations, which check first that the
-        spec is walkable; the pass reads circularity off its own shapes
-        when it is not known yet."""
+        spec is walkable; the pass runs on the shapes the spec's
+        circularity was read off."""
         from . import analysis
         return analysis._single_path_and_kappa(self)
 

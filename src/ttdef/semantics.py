@@ -790,7 +790,8 @@ class Crossings:
     attribute a, and associate the occurrence (a, i) where its reduced
     att takes over.  walk is memoized on the children's ends it reads
     (see walk), so the walks the walk analysis, associate's reductions
-    and the plans repeat each run once per Crossings.
+    and the plans repeat each run once per Crossings; segments keeps the
+    walk analysis's reading of each outcome, built once (local_run).
 
     width is the largest number of rules of one symbol.  A walk applies a
     rule at most once per node, so over #(s) it takes at most width *
@@ -808,6 +809,7 @@ class Crossings:
         self.plans = {}     # (label, children's ends) -> (ends, pieces)
         self.reads = {}     # (label, children's ends) -> (end, name, pieces)
         self.walks = {}     # (label, tip, number of children) -> trie (walk)
+        self.segments = {}  # id of a walk outcome -> its analysis.local_run
 
     def summary(self, label, below):
         """The summary of a node labelled label over its children's."""

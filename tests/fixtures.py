@@ -7,11 +7,14 @@ A2: walks the leftmost path; each level emits g if the rightmost leaf of the
 N1: A1 with a second (nondeterministic) rule at e.
 C0: circular but produces no output along the cycle.
 P0: circular and grows output along the cycle (empty domain).
+CI: circular only through an inherited occurrence that no walk from the
+    initial attribute reaches.
 REV: monadic att emitting the reverse of its input word.
 X0_TEXT: an att whose output symbol x0 is named like a dt variable.
-W107, T2, D65: definable atts the decision gets wrong today (tests pin
-    them as strict xfails): W107 reads its inherited attribute nowhere
-    and T2 and D65 have none, so each is a top-down transducer.
+W107, T2, T2B, D65: definable atts the decision gets wrong today (tests
+    pin them as strict xfails): W107 reads its inherited attribute
+    nowhere and T2, T2B and D65 have none, so each is a top-down
+    transducer.
 """
 
 from ttdef.model import (PairedSpec, RelabelingRule, RelabelingSpec, TdttRule,
@@ -97,6 +100,21 @@ rule e: a(pi) -> g(b(pi))
 rule #: b(pi 1) -> a(pi 1)
 """
 
+# the only cycle, (b,1) -> (s,1) at f over e, starts at b, which no
+# walk from a(pi) reaches
+CI_TEXT = """\
+att CI
+input f:1 e:0
+output c:0
+syn a s
+inh b
+init a
+rule f: a(pi) -> c
+rule f: b(pi 1) -> s(pi 1)
+rule e: a(pi) -> c
+rule e: s(pi) -> b(pi)
+"""
+
 REV_TEXT = """\
 att REV
 input g:1 h:1 e:0
@@ -152,6 +170,20 @@ rule e: a0(pi) -> h(c)
 rule e: a1(pi) -> c
 """
 
+T2B_TEXT = """\
+att T2B
+input f:2 g:1 e:0
+output h:1 k:1 c:0
+syn a0 a1
+init a1
+rule f: a0(pi) -> h(k(a1(pi 2)))
+rule f: a1(pi) -> h(k(a0(pi 1)))
+rule g: a0(pi) -> a0(pi 1)
+rule g: a1(pi) -> c
+rule e: a0(pi) -> h(k(c))
+rule e: a1(pi) -> h(k(c))
+"""
+
 # probe draw 65
 D65_TEXT = """\
 att D65
@@ -184,6 +216,10 @@ def c0():
 
 def p0():
     return parse_spec(P0_TEXT)
+
+
+def ci():
+    return parse_spec(CI_TEXT)
 
 
 def rev():

@@ -4,25 +4,26 @@ from collections import Counter
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, settings, strategies as st
 
 from ttdef import analysis
 from ttdef.analysis import (HALT_DEAD, HALT_OK, Shapes, TopDown,
                             _allok_configs, _family, _Growth, _isd_of_tau,
-                            _require_walkable, _root_configs, _theta_step,
-                            _tip_edges, _variation_core, all_isds,
-                            is_circular, kappa, single_path)
+                            _key_of_runs, _require_walkable, _root_configs,
+                            _segment, _theta_step, _tip_edges,
+                            _variation_core, all_isds, is_circular, kappa,
+                            single_path)
 from ttdef.constructions import normalize_domain_into_range, normalize_ground_rhs
 from ttdef.errors import NotApplicable, UnknownAttribute
 from ttdef.model import PairedSpec, occ_node, occ_node_info, occ_pattern_info
 from ttdef.pipeline import decide_dtR
-from ttdef.semantics import NoOutput, Output, evaluate, nf
+from ttdef.semantics import Crossings, NoOutput, Output, evaluate, nf
 from ttdef.trees import RankedAlphabet, Tree, parse_tree, trees_up_to_height
 
 import fixtures
 from fixtures import parse_spec
 from string_forms import rules_for
-from test_walk_table import NONMONADIC_TEXT, atts, derivation_forms
+from test_walk_table import NONMONADIC_TEXT, atts, derivation_forms, trees
 
 SPECS = Path(__file__).resolve().parents[1] / "bench" / "specs"
 FE = RankedAlphabet({"f": 2, "e": 0})
@@ -442,7 +443,7 @@ def check_growth_on_targets(a, same_witnesses, every_isd=False):
     shapes = Shapes(a)
     family = _family(TopDown(a, shapes, _root_configs(a, shapes)))
     if every_isd:
-        isds = {_isd_of_tau(key) for key in shapes.ends}
+        isds = {_isd_of_tau(key) for key in shapes.keys}
         family |= isds | {frozenset([p]) for isd in isds for p in isd}
     got = _Growth(a, shapes, family)
     ref = AllRootsGrowth(a, shapes)
@@ -531,7 +532,7 @@ class MetTopDown(TopDown):
 def valid_as_chain(a):
     """Every configuration the root system and the bare-walk system of a
     meet is valid exactly when _chain completes over its shape's tail
-    map (the key, as a dict), and then has _chain's visiting pairs.
+    map (its key, as a dict), and then has _chain's visiting pairs.
     Returns the counts of valid and invalid configurations, and of
     valid ones with some visiting pair."""
     shapes = Shapes(a)
@@ -539,7 +540,8 @@ def valid_as_chain(a):
     for roots in (_root_configs(a, shapes), _allok_configs(a, shapes)):
         sys = MetTopDown(a, shapes, roots)
         for cfg in sys.met:
-            want = _chain(dict(cfg.key), cfg.entry, cfg.chi_map())
+            want = _chain(dict(shapes.keys[cfg.key]), cfg.entry,
+                          shapes.chis[cfg.chi])
             assert (cfg in sys.psi) == (want is not None), cfg
             if want is not None:
                 assert sys.psi[cfg] == want[1], cfg
@@ -580,6 +582,43 @@ def test_valid_configurations_match_the_chain_on_random_atts():
         counts
 
 
+# ---------------------------------------------------------------------------
+# what Shapes keep: each production under its symbol and child shapes,
+# each shape's is-dependency, and the shapes numbered, in key order too
+
+def walked_key(shapes, s):
+    """The shape key of s from segments walked afresh at every node, on
+    a new Crossings, with no memo."""
+    crossings = Crossings(shapes.att)
+    below = [shapes.ends[shapes.keys.index(walked_key(shapes, c))]
+             for c in s.children]
+    return _key_of_runs({a: _segment(shapes.att.syn, crossings._walk(
+        s.label, below, (a, 0))[1]) for a in shapes.att.syn})
+
+
+def keys_and_isds_match_the_walks(a, ts):
+    shapes = Shapes(a)
+    assert len(set(shapes.keys)) == len(shapes.keys) == len(shapes.ends)
+    assert [shapes.keys[n] for n in shapes.order] == sorted(shapes.keys)
+    assert shapes.isd == {n: _isd_of_tau(key)
+                          for n, key in enumerate(shapes.keys)}
+    for t in ts:
+        assert shapes.keys[shapes.key_of(t)] == walked_key(shapes, t), \
+            t.render()
+
+
+@settings(max_examples=200, deadline=None)
+@given(atts(), st.lists(trees(5), min_size=1, max_size=4))
+def test_shapes_keys_and_isds_match_the_walks_on_random_atts(a, ts):
+    keys_and_isds_match_the_walks(a, ts)
+
+
+@pytest.mark.parametrize("make", [fixtures.a1, fixtures.a2, fixtures.rev])
+def test_shapes_keys_and_isds_match_the_walks_on_fixtures(make):
+    a = make()
+    keys_and_isds_match_the_walks(a, trees_up_to_height(a.input, 3))
+
+
 @pytest.mark.parametrize("make, yes", [(fixtures.a1, False),
                                        (fixtures.a2, True),
                                        (lookaround_att, True)])
@@ -608,6 +647,30 @@ def test_the_pass_frees_its_shapes_on_return(make, yes, monkeypatch):
     assert verdict.yes == yes
 
 
+@pytest.mark.parametrize("make", [fixtures.a2, fixtures.rev])
+def test_a_bare_decision_builds_one_shapes(make, tmp_path, monkeypatch):
+    """A bare decision reads circularity off one Shapes in its
+    is_circular stage, and single_path runs the walk analysis on the
+    same Shapes, which the att keeps until then: a work guard (two
+    Shapes when the walk analysis built its own).  The Shapes are freed
+    once the walk analysis has them."""
+    a = make()
+    made = []
+
+    class Watched(analysis.Shapes):
+        def __init__(self, att):
+            super().__init__(att)
+            made.append(weakref.ref(self))
+
+    monkeypatch.setattr(analysis, "Shapes", Watched)
+    decide_dtR(a, {"equivalence_depth": 3, "verify_word_length": 4},
+               outdir=tmp_path)
+    assert len(made) == 1
+    assert "_walk_shapes" not in vars(a)
+    gc.collect()
+    assert made[0]() is None
+
+
 def test_one_decision_analyses_each_att_once(tmp_path, monkeypatch):
     """The look-around decision builds the growth system once and checks
     circularity once for each att it analyses: the plain A2 and the A2
@@ -620,9 +683,9 @@ def test_one_decision_analyses_each_att_once(tmp_path, monkeypatch):
             growths.append(args[0].name)
             super().__init__(*args)
 
-    def counted(a, *shapes, real=analysis._circularity):
+    def counted(a, real=analysis._circularity):
         circular.append(a)
-        return real(a, *shapes)
+        return real(a)
 
     monkeypatch.setattr(analysis, "_Growth", Counted)
     monkeypatch.setattr(analysis, "_circularity", counted)

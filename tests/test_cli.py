@@ -96,9 +96,9 @@ def test_definable_runs_the_walk_analysis_once(tmp_path, capsys, monkeypatch):
     calls = []
     walk_analysis = analysis._single_path_and_kappa
 
-    def counted(a, *shapes):
+    def counted(a):
         calls.append(a.name)
-        return walk_analysis(a, *shapes)
+        return walk_analysis(a)
 
     monkeypatch.setattr(analysis, "_single_path_and_kappa", counted)
     spec = tmp_path / "g2.att"

@@ -13,10 +13,13 @@ Crossings.walk memoizes each walk on what it reads of the children's
 ends.  reference_walk, the walk as it ran before the memo and kept here,
 is its reference over random atts and random children's ends of every
 kind, the "enter" ends the walk analysis and associate pass included.
+analysis.local_run keeps the segment of each walk outcome on the
+Crossings; each must be the segment of the walk without the memo.
 """
 
 from hypothesis import given, settings, strategies as st
 
+from ttdef.analysis import _segment, local_run
 from ttdef.model import ROOT, AttRule, AttSpec, occ_pattern
 from ttdef.semantics import Crossings
 from ttdef.trees import RankedAlphabet, Tree, trees_up_to_height
@@ -164,6 +167,20 @@ def test_the_memoized_walk_matches_the_walk_it_replaced(case):
         pieces, end, name = reference_walk(crossings, label, below, tip)
         assert crossings.walk(label, below, tip) == \
             (tuple(pieces), end, name), (label, below, tip)
+
+
+@settings(max_examples=300, deadline=None)
+@given(walks())
+def test_a_segment_from_the_memo_is_the_segment_of_its_walk(case):
+    """One Crossings serves every segment of the list, in order, as
+    _segment builds it from the walk without the memo, whatever was
+    asked before."""
+    att, queries = case
+    crossings = Crossings(att)
+    for label, below, tip in queries:
+        pieces, end, name = reference_walk(crossings, label, below, tip)
+        assert local_run(crossings, label, below, tip) == \
+            _segment(att.syn, (tuple(pieces), end, name)), (label, below, tip)
 
 
 def plans_match_the_walk(att, trees):

@@ -11,7 +11,7 @@ _shift), and reference_all_isds and reference_circularity (with the
 _theta_step that reads rules_for).  The compiled forms must render
 byte-identical artifacts and answer exactly as the references do.  An
 att that walks its rule table reads its is-dependencies off its shapes
-(analysis._realized), which must give reference_all_isds's, circular
+(Shapes.isd), which must give reference_all_isds's, circular
 atts included.
 """
 
@@ -285,29 +285,33 @@ def reference_all_isds(a):
             for theta in thetas.values()}
 
 
+def reference_cycle(a, sym, combo):
+    """The first cycle of the dependency graph of sym's rules under the
+    child is-dependencies combo, or None."""
+    edges = {}
+    nodes = set()
+    for rule in a.rules_at(sym):
+        src = (rule.attr, rule.pos)
+        nodes.add(src)
+        for _, sub in rule.rhs.addresses():
+            tip = occ_pattern_info(sub.label)
+            if tip is not None:
+                edges.setdefault(src, []).append(tip)
+                nodes.add(tip)
+    for j, isd in enumerate(combo, start=1):
+        for b, syn in isd:
+            edges.setdefault((syn, j), []).append((b, j))
+            nodes.add((syn, j))
+            nodes.add((b, j))
+    return _cycle_in(edges, sorted(nodes))
+
+
 def reference_circularity(a):
     isds = sorted(reference_all_isds(a), key=lambda s: sorted(s))
     symbols = [(sym, k) for sym, k in a.input.items()] + [(ROOT, 1)]
     for sym, k in symbols:
-        rule_edges = {}
-        rule_nodes = set()
-        for rule in a.rules_at(sym):
-            src = (rule.attr, rule.pos)
-            rule_nodes.add(src)
-            for _, sub in rule.rhs.addresses():
-                tip = occ_pattern_info(sub.label)
-                if tip is not None:
-                    rule_edges.setdefault(src, []).append(tip)
-                    rule_nodes.add(tip)
         for combo in itertools.product(isds, repeat=k):
-            edges = {src: list(tips) for src, tips in rule_edges.items()}
-            nodes = set(rule_nodes)
-            for j in range(1, k + 1):
-                for b, syn in combo[j - 1]:
-                    edges.setdefault((syn, j), []).append((b, j))
-                    nodes.add((syn, j))
-                    nodes.add((b, j))
-            cycle = _cycle_in(edges, sorted(nodes))
+            cycle = reference_cycle(a, sym, combo)
             if cycle is not None:
                 return True, CircularityWitness(sym, combo, cycle)
     return False, None
@@ -344,13 +348,23 @@ def same_dependencies(a):
 
 def same_isds_off_the_shapes(a):
     """An att that walks its rule table reads its realizable
-    is-dependencies off the keys of its shapes: they are all_isds's, and
-    circularity read off them answers with the reference's witness."""
+    is-dependencies off the keys of its shapes: they are all_isds's.
+    Following its successor map closes a cycle under exactly the
+    products of them whose dependency graphs have one, at every symbol,
+    and circularity read off them answers with the reference's witness.
+    Returns the flag."""
     assert a.walks_on_table
-    shapes = analysis.Shapes(a)
-    assert analysis._realized(a, shapes) == reference_all_isds(a)
-    assert analysis._circularity(a, shapes) == reference_circularity(a)
-    return analysis._circularity(a, shapes)[0]
+    isds = reference_all_isds(a)
+    assert set(analysis.Shapes(a).isd.values()) == isds
+    succ = analysis._successors(a)
+    for sym, k in list(a.input.items()) + [(ROOT, 1)]:
+        for combo in itertools.product(isds, repeat=k):
+            ups = [{syn: b for b, syn in isd} for isd in combo]
+            assert analysis._closes_cycle(succ.get(sym, {}), ups) == \
+                (reference_cycle(a, sym, combo) is not None), (sym, combo)
+    circularity = analysis._circularity(a)
+    assert circularity == reference_circularity(a)
+    return circularity[0]
 
 
 @settings(max_examples=300, deadline=None)
@@ -383,13 +397,19 @@ def test_front_end_matches_the_references_on_random_atts(a):
 
 
 def test_front_end_matches_the_references_on_fixtures():
+    """C0 is circular through the root marker, and CI only through an
+    inherited occurrence that no walk from its initial attribute
+    reaches, so the successor chains must start at every rule."""
     for a in (fixtures.a1(), fixtures.a2(), fixtures.rev(), lme_att()):
         same_dependencies(a)
         assert not same_isds_off_the_shapes(a)
         same_front_end(a)
-    for a in (fixtures.c0(), fixtures.p0(), fixtures.n1()):
+    for a in (fixtures.c0(), fixtures.p0(), fixtures.n1(), fixtures.ci()):
         same_dependencies(a)
     assert same_isds_off_the_shapes(fixtures.c0())
+    assert same_isds_off_the_shapes(fixtures.ci())
+    assert is_circular(fixtures.ci()) == (True, CircularityWitness(
+        "f", (frozenset({("b", "s")}),), (("b", 1), ("s", 1))))
 
 
 WIDE_OUT = RankedAlphabet({"h": 1, "m": 2, "c": 0})
@@ -441,9 +461,10 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
     holds only the 99 configurations, with 627 expansions, reachable
     from the bare-walk configurations its 22 visiting pair sets read
     (all of them are 265, with 12 149 expansions).  The circularity
-    checks of A2 and of the look-around att make 288 _cycle_in calls
-    (844 over all realizable is-dependencies): they search the products
-    of the inclusion-maximal is-dependencies only, and find no cycle.
+    checks of A2 and of the look-around att walk their rules' successor
+    maps over the products of the inclusion-maximal is-dependencies and
+    find no cycle, so they make no _cycle_in call (288 when each product
+    was a graph of its own, 844 over all realizable is-dependencies).
     associate and build_two_way read compiled rule chains: every
     occ_pattern_info call they make is part of a rule_table compile,
     which parses each distinct right-hand side once (29 of them for the
@@ -455,8 +476,10 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
     decision analyses is explored by one Shapes: A2 for its circularity,
     and the grounded look-around att for its circularity and its walk
     analysis both, so no all_isds step runs.  Crossings.walk answers
-    25 604 of its 28 380 walks from its memo, and build_two_way reads the
-    word automaton's rules by letter, never through rule_for."""
+    23 732 of its 26 508 walks from its memo (28 380 when Shapes.key_of
+    walked every node of a pump tree), local_run builds one segment per
+    walk outcome it reads, 208 of them, and build_two_way reads the word
+    automaton's rules by letter, never through rule_for."""
     made, counts, inside, growths = [], Counter(), [], []
 
     class Counted(analysis.Shapes):
@@ -474,6 +497,7 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
     cycle_in = analysis._cycle_in
     theta_step = analysis._theta_step
     walk, fresh = Crossings.walk, Crossings._walk
+    segment = analysis._segment
     rule_for = RelabelingSpec.rule_for
     tree_eq = Tree.__eq__
 
@@ -496,6 +520,10 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
     def counted_fresh(*args):
         counts["fresh walks"] += 1
         return fresh(*args)
+
+    def counted_segment(*args):
+        counts["segments"] += 1
+        return segment(*args)
 
     def counted_rule_for(*args):
         if sys._getframe(1).f_code.co_name == "build_two_way":
@@ -535,6 +563,7 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
     monkeypatch.setattr(analysis, "_theta_step", counted_theta_step)
     monkeypatch.setattr(Crossings, "walk", counted_walk)
     monkeypatch.setattr(Crossings, "_walk", counted_fresh)
+    monkeypatch.setattr(analysis, "_segment", counted_segment)
     monkeypatch.setattr(RelabelingSpec, "rule_for", counted_rule_for)
     monkeypatch.setattr(Tree, "__eq__", counted_eq)
     monkeypatch.setattr(model, "_split_parens", counted_split)
@@ -549,10 +578,12 @@ def test_the_lme_decision_parses_no_rule_outside_the_table(monkeypatch,
     assert [len(shapes._chis) for shapes in made] == [0, 169]
     assert counts["asks"] == 1351
     assert growths == [(99, 627)]
-    assert counts["cycle_in"] == 288
+    assert counts["cycle_in"] == 0
     assert counts["compared"] == 162
     assert counts["parsed"] == 0
     assert counts["compile"] == 29
     assert counts["theta_step"] == 0
     assert counts["rule_for"] == 0
-    assert (counts["walks"], counts["fresh walks"]) == (28380, 2776)
+    assert (counts["walks"], counts["fresh walks"]) == (26508, 2776)
+    assert counts["segments"] == 208
+    assert counts["segments"] <= counts["fresh walks"]

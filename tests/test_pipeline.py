@@ -293,12 +293,31 @@ def test_a_definable_att_never_answers_no(name, length, bound, tmp_path):
     assert not isinstance(report.answer, No)
 
 
-@pytest.mark.xfail(strict=True, reason="a wrong Yes: the dtR differs one "
-                   "letter past the verified length")
-def test_a_yes_on_d65_agrees_with_the_att(tmp_path):
-    a = parse_spec(fixtures.D65_TEXT)
+def yes_agrees_with_the_att(text, tree, tmp_path):
+    """The att of text answers Yes at verify_word_length 6, and its
+    reloaded dtR agrees with it on tree."""
+    a = parse_spec(text)
     report = decide_dtR(a, {"verify_word_length": 6}, outdir=tmp_path)
     assert isinstance(report.answer, Yes)
     dtr = parse_all(Path(report.answer.spec_path).read_text())[-1]
-    s = parse_tree("f(e,f(e,f(e,f(e,f(e,g(e))))))")
+    s = parse_tree(tree)
     assert evaluate(dtr, s) == evaluate(a, s)
+
+
+@pytest.mark.xfail(strict=True, reason="a wrong Yes: the dtR differs one "
+                   "letter past the verified length")
+def test_a_yes_on_d65_agrees_with_the_att(tmp_path):
+    yes_agrees_with_the_att(fixtures.D65_TEXT,
+                            "f(e,f(e,f(e,f(e,f(e,g(e))))))", tmp_path)
+
+
+# T2 gives h(h(h(c))) on its tree and its dtR h(h(h(h(c)))); T2B gives
+# h(k(h(k(c)))) and its dtR h(k(h(k(h(k(c)))))) (ROADMAP item 4)
+@pytest.mark.xfail(strict=True, reason="a wrong Yes: the dtR differs on a "
+                   "longer path")
+@pytest.mark.parametrize("name, tree", [
+    ("T2", "g(g(g(g(g(g(e))))))"),
+    ("T2B", "f(g(g(g(f(g(e),g(e))))),e)")])
+def test_a_yes_on_a_syn_only_att_agrees_with_the_att(name, tree, tmp_path):
+    yes_agrees_with_the_att(getattr(fixtures, name + "_TEXT"), tree,
+                            tmp_path)
