@@ -13,11 +13,14 @@ All comparisons here are exhaustive up to a depth, and every verdict
 carries something replayable: a two-output witness checks against
 enumerate_outputs, a cycle trace step by step against the att's rules
 (the tests replay it on string forms).  Both searches run on the att's
-rule chains: a form is a chain of labels above one occurrence, and the
-cycle search's graph has the occurrences (attr, address in #(s)) for
-nodes and each rule's chain for an edge (semantics._occurrence_steps).
-One pass of strongly connected components over that graph finds the
-cycle.  An att whose output is not monadic is refused.
+rule chains, through the att's one step over #(s)
+(semantics._occurrence_steps): a form is a chain of labels above one
+occurrence, and the cycle search's graph has the occurrences of that
+step, (attr, node, pos) on the numbered nodes of #(s), for nodes and
+each rule's chain for an edge.  One pass of strongly connected
+components over that graph finds the cycle, and only its trace names
+each occurrence by its address in #(s).  An att whose output is not
+monadic is refused.
 """
 
 import itertools
@@ -25,7 +28,8 @@ from dataclasses import dataclass, fields
 
 from .errors import AlphabetMismatch, NotApplicable, SpecSyntaxError
 from .analysis import _components
-from .model import PairedSpec, check_monadic, input_alphabet, occ_node
+from .model import (ROOT, PairedSpec, check_monadic, input_alphabet,
+                    occ_node)
 from .semantics import (StepBudget, _chain_tree, _class_step,
                         _occurrence_steps, _shared, _word_output,
                         enumerate_outputs, enumerate_shared, tree_of)
@@ -126,22 +130,25 @@ def _productive_cycle(att, shown):
 
 def _cycle_on(a, s):
     """Trace of a productive cycle of a over #(s), or None.  The graph's
-    nodes are occurrences (attr, address in #(s)), and its edges per node
-    the (labels, tip, leaf) of each rule there (_occurrence_steps),
-    weighted by the labels.  The first positive edge, breadth first from
-    the initial occurrence, that leads back to its own node closes the
+    nodes are the occurrences of _occurrence_steps over #(s), and its
+    edges per node the (labels, tip, leaf) of each rule there, weighted
+    by the labels.  The first positive edge, breadth first from the
+    initial occurrence, that leads back to its own node closes the
     cycle: the first whose two ends share a strongly connected component.
     The trace walks to it and around the cycle until an occurrence
-    repeats with a bigger form."""
-    step = _occurrence_steps(a, s)
+    repeats with a bigger form, each occurrence named by its address in
+    #(s)."""
+    occurrence, rules, locate, address = _occurrence_steps(a, s, ROOT)
     edges = {}
 
     def out(u):
         if u not in edges:
-            edges[u] = step(*u)
+            edges[u] = [(labels, None if tip is None
+                         else locate(tip[0], u[1], tip[1]), leaf)
+                        for labels, tip, leaf in rules(u)]
         return edges[u]
 
-    start = (a.init, (1,))
+    start = occurrence(a.init, (1,))
     reach = _reach(out, start)
     comp = _components([start], lambda u: [v for _, v, _ in edges[u]
                                            if v is not None])
@@ -149,7 +156,8 @@ def _cycle_on(a, s):
         for labels, v, _ in edges[u]:
             if labels and v is not None and comp[u] == comp[v]:
                 loop = [(u, labels, v)] + path_to(_reach(out, v), u)
-                return _walk_trace(start, path_to(reach, u) + loop * 3)
+                return _walk_trace(start, path_to(reach, u) + loop * 3,
+                                   address)
     return None
 
 
@@ -161,9 +169,10 @@ def _reach(out, src):
                                            if y is not None])
 
 
-def _walk_trace(start, steps):
+def _walk_trace(start, steps, address):
     """Forms along the steps, cut at the first occurrence revisited with
-    the form grown; the initial form itself does not count as a visit."""
+    the form grown; the initial form itself does not count as a visit.
+    address names each occurrence as (attr, address in #(s))."""
     forms = [((), start)]
     first_at = {}
     for _, more, y in steps:
@@ -171,7 +180,8 @@ def _walk_trace(start, steps):
         if y in first_at and forms[first_at[y]] != forms[-1]:
             break
         first_at.setdefault(y, len(forms) - 1)
-    return [_chain_tree(labels, occ_node(*tip)) for labels, tip in forms]
+    return [_chain_tree(labels, occ_node(*address(tip)))
+            for labels, tip in forms]
 
 
 # ---------------------------------------------------------------------------

@@ -386,7 +386,7 @@ def decide_dtR(a, cfg=None, outdir=None):
         return report(answer)
 
     with _staged(stages, "back_convert") as st:
-        trees = back_convert(ov.transducer)
+        trees = back_convert(ov.transducer, relabeling.output)
         st.verdict = "tree-level transducer %r" % trees.name
 
     with _staged(stages, "uniformize") as st:

@@ -7,20 +7,26 @@ form is a0(1). Normal forms (nf) instead run over the bare tree, so an
 inherited occurrence at eps is simply stuck there and becomes a tip.
 
 Every att derivation runs on the spec's rule table, compiled once per
-spec (AttSpec.rule_table).  Atts have monadic output here, and an att
-whose output is not monadic is refused as NotApplicable("nonmonadic"):
-every right-hand side is then a chain of labels above one occurrence or
-an output leaf, and so is every form, kept as its labels and its tip.
-A deterministic att (AttSpec.walks_on_table) walks the one chain of each
-left-hand side: evaluate and nf keep the occurrence as (attr, node) and
-the labels as a list, and build the output tree once at the end.
-Revisiting an occurrence certifies a cycle, which evaluate reports as
-NoOutput and nf as Diverges.  nf walks the bare tree under a top node
-without rules, from a given start occurrence.  A nondeterministic att
-steps an occurrence (attr, address in #(s)) to every chain of its
-left-hand side (_occurrence_steps): enumerate_outputs searches the forms
-(labels, tip, leaf) this reaches, and the productive-cycle search of
-functionality builds its occurrence graph from it.
+spec (AttSpec.rule_table), through one step over the tree
+(_occurrence_steps).  Atts have monadic output here, and an att whose
+output is not monadic is refused as NotApplicable("nonmonadic"): every
+right-hand side is then a chain of labels above one occurrence or an
+output leaf, and so is every form, kept as its labels and its tip.  The
+step numbers the nodes of the tree under its top node and keeps an
+occurrence as (attr, node, pos), a synthesized attribute at its own node
+and an inherited one at its parent's child slot, so that equal
+occurrences are equal tuples; it gives the chains of the rules that
+apply there.  A deterministic att (AttSpec.walks_on_table) takes the
+first chain of each step (_walk_table): evaluate and nf keep the labels
+as a list and build the output tree once at the end.  Revisiting an
+occurrence certifies a cycle, which evaluate reports as NoOutput and nf
+as Diverges.  nf walks the bare tree under a top node without rules,
+from a given start occurrence.  A nondeterministic att takes every
+chain: enumerate_outputs searches the forms (labels, tip, leaf) this
+reaches, and the productive-cycle search of functionality builds its
+occurrence graph from it.  An occurrence is named by its address only
+where a form is written out: the tip nf sticks at, and the trace of a
+productive cycle.
 
 Every top-down transducer runs on its own table (TdttSpec.rule_table),
 deterministic or not, whatever the shape of its right-hand sides: the
@@ -134,56 +140,8 @@ def _require_monadic(a):
         raise NotApplicable("nonmonadic")
 
 
-def _symbol_lookup(s):
-    """The label at an address of #(s), or None where #(s) has no node."""
-    def sym_at(v):
-        if not v:
-            return ROOT
-        if v[0] != 1:
-            return None
-        t = s
-        for i in v[1:]:
-            if not 1 <= i <= len(t.children):
-                return None
-            t = t.children[i - 1]
-        return t.label
-    return sym_at
-
-
-def _occurrence_steps(a, s):
-    """The derivation step of the monadic att a over #(s), as a function
-    of one occurrence (attr, address in #(s)): per rule that applies
-    there, in rule_table order, (labels, tip, leaf), the labels the
-    rule emits and the occurrence tip it ends in, or None and the output
-    leaf.  [] when the occurrence is stuck: no rule, a node #(s) lacks,
-    a synthesized attribute at the root marker or an inherited one at
-    the root of #(s)."""
-    _require_monadic(a)
-    table = a.rule_table
-    sym_at = _symbol_lookup(s)
-
-    def step(attr, v):
-        if a.is_syn(attr):
-            sym = sym_at(v)
-            if sym is None or sym == ROOT:
-                return []
-            base, pos = v, 0
-        elif a.is_inh(attr) and v:
-            base, pos = v[:-1], v[-1]
-            sym = sym_at(base)
-        else:
-            return []
-        out = []
-        for labels, tip, leaf in table.get((sym, attr, pos), ()):
-            if tip is not None:
-                tip = tip[0], base + (tip[1],) if tip[1] else base
-            out.append((labels, tip, leaf))
-        return out
-    return step
-
-
 # ---------------------------------------------------------------------------
-# the compiled walk: deterministic atts with monadic output
+# the occurrence step: atts with monadic output over one tree
 
 def _flatten(s, top):
     """Nodes of top(s) as integers, 0 the top node and 1 the root of s:
@@ -201,69 +159,100 @@ def _flatten(s, top):
     return labels, up, kids
 
 
-def _walk_table(a, s, max_steps, max_enumeration=None, start=None):
-    """Run a on its rule table, one (attr, node) at a time: over #(s) from
-    a.init at the root of s, or, given start as (attr, address in s), over
-    the bare tree s from that occurrence, under a top node without rules.
+def _occurrence_steps(a, s, top):
+    """The derivation step of the monadic att a over s under a top node
+    labelled top: ROOT for #(s), None for the bare tree s, whose top has
+    no rules.  Nodes are _flatten's integers, and an occurrence is the
+    tuple (attr, node, pos): a synthesized attribute sits at its own
+    node with pos 0, an inherited one at its parent's child slot pos, so
+    a rule applies at (label of node, attr, pos) and equal occurrences
+    are equal tuples.  One that top(s) has no place for, a synthesized
+    attribute at the top node or at a child that does not exist, an
+    inherited one at the top node, or an undeclared attribute, keeps the
+    node and the slot j it was asked at as (attr, node, ~j), where no
+    rule applies.  An inherited attribute at the root of the bare tree
+    sits at the top's slot, and is stuck there too.
 
-    The only occurrence of the form is kept as (attr, base, pos): attr at
-    node base when pos is 0, attr at child pos of base otherwise, so a
-    rule applies at (label of base, attr, pos) and instantiates at base.
+    Returns (occurrence, rules, locate, address):
+    - occurrence(attr, v), the occurrence of attr at the node at address
+      v of top(s), the top node at () and the root of s at (1,);
+    - rules(occ), the (labels, tip, leaf) of each rule that applies at
+      occ, in rule_table order: its labels, and its tip (attr, j)
+      relative to occ's node or None and the output leaf; () when occ is
+      stuck;
+    - locate(attr, node, j), the occurrence attr(node.j), node.0 = node,
+      so a tip (attr, j) of a rule at occ ends in locate(attr, occ[1], j);
+    - address(occ), (attr, v) for the occurrence of attr at the node
+      at address v of top(s), as occurrence(attr, v) gives it."""
+    _require_monadic(a)
+    table = a.rule_table
+    syn, inh = frozenset(a.syn), frozenset(a.inh)
+    labels, up, kids = _flatten(s, top)
+
+    def occurrence(attr, v):
+        node = 0
+        for i in v:
+            node = kids[node][i - 1]
+        return locate(attr, node, 0)
+
+    def rules(occ):
+        return table.get((labels[occ[1]], occ[0], occ[2]), ())
+
+    def locate(attr, node, j):
+        if attr in syn:
+            if j == 0:
+                return (attr, node, 0) if node else (attr, 0, ~0)
+            row = kids[node]
+            return (attr, row[j - 1], 0) if j <= len(row) else \
+                (attr, node, ~j)
+        if attr in inh:
+            if j:
+                return attr, node, j
+            return (attr,) + up[node] if node else (attr, 0, ~0)
+        return attr, node, ~j
+
+    def address(occ):
+        attr, node, pos = occ
+        j = pos if pos >= 0 else ~pos
+        path = [j] if j else []
+        while node:
+            node, i = up[node]
+            path.append(i)
+        return attr, tuple(reversed(path))
+    return occurrence, rules, locate, address
+
+
+def _walk_table(a, s, max_steps, max_enumeration=None, start=None):
+    """Run a on the first rule of each step (_occurrence_steps): over
+    #(s) from a.init at the root of s, or, given start as (attr, address
+    in s), over the bare tree s from that occurrence, under a top node
+    without rules.
+
     Returns (kind, labels, end) with the labels emitted so far, kind one of
     "output" (end the rank-0 leaf), "stuck" (end the occurrence label
     attr(address in s) of the occurrence with no rule to apply), "silent"
     and "productive" (an occurrence came back, with no output in between
     or with some), "steps", and "enumeration" (more forms than
     max_enumeration; checked only when it is given)."""
-    table = a.rule_table
-    syn, inh = frozenset(a.syn), frozenset(a.inh)
-    labels, up, kids = _flatten(s, ROOT if start is None else None)
-
-    def locate(attr, base, j):
-        """The occurrence attr(base.j), with base.0 = base; None if stuck."""
-        if attr in syn:
-            if j == 0:
-                return None if base == 0 else (attr, base, 0)
-            row = kids[base]
-            return (attr, row[j - 1], 0) if j <= len(row) else None
-        if attr in inh:
-            if j:
-                return attr, base, j
-            return None if base == 0 else (attr,) + up[base]
-        return None
-
-    def address(base, j):
-        """The address in s of base.j, with base.0 = base."""
-        path = [j] if j else []
-        while base:
-            base, i = up[base]
-            path.append(i)
-        return tuple(reversed(path[:-1]))
-
-    if start is None:
-        at = (a.init, 0, 1)
-    else:
-        node = 1
-        for i in start[1]:
-            node = kids[node][i - 1]
-        at = (start[0], node, 0)
+    occurrence, rules, locate, address = _occurrence_steps(
+        a, s, ROOT if start is None else None)
+    occ = occurrence(a.init, (1,)) if start is None else \
+        occurrence(start[0], (1,) + start[1])
     out = []
-    occ = locate(*at)
     seen = {occ: 0}    # occurrence -> output length when it was reached
     steps = 0
     while True:
-        chains = None if occ is None else \
-            table.get((labels[occ[1]], occ[0], occ[2]))
-        if chains is None:
-            return "stuck", out, occ_node(at[0], address(at[1], at[2]))
+        chains = rules(occ)
+        if not chains:
+            attr, v = address(occ)
+            return "stuck", out, occ_node(attr, v[1:])
         steps += 1
         if steps > max_steps:
             return "steps", out, None
         emitted, tip, leaf = chains[0]
         out.extend(emitted)
         if tip is not None:
-            at = (tip[0], occ[1], tip[1])
-            occ = locate(*at)
+            occ = locate(tip[0], occ[1], tip[1])
             if occ in seen:
                 return ("silent" if seen[occ] == len(out) else "productive",
                         out, None)
@@ -497,8 +486,8 @@ def evaluate(d, s, budget=None):
     machines belong to enumerate_outputs."""
     budget = budget or StepBudget()
     if isinstance(d, AttSpec):
-        _require_monadic(d)
         if not d.deterministic:
+            _require_monadic(d)    # the walk's step refuses the others
             raise DuplicateLhsInDeterministic(
                 "att %r is nondeterministic; use enumerate_outputs" % d.name)
         kind, labels, leaf = _walk_table(d, s, budget.max_steps)
@@ -743,17 +732,21 @@ def _class_step(d, budget, size):
 
 def _enumerate_att(a, s, budget):
     """_search over the forms of the monadic att a over #(s), each kept
-    as (labels, tip, leaf) as _occurrence_steps gives them: a state is
-    ground when its tip is None, and gives the word labels + (leaf,).
+    as (labels, tip, leaf): the labels emitted, the occurrence of
+    _occurrence_steps it ends in, or None and the output leaf.  A form
+    is ground when its tip is None, and gives the word labels + (leaf,).
     Rewriting the one occurrence of a form is the whole step."""
-    step = _occurrence_steps(a, s)
+    occurrence, rules, locate, _ = _occurrence_steps(a, s, ROOT)
 
     def successors(state):
         labels, tip, _ = state
         if tip is None:
             return None
-        return [(labels + more, nxt, leaf) for more, nxt, leaf in step(*tip)]
-    outs, exhaustive = _search(((), (a.init, (1,)), None), successors, budget)
+        return [(labels + more,
+                 None if nxt is None else locate(nxt[0], tip[1], nxt[1]),
+                 leaf) for more, nxt, leaf in rules(tip)]
+    start = ((), occurrence(a.init, (1,)), None)
+    outs, exhaustive = _search(start, successors, budget)
     return {labels + (leaf,) for labels, _, leaf in outs}, exhaustive
 
 

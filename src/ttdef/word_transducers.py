@@ -42,34 +42,6 @@ def encoding_alphabet(base):
     return RankedAlphabet(pairs)
 
 
-def base_of_encoding(enc):
-    """The ranked alphabet a monadic encoding alphabet was built from."""
-    ranks = {}
-    order = []
-    for sym, k in enc.items():
-        if k == 0:
-            base, i = sym, 0
-        else:
-            info = split_mangled_child(sym)
-            if info is None or info[1] < 1:
-                raise SpecSyntaxError(
-                    "letter %r does not name a symbol and child" % sym)
-            base, i = info
-        if base not in ranks:
-            ranks[base] = i
-            order.append(base)
-        elif (ranks[base] == 0) != (i == 0):
-            raise SpecSyntaxError("symbol %r is both a leaf and ranked" % base)
-        else:
-            ranks[base] = max(ranks[base], i)
-    for base, k in ranks.items():
-        for i in range(1, k + 1):
-            if mangle_child(base, i) not in enc:
-                raise SpecSyntaxError(
-                    "letter %s is missing from the encoding" % mangle_child(base, i))
-    return RankedAlphabet([(b, ranks[b]) for b in order])
-
-
 def word_of(t):
     """Labels of a monadic tree, root to leaf."""
     labels = []
@@ -568,13 +540,13 @@ def certificate_from_json(data):
 # ---------------------------------------------------------------------------
 # back to trees
 
-def back_convert(to):
-    """Top-down tree transducer induced on the original alphabet: a rule
-    reading sym@i becomes a rule reading sym that sends its single call
-    into child i; leaf rules carry over verbatim.  Distinct letters of
-    one symbol may leave rules with equal left-hand sides, so the result
-    can be nondeterministic."""
-    base = base_of_encoding(to.input)
+def back_convert(to, base):
+    """Top-down tree transducer induced on base, the ranked alphabet
+    to's letters encode (encoding_alphabet): a rule reading sym@i becomes
+    a rule reading sym that sends its single call into child i; leaf
+    rules carry over verbatim.  Distinct letters of one symbol may leave
+    rules with equal left-hand sides, so the result can be
+    nondeterministic."""
     rules = []
     for r in to.rules:
         if to.input.rank(r.symbol) == 0:

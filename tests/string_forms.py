@@ -24,8 +24,24 @@ from ttdef.functionality import ProductiveCycle
 from ttdef.model import (ROOT, call_info, check_monadic, is_occurrence,
                          occ_node, occ_node_info, occ_pattern_info)
 from ttdef.semantics import (BudgetExhausted, NoOutput, Output, _check_lsi,
-                             _search, _symbol_lookup)
+                             _search)
 from ttdef.trees import Tree, trees_up_to_height
+
+
+def _symbol_lookup(s):
+    """The label at an address of #(s), or None where #(s) has no node."""
+    def sym_at(v):
+        if not v:
+            return ROOT
+        if v[0] != 1:
+            return None
+        t = s
+        for i in v[1:]:
+            if not 1 <= i <= len(t.children):
+                return None
+            t = t.children[i - 1]
+        return t.label
+    return sym_at
 
 
 def rules_for(a, symbol, attr, pos):

@@ -578,12 +578,15 @@ def chain_step(a, s, form):
     """The forms one step from a chain form over #(s), stepped on the
     rule chains that enumerate_outputs and the cycle search step on
     (semantics._occurrence_steps), in rule order with repeats dropped."""
+    occurrence, rules, locate, address = _occurrence_steps(a, s, ROOT)
     labels, tip, _ = rhs_chain(form, occ_node_info)
     out = []
     if tip is not None:
-        for more, nxt, leaf in _occurrence_steps(a, s)(*tip):
-            step = _chain_tree(labels + more,
-                               leaf if nxt is None else occ_node(*nxt))
+        occ = occurrence(*tip)
+        for more, nxt, leaf in rules(occ):
+            step = _chain_tree(labels + more, leaf if nxt is None else
+                               occ_node(*address(locate(nxt[0], occ[1],
+                                                        nxt[1]))))
             if step not in out:
                 out.append(step)
     return out

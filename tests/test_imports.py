@@ -1,8 +1,9 @@
 """Every name a module of the package imports is used in that module,
 and every top-level function and class of the package, and every method
 and property of its classes, is read by the package or the benchmark.
-No module pops the head of a list, and only the functions named in
-BOTTOM_UP_CALLERS explore a product bottom-up.
+No module pops the head of a list, only the functions named in
+BOTTOM_UP_CALLERS explore a product bottom-up, and only those named in
+RULE_TABLE_READERS read a machine's rule table.
 
 Every field of a budget class is read by the package outside the
 class.
@@ -15,7 +16,9 @@ list popped at its head is a hand-rolled queue; a search goes through
 trees.breadth_first, whose order every artifact depends on.  A
 construction that calls trees.explore_bottom_up itself hand-rolls the
 step the look-ahead refinements share in constructions._refine.  A
-budget field nothing reads is a knob that bounds nothing.
+function that reads a rule table itself may be a new walker over it,
+where semantics._occurrence_steps is the one step of an att over a tree.
+A budget field nothing reads is a knob that bounds nothing.
 """
 
 import ast
@@ -96,11 +99,11 @@ BOTTOM_UP_CALLERS = {"analysis.all_isds", "analysis.Shapes._build",
                      "functionality._equal_on_classes"}
 
 
-def bottom_up_callers(source, module):
+def readers(source, module, name):
     """module.name of every top-level function and module.Class.name of
-    every method of source that reads explore_bottom_up, nested functions
-    included; module.Class for the rest of a class body and
-    module.<module> for the rest of the module."""
+    every method of source that reads name, nested functions included;
+    module.Class for the rest of a class body and module.<module> for the
+    rest of the module."""
     units = []
     for stmt in ast.parse(source).body:
         if isinstance(stmt, ast.ClassDef):
@@ -110,14 +113,14 @@ def bottom_up_callers(source, module):
         else:
             units.append((stmt.name if isinstance(stmt, ast.FunctionDef)
                           else "<module>", stmt))
-    return sorted({"%s.%s" % (module, name) for name, node in units
-                   if "explore_bottom_up" in _reads(node)})
+    return sorted({"%s.%s" % (module, unit) for unit, node in units
+                   if name in _reads(node)})
 
 
 def test_only_the_allowed_functions_explore_bottom_up():
     found = []
     for path in sorted(PACKAGE.glob("*.py")):
-        found += bottom_up_callers(path.read_text(), path.stem)
+        found += readers(path.read_text(), path.stem, "explore_bottom_up")
     assert sorted(found) == sorted(BOTTOM_UP_CALLERS)
 
 
@@ -130,8 +133,39 @@ def test_the_scan_sees_a_bottom_up_caller():
               "    def plug(self):\n        return 1\n"
               "def other():\n    return breadth_first([], None)\n"
               "ORDER = explore_bottom_up(ALPHA, step)\n")
-    assert bottom_up_callers(source, "m") == ["m.<module>", "m.Shapes.build",
-                                              "m.fuse"]
+    assert readers(source, "m", "explore_bottom_up") == [
+        "m.<module>", "m.Shapes.build", "m.fuse"]
+
+
+# The functions that may read a rule table: the one occurrence step of an
+# att over a tree, the crossing summaries and the walk analysis's
+# successors, which step an att on classes of subtrees, the top-down
+# run's compiled rules and the transducer's determinism, the two-way
+# machine built from an att's table, and the one-way oracle's two scans
+# of a candidate transducer.
+RULE_TABLE_READERS = {"analysis._successors", "model.TdttSpec.deterministic",
+                      "one_way._not_word_shaped", "one_way._word_steps",
+                      "semantics.Crossings.__init__",
+                      "semantics._occurrence_steps",
+                      "semantics._top_down_rules",
+                      "word_transducers.build_two_way"}
+
+
+def test_only_the_allowed_functions_read_a_rule_table():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += readers(path.read_text(), path.stem, "rule_table")
+    assert sorted(found) == sorted(RULE_TABLE_READERS)
+
+
+def test_the_scan_sees_a_rule_table_reader():
+    source = ("class Spec:\n    @property\n    def rule_table(self):\n"
+              "        return {}\n    def first(self):\n"
+              "        return self.rule_table.get(1)\n"
+              "def walk(a, s):\n    def step(occ):\n"
+              "        return a.rule_table[occ]\n    return step\n"
+              "def other(a):\n    return a.rules\n")
+    assert readers(source, "m", "rule_table") == ["m.Spec.first", "m.walk"]
 
 
 def _reads(node):

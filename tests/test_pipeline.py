@@ -26,6 +26,8 @@ from ttdef.word_transducers import one_way_definability
 
 import fixtures
 from fixtures import parse_spec
+from test_word_cache import IDW_TEXT
+from test_word_transducers import COPY_TEXT, HALF_TEXT
 
 PREFIX = [
     ("validate", "att", None),
@@ -321,3 +323,26 @@ def test_a_yes_on_d65_agrees_with_the_att(tmp_path):
 def test_a_yes_on_a_syn_only_att_agrees_with_the_att(name, tree, tmp_path):
     yes_agrees_with_the_att(getattr(fixtures, name + "_TEXT"), tree,
                             tmp_path)
+
+
+ROUTE_FIXTURES = {name: getattr(fixtures, name + "_TEXT")
+                  for name in ("A1", "A2", "REV", "W107", "T2", "T2B", "D65")}
+ROUTE_FIXTURES.update(COPY=COPY_TEXT, HALF=HALF_TEXT, IDW=IDW_TEXT)
+
+
+@pytest.mark.parametrize("length", [4, 6])
+def test_the_identity_lookaround_never_flips_the_answer(length, tmp_path):
+    """Metamorphic (ROADMAP item 4): an att and the att behind the
+    identity look-around translate alike, so their answers never differ
+    as Yes against No.  An Unknown on one route is allowed: T2 at length
+    6 is Yes bare and Unknown behind the look-around."""
+    cfg = {"equivalence_depth": 3, "verify_word_length": length}
+    for name, text in ROUTE_FIXTURES.items():
+        a = parse_spec(text)
+        kinds = {type(decide_dtR(d, cfg, outdir=tmp_path / route).answer)
+                 for route, d in (
+                     ("bare", a),
+                     ("behind", PairedSpec(
+                         "attU", name + "_U",
+                         fixtures.identity_lookaround(a.input), a)))}
+        assert kinds != {Yes, No}, (name, length)

@@ -213,6 +213,35 @@ def test_compiled_walk_matches_derivation_off_spec():
         assert evaluate(a, s) == NoOutput()
 
 
+def test_a_walk_flattens_once_and_names_only_where_it_sticks(monkeypatch):
+    """One evaluate flattens its tree once, and a walk that ends in an
+    output rebuilds no occurrence's address; nf names the occurrence it
+    sticks at, once."""
+    calls = Counter()
+    flatten, steps = semantics._flatten, semantics._occurrence_steps
+
+    def counted_flatten(*args):
+        calls["flatten"] += 1
+        return flatten(*args)
+
+    def counted_steps(*args):
+        occurrence, rules, locate, address = steps(*args)
+
+        def counted_address(occ):
+            calls["address"] += 1
+            return address(occ)
+        return occurrence, rules, locate, counted_address
+
+    monkeypatch.setattr(semantics, "_flatten", counted_flatten)
+    monkeypatch.setattr(semantics, "_occurrence_steps", counted_steps)
+    s = Tree("f", [Tree("e"), Tree("d")])
+    assert isinstance(evaluate(fixtures.a2(), s), Output)
+    assert calls == {"flatten": 1}
+    tip = Tree(occ_node("b", ()))
+    assert nf(fixtures.rev(), Tree("g", [Tree("e")]), tip) == tip
+    assert calls == {"flatten": 2, "address": 1}
+
+
 def test_compiled_outputs_get_the_size_check(monkeypatch):
     checked = []
     monkeypatch.setattr(semantics, "_check_lsi",
@@ -266,7 +295,7 @@ def test_walks_off_the_table_keep_the_derivation():
 @pytest.mark.parametrize("run", [
     lambda a, s: evaluate(a, s),
     lambda a, s: enumerate_outputs(a, s),
-    lambda a, s: semantics._occurrence_steps(a, s),
+    lambda a, s: semantics._occurrence_steps(a, s, ROOT),
     lambda a, s: functionality._productive_cycle(a, [s]),
 ], ids=["evaluate", "enumerate_outputs", "occurrence_steps",
         "productive_cycle"])

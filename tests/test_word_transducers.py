@@ -17,7 +17,7 @@ from ttdef.trees import (RankedAlphabet, Tree, format_address, parse_tree,
 from ttdef.word_transducers import (Definable, DefinabilityBudget,
                                     NotDefinable, TwoWayWord, Unknown,
                                     accepted_counts, accepted_words,
-                                    back_convert, base_of_encoding,
+                                    back_convert,
                                     build_correspondence_automaton,
                                     build_two_way, certificate_from_json,
                                     certificate_to_json,
@@ -126,19 +126,6 @@ def rev_verdict(rev_tw):
 def test_encoding_alphabet_splits_each_child():
     enc = encoding_alphabet(FED)
     assert dict(enc.items()) == {"f@1": 1, "f@2": 1, "e": 0, "d": 0}
-
-
-def test_base_of_encoding_round_trip():
-    assert base_of_encoding(encoding_alphabet(FED)).items() == FED.items()
-
-
-def test_base_of_encoding_rejects_bad_letters():
-    with pytest.raises(SpecSyntaxError):
-        base_of_encoding(RankedAlphabet({"f@2": 1, "e": 0}))  # f@1 missing
-    with pytest.raises(SpecSyntaxError):
-        base_of_encoding(RankedAlphabet({"e@1": 1, "e": 0}))  # leaf and ranked
-    with pytest.raises(SpecSyntaxError):
-        base_of_encoding(RankedAlphabet({"g": 1, "e": 0}))  # no child part
 
 
 def test_encode_prefix_follows_the_path():
@@ -547,14 +534,15 @@ rule #: b(pi 1) -> e
 # back conversion to trees
 
 def test_back_convert_redirects_each_call():
-    enc = encoding_alphabet(RankedAlphabet({"f": 2, "e": 0}))
+    base = RankedAlphabet({"f": 2, "e": 0})
+    enc = encoding_alphabet(base)
     out = RankedAlphabet({"g": 1, "e": 0})
     to = TdttSpec("w", enc, out, "q", (
         TdttRule("q", "f@2", Tree("g", [Tree(call_label("q2", 1))])),
         TdttRule("q2", "f@1", Tree(call_label("q2", 1))),
         TdttRule("q2", "e", Tree("e")),
     ))
-    back = back_convert(to)
+    back = back_convert(to, base)
     assert back.name == "w_trees"
     assert tuple(back.input.items()) == (("f", 2), ("e", 0))
     assert back.rules == (
@@ -565,14 +553,14 @@ def test_back_convert_redirects_each_call():
     crooked = TdttSpec("w2", enc, out, "q", (
         TdttRule("q", "f@1", Tree(call_label("q", 2))),))
     with pytest.raises(SpecSyntaxError):
-        back_convert(crooked)
+        back_convert(crooked, base)
 
 
 def test_back_converted_candidate_replays_the_att(assoc2, verdict2,
                                                   monkeypatch):
     """The back-converted candidate is nondeterministic, and its run on
     the rule table rewrites no string form."""
-    trees = back_convert(verdict2.transducer)
+    trees = back_convert(verdict2.transducer, assoc2.relabeling.output)
     assert not trees.deterministic
     pair = PairedSpec("dtR", "a2_again", assoc2.relabeling, trees)
     a = fixtures.a2()
