@@ -10,7 +10,9 @@ every validated declaration, which comes last in the rendered text.
 Attribute occurrences inside rule right-hand sides and sentential forms are
 stored as ordinary tree leaves whose label carries the position, e.g.
 "a(pi 1)", "b(pi)" in rules and "a(1.2)", "b(eps)" in forms. Symbol names
-never end in ')', so a label ending in ')' is always an occurrence.
+never end in ')', so a label ending in ')' is always an occurrence or a
+call q(xi); no inner part (pi, pi i, xi, eps, 1.2) holds a '(', so such a
+label splits into name and inner part at its last '('.
 """
 
 import re
@@ -35,29 +37,9 @@ def is_occurrence(label):
 
 
 def _split_parens(label):
-    """Split "name(inner)" respecting angle groups in the name, else None."""
-    if not label.endswith(")"):
-        return None
-    i, n = 0, len(label)
-    while i < n:
-        c = label[i]
-        if c == "(":
-            break
-        if c == "<":
-            depth = 1
-            i += 1
-            while i < n and depth:
-                if label[i] == "<":
-                    depth += 1
-                elif label[i] == ">":
-                    depth -= 1
-                i += 1
-            continue
-        if c.isalnum() or c in "_@#":
-            i += 1
-            continue
-        return None
-    if i == 0 or i >= n or label[i] != "(":
+    """Split "name(inner)" at its last '(', else None."""
+    i = label.rfind("(")
+    if i <= 0 or not label.endswith(")"):
         return None
     return label[:i], label[i + 1:-1]
 
@@ -502,9 +484,9 @@ def parse_all(text):
     by_name = {}
     block = None
 
-    def register(spec):
+    def register(spec, off):
         if spec.name in by_name:
-            raise SpecSyntaxError("duplicate declaration name %r" % spec.name)
+            raise SpecSyntaxError("duplicate declaration name %r" % spec.name, off)
         by_name[spec.name] = spec
         decls.append(spec)
 
@@ -516,7 +498,7 @@ def parse_all(text):
         block = None
         builder = {"att": _build_att, "dt": _build_dt,
                    "relabeling": _build_relabeling}[kind]
-        register(builder(name, off, body))
+        register(builder(name, off, body), off)
 
     for toks in _line_tokens(text):
         if not toks:
@@ -529,7 +511,7 @@ def parse_all(text):
             block = (value, toks[1][1], off, [])
         elif kind == "name" and value == "pair":
             flush()
-            register(_build_pair(toks, by_name))
+            register(_build_pair(toks, by_name), off)
         elif kind == "name" and value in _BODY_KEYS:
             if block is None:
                 raise SpecSyntaxError("%r line before any declaration header" % value, off)
@@ -598,53 +580,6 @@ class _Body:
         if key not in self.single:
             raise SpecSyntaxError("declaration %r is missing its %r line" % (self.name, key), self.off)
         return self.single[key]
-
-
-def _parse_att_rhs(toks, pos):
-    """Tree term whose leaves may be occurrences a(pi i) / b(pi)."""
-    stack = []
-    while True:
-        if pos >= len(toks):
-            raise SpecSyntaxError("expected a right-hand side term",
-                                  toks[-1][2] + 1 if toks else 0)
-        kind, label, off = toks[pos]
-        if kind != "name":
-            raise SpecSyntaxError("expected a symbol or attribute name", off)
-        pos += 1
-        if pos < len(toks) and toks[pos][0] == "lpar":
-            nxt = toks[pos + 1] if pos + 1 < len(toks) else None
-            if nxt is not None and nxt[0] == "rpar":
-                pos += 2
-                t = Tree(label)
-            elif nxt is not None and nxt[0] == "name" and nxt[1] == "pi":
-                pos += 2
-                child_pos = 0
-                if pos < len(toks) and toks[pos][0] == "int":
-                    child_pos = int(toks[pos][1])
-                    pos += 1
-                _, pos = _expect(toks, pos, "rpar", "')' closing the occurrence")
-                t = Tree(occ_pattern(label, child_pos))
-            else:
-                pos += 1
-                stack.append((label, []))
-                continue
-        else:
-            t = Tree(label)
-        while True:
-            if not stack:
-                return t, pos
-            stack[-1][1].append(t)
-            if pos >= len(toks):
-                raise SpecSyntaxError("unterminated subtree list", toks[-1][2] + 1)
-            if toks[pos][0] == "comma":
-                pos += 1
-                break
-            if toks[pos][0] == "rpar":
-                pos += 1
-                label2, kids = stack.pop()
-                t = Tree(label2, kids)
-                continue
-            raise SpecSyntaxError("expected ',' or ')'", toks[pos][2])
 
 
 def _validate_att_rhs(spec_name, rhs, syn, inh, output, k, off):
@@ -726,7 +661,7 @@ def _build_att(name, off, body):
             pos += 1
         _, pos = _expect(toks, pos, "rpar", "')' in the left-hand side")
         _, pos = _expect(toks, pos, "arrow", "'->'")
-        rhs, pos = _parse_att_rhs(toks, pos)
+        rhs, pos = parse_tree_tokens(toks, pos, occurrence=occ_pattern)
         if pos != len(toks):
             raise SpecSyntaxError("trailing input after the rule", toks[pos][2])
 
@@ -825,7 +760,7 @@ def _build_relabeling(name, off, body):
     alpha_out = _parse_alphabet(b.require("output"), off)
     final = _parse_names(b.single["final"]) if "final" in b.single else ()
 
-    rules = []
+    rules = {}
     for toks in b.rules:
         line_off = toks[0][2]
         lhs, pos = parse_tree_tokens(toks, 1)
@@ -848,15 +783,16 @@ def _build_relabeling(name, off, body):
         if alpha_out.rank(out_sym) != alpha_in.rank(lhs.label):
             raise ArityMismatch(
                 "relabeling must preserve rank: %r vs %r" % (lhs.label, out_sym), line_off)
-        rules.append(RelabelingRule(lhs.label, tuple(c.label for c in lhs.children),
-                                    state, out_sym))
-    try:
-        return RelabelingSpec(name=name, input=alpha_in, output=alpha_out,
-                              final=final, rules=tuple(rules))
-    except TtdefError as err:
-        if err.offset is None:
-            err.offset = off
-        raise
+        rule = RelabelingRule(lhs.label, tuple(c.label for c in lhs.children),
+                              state, out_sym)
+        # a rule repeated verbatim is kept once, in the order found
+        got = rules.setdefault((rule.symbol, rule.child_states), rule)
+        if got is not rule and got != rule:
+            raise DuplicateLhsInDeterministic(
+                "two relabeling rules for %s(%s)"
+                % (rule.symbol, ",".join(rule.child_states)), line_off)
+    return RelabelingSpec(name=name, input=alpha_in, output=alpha_out,
+                          final=final, rules=tuple(rules.values()))
 
 
 def _build_pair(toks, by_name):

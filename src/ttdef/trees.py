@@ -294,45 +294,30 @@ def tokenize(text, base=0):
             toks.append((_PUNCT[c], c, off))
             i += 1
             continue
-        if c.isdigit():
+        if "0" <= c <= "9":
             j = i
-            while j < n and text[j].isdigit():
+            while j < n and "0" <= text[j] <= "9":
                 j += 1
             toks.append(("int", text[i:j], off))
             i = j
             continue
         if c.isalpha() or c in "_#<":
-            if c == "<":
-                depth = 1
-                j = i + 1
-                while j < n and depth:
-                    if text[j] == "<":
-                        depth += 1
-                    elif text[j] == ">":
-                        depth -= 1
-                    j += 1
-                if depth:
-                    raise SpecSyntaxError("unbalanced '<' in name", off)
-            else:
-                j = i + 1
+            # a leading '<' opens a group like any later one
+            j = i if c == "<" else i + 1
             while j < n:
                 d = text[j]
                 if d.isalnum() or d in "_@":
                     j += 1
-                    continue
-                if d == "<":
-                    depth = 1
-                    j += 1
-                    while j < n and depth:
-                        if text[j] == "<":
-                            depth += 1
-                        elif text[j] == ">":
-                            depth -= 1
-                        j += 1
-                    if depth:
-                        raise SpecSyntaxError("unbalanced '<' in name", off)
-                    continue
-                break
+                elif d == "<":
+                    depth, j = 1, j + 1
+                    while depth:
+                        k = text.find(">", j)
+                        if k < 0:
+                            raise SpecSyntaxError("unbalanced '<' in name", off)
+                        depth += text.count("<", j, k) - 1
+                        j = k + 1
+                else:
+                    break
             toks.append(("name", text[i:j], off))
             i = j
             continue
@@ -342,15 +327,10 @@ def tokenize(text, base=0):
 
 def parse_tree(text, alphabet=None, allow_hole=False, base=0):
     toks = tokenize(text, base)
-    t, pos = _parse_term(toks, 0, text, alphabet, allow_hole)
+    t, pos = parse_tree_tokens(toks, 0, alphabet, allow_hole)
     if pos != len(toks):
         raise SpecSyntaxError("trailing input after tree", toks[pos][2])
     return t
-
-
-def parse_tree_tokens(toks, pos, alphabet=None, allow_hole=False):
-    """Parse one tree term from a token list; returns (tree, next position)."""
-    return _parse_term(toks, pos, None, alphabet, allow_hole)
 
 
 def _mk(label, children, off, alphabet, allow_hole):
@@ -366,7 +346,11 @@ def _mk(label, children, off, alphabet, allow_hole):
     return Tree(label, children)
 
 
-def _parse_term(toks, pos, text, alphabet, allow_hole):
+def parse_tree_tokens(toks, pos, alphabet=None, allow_hole=False,
+                      occurrence=None):
+    """Parse one tree term from a token list; returns (tree, next position).
+    Given occurrence, a term name(pi) or name(pi i) is the leaf labelled
+    occurrence(name, i), with i = 0 for name(pi)."""
     # Iterative so deep monadic terms parse without hitting the recursion
     # limit. The stack holds open nodes waiting for further children.
     stack = []
@@ -383,6 +367,19 @@ def _parse_term(toks, pos, text, alphabet, allow_hole):
             if pos < len(toks) and toks[pos][0] == "rpar":
                 pos += 1  # accept explicit "e()" for rank 0
                 t = _mk(label, (), off, alphabet, allow_hole)
+            elif occurrence is not None and pos < len(toks) \
+                    and toks[pos][1] == "pi":
+                i = 0
+                pos += 1
+                if pos < len(toks) and toks[pos][0] == "int":
+                    i = int(toks[pos][1])
+                    pos += 1
+                if pos >= len(toks) or toks[pos][0] != "rpar":
+                    raise SpecSyntaxError(
+                        "expected ')' closing the occurrence",
+                        toks[pos][2] if pos < len(toks) else toks[-1][2] + 1)
+                pos += 1
+                t = Tree(occurrence(label, i))
             else:
                 stack.append((label, off, []))
                 continue

@@ -2,8 +2,9 @@
 and every top-level function and class of the package, and every method
 and property of its classes, is read by the package or the benchmark.
 No module pops the head of a list, only the functions named in
-BOTTOM_UP_CALLERS explore a product bottom-up, and only those named in
-RULE_TABLE_READERS read a machine's rule table.
+BOTTOM_UP_CALLERS explore a product bottom-up, only those named in
+RULE_TABLE_READERS read a machine's rule table, and only the units named
+in LPAR_HOLDERS hold the token kind "lpar".
 
 Every field of a budget class is read by the package outside the
 class.
@@ -18,6 +19,8 @@ construction that calls trees.explore_bottom_up itself hand-rolls the
 step the look-ahead refinements share in constructions._refine.  A
 function that reads a rule table itself may be a new walker over it,
 where semantics._occurrence_steps is the one step of an att over a tree.
+A unit that looks for an "lpar" token may be a new parser of terms,
+where trees.parse_tree_tokens is the one term parser of spec text.
 A budget field nothing reads is a knob that bounds nothing.
 """
 
@@ -99,11 +102,10 @@ BOTTOM_UP_CALLERS = {"analysis.all_isds", "analysis.Shapes._build",
                      "functionality._equal_on_classes"}
 
 
-def readers(source, module, name):
-    """module.name of every top-level function and module.Class.name of
-    every method of source that reads name, nested functions included;
-    module.Class for the rest of a class body and module.<module> for the
-    rest of the module."""
+def _units(source):
+    """(unit, node) for each top-level function, each method, the rest of
+    each class body and the rest of the module, named as readers names
+    them."""
     units = []
     for stmt in ast.parse(source).body:
         if isinstance(stmt, ast.ClassDef):
@@ -113,8 +115,24 @@ def readers(source, module, name):
         else:
             units.append((stmt.name if isinstance(stmt, ast.FunctionDef)
                           else "<module>", stmt))
-    return sorted({"%s.%s" % (module, unit) for unit, node in units
+    return units
+
+
+def readers(source, module, name):
+    """module.name of every top-level function and module.Class.name of
+    every method of source that reads name, nested functions included;
+    module.Class for the rest of a class body and module.<module> for the
+    rest of the module."""
+    return sorted({"%s.%s" % (module, unit) for unit, node in _units(source)
                    if name in _reads(node)})
+
+
+def holders(source, module, value):
+    """The units of source, named as readers names them, whose code holds
+    the constant value."""
+    return sorted({"%s.%s" % (module, unit) for unit, node in _units(source)
+                   if any(isinstance(sub, ast.Constant) and sub.value == value
+                          for sub in ast.walk(node))})
 
 
 def test_only_the_allowed_functions_explore_bottom_up():
@@ -166,6 +184,31 @@ def test_the_scan_sees_a_rule_table_reader():
               "        return a.rule_table[occ]\n    return step\n"
               "def other(a):\n    return a.rules\n")
     assert readers(source, "m", "rule_table") == ["m.Spec.first", "m.walk"]
+
+
+# The units that may hold the token kind "lpar": the lexer's table, the
+# one term parser, and the att rule's left-hand side a(pi i), which is
+# read token by token.
+LPAR_HOLDERS = {"trees.<module>", "trees.parse_tree_tokens",
+                "model._build_att"}
+
+
+def test_only_the_term_parser_looks_for_an_open_parenthesis():
+    found = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        found += holders(path.read_text(), path.stem, "lpar")
+    assert sorted(found) == sorted(LPAR_HOLDERS)
+
+
+def test_the_scan_sees_a_token_kind():
+    source = ('KINDS = {"(": "lpar"}\n'
+              'def parse(toks):\n    return toks[0][0] == "lpar"\n'
+              'class Parser:\n    def step(self, tok):\n'
+              '        return tok[0] in ("lpar", "rpar")\n'
+              '    def other(self, tok):\n        return tok.lpar\n'
+              'def rest(toks):\n    return "rpar", lpar\n')
+    assert holders(source, "m", "lpar") == [
+        "m.<module>", "m.Parser.step", "m.parse"]
 
 
 def _reads(node):

@@ -1,10 +1,16 @@
+import random
+from dataclasses import replace
+
 import pytest
+from hypothesis import given, seed, settings
 
 from ttdef.errors import (AlphabetMismatch, ArityMismatch,
                           DuplicateLhsInDeterministic, RootMarkerSynRule,
-                          SpecSyntaxError, UnknownAttribute, UnknownSymbol)
-from ttdef.model import (AttRule, AttSpec, PairedSpec, RelabelingSpec,
-                         TdttRule, TdttSpec, call_info, call_label, check_monadic,
+                          SpecSyntaxError, TtdefError, UnknownAttribute,
+                          UnknownSymbol)
+from ttdef.model import (AttRule, AttSpec, PairedSpec, RelabelingRule,
+                         RelabelingSpec, TdttRule, TdttSpec, call_info,
+                         call_label, check_monadic,
                          is_occurrence, mangle_child, mangle_literal,
                          mangle_parts, occ_node, occ_node_info, occ_pattern,
                          occ_pattern_info, parse_all, render_spec,
@@ -14,6 +20,7 @@ from ttdef.trees import Tree, parse_tree
 import fixtures
 from fixtures import parse_spec
 from string_forms import rules_for
+from test_walk_table import atts, tdtts
 
 
 def test_a1_parses_as_expected():
@@ -187,9 +194,24 @@ def test_relabeling_parses_and_roundtrips():
     assert parse_spec(render_spec(b)) == b
 
 
+def line_of(text, offset):
+    return text.count("\n", 0, offset) + 1
+
+
 def test_relabeling_duplicate_lhs_rejected():
-    with pytest.raises(DuplicateLhsInDeterministic):
-        parse_spec(RELABEL_TEXT + "rule e -> q:e\n")
+    """Two rules for one symbol and child states that differ in the state
+    or the output symbol are refused, at the line of the second."""
+    for extra in ("rule e -> q:e\n", "rule e -> p:d\n"):
+        text = RELABEL_TEXT + "rule d -> q:d\n" + extra
+        with pytest.raises(DuplicateLhsInDeterministic) as ei:
+            parse_spec(text)
+        assert line_of(text, ei.value.offset) == 10
+
+
+def test_relabeling_rule_repeated_verbatim_is_kept_once():
+    text = RELABEL_TEXT.replace("rule e -> p:e\n",
+                                "rule e -> p:e\nrule e -> p:e\n")
+    assert parse_spec(text) == parse_spec(RELABEL_TEXT)
 
 
 def test_relabeling_rank_preservation_checked():
@@ -304,19 +326,16 @@ def test_comments_and_blank_lines_ignored():
 
 
 def written_twice(text):
-    """text with every rule line of an att or a dt repeated: once right
-    after itself, and all of them once more at the end of its
-    declaration.  A relabeling refuses a repeated rule, so its rules are
-    left as they are."""
-    out, rules, kind = [], [], None
+    """text with every rule line repeated: once right after itself, and
+    all of them once more at the end of its declaration."""
+    out, rules = [], []
     for line in text.splitlines() + [""]:
-        if kind in ("att", "dt") and not line.strip():
+        words = line.split()
+        if not words or words[0] in ("att", "dt", "relabeling", "pair"):
             out += rules
             rules = []
-        if line and not line.startswith((" ", "#", "rule ")):
-            kind = line.split()[0]
         out.append(line)
-        if kind in ("att", "dt") and line.startswith("rule "):
+        if words[:1] == ["rule"]:
             out.append(line)
             rules.append(line)
     return "\n".join(out) + "\n"
@@ -357,7 +376,7 @@ def test_parsing_compares_no_rules(monkeypatch, tmp_path):
     list of those before it)."""
     text = a2_dtr_text(tmp_path)
     compared = []
-    for cls in (AttRule, TdttRule):
+    for cls in (AttRule, TdttRule, RelabelingRule):
         eq = cls.__eq__
 
         def counted(self, other, eq=eq):
@@ -368,3 +387,119 @@ def test_parsing_compares_no_rules(monkeypatch, tmp_path):
     a2 = parse_spec(fixtures.A2_TEXT)
     assert len(dtr.second.rules) == 70 and len(a2.rules["f"]) > 1
     assert compared == []
+
+
+# ---------------------------------------------------------------------------
+# the contract of the text layer
+
+
+def test_rendered_random_atts_parse_back_to_their_text():
+    """Text, not specs, is compared: a drawn att may keep an empty rule
+    tuple for a symbol, which parsing leaves out."""
+    @seed(1)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(atts())
+    def check(a):
+        text = render_spec(a)
+        assert render_spec(parse_all(text)[-1]) == text
+
+    check()
+
+
+def test_rendered_random_tdtts_parse_back_to_their_text():
+    """A drawn tdtt may call a child its symbol lacks, which the parser
+    refuses, and may hold a rule twice, which it keeps once."""
+    counts = {"accepted": 0, "repeats": 0}
+
+    @seed(1)
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(tdtts())
+    def check(t):
+        text = render_spec(t)
+        try:
+            parsed = parse_all(text)[-1]
+        except TtdefError:
+            return
+        once = replace(t, rules=tuple(dict.fromkeys(t.rules)))
+        assert render_spec(parsed) == render_spec(once)
+        counts["accepted"] += 1
+        counts["repeats"] += once.rules != t.rules
+
+    check()
+    assert counts["accepted"] >= 100 and counts["repeats"] >= 50, counts
+
+
+# the lexer's punctuation, digits ASCII and not, names, and a letter that
+# is not ASCII
+FUZZ_CHARS = "<>()%#@:;=,- \t0123456789\u00b2\u0663abeipx_\u00e9"
+
+
+def mutated(text, rng):
+    """text with one to three of its lines edited: a character put in,
+    taken out or replaced, or a whole line written again elsewhere."""
+    lines = text.split("\n")
+    for _ in range(rng.randint(1, 3)):
+        k = rng.randrange(len(lines))
+        line, i = lines[k], rng.randint(0, len(lines[k]))
+        op = rng.randrange(4)
+        if op == 3:
+            lines.insert(rng.randrange(len(lines) + 1), line)
+        else:
+            put = rng.choice(FUZZ_CHARS) if op != 1 else ""
+            lines[k] = line[:i] + put + line[i + (op != 0):]
+    return "\n".join(lines)
+
+
+def test_malformed_text_raises_a_ttdef_error_inside_it():
+    """Every malformed text is refused with a TtdefError whose offset
+    lies in the text; nothing else escapes parse_all."""
+    rng = random.Random(1)
+    texts = [fixtures.A1_TEXT, fixtures.A2_TEXT, fixtures.REV_TEXT,
+             DT_TEXT, PAIR_TEXT]
+    refused = 0
+    for _ in range(3000):
+        text = mutated(rng.choice(texts), rng)
+        try:
+            parse_all(text)
+        except TtdefError as err:
+            refused += 1
+            assert err.offset is not None and 0 <= err.offset <= len(text), \
+                (text, err)
+    assert refused > 2000
+
+
+@pytest.mark.parametrize("rhs, error, message", [
+    ("", SpecSyntaxError, "expected a tree term, found end of input"),
+    (", e", SpecSyntaxError, "expected a symbol name, found ','"),
+    ("g(a(pi 1", SpecSyntaxError, "expected ')' closing the occurrence"),
+    ("g(a(pi 1 2))", SpecSyntaxError, "expected ')' closing the occurrence"),
+    ("g(a(pi 1)", SpecSyntaxError, "unterminated subtree list"),
+    ("g(a(pi 1); e)", SpecSyntaxError, "expected ',' or ')'"),
+    ("g(a(pi 1) e)", SpecSyntaxError, "expected ',' or ')'"),
+    ("g(a(pi 3))", ArityMismatch, "occurrence 'a(pi 3)' points past the 2 "
+                                  "children"),
+])
+def test_a_malformed_rhs_is_refused_at_its_line(rhs, error, message):
+    text = fixtures.A1_TEXT.replace("rule e:", "rule f: a(pi) -> %s\nrule e:"
+                                    % rhs)
+    with pytest.raises(error) as ei:
+        parse_spec(text)
+    assert ei.value.message == message
+    assert line_of(text, ei.value.offset) == 10
+
+
+def test_a_duplicate_declaration_is_refused_at_its_header():
+    text = fixtures.A1_TEXT + "\n" + fixtures.A1_TEXT
+    with pytest.raises(SpecSyntaxError) as ei:
+        parse_all(text)
+    assert line_of(text, ei.value.offset) == 13
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"])
+def test_only_ascii_digits_make_a_number(digit):
+    """int() reads some digits that are not ASCII and refuses others, so
+    the lexer takes only ASCII digits for a number."""
+    text = fixtures.A1_TEXT.replace("e:0", "e:" + digit, 1)
+    with pytest.raises(SpecSyntaxError) as ei:
+        parse_spec(text)
+    assert ei.value.offset == text.index(digit)

@@ -295,6 +295,25 @@ def test_a_definable_att_never_answers_no(name, length, bound, tmp_path):
     assert not isinstance(report.answer, No)
 
 
+# Known wrong answers on atts with no dtR: reversal and copying of a
+# monadic word answer Yes, and each wrong dtR first differs from its att
+# on a path one letter longer than the verified length (ROADMAP item 4).
+WRONG_YES = {("REV", 4), ("REV", 5),
+             ("COPY", 4), ("COPY", 5), ("COPY", 6), ("COPY", 10)}
+
+
+@pytest.mark.parametrize("name,length", [
+    pytest.param(name, length, marks=[pytest.mark.xfail(
+        strict=True, reason="a wrong Yes: the dtR differs one letter past "
+        "the verified length")] if (name, length) in WRONG_YES else [])
+    for name in ("REV", "COPY") for length in (4, 5, 6, 10)])
+def test_a_non_definable_att_never_answers_yes(name, length, tmp_path):
+    a = parse_spec(fixtures.REV_TEXT if name == "REV" else COPY_TEXT)
+    report = decide_dtR(a, {"equivalence_depth": 4,
+                            "verify_word_length": length}, outdir=tmp_path)
+    assert not isinstance(report.answer, Yes)
+
+
 def yes_agrees_with_the_att(text, tree, tmp_path):
     """The att of text answers Yes at verify_word_length 6, and its
     reloaded dtR agrees with it on tree."""
